@@ -13,7 +13,6 @@ from .certificate import (
 from .continuation import ContinuationError, MuSchedule, PathPoint, SolveTrace, accumulate, solve
 from .corpus import CorpusEntry, KnownOptimum, builtin, names
 from .diagnostics import (
-    DiagnosticsReport,
     SlaterUnverifiedError,
     levelset_convexity_probe,
     nondegeneracy_probe,
@@ -43,7 +42,6 @@ __all__ = [
     "BarrierEvaluation",
     "ContinuationError",
     "CorpusEntry",
-    "DiagnosticsReport",
     "EvalError",
     "Expr",
     "Feasibility",

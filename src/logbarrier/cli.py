@@ -23,6 +23,8 @@ from .continuation import ContinuationError, MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
     NoFeasibleSamplesError,
+    SLATER_GRID_RES,
+    SlaterReport,
     SlaterUnverifiedError,
     levelset_convexity_probe,
     nondegeneracy_probe,
@@ -138,21 +140,16 @@ def _run_solve(args) -> int:
 
     records: list[dict] = []
     assumptions_verified = False
+    start = None
     if args.require_assumptions:
         try:
-            x0, margin = slater_find(p)
+            x0, margin = slater_find(p, SLATER_GRID_RES)
         except SlaterUnverifiedError as err:
             _fail(f"assumption check failed (slater): {err}")
             return 3
-        records.append(
-            {
-                "record": "slater",
-                "point": [float(v) for v in x0],
-                "margin": margin,
-                "grid_resolution": 101,
-                "passed": True,
-            }
-        )
+        records.append(SlaterReport(x0, margin, SLATER_GRID_RES).to_record())
+        if p.interior_point is None:
+            start = x0  # the point solve would search for again
         ndg = nondegeneracy_probe(p, seed=args.seed, x0=x0)
         records.append(ndg.to_record())
         if not ndg.passed:
@@ -169,7 +166,7 @@ def _run_solve(args) -> int:
         assumptions_verified = True
 
     try:
-        trace = solve(p, schedule, newton=args.newton, tol_floor=args.tol)
+        trace = solve(p, schedule, x0=start, newton=args.newton, tol_floor=args.tol)
     except (ContinuationError, InfeasibleStartError, SlaterUnverifiedError) as err:
         _fail(f"solve failed: {err}")
         return 3
@@ -217,26 +214,27 @@ def _run_diagnose(args) -> int:
 
     records: list[dict] = []
     all_passed = True
+    slater: tuple | str | None = None  # first slater_find outcome: (x0, margin) or its error
     for name, value in checks:
         try:
+            if name in ("slater", "nondegeneracy", "curvature"):
+                if slater is None:
+                    try:
+                        slater = slater_find(p, SLATER_GRID_RES)
+                    except SlaterUnverifiedError as err:
+                        slater = str(err)
+                if isinstance(slater, str):
+                    raise SlaterUnverifiedError(slater)
+                x0, margin = slater
             if name == "slater":
-                x0, margin = slater_find(p)
-                records.append(
-                    {
-                        "record": "slater",
-                        "point": [float(v) for v in x0],
-                        "margin": margin,
-                        "grid_resolution": 101,
-                        "passed": True,
-                    }
-                )
+                records.append(SlaterReport(x0, margin, SLATER_GRID_RES).to_record())
                 passed = True
             elif name == "nondegeneracy":
-                report = nondegeneracy_probe(p, seed=args.seed)
+                report = nondegeneracy_probe(p, seed=args.seed, x0=x0)
                 records.append(report.to_record())
                 passed = report.passed
             elif name == "curvature":
-                report = tangential_curvature_probe(p, seed=args.seed)
+                report = tangential_curvature_probe(p, seed=args.seed, x0=x0)
                 records.append(report.to_record())
                 if args.expect == "pass":
                     passed = all(
@@ -384,3 +382,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,11 +22,12 @@ import numpy as np
 
 from . import expr
 from .barrier import barrier_hessian
-from .problem import Problem
+from .problem import Problem, grid_blocks
 
 LSE_SHARPNESS = 100.0
 ASCENT_STEPS = 50
 BISECT_ITERS = 60
+SLATER_GRID_RES = 101
 GRID_FALLBACK_RES = 201
 GRID_FALLBACK_CAP = 512
 MIDPOINT_GUARD = 1e-10
@@ -188,33 +189,6 @@ class CurvatureReport:
         }
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    slater: SlaterReport | None = None
-    nondegeneracy: NondegeneracyReport | None = None
-    levelsets: tuple[LevelsetReport, ...] = ()
-    phi_convexity: tuple[PhiConvexityReport, ...] = ()
-    curvature: CurvatureReport | None = None
-
-    def to_records(self) -> list[dict]:
-        records = []
-        if self.slater is not None:
-            records.append(self.slater.to_record())
-        if self.nondegeneracy is not None:
-            records.append(self.nondegeneracy.to_record())
-        records.extend(r.to_record() for r in self.levelsets)
-        records.extend(r.to_record() for r in self.phi_convexity)
-        if self.curvature is not None:
-            records.append(self.curvature.to_record())
-        return records
-
-
-def _grid_points(box: np.ndarray, res: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, res) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _min_g(p: Problem, points: np.ndarray) -> np.ndarray:
     vals = np.stack([expr.evaluate_many(g, points) for g in p.constraints])
     return vals.min(axis=0)
@@ -229,26 +203,29 @@ def _in_box(box: np.ndarray, x: np.ndarray) -> bool:
     return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
 
-def slater_find(p: Problem, grid_res: int = 101) -> tuple[np.ndarray, float]:
+def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray, float]:
     """Search the box for a strictly feasible point with maximal margin.
 
-    A grid scan picks the point with the largest min_j g_j; steepest-ascent
-    steps on a smooth-min surrogate (log-sum-exp, sharpness 100) then push
-    the margin up.  Returns (point, margin) with margin > 0, or raises
+    A grid scan picks the point with the largest min_j g_j (ties go to the
+    first point in row-major order); steepest-ascent steps on a smooth-min
+    surrogate (log-sum-exp, sharpness 100) then push the margin up.
+    Returns (point, margin) with margin > 0, or raises
     SlaterUnverifiedError when no grid point has positive margin.
     """
     if grid_res < 2:
         raise ValueError("grid_res must be at least 2")
-    points = _grid_points(p.box, grid_res)
-    margins = _min_g(p, points)
-    best = int(np.argmax(margins))
-    if margins[best] <= 0.0:
+    x, best_margin = None, -math.inf
+    for block in grid_blocks(p.box, grid_res):
+        margins = _min_g(p, block)
+        best = int(np.argmax(margins))
+        if x is None or margins[best] > best_margin:
+            x, best_margin = block[best].copy(), float(margins[best])
+    if best_margin <= 0.0:
         raise SlaterUnverifiedError(
             f"no strictly feasible point on a {grid_res}^({p.nvars}) grid "
-            f"(best margin {margins[best]:.3e})"
+            f"(best margin {best_margin:.3e})"
         )
-    x = points[best].copy()
-    best_x, best_margin = x.copy(), float(margins[best])
+    best_x = x.copy()
 
     beta = LSE_SHARPNESS
 
@@ -528,11 +505,15 @@ def levelset_convexity_probe(
         )
 
     # rejection found at most one member: the set is thin in the box, so
-    # fall back to a deterministic grid scan of all member pairs
-    grid = _grid_points(p.box, GRID_FALLBACK_RES)
-    member = np.all(g_scope_many(grid) >= a[None, :], axis=1)
-    sel = grid[member][:GRID_FALLBACK_CAP]
-    k = sel.shape[0]
+    # fall back to a deterministic grid scan of the pairs among its first
+    # GRID_FALLBACK_CAP members in row-major order
+    chosen, k = [], 0
+    for block in grid_blocks(p.box, GRID_FALLBACK_RES):
+        chosen.append(block[members_mask(block)][: GRID_FALLBACK_CAP - k])
+        k += chosen[-1].shape[0]
+        if k == GRID_FALLBACK_CAP:
+            break
+    sel = np.concatenate(chosen)
     if k < 2:
         return LevelsetReport(
             scope=scope,

@@ -307,47 +307,49 @@ def evaluate(e: Expr, x) -> float:
     xs = [float(v) for v in x]
     if len(xs) != e.nvars:
         raise ValueError(f"point has {len(xs)} coordinates, expected {e.nvars}")
+    return float(_ev_scalar(e.root, xs))
 
-    def ev(node: Node) -> float:
-        match node:
-            case Const(value):
-                return value
-            case Var(index):
-                return xs[index]
-            case Neg(operand):
-                return -ev(operand)
-            case Ln(operand):
-                v = ev(operand)
-                if v <= 0.0:
-                    raise EvalError(f"ln of nonpositive value {v}")
-                return math.log(v)
-            case Exp(operand):
-                try:
-                    return math.exp(ev(operand))
-                except OverflowError:
-                    raise EvalError("overflow in exp") from None
-            case Add(lhs, rhs):
-                return ev(lhs) + ev(rhs)
-            case Sub(lhs, rhs):
-                return ev(lhs) - ev(rhs)
-            case Mul(lhs, rhs):
-                return ev(lhs) * ev(rhs)
-            case Div(lhs, rhs):
-                den = ev(rhs)
-                if den == 0.0:
-                    raise EvalError("division by zero")
-                return ev(lhs) / den
-            case Pow(base, exponent):
-                b = ev(base)
-                if b == 0.0 and exponent < 0:
-                    raise EvalError("zero base with negative exponent")
-                try:
-                    return b**exponent
-                except OverflowError:
-                    raise EvalError("overflow in power") from None
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return float(ev(e.root))
+# Walkers take the point(s) as an argument: a nested recursive closure is a
+# reference cycle that would keep the caller's input alive until a GC pass.
+def _ev_scalar(node: Node, xs: list[float]) -> float:
+    match node:
+        case Const(value):
+            return value
+        case Var(index):
+            return xs[index]
+        case Neg(operand):
+            return -_ev_scalar(operand, xs)
+        case Ln(operand):
+            v = _ev_scalar(operand, xs)
+            if v <= 0.0:
+                raise EvalError(f"ln of nonpositive value {v}")
+            return math.log(v)
+        case Exp(operand):
+            try:
+                return math.exp(_ev_scalar(operand, xs))
+            except OverflowError:
+                raise EvalError("overflow in exp") from None
+        case Add(lhs, rhs):
+            return _ev_scalar(lhs, xs) + _ev_scalar(rhs, xs)
+        case Sub(lhs, rhs):
+            return _ev_scalar(lhs, xs) - _ev_scalar(rhs, xs)
+        case Mul(lhs, rhs):
+            return _ev_scalar(lhs, xs) * _ev_scalar(rhs, xs)
+        case Div(lhs, rhs):
+            den = _ev_scalar(rhs, xs)
+            if den == 0.0:
+                raise EvalError("division by zero")
+            return _ev_scalar(lhs, xs) / den
+        case Pow(base, exponent):
+            b = _ev_scalar(base, xs)
+            if b == 0.0 and exponent < 0:
+                raise EvalError("zero base with negative exponent")
+            try:
+                return b**exponent
+            except OverflowError:
+                raise EvalError("overflow in power") from None
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
@@ -359,44 +361,44 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != e.nvars:
         raise ValueError(f"points must have shape (N, {e.nvars})")
-
-    def ev(node: Node):
-        match node:
-            case Const(value):
-                return value
-            case Var(index):
-                return pts[:, index]
-            case Neg(operand):
-                return -ev(operand)
-            case Ln(operand):
-                v = ev(operand)
-                if np.any(v <= 0.0):
-                    raise EvalError("ln of nonpositive value")
-                return np.log(v)
-            case Exp(operand):
-                return np.exp(ev(operand))
-            case Add(lhs, rhs):
-                return ev(lhs) + ev(rhs)
-            case Sub(lhs, rhs):
-                return ev(lhs) - ev(rhs)
-            case Mul(lhs, rhs):
-                return ev(lhs) * ev(rhs)
-            case Div(lhs, rhs):
-                den = ev(rhs)
-                if np.any(den == 0.0):
-                    raise EvalError("division by zero")
-                return ev(lhs) / den
-            case Pow(base, exponent):
-                b = ev(base)
-                if exponent < 0 and np.any(b == 0.0):
-                    raise EvalError("zero base with negative exponent")
-                return b**exponent
-        raise TypeError(f"not an expression node: {node!r}")
-
-    out = ev(e.root)
+    out = _ev_many(e.root, pts)
     if np.ndim(out) == 0:
         return np.full(pts.shape[0], float(out))
     return np.asarray(out, dtype=float)
+
+
+def _ev_many(node: Node, pts: np.ndarray):
+    match node:
+        case Const(value):
+            return value
+        case Var(index):
+            return pts[:, index]
+        case Neg(operand):
+            return -_ev_many(operand, pts)
+        case Ln(operand):
+            v = _ev_many(operand, pts)
+            if np.any(v <= 0.0):
+                raise EvalError("ln of nonpositive value")
+            return np.log(v)
+        case Exp(operand):
+            return np.exp(_ev_many(operand, pts))
+        case Add(lhs, rhs):
+            return _ev_many(lhs, pts) + _ev_many(rhs, pts)
+        case Sub(lhs, rhs):
+            return _ev_many(lhs, pts) - _ev_many(rhs, pts)
+        case Mul(lhs, rhs):
+            return _ev_many(lhs, pts) * _ev_many(rhs, pts)
+        case Div(lhs, rhs):
+            den = _ev_many(rhs, pts)
+            if np.any(den == 0.0):
+                raise EvalError("division by zero")
+            return _ev_many(lhs, pts) / den
+        case Pow(base, exponent):
+            b = _ev_many(base, pts)
+            if exponent < 0 and np.any(b == 0.0):
+                raise EvalError("zero base with negative exponent")
+            return b**exponent
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 class Dual2:
@@ -491,30 +493,29 @@ def evaluate_dual(e: Expr, x) -> Dual2:
     xs = [float(v) for v in x]
     if len(xs) != e.nvars:
         raise ValueError(f"point has {len(xs)} coordinates, expected {e.nvars}")
-    n = e.nvars
+    return _ev_dual(e.root, xs)
 
-    def ev(node: Node) -> Dual2:
-        match node:
-            case Const(value):
-                return Dual2.constant(value, n)
-            case Var(index):
-                return Dual2.variable(xs[index], index, n)
-            case Neg(operand):
-                return -ev(operand)
-            case Ln(operand):
-                return ev(operand).ln()
-            case Exp(operand):
-                return ev(operand).exp()
-            case Add(lhs, rhs):
-                return ev(lhs) + ev(rhs)
-            case Sub(lhs, rhs):
-                return ev(lhs) - ev(rhs)
-            case Mul(lhs, rhs):
-                return ev(lhs) * ev(rhs)
-            case Div(lhs, rhs):
-                return ev(lhs) / ev(rhs)
-            case Pow(base, exponent):
-                return ev(base).pow_int(exponent)
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(e.root)
+def _ev_dual(node: Node, xs: list[float]) -> Dual2:
+    match node:
+        case Const(value):
+            return Dual2.constant(value, len(xs))
+        case Var(index):
+            return Dual2.variable(xs[index], index, len(xs))
+        case Neg(operand):
+            return -_ev_dual(operand, xs)
+        case Ln(operand):
+            return _ev_dual(operand, xs).ln()
+        case Exp(operand):
+            return _ev_dual(operand, xs).exp()
+        case Add(lhs, rhs):
+            return _ev_dual(lhs, xs) + _ev_dual(rhs, xs)
+        case Sub(lhs, rhs):
+            return _ev_dual(lhs, xs) - _ev_dual(rhs, xs)
+        case Mul(lhs, rhs):
+            return _ev_dual(lhs, xs) * _ev_dual(rhs, xs)
+        case Div(lhs, rhs):
+            return _ev_dual(lhs, xs) / _ev_dual(rhs, xs)
+        case Pow(base, exponent):
+            return _ev_dual(base, xs).pow_int(exponent)
+    raise TypeError(f"not an expression node: {node!r}")

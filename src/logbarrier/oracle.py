@@ -15,11 +15,10 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .problem import Problem
+from .problem import Problem, grid_blocks
 
 MAX_ORACLE_VARS = 3
 MIN_RESOLUTION = 11
-CHUNK_TARGET = 1 << 20
 
 
 class OracleError(Exception):
@@ -41,25 +40,6 @@ class OracleResult:
             "grid_resolution": self.grid_resolution,
             "polished": self.polished,
         }
-
-
-def _iter_chunks(box: np.ndarray, res: int):
-    """Yield grid points in row-major order, bounded chunks at a time."""
-    axes = [np.linspace(lo, hi, res) for lo, hi in box]
-    n = len(axes)
-    if n == 1:
-        yield axes[0][:, None]
-        return
-    tail_size = res ** (n - 1)
-    rows_per_chunk = max(1, CHUNK_TARGET // tail_size)
-    tail_mesh = np.meshgrid(*axes[1:], indexing="ij")
-    tail = np.stack([m.ravel() for m in tail_mesh], axis=1)
-    for start in range(0, res, rows_per_chunk):
-        first = axes[0][start : start + rows_per_chunk]
-        block = np.empty((first.size * tail_size, n))
-        block[:, 0] = np.repeat(first, tail_size)
-        block[:, 1:] = np.tile(tail, (first.size, 1))
-        yield block
 
 
 def _feasible_mask(p: Problem, points: np.ndarray) -> np.ndarray:
@@ -187,7 +167,7 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
 
     best_f = np.inf
     best_x: np.ndarray | None = None
-    for block in _iter_chunks(p.box, res):
+    for block in grid_blocks(p.box, res):
         mask = _feasible_mask(p, block)
         if not mask.any():
             continue
@@ -195,9 +175,7 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
         fvals = expr.evaluate_many(p.objective, feas)
         i = int(np.argmin(fvals))
         f_i, x_i = float(fvals[i]), feas[i]
-        if f_i < best_f or (
-            f_i == best_f and best_x is not None and tuple(x_i) < tuple(best_x)
-        ):
+        if f_i < best_f:  # blocks come in row-major order, so a tie keeps the earlier point
             best_f, best_x = f_i, x_i.copy()
     if best_x is None:
         raise OracleError(f"no feasible grid point at resolution {res}")

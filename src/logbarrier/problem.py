@@ -16,6 +16,8 @@ import numpy as np
 from . import expr
 from .expr import Expr
 
+GRID_BLOCK_POINTS = 1 << 16  # a few MB per block and its evaluations, in any dimension
+
 
 class ProblemError(Exception):
     pass
@@ -54,6 +56,27 @@ class Problem:
     @property
     def nconstraints(self) -> int:
         return len(self.constraints)
+
+
+def grid_blocks(box: np.ndarray, res: int):
+    """Yield the res-per-axis grid over the box in row-major order, in blocks.
+
+    Each block is a (k, n) array of at most GRID_BLOCK_POINTS points; a
+    consumer that keeps a point copies it, so that the block can be freed.
+    """
+    axes = [np.linspace(lo, hi, res) for lo, hi in box]
+    n = len(axes)
+    total = res**n
+    for start in range(0, total, GRID_BLOCK_POINTS):
+        stop = min(start + GRID_BLOCK_POINTS, total)
+        first = start // res
+        rows = np.arange(first, (stop - 1) // res + 1)
+        block = np.empty((rows.size * res, n))
+        block[:, -1] = np.tile(axes[-1], rows.size)
+        for k in range(n - 2, -1, -1):
+            rows, i = np.divmod(rows, res)
+            block[:, k] = np.repeat(axes[k][i], res)
+        yield block[start - first * res : stop - first * res]
 
 
 def evaluate_constraints(p: Problem, x) -> np.ndarray:

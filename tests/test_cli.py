@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, records on stdout or --out, failure paths."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from logbarrier import cli
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _records(text):
@@ -233,3 +237,17 @@ def test_list_command(run_cli):
     by_name = {r["name"]: r for r in records}
     assert by_name["hyperbola"]["known_optimum"]["f"] == 2.0
     assert "known_optimum" not in by_name["cassini"]
+
+
+def test_module_entry_point(run_cli):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logbarrier.cli", "list"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(["list"])[1]
+    assert len(_records(proc.stdout)) == 5

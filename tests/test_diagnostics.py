@@ -1,5 +1,8 @@
 """Hypothesis probes: Slater point, nondegeneracy, convexity checks."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,20 @@ VOID = problem.problem_from_dict(
         "constraints": ["-1 - x1^2"],
         "box": [[-2, 2]],
     }
+)
+
+BALL3 = problem.problem_from_dict(
+    {
+        "name": "ball3",
+        "nvars": 3,
+        "objective": "x1 + x2 + x3",
+        "constraints": ["1 - x1^2 - x2^2 - x3^2"],
+        "box": [[-1.5, 1.5]] * 3,
+    }
+)
+# constant margin over the box: every grid point ties
+PLATEAU = problem.problem_from_dict(
+    {"name": "plateau", "nvars": 2, "objective": "x1", "constraints": ["2"], "box": [[-1, 1], [0, 3]]}
 )
 
 
@@ -195,3 +212,59 @@ def test_curvature_vacuous_in_one_variable():
     (entry,) = r.entries
     assert entry.samples == 0
     assert entry.max_tangential_curvature is None
+
+
+def _slater_cases(problems):
+    # (problem, grid_res); 7 divides neither resolution, so tiny blocks split rows
+    return [(p, 101) for p in problems.values()] + [(BALL3, 23), (PLATEAU, 101)]
+
+
+def test_slater_plateau_keeps_the_first_grid_point():
+    x0, margin = diagnostics.slater_find(PLATEAU)
+    assert np.array_equal(x0, [-1.0, 0.0])
+    assert margin == 2.0
+
+
+def test_block_size_does_not_change_results(monkeypatch, problems):
+    plane = problem.problem_from_dict(
+        {"name": "plane", "nvars": 3, "objective": "x1", "constraints": ["-x3^2"], "box": [[-2, 2]] * 3}
+    )
+    levelset_cases = [
+        (problems["cassini"], 5.0),  # empty region
+        (problems["cassini"], 3.9999999),  # the two foci only: a grid counterexample
+        (plane, 0.0),  # a plane: more members than GRID_FALLBACK_CAP
+    ]
+
+    def run_all():
+        slater = [diagnostics.slater_find(p, res) for p, res in _slater_cases(problems)]
+        levelsets = [
+            diagnostics.levelset_convexity_probe(p, levels=a, pairs=1000).to_record()
+            for p, a in levelset_cases
+        ]
+        return slater, levelsets
+
+    want_slater, want_levelsets = run_all()
+    assert [r["method"] for r in want_levelsets] == ["grid"] * 3
+    assert [r["verdict"] for r in want_levelsets] == [
+        "empty_region",
+        "counterexample",
+        "convex_up_to_sampling",
+    ]
+    assert want_levelsets[2]["pairs_checked"] == diagnostics.GRID_FALLBACK_CAP * 511 // 2
+    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
+    got_slater, got_levelsets = run_all()
+    assert got_levelsets == want_levelsets
+    for (x_want, m_want), (x_got, m_got) in zip(want_slater, got_slater):
+        assert np.array_equal(x_got, x_want) and m_got == m_want
+
+
+def test_slater_scan_memory_stays_bounded():
+    # the whole 101^3 grid of 3 coordinates alone would take 24.7 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        diagnostics.slater_find(BALL3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # 4 MiB with blocks of 65536 points

@@ -1,5 +1,8 @@
 """Expression layer: parsing, evaluation, forward-mode first and second derivatives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,23 @@ def test_ln_curvature_matrix_identity(problems):
         rhs = d.value * d.hess - np.outer(d.grad, d.grad)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
         checked += 1
+
+
+def test_evaluators_leave_no_reference_cycles(problems):
+    # a cycle would keep the caller's points alive until the next GC pass,
+    # which numpy allocations do not trigger
+    gc.collect()
+    gc.disable()
+    try:
+        for p in problems.values():
+            pts = np.tile(p.interior_point, (5, 1))
+            for e in (p.objective, *p.constraints):
+                expr.evaluate(e, p.interior_point)
+                expr.evaluate_dual(e, p.interior_point)
+                expr.evaluate_many(e, pts)
+            ref = weakref.ref(pts)
+            del pts
+            assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

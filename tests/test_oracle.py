@@ -148,3 +148,12 @@ def test_gradient_check_domain_error():
     e = expr.parse("ln(x1)", 1)
     with pytest.raises(expr.EvalError):
         oracle.gradient_check(e, np.array([1e-8]))
+
+
+@pytest.mark.parametrize("objective", ["x1^2 + x2^2 - 2*x1 - 2*x2 + 3", "1"])
+def test_block_size_does_not_change_the_result(monkeypatch, problems, objective):
+    # the constant objective ties everywhere: the first feasible point wins
+    p = problem.problem_from_dict({**problems["disk"].source, "objective": objective})
+    want = oracle.grid_minimize(p, res=101, polish_steps=0).to_record()
+    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
+    assert oracle.grid_minimize(p, res=101, polish_steps=0).to_record() == want

@@ -155,3 +155,16 @@ def test_load_errors(tmp_path):
 def test_load_data_files():
     names = {problem.load(path).name for path in sorted(DATA.glob("*.json"))}
     assert names == {"cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"}
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1 << 16])
+@pytest.mark.parametrize("nvars, res", [(1, 5), (2, 11), (3, 4)])
+def test_grid_blocks_stream_the_row_major_grid(monkeypatch, budget, nvars, res):
+    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", budget)
+    box = np.array([[-1.0, 2.0], [0.5, 0.75], [-3.0, -2.0]][:nvars])
+    blocks = list(problem.grid_blocks(box, res))
+    axes = [np.linspace(lo, hi, res) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    assert np.array_equal(np.concatenate(blocks), np.stack([m.ravel() for m in mesh], axis=1))
+    assert all(b.shape == (budget, nvars) for b in blocks[:-1])
+    assert 1 <= blocks[-1].shape[0] <= budget
