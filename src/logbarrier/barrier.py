@@ -47,53 +47,63 @@ def _check_mu(mu: float) -> float:
 def barrier_value(p: Problem, x, mu: float) -> float:
     """Barrier value only; +inf outside the strict interior.
 
-    Cheap path for line searches: no gradients, and ln is never reached
-    for a nonpositive constraint value.
+    Cheap path for line searches: no derivatives, and ln is never reached
+    for a nonpositive constraint value.  A point where f or some g_j is
+    undefined (EvalError) lies outside the barrier's domain too.
     """
     mu = _check_mu(mu)
-    total = expr.evaluate(p.objective, x)
-    for g in p.constraints:
-        gv = expr.evaluate(g, x)
-        if gv <= 0.0:
+    try:
+        fjet, *gjets = expr.jets((p.objective, *p.constraints), x, 0)
+    except expr.EvalError:
+        return math.inf
+    total = fjet.value
+    for g in gjets:
+        if g.value <= 0.0:
             return math.inf
-        total -= mu * math.log(gv)
+        total -= mu * math.log(g.value)
     return total
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     """Value, gradient and multiplier estimates at one point.
 
-    Outside the strict interior the value is +inf and gradient and
-    multipliers are None; no logarithm of a nonpositive value is ever taken.
+    One order-1 pass per expression.  Outside the strict interior the value
+    is +inf and gradient and multipliers are None; no logarithm of a
+    nonpositive value is ever taken.
     """
     mu = _check_mu(mu)
-    gvals = np.array([expr.evaluate(g, x) for g in p.constraints])
+    gjets = expr.jets(p.constraints, x, 1)
+    gvals = np.array([j.value for j in gjets])
     if np.any(gvals <= 0.0):
         return BarrierEvaluation(mu, math.inf, gvals, None, None)
 
-    fdual = expr.evaluate_dual(p.objective, x)
-    grads = np.array([expr.evaluate_dual(g, x).grad for g in p.constraints])
+    fjet = expr.evaluate_dual(p.objective, x, 1)
+    grads = np.array([j.grad for j in gjets])
     multipliers = mu / gvals
-    value = fdual.value - mu * float(np.sum(np.log(gvals)))
-    gradient = fdual.grad - grads.T @ multipliers
+    value = fjet.value - mu * float(np.sum(np.log(gvals)))
+    gradient = fjet.grad - grads.T @ multipliers
     return BarrierEvaluation(mu, value, gvals, gradient, multipliers)
 
 
 def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
-    """Dense barrier Hessian at a strictly interior point.
+    """Dense barrier Hessian at a strictly interior point, or at each of a batch.
 
-    Each constraint contributes (mu / g_j^2) grad g_j grad g_j^T
+    x is one point, giving shape (n, n), or an (N, n) array, giving shape
+    (N, n, n).  Each constraint contributes (mu / g_j^2) grad g_j grad g_j^T
     - (mu / g_j) hess g_j on top of the objective Hessian.  Raises
     InfeasiblePointError off the strict interior.
     """
     mu = _check_mu(mu)
-    duals = [expr.evaluate_dual(g, x) for g in p.constraints]
-    gvals = np.array([d.value for d in duals])
+    gjets = expr.jets(p.constraints, x, 2)
+    gvals = np.array([j.value for j in gjets])
     if np.any(gvals <= 0.0):
         raise InfeasiblePointError(
             f"barrier Hessian requested outside the strict interior (min g = {gvals.min()})"
         )
-    h = expr.evaluate_dual(p.objective, x).hess.copy()
-    for d in duals:
-        h += (mu / d.value**2) * np.outer(d.grad, d.grad) - (mu / d.value) * d.hess
+    h = expr.evaluate_dual(p.objective, x).hess
+    # one factor per constraint, shaped to scale a point's or a batch's matrices
+    outer_w = (mu / gvals**2)[..., None, None]
+    hess_w = (mu / gvals)[..., None, None]
+    for j, a, b in zip(gjets, outer_w, hess_w):
+        h += a * (j.grad[..., :, None] * j.grad[..., None, :]) - b * j.hess
     return h

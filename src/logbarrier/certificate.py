@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import expr
-from .problem import ActiveSet, Problem, active_set
+from .problem import ActiveSet, Problem
 
 MULTIPLIER_CLAMP = 1e-12
 
@@ -80,16 +80,16 @@ def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> 
         raise ValueError(f"expected {p.nconstraints} multipliers, got {lam.shape}")
     lam = np.where(np.abs(lam) < MULTIPLIER_CLAMP, 0.0, lam)
 
-    fdual = expr.evaluate_dual(p.objective, x)
-    grads = np.array([expr.evaluate_dual(g, x).grad for g in p.constraints])
-    gvals = np.array([expr.evaluate(g, x) for g in p.constraints])
+    fjet, *gjets = expr.jets((p.objective, *p.constraints), x, 1)
+    grads = np.array([j.grad for j in gjets])
+    gvals = np.array([j.value for j in gjets])
 
-    stat_vec = fdual.grad - grads.T @ lam
+    stat_vec = fjet.grad - grads.T @ lam
     stationarity = float(np.linalg.norm(stat_vec))
     complementarity = float(np.max(np.abs(lam * gvals)))
     dual_violation = float(np.max(np.maximum(0.0, -lam)))
     primal_violation = float(np.max(np.maximum(0.0, -gvals)))
-    fgrad_norm = float(np.linalg.norm(fdual.grad))
+    fgrad_norm = float(np.linalg.norm(fjet.grad))
 
     if fgrad_norm <= tols.gradient and primal_violation <= tols.feasibility:
         verdict = Verdict.UNCONSTRAINED_MINIMUM
@@ -106,12 +106,12 @@ def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> 
     return KKTCertificate(
         x=x,
         multipliers=lam,
-        objective_value=expr.evaluate(p.objective, x),
+        objective_value=fjet.value,
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         dual_feasibility_violation=dual_violation,
         primal_feasibility_violation=primal_violation,
-        active_set=active_set(p, x, tols.activation),
+        active_set=ActiveSet.of(gvals, tols.activation),
         verdict=verdict,
     )
 

@@ -32,7 +32,7 @@ from .diagnostics import (
     slater_find,
     tangential_curvature_probe,
 )
-from .expr import evaluate_many
+from .expr import EvalError, evaluate_many
 from .inner import InfeasibleStartError
 from .oracle import MAX_ORACLE_VARS, MIN_RESOLUTION, OracleError, grid_minimize
 from .problem import Problem, ProblemError
@@ -377,7 +377,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except EvalError as err:  # an expression undefined where a command must evaluate it
+        _fail(f"input error: {err}")
+        return 2
 
 
 def entry() -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr
 from .barrier import barrier_hessian
-from .problem import Problem, grid_blocks
+from .problem import Problem, evaluate_constraints, grid_blocks
 
 LSE_SHARPNESS = 100.0
 ASCENT_STEPS = 50
@@ -189,16 +189,6 @@ class CurvatureReport:
         }
 
 
-def _min_g(p: Problem, points: np.ndarray) -> np.ndarray:
-    vals = np.stack([expr.evaluate_many(g, points) for g in p.constraints])
-    return vals.min(axis=0)
-
-
-def _g_matrix(p: Problem, points: np.ndarray) -> np.ndarray:
-    """Constraint values at many points, shape (N, m)."""
-    return np.stack([expr.evaluate_many(g, points) for g in p.constraints], axis=1)
-
-
 def _in_box(box: np.ndarray, x: np.ndarray) -> bool:
     return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
@@ -216,7 +206,7 @@ def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray
         raise ValueError("grid_res must be at least 2")
     x, best_margin = None, -math.inf
     for block in grid_blocks(p.box, grid_res):
-        margins = _min_g(p, block)
+        margins = evaluate_constraints(p, block).min(axis=1)
         best = int(np.argmax(margins))
         if x is None or margins[best] > best_margin:
             x, best_margin = block[best].copy(), float(margins[best])
@@ -230,18 +220,18 @@ def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray
     beta = LSE_SHARPNESS
 
     def surrogate(pt: np.ndarray) -> float:
-        g = np.array([expr.evaluate(gj, pt) for gj in p.constraints])
+        g = evaluate_constraints(p, pt)
         m = g.min()
         return float(m - math.log(np.sum(np.exp(-beta * (g - m)))) / beta)
 
     s_val = surrogate(x)
     for _ in range(ASCENT_STEPS):
-        duals = [expr.evaluate_dual(gj, x) for gj in p.constraints]
-        g = np.array([d.value for d in duals])
+        jets = expr.jets(p.constraints, x, 1)
+        g = np.array([j.value for j in jets])
         m = g.min()
         w = np.exp(-beta * (g - m))
         w /= w.sum()
-        direction = np.stack([d.grad for d in duals]).T @ w
+        direction = np.stack([j.grad for j in jets]).T @ w
         slope = float(direction @ direction)
         if slope < 1e-24:
             break
@@ -258,7 +248,7 @@ def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray
             t *= 0.5
         if not accepted:
             break
-        margin = float(min(expr.evaluate(gj, x) for gj in p.constraints))
+        margin = float(evaluate_constraints(p, x).min())
         if margin > best_margin:
             best_x, best_margin = x.copy(), margin
     return best_x, best_margin
@@ -284,7 +274,7 @@ def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
     valid = np.isfinite(t_exit) & (t_exit > 0)
 
     def min_g_at(ts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        return _min_g(p, x0[None, :] + ts[:, None] * dirs)
+        return evaluate_constraints(p, x0[None, :] + ts[:, None] * dirs).min(axis=1)
 
     dirs = directions[valid]
     exits = t_exit[valid]
@@ -310,7 +300,7 @@ def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
     t_b = np.where(h_lo <= h_hi, lo, hi)
     points = x0[None, :] + t_b[:, None] * dirs
     residuals = np.minimum(h_lo, h_hi)
-    return points, _g_matrix(p, points), residuals
+    return points, evaluate_constraints(p, points), residuals
 
 
 def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarray:
@@ -341,24 +331,20 @@ def nondegeneracy_probe(
     directions = _random_directions(rng, rays, p.nvars)
     points, gvals, residuals = _boundary_batch(p, x0, directions)
 
-    counts = [0] * p.nconstraints
-    minima: list[float | None] = [None] * p.nconstraints
-    for i in range(points.shape[0]):
-        for j in range(p.nconstraints):
-            if gvals[i, j] <= activation_tol:
-                norm = float(np.linalg.norm(expr.evaluate_dual(p.constraints[j], points[i]).grad))
-                counts[j] += 1
-                if minima[j] is None or norm < minima[j]:
-                    minima[j] = norm
-    entries = [
-        NondegeneracyEntry(
-            constraint=j + 1,
-            samples=counts[j],
-            min_gradient_norm=minima[j],
-            passed=None if minima[j] is None else bool(minima[j] >= delta),
+    entries = []
+    for j, g in enumerate(p.constraints):
+        active = points[gvals[:, j] <= activation_tol]
+        low = None
+        if active.shape[0]:
+            low = float(np.linalg.norm(expr.evaluate_dual(g, active, 1).grad, axis=1).min())
+        entries.append(
+            NondegeneracyEntry(
+                constraint=j + 1,
+                samples=int(active.shape[0]),
+                min_gradient_norm=low,
+                passed=None if low is None else bool(low >= delta),
+            )
         )
-        for j in range(p.nconstraints)
-    ]
     return NondegeneracyReport(
         entries=entries,
         delta=delta,
@@ -561,7 +547,7 @@ def phi_convexity_probe(
     while count < samples and attempts < cap:
         draw = rng.uniform(p.box[:, 0], p.box[:, 1], size=(batch, p.nvars))
         attempts += batch
-        strict = np.all(_g_matrix(p, draw) > 0.0, axis=1)
+        strict = np.all(evaluate_constraints(p, draw) > 0.0, axis=1)
         picked = draw[strict]
         if picked.shape[0]:
             collected.append(picked)
@@ -572,18 +558,13 @@ def phi_convexity_probe(
         )
     pts = np.concatenate(collected)[:samples]
 
-    min_eig = math.inf
-    witness = pts[0]
-    for x in pts:
-        eigs = np.linalg.eigvalsh(barrier_hessian(p, x, mu))
-        if eigs[0] < min_eig:
-            min_eig = float(eigs[0])
-            witness = x
+    lowest = np.linalg.eigvalsh(barrier_hessian(p, pts, mu))[:, 0]
+    i = int(np.argmin(lowest))  # ties go to the first sample
     return PhiConvexityReport(
         mu=float(mu),
         samples=int(pts.shape[0]),
-        min_eigenvalue=min_eig,
-        witness=witness.copy(),
+        min_eigenvalue=float(lowest[i]),
+        witness=pts[i].copy(),
     )
 
 
@@ -611,30 +592,17 @@ def tangential_curvature_probe(
     directions = _random_directions(rng, boundary_samples, p.nvars)
     points, gvals, _ = _boundary_batch(p, x0, directions)
 
-    counts = [0] * p.nconstraints
-    maxima: list[float | None] = [None] * p.nconstraints
-    for i in range(points.shape[0]):
-        for j in range(p.nconstraints):
-            if gvals[i, j] > activation_tol:
-                continue
-            dual = expr.evaluate_dual(p.constraints[j], points[i])
-            norm = float(np.linalg.norm(dual.grad))
-            if norm < 1e-12:
-                continue  # degenerate gradient, tangent space undefined
-            unit = (dual.grad / norm).reshape(1, -1)
-            _, _, vh = np.linalg.svd(unit)
-            basis = vh[1:]
-            restricted = basis @ dual.hess @ basis.T
-            top = float(np.linalg.eigvalsh(restricted)[-1])
-            counts[j] += 1
-            if maxima[j] is None or top > maxima[j]:
-                maxima[j] = top
-    entries = [
-        CurvatureEntry(
-            constraint=j + 1,
-            samples=counts[j],
-            max_tangential_curvature=maxima[j],
-        )
-        for j in range(p.nconstraints)
-    ]
+    entries = []
+    for j, g in enumerate(p.constraints):
+        active = points[gvals[:, j] <= activation_tol]
+        jet = expr.evaluate_dual(g, active)
+        norms = np.linalg.norm(jet.grad, axis=1)
+        keep = norms >= 1e-12  # a degenerate gradient has no tangent space
+        units = jet.grad[keep] / norms[keep, None]
+        _, _, vh = np.linalg.svd(units[:, None, :])
+        basis = vh[:, 1:]
+        restricted = basis @ jet.hess[keep] @ basis.transpose(0, 2, 1)
+        tops = np.linalg.eigvalsh(restricted)[:, -1]
+        top = float(tops.max()) if tops.size else None
+        entries.append(CurvatureEntry(j + 1, int(tops.size), top))
     return CurvatureReport(entries=entries, boundary_points=int(points.shape[0]), vacuous=False)

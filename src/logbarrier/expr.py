@@ -2,9 +2,20 @@
 
 A small closed language: floating literals, variables x1..xn, the four
 arithmetic operators, integer powers, unary minus, ln and exp.  Expressions
-are parsed once into immutable trees and evaluated either as scalars, over
-arrays of points, or with second-order forward-mode duals that carry the
-gradient and dense Hessian alongside the value.
+are parsed once into immutable trees.
+
+One recursive walker evaluates them: forward-mode Taylor propagation
+(Griewank and Walther, Evaluating Derivatives, 2008, ch. 13) of the value,
+and on request the gradient and dense Hessian.  It takes a float per
+variable (one point) or an array per variable (a batch) and runs the same
+IEEE operations on both, so evaluate, evaluate_many and evaluate_dual agree
+bit for bit.  Integer powers use repeated squaring, ln and exp use numpy.
+
+Domain rules, the same for every entry point: a division by zero, an
+invalid operation (ln of a nonpositive number, 0 * inf, inf - inf) or a
+nonfinite final value raises EvalError.  Overflow and underflow inside the
+walk are not errors by themselves: 1/exp(1000) is 0.0.  A derivative can
+fail where the value does not: the gradient of 1/exp(1000) needs 0 * inf.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,220 +314,201 @@ def serialize(e: Expr) -> str:
     return _ser(e.root, _SUM)
 
 
+
+
+class Jet(NamedTuple):
+    """Value, gradient and Hessian of an expression.
+
+    At one point: a float, shape (n,) and shape (n, n).  Over a batch of N
+    points: shapes (N,), (N, n) and (N, n, n).  Derivatives above the order
+    asked for are None.
+    """
+
+    value: float | np.ndarray
+    grad: np.ndarray | None
+    hess: np.ndarray | None
+
+
+class _At(NamedTuple):
+    """Where a walk is taken: per-variable values and the seed derivatives.
+
+    Derivative arrays put the variable axes first and the point axis last,
+    so one formula serves a point (no point axis) and a batch (an axis of
+    length N, or of length 1 where the derivative is the same everywhere).
+    """
+
+    xs: list  # np.float64 per variable, or an (N,) array per variable
+    units: list  # gradient of each variable; None at order 0
+    zero_grad: np.ndarray | None
+    zero_hess: np.ndarray | None
+
+
+def _outer(a, b):
+    return a[:, None] * b[None, :]
+
+
+def _ipow(v, n: int):
+    """v**n by repeated squaring, so a point and a batch round alike."""
+    if n < 0:
+        return 1.0 / _ipow(v, -n)
+    if n == 2:
+        return v * v  # the common case, without the loop
+    result = None
+    while n:
+        if n & 1:
+            result = v if result is None else result * v
+        n >>= 1
+        if n:
+            v = v * v
+    return 1.0 if result is None else result
+
+
+# The walker is a module-level function taking the point(s) as an argument:
+# a nested recursive closure is a reference cycle that would keep the
+# caller's input alive until a GC pass.
+def _walk(node: Node, at: _At) -> tuple:
+    """(value, gradient, Hessian) of a subtree; derivatives above the order are None.
+
+    The product, quotient and chain rules combine every rank-one pair as
+    S + S^T, so Hessians come out exactly symmetric.
+    """
+    match node:
+        case Const(value):
+            return value, at.zero_grad, at.zero_hess
+        case Var(index):
+            return at.xs[index], at.units[index], at.zero_hess
+        case Neg(operand):
+            v, g, h = _walk(operand, at)
+            return -v, g if g is None else -g, h if h is None else -h
+        case Add(lhs, rhs):
+            (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
+            return va + vb, ga if ga is None else ga + gb, ha if ha is None else ha + hb
+        case Sub(lhs, rhs):
+            (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
+            return va - vb, ga if ga is None else ga - gb, ha if ha is None else ha - hb
+        case Mul(lhs, rhs):
+            (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
+            v = va * vb
+            if ga is None:
+                return v, None, None
+            g = ga * vb + va * gb
+            if ha is None:
+                return v, g, None
+            s = _outer(ga, gb)
+            return v, g, ha * vb + va * hb + (s + s.swapaxes(0, 1))
+        case Div(lhs, rhs):
+            (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
+            v = va / vb
+            if ga is None:
+                return v, None, None
+            g = (ga - v * gb) / vb
+            if ha is None:
+                return v, g, None
+            s = _outer(g, gb)
+            return v, g, (ha - (s + s.swapaxes(0, 1)) - v * hb) / vb
+        case Ln(operand):
+            va, ga, ha = _walk(operand, at)
+            v = np.log(va)
+            if ga is None:
+                return v, None, None
+            g = ga / va
+            if ha is None:
+                return v, g, None
+            return v, g, ha / va - _outer(g, g)
+        case Exp(operand):
+            va, ga, ha = _walk(operand, at)
+            w = np.exp(va)
+            if ga is None:
+                return w, None, None
+            if ha is None:
+                return w, w * ga, None
+            return w, w * ga, w * (ha + _outer(ga, ga))
+        case Pow(base, n):
+            va, ga, ha = _walk(base, at)
+            if n == 0:
+                return 1.0, at.zero_grad, at.zero_hess
+            if n == 1:
+                return va, ga, ha
+            v = _ipow(va, n)
+            if ga is None:
+                return v, None, None
+            d1 = n * _ipow(va, n - 1)
+            if ha is None:
+                return v, d1 * ga, None
+            d2 = n * (n - 1) * _ipow(va, n - 2)
+            return v, d1 * ga, d1 * ha + d2 * _outer(ga, ga)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def jets(es, x, order: int = 2) -> list[Jet]:
+    """Jets of expressions over the same variables, up to order 0, 1 or 2.
+
+    x is a sequence of nvars floats (one point) or an (N, nvars) array (a
+    batch); see Jet for the shapes.  Every array returned is fresh.  Raises
+    EvalError when any expression is undefined or overflows at any point;
+    see the module docstring for the rules.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] if x.ndim in (1, 2) else 0
+    for e in es:
+        if e.nvars != n:
+            raise ValueError(f"x must have shape ({e.nvars},) or (N, {e.nvars}), got {x.shape}")
+    batch = x.ndim == 2
+    tail = (1,) if batch else ()
+    at = _At(
+        list(x.T) if batch else list(x),
+        list(np.eye(n).reshape((n, n) + tail)) if order >= 1 else [None] * n,
+        np.zeros((n,) + tail) if order >= 1 else None,
+        np.zeros((n, n) + tail) if order >= 2 else None,
+    )
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            walked = [_walk(e.root, at) for e in es]
+    except (FloatingPointError, ZeroDivisionError) as err:
+        raise EvalError(f"outside the domain: {err}") from None
+    for v, _, _ in walked:
+        if not (np.isfinite(v).all() if batch else math.isfinite(v)):
+            raise EvalError("overflow")
+    # fresh arrays: leaves share their seed derivatives, and a bare
+    # variable's value over a batch is a view of x
+    if not batch:
+        return [
+            Jet(float(v), g if g is None else g.copy(), h if h is None else h.copy())
+            for v, g, h in walked
+        ]
+    count = x.shape[0]  # the point axis goes first
+    return [
+        Jet(
+            _fresh(v, (count,)),
+            None if g is None else _fresh(np.moveaxis(g, -1, 0), (count, n)),
+            None if h is None else _fresh(np.moveaxis(h, -1, 0), (count, n, n)),
+        )
+        for v, g, h in walked
+    ]
+
+
+def _fresh(a, shape: tuple) -> np.ndarray:
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
 def evaluate(e: Expr, x) -> float:
-    """Evaluate at a single point, given as a sequence of nvars floats."""
-    xs = [float(v) for v in x]
-    if len(xs) != e.nvars:
-        raise ValueError(f"point has {len(xs)} coordinates, expected {e.nvars}")
-    return float(_ev_scalar(e.root, xs))
+    """Value at a single point, given as a sequence of nvars floats."""
+    if np.ndim(x) != 1:
+        raise ValueError("evaluate takes one point; use evaluate_many for a batch")
+    return jets([e], x, 0)[0].value
 
 
-# Walkers take the point(s) as an argument: a nested recursive closure is a
-# reference cycle that would keep the caller's input alive until a GC pass.
-def _ev_scalar(node: Node, xs: list[float]) -> float:
-    match node:
-        case Const(value):
-            return value
-        case Var(index):
-            return xs[index]
-        case Neg(operand):
-            return -_ev_scalar(operand, xs)
-        case Ln(operand):
-            v = _ev_scalar(operand, xs)
-            if v <= 0.0:
-                raise EvalError(f"ln of nonpositive value {v}")
-            return math.log(v)
-        case Exp(operand):
-            try:
-                return math.exp(_ev_scalar(operand, xs))
-            except OverflowError:
-                raise EvalError("overflow in exp") from None
-        case Add(lhs, rhs):
-            return _ev_scalar(lhs, xs) + _ev_scalar(rhs, xs)
-        case Sub(lhs, rhs):
-            return _ev_scalar(lhs, xs) - _ev_scalar(rhs, xs)
-        case Mul(lhs, rhs):
-            return _ev_scalar(lhs, xs) * _ev_scalar(rhs, xs)
-        case Div(lhs, rhs):
-            den = _ev_scalar(rhs, xs)
-            if den == 0.0:
-                raise EvalError("division by zero")
-            return _ev_scalar(lhs, xs) / den
-        case Pow(base, exponent):
-            b = _ev_scalar(base, xs)
-            if b == 0.0 and exponent < 0:
-                raise EvalError("zero base with negative exponent")
-            try:
-                return b**exponent
-            except OverflowError:
-                raise EvalError("overflow in power") from None
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate over an (N, nvars) array of points, returning shape (N,).
-
-    Domain checks mirror the scalar evaluator: any nonpositive ln argument,
-    zero divisor, or zero base under a negative exponent raises EvalError.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != e.nvars:
+def evaluate_many(e: Expr, points) -> np.ndarray:
+    """Values over an (N, nvars) array of points, as a fresh array of shape (N,)."""
+    if np.ndim(points) != 2:
         raise ValueError(f"points must have shape (N, {e.nvars})")
-    out = _ev_many(e.root, pts)
-    if np.ndim(out) == 0:
-        return np.full(pts.shape[0], float(out))
-    return np.asarray(out, dtype=float)
+    return jets([e], points, 0)[0].value
 
 
-def _ev_many(node: Node, pts: np.ndarray):
-    match node:
-        case Const(value):
-            return value
-        case Var(index):
-            return pts[:, index]
-        case Neg(operand):
-            return -_ev_many(operand, pts)
-        case Ln(operand):
-            v = _ev_many(operand, pts)
-            if np.any(v <= 0.0):
-                raise EvalError("ln of nonpositive value")
-            return np.log(v)
-        case Exp(operand):
-            return np.exp(_ev_many(operand, pts))
-        case Add(lhs, rhs):
-            return _ev_many(lhs, pts) + _ev_many(rhs, pts)
-        case Sub(lhs, rhs):
-            return _ev_many(lhs, pts) - _ev_many(rhs, pts)
-        case Mul(lhs, rhs):
-            return _ev_many(lhs, pts) * _ev_many(rhs, pts)
-        case Div(lhs, rhs):
-            den = _ev_many(rhs, pts)
-            if np.any(den == 0.0):
-                raise EvalError("division by zero")
-            return _ev_many(lhs, pts) / den
-        case Pow(base, exponent):
-            b = _ev_many(base, pts)
-            if exponent < 0 and np.any(b == 0.0):
-                raise EvalError("zero base with negative exponent")
-            return b**exponent
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-class Dual2:
-    """Second-order dual number: value, gradient (n,), dense Hessian (n, n).
-
-    Hessians stay exactly symmetric because every rank-one pair is combined
-    as S + S.T before mixing with other terms.
-    """
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = float(value)
-        self.grad = grad
-        self.hess = hess
-
-    @staticmethod
-    def constant(value: float, n: int) -> "Dual2":
-        return Dual2(value, np.zeros(n), np.zeros((n, n)))
-
-    @staticmethod
-    def variable(value: float, index: int, n: int) -> "Dual2":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Dual2(value, g, np.zeros((n, n)))
-
-    def __neg__(self) -> "Dual2":
-        return Dual2(-self.value, -self.grad, -self.hess)
-
-    def __add__(self, other: "Dual2") -> "Dual2":
-        return Dual2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-
-    def __sub__(self, other: "Dual2") -> "Dual2":
-        return Dual2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-
-    def __mul__(self, other: "Dual2") -> "Dual2":
-        s = np.outer(self.grad, other.grad)
-        return Dual2(
-            self.value * other.value,
-            self.grad * other.value + self.value * other.grad,
-            self.hess * other.value + self.value * other.hess + (s + s.T),
-        )
-
-    def __truediv__(self, other: "Dual2") -> "Dual2":
-        if other.value == 0.0:
-            raise EvalError("division by zero")
-        value = self.value / other.value
-        grad = (self.grad - value * other.grad) / other.value
-        s = np.outer(grad, other.grad)
-        hess = (self.hess - (s + s.T) - value * other.hess) / other.value
-        return Dual2(value, grad, hess)
-
-    def ln(self) -> "Dual2":
-        if self.value <= 0.0:
-            raise EvalError(f"ln of nonpositive value {self.value}")
-        g = self.grad / self.value
-        return Dual2(
-            math.log(self.value),
-            g,
-            self.hess / self.value - np.outer(g, g),
-        )
-
-    def exp(self) -> "Dual2":
-        try:
-            w = math.exp(self.value)
-        except OverflowError:
-            raise EvalError("overflow in exp") from None
-        return Dual2(w, w * self.grad, w * (self.hess + np.outer(self.grad, self.grad)))
-
-    def pow_int(self, n: int) -> "Dual2":
-        if n == 0:
-            return Dual2.constant(1.0, self.grad.shape[0])
-        if n == 1:
-            return self
-        if self.value == 0.0 and n < 0:
-            raise EvalError("zero base with negative exponent")
-        try:
-            value = self.value**n
-            d1 = n * self.value ** (n - 1)
-            d2 = n * (n - 1) * self.value ** (n - 2)
-        except OverflowError:
-            raise EvalError("overflow in power") from None
-        return Dual2(
-            value,
-            d1 * self.grad,
-            d1 * self.hess + d2 * np.outer(self.grad, self.grad),
-        )
-
-
-def evaluate_dual(e: Expr, x) -> Dual2:
-    """Evaluate with value, gradient and Hessian at a single point."""
-    xs = [float(v) for v in x]
-    if len(xs) != e.nvars:
-        raise ValueError(f"point has {len(xs)} coordinates, expected {e.nvars}")
-    return _ev_dual(e.root, xs)
-
-
-def _ev_dual(node: Node, xs: list[float]) -> Dual2:
-    match node:
-        case Const(value):
-            return Dual2.constant(value, len(xs))
-        case Var(index):
-            return Dual2.variable(xs[index], index, len(xs))
-        case Neg(operand):
-            return -_ev_dual(operand, xs)
-        case Ln(operand):
-            return _ev_dual(operand, xs).ln()
-        case Exp(operand):
-            return _ev_dual(operand, xs).exp()
-        case Add(lhs, rhs):
-            return _ev_dual(lhs, xs) + _ev_dual(rhs, xs)
-        case Sub(lhs, rhs):
-            return _ev_dual(lhs, xs) - _ev_dual(rhs, xs)
-        case Mul(lhs, rhs):
-            return _ev_dual(lhs, xs) * _ev_dual(rhs, xs)
-        case Div(lhs, rhs):
-            return _ev_dual(lhs, xs) / _ev_dual(rhs, xs)
-        case Pow(base, exponent):
-            return _ev_dual(base, xs).pow_int(exponent)
-    raise TypeError(f"not an expression node: {node!r}")
+def evaluate_dual(e: Expr, x, order: int = 2) -> Jet:
+    """Value, gradient and (at order 2) Hessian at one point or over a batch."""
+    return jets([e], x, order)[0]

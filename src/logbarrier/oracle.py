@@ -15,7 +15,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .problem import Problem, grid_blocks
+from .problem import Problem, evaluate_constraints, grid_blocks
 
 MAX_ORACLE_VARS = 3
 MIN_RESOLUTION = 11
@@ -54,10 +54,6 @@ def _feasible_mask(p: Problem, points: np.ndarray) -> np.ndarray:
 _ACTIVE_EPS = 1e-9
 
 
-def _min_g(p: Problem, x: np.ndarray) -> float:
-    return min(expr.evaluate(g, x) for g in p.constraints)
-
-
 def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Pull an infeasible candidate back into the feasible set.
 
@@ -70,11 +66,11 @@ def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     feasible anchor.
     """
     for _ in range(4):
-        gvals = [expr.evaluate(g, cand) for g in p.constraints]
-        worst = min(range(len(gvals)), key=lambda j: gvals[j])
+        gvals = evaluate_constraints(p, cand)
+        worst = int(np.argmin(gvals))
         if gvals[worst] >= 0.0:
             return cand
-        grad = expr.evaluate_dual(p.constraints[worst], cand).grad
+        grad = expr.evaluate_dual(p.constraints[worst], cand, 1).grad
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-14:
             break
@@ -82,7 +78,7 @@ def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         t = -gvals[worst] / gnorm
         feasible_t = None
         for _ in range(60):
-            if _min_g(p, cand + t * u) >= 0.0:
+            if evaluate_constraints(p, cand + t * u).min() >= 0.0:
                 feasible_t = t
                 break
             t *= 2.0
@@ -91,18 +87,18 @@ def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         lo, hi = 0.0, feasible_t
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _min_g(p, cand + mid * u) >= 0.0:
+            if evaluate_constraints(p, cand + mid * u).min() >= 0.0:
                 hi = mid
             else:
                 lo = mid
         cand = cand + hi * u
-    if _min_g(p, cand) >= 0.0:
+    if evaluate_constraints(p, cand).min() >= 0.0:
         return cand
     lo, hi = 0.0, 1.0
     chord = anchor - cand
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _min_g(p, cand + mid * chord) >= 0.0:
+        if evaluate_constraints(p, cand + mid * chord).min() >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -120,13 +116,13 @@ def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarra
     """
     t = 1.0
     for _ in range(steps):
-        dual = expr.evaluate_dual(p.objective, x)
-        d = -dual.grad
-        scale = 1.0 + float(np.linalg.norm(dual.grad))
-        for j, g in enumerate(p.constraints):
-            if expr.evaluate(g, x) > _ACTIVE_EPS * scale:
+        grad = expr.evaluate_dual(p.objective, x, 1).grad
+        d = -grad
+        scale = 1.0 + float(np.linalg.norm(grad))
+        for jet in expr.jets(p.constraints, x, 1):
+            if jet.value > _ACTIVE_EPS * scale:
                 continue
-            n = expr.evaluate_dual(g, x).grad
+            n = jet.grad
             nn = float(np.linalg.norm(n))
             if nn < 1e-14:
                 continue
@@ -139,7 +135,7 @@ def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarra
         improved = False
         for _ in range(25):
             cand = np.clip(x + t * d, p.box[:, 0], p.box[:, 1])
-            if _min_g(p, cand) < 0.0:
+            if evaluate_constraints(p, cand).min() < 0.0:
                 cand = _restore(p, cand, x)
             fc = expr.evaluate(p.objective, cand)
             if fc < fx:
@@ -198,7 +194,7 @@ def gradient_check(e: Expr, x, step: float = 1e-6) -> float:
     errors at stencil points (for example ln off its domain) propagate.
     """
     xs = np.array([float(v) for v in x])
-    dual = expr.evaluate_dual(e, xs)
+    grad = expr.evaluate_dual(e, xs, 1).grad
     worst = 0.0
     for i in range(e.nvars):
         hplus = xs.copy()
@@ -206,6 +202,6 @@ def gradient_check(e: Expr, x, step: float = 1e-6) -> float:
         hplus[i] += step
         hminus[i] -= step
         fd = (expr.evaluate(e, hplus) - expr.evaluate(e, hminus)) / (2.0 * step)
-        denom = max(abs(float(dual.grad[i])), abs(fd), 1.0)
-        worst = max(worst, abs(float(dual.grad[i]) - fd) / denom)
+        denom = max(abs(float(grad[i])), abs(fd), 1.0)
+        worst = max(worst, abs(float(grad[i]) - fd) / denom)
     return worst

@@ -16,7 +16,9 @@ import numpy as np
 from . import expr
 from .expr import Expr
 
-GRID_BLOCK_POINTS = 1 << 16  # a few MB per block and its evaluations, in any dimension
+# 128 KiB per coordinate column: at 1 << 16 points the evaluator's temporaries
+# took hundreds of page faults per call as glibc returned and refetched them
+GRID_BLOCK_POINTS = 1 << 14
 
 
 class ProblemError(Exception):
@@ -35,6 +37,12 @@ class ActiveSet:
 
     indices: frozenset[int]
     tolerance: float
+
+    @staticmethod
+    def of(gvals: np.ndarray, tolerance: float) -> "ActiveSet":
+        """The constraints whose values g_j are at or below the tolerance."""
+        indices = frozenset(int(j) + 1 for j in np.nonzero(gvals <= tolerance)[0])
+        return ActiveSet(indices, tolerance)
 
     def as_sorted(self) -> list[int]:
         return sorted(self.indices)
@@ -80,8 +88,8 @@ def grid_blocks(box: np.ndarray, res: int):
 
 
 def evaluate_constraints(p: Problem, x) -> np.ndarray:
-    """All g_j at one point, shape (m,)."""
-    return np.array([expr.evaluate(g, x) for g in p.constraints])
+    """All g_j at one point, shape (m,), or at an (N, nvars) batch, shape (N, m)."""
+    return np.stack([j.value for j in expr.jets(p.constraints, x, 0)], axis=-1)
 
 
 def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:
@@ -99,9 +107,7 @@ def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:
 
 
 def active_set(p: Problem, x, tolerance: float) -> ActiveSet:
-    gvals = evaluate_constraints(p, x)
-    idx = frozenset(j + 1 for j in range(len(gvals)) if gvals[j] <= tolerance)
-    return ActiveSet(idx, tolerance)
+    return ActiveSet.of(evaluate_constraints(p, x), tolerance)
 
 
 _PARAM_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -199,7 +205,11 @@ def problem_from_dict(data: dict) -> Problem:
     if interior is not None:
         if np.any(interior <= box[:, 0]) or np.any(interior >= box[:, 1]):
             raise ProblemError("interior_point must lie strictly inside the box")
-        if feasibility(p, interior) is not Feasibility.STRICTLY_FEASIBLE:
+        try:
+            status = feasibility(p, interior)
+        except expr.EvalError as err:
+            raise ProblemError(f"cannot evaluate the constraints at interior_point: {err}") from err
+        if status is not Feasibility.STRICTLY_FEASIBLE:
             raise ProblemError("interior_point must be strictly feasible")
     return p
 

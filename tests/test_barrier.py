@@ -138,3 +138,28 @@ def test_mu_must_be_positive(problems):
             barrier.barrier_eval(disk, x, mu)
         with pytest.raises(ValueError, match="mu must be positive"):
             barrier.barrier_hessian(disk, x, mu)
+
+
+def test_value_infinite_where_an_expression_is_undefined():
+    p = problem.problem_from_dict(
+        {
+            "name": "ln-objective",
+            "nvars": 1,
+            "objective": "ln(x1 - 1)",
+            "constraints": ["x1", "5 - x1", "ln(x1 + 1)"],
+            "box": [[-2, 6]],
+        }
+    )
+    assert barrier.barrier_value(p, [0.5], 1.0) == math.inf  # every g_j > 0, f undefined
+    assert barrier.barrier_value(p, [-1.5], 1.0) == math.inf  # g_3 undefined
+    assert math.isfinite(barrier.barrier_value(p, [2.0], 1.0))
+
+
+def test_hessian_of_a_batch_stacks_the_point_hessians(problems):
+    rng = np.random.default_rng(111)
+    for p in problems.values():
+        pts = np.array(_feasible_points(p, rng, 50))
+        stacked = barrier.barrier_hessian(p, pts, 0.3)
+        assert stacked.shape == (len(pts), p.nvars, p.nvars)
+        for x, h in zip(pts, stacked):
+            assert np.array_equal(h, barrier.barrier_hessian(p, x, 0.3))

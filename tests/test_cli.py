@@ -251,3 +251,54 @@ def test_module_entry_point(run_cli):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(["list"])[1]
     assert len(_records(proc.stdout)) == 5
+
+
+@pytest.fixture()
+def ln_box_file(tmp_path):
+    # no interior point, and ln(x1) is undefined on half of the box
+    path = tmp_path / "ln-box.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "ln-box",
+                "nvars": 2,
+                "objective": "x1 + x2",
+                "constraints": ["ln(x1)"],
+                "box": [[-2, 2], [-2, 2]],
+            }
+        )
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["diagnose", "--check", "slater,nondegeneracy"], ["oracle", "--res", "11"], ["contour"]],
+)
+def test_undefined_expression_is_an_input_error(run_cli, ln_box_file, argv):
+    code, stdout, stderr = run_cli([argv[0], "--problem", ln_box_file, *argv[1:]])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("logbarrier: input error:")
+    assert "Traceback" not in stderr
+
+
+def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
+    # steepest descent from 4.9 overshoots into x1 < 0, where ln(x1) is undefined
+    path = tmp_path / "ln-objective.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "ln-objective",
+                "nvars": 1,
+                "objective": "x1 - 3*ln(x1)",
+                "constraints": ["x1", "5 - x1"],
+                "box": [[-1, 6]],
+                "interior_point": [4.9],
+            }
+        )
+    )
+    code, stdout, _ = run_cli(["solve", "--problem", path, "--no-newton"])
+    assert code == 0
+    cert = _records(stdout)[-1]
+    assert abs(cert["x"][0] - 3.0) < 1e-6

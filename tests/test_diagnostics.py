@@ -268,3 +268,47 @@ def test_slater_scan_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # 4 MiB with blocks of 65536 points
+
+
+def _boundary_reference(p, x0, count, seed, activation_tol=1e-6):
+    """Per point and active constraint: (j, gradient norm, top tangential curvature or None)."""
+    rng = np.random.default_rng(seed)
+    directions = diagnostics._random_directions(rng, count, p.nvars)
+    points, gvals, _ = diagnostics._boundary_batch(p, x0, directions)
+    out = []
+    for x, gx in zip(points, gvals):
+        for j, g in enumerate(p.constraints):
+            if gx[j] > activation_tol:
+                continue
+            jet = expr.evaluate_dual(g, x)
+            norm = float(np.linalg.norm(jet.grad))
+            top = None
+            if norm >= 1e-12 and p.nvars > 1:
+                _, _, vh = np.linalg.svd((jet.grad / norm).reshape(1, -1))
+                top = float(np.linalg.eigvalsh(vh[1:] @ jet.hess @ vh[1:].T)[-1])
+            out.append((j, norm, top))
+    return out
+
+
+@pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
+def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
+    p = problems[name]
+    x0, _ = diagnostics.slater_find(p)
+    ref = _boundary_reference(p, x0, 256, 42)
+    ndg = diagnostics.nondegeneracy_probe(p, x0=x0)
+    cur = diagnostics.tangential_curvature_probe(p, x0=x0)
+    for j in range(p.nconstraints):
+        norms = [norm for k, norm, _ in ref if k == j]
+        tops = [top for k, _, top in ref if k == j and top is not None]
+        assert ndg.entries[j].samples == len(norms)
+        assert ndg.entries[j].min_gradient_norm == (min(norms) if norms else None)
+        assert cur.entries[j].samples == len(tops)
+        assert cur.entries[j].max_tangential_curvature == (max(tops) if tops else None)
+
+
+def test_phi_probe_reports_the_lowest_point_eigenvalue(problems):
+    p = problems["epsbox"]
+    r = diagnostics.phi_convexity_probe(p, 1.0, samples=200, seed=5)
+    eig = np.linalg.eigvalsh(barrier.barrier_hessian(p, r.witness, 1.0))[0]
+    assert r.samples == 200
+    assert r.min_eigenvalue == eig < 0.0

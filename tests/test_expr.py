@@ -1,10 +1,15 @@
 """Expression layer: parsing, evaluation, forward-mode first and second derivatives."""
 
 import gc
+import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from logbarrier import expr
 from logbarrier.expr import (
@@ -109,7 +114,7 @@ def _random_tree(rng, nvars, depth):
         return Var(int(rng.integers(nvars)))
     a = _random_tree(rng, nvars, depth - 1)
     b = _random_tree(rng, nvars, depth - 1)
-    op = int(rng.integers(7))
+    op = int(rng.integers(9))
     if op == 0:
         return Add(a, b)
     if op == 1:
@@ -122,6 +127,10 @@ def _random_tree(rng, nvars, depth):
         return Pow(a, int(rng.integers(2, 4)))
     if op == 5:
         return Ln(Add(Const(1.5), Mul(a, a)))  # argument >= 1.5, always safe
+    if op == 6:
+        return Exp(Div(a, Add(Const(1.5), Mul(a, a))))  # |argument| < 0.5
+    if op == 7:
+        return Pow(Add(Const(1.5), Mul(b, b)), -int(rng.integers(1, 4)))  # base >= 1.5
     return Div(a, Add(Const(1.5), Mul(b, b)))
 
 
@@ -251,3 +260,221 @@ def test_evaluators_leave_no_reference_cycles(problems):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_evaluate_many_returns_fresh_arrays():
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    before = pts.copy()
+    for text in ("x1", "x2", "5"):
+        e = expr.parse(text, 2)
+        expr.evaluate_many(e, pts)[:] = 99.0
+        for part in expr.evaluate_dual(e, pts):
+            part[...] = 99.0
+    assert np.array_equal(pts, before)
+
+
+def test_jet_shapes_and_orders():
+    e = expr.parse("x1*x2^2", 2)
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
+    for order in (0, 1, 2):
+        point = expr.evaluate_dual(e, pts[0], order)
+        batch = expr.evaluate_dual(e, pts, order)
+        assert isinstance(point.value, float) and batch.value.shape == (3,)
+        assert (point.grad is None, batch.grad is None) == (order < 1, order < 1)
+        assert (point.hess is None, batch.hess is None) == (order < 2, order < 2)
+        if order >= 1:
+            assert point.grad.shape == (2,) and batch.grad.shape == (3, 2)
+        if order == 2:
+            assert point.hess.shape == (2, 2) and batch.hess.shape == (3, 2, 2)
+    # rows of a batch are the point results, bit for bit
+    batch = expr.evaluate_dual(e, pts)
+    for i, x in enumerate(pts):
+        point = expr.evaluate_dual(e, x)
+        assert batch.value[i] == point.value
+        assert np.array_equal(batch.grad[i], point.grad)
+        assert np.array_equal(batch.hess[i], point.hess)
+    with pytest.raises(ValueError):
+        expr.evaluate_dual(e, pts, 3)
+    with pytest.raises(ValueError):
+        expr.evaluate(e, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("exp(1000)", 0.0),
+        ("x1^400", 10.0),
+        ("x1*x1", 1e200),
+        ("ln(0)", 0.0),
+        ("1/0", 0.0),
+        ("0^-2", 0.0),
+        # undefined even though IEEE arithmetic would carry on to a finite value
+        ("1/(1/x1)", 0.0),
+        ("exp(ln(x1))", 0.0),
+    ],
+)
+def test_overflow_and_domain_errors_in_every_entry_point(text, x):
+    e = expr.parse(text, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        calls = [
+            lambda: expr.evaluate(e, [x]),
+            lambda: expr.evaluate_many(e, [[1.0], [x]]),
+            lambda: expr.evaluate_dual(e, [x]),
+            lambda: expr.evaluate_dual(e, [[x]], 1),
+        ]
+        for call in calls:
+            with pytest.raises(EvalError):
+                call()
+
+
+def test_overflow_inside_the_walk_is_not_an_error():
+    e = expr.parse("1/exp(1000)", 1)
+    assert expr.evaluate(e, [0.0]) == 0.0
+    assert expr.evaluate_many(e, [[0.0]])[0] == 0.0
+    with pytest.raises(EvalError):
+        expr.evaluate_dual(e, [0.0], 1)  # the gradient is 0 * inf
+
+
+# Trees with every node kind, unguarded: ln, division and negative powers hit
+# their singularities at the zeros of the coordinate grid below.
+_LEAVES = st.one_of(
+    st.sampled_from([Const(0.0), Const(0.5), Const(1.0), Const(2.0)]),
+    st.builds(Var, st.integers(0, 1)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Ln, kids),
+        st.builds(Exp, kids),
+        st.builds(Add, kids, kids),
+        st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Pow, kids, st.integers(-3, 3)),
+    ),
+    max_leaves=8,
+)
+_COORDS = st.integers(-8, 8).map(lambda k: k / 4)
+_POINTS = st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4)
+
+
+def _subtrees(node):
+    yield node
+    for field in ("operand", "lhs", "rhs", "base"):
+        if hasattr(node, field):
+            yield from _subtrees(getattr(node, field))
+
+
+def _moderate(node, x) -> bool:
+    """No subexpression overflows, nor has a magnitude outside [1e-6, 1e6] other than 0.
+
+    Derivatives stay finite there, so evaluate_dual fails exactly where the
+    value fails; elsewhere it may also fail on an infinite or undefined derivative.
+    """
+    for sub in _subtrees(node):
+        try:
+            v = abs(expr.evaluate(Expr(sub, 2), x))
+        except EvalError as err:
+            if "overflow" in str(err):
+                return False
+            continue
+        if v != 0.0 and not 1e-6 <= v <= 1e6:
+            return False
+    return True
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EvalError:
+        return None
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(_TREES, _POINTS)
+def test_entry_points_agree_bit_for_bit(root, rows):
+    e = Expr(root, 2)
+    pts = np.array(rows, dtype=float)
+    assume(all(_moderate(root, x) for x in pts))
+    values = []
+    for x in pts:
+        v = _outcome(lambda: expr.evaluate(e, x))
+        assert _bits(v) == _bits(_outcome(lambda: expr.evaluate_many(e, x[None, :])[0]))
+        for order in (1, 2):
+            jet = _outcome(lambda: expr.evaluate_dual(e, x, order))
+            assert _bits(v) == _bits(None if jet is None else jet.value)
+        values.append(v)
+    many = _outcome(lambda: expr.evaluate_many(e, pts))
+    if any(v is None for v in values):
+        assert many is None
+    else:
+        assert [_bits(v) for v in values] == [_bits(v) for v in many]
+
+
+def _sympy(node, syms):
+    match node:
+        case Const(value):
+            return sympy.Float(value)
+        case Var(index):
+            return syms[index]
+        case Neg(operand):
+            return -_sympy(operand, syms)
+        case Ln(operand):
+            return sympy.log(_sympy(operand, syms))
+        case Exp(operand):
+            return sympy.exp(_sympy(operand, syms))
+        case Add(lhs, rhs):
+            return _sympy(lhs, syms) + _sympy(rhs, syms)
+        case Sub(lhs, rhs):
+            return _sympy(lhs, syms) - _sympy(rhs, syms)
+        case Mul(lhs, rhs):
+            return _sympy(lhs, syms) * _sympy(rhs, syms)
+        case Div(lhs, rhs):
+            return _sympy(lhs, syms) / _sympy(rhs, syms)
+        case Pow(base, exponent):
+            return _sympy(base, syms) ** sympy.Integer(exponent)
+    raise TypeError(node)
+
+
+def _assert_matches_sympy(e: Expr, xs):
+    syms = sympy.symbols(f"x1:{e.nvars + 1}")
+    f = _sympy(e.root, syms)
+    grad = [sympy.diff(f, s) for s in syms]
+    hess = [[sympy.diff(g, s) for s in syms] for g in grad]
+    exact = sympy.lambdify(syms, [grad, hess], modules="mpmath")
+    for x in xs:
+        jet = expr.evaluate_dual(e, x)
+        with mpmath.workdps(40):
+            g_ref, h_ref = exact(*[mpmath.mpf(float(v)) for v in x])
+            g_ref = np.array([float(v) for v in g_ref])
+            h_ref = np.array([[float(v) for v in row] for row in h_ref])
+        for ours, ref in ((jet.grad, g_ref), (jet.hess, h_ref)):
+            scale = max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_derivatives_match_sympy_on_the_corpus(problems):
+    rng = np.random.default_rng(808)
+    for p in problems.values():
+        xs = [p.interior_point, *rng.uniform(p.box[:, 0], p.box[:, 1], size=(4, p.nvars))]
+        for e in (p.objective, *p.constraints):
+            defined = [x for x in xs if _outcome(lambda: expr.evaluate(e, x)) is not None]
+            assert defined
+            _assert_matches_sympy(e, defined)
+
+
+def test_derivatives_match_sympy_on_generated_trees():
+    for e, x, _ in _sample_cases(seed=909, count=25):
+        _assert_matches_sympy(e, [x])

@@ -168,3 +168,29 @@ def test_grid_blocks_stream_the_row_major_grid(monkeypatch, budget, nvars, res):
     assert np.array_equal(np.concatenate(blocks), np.stack([m.ravel() for m in mesh], axis=1))
     assert all(b.shape == (budget, nvars) for b in blocks[:-1])
     assert 1 <= blocks[-1].shape[0] <= budget
+
+
+def test_interior_point_outside_a_constraint_domain():
+    data = {
+        "name": "ln-interior",
+        "nvars": 1,
+        "objective": "x1",
+        "constraints": ["ln(x1)"],
+        "box": [[-2, 2]],
+        "interior_point": [-1],
+    }
+    with pytest.raises(ProblemError, match="interior_point"):
+        problem.problem_from_dict(data)
+
+
+def test_evaluate_constraints_one_point_or_a_batch(problems):
+    rng = np.random.default_rng(12)
+    for p in problems.values():
+        pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(9, p.nvars))
+        batch = problem.evaluate_constraints(p, pts)
+        assert batch.shape == (9, p.nconstraints)
+        for x, row in zip(pts, batch):
+            one = problem.evaluate_constraints(p, x)
+            assert one.shape == (p.nconstraints,)
+            assert np.array_equal(one, row)
+            assert np.array_equal(one, [expr.evaluate(g, x) for g in p.constraints])
