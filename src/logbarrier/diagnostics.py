@@ -395,18 +395,16 @@ def levelset_convexity_probe(
     scope, a = _scope_levels(p, constraint, levels)
     cols = [p.constraints[j - 1] for j in scope]
 
-    def g_scope_many(pts: np.ndarray) -> np.ndarray:
-        return np.stack([expr.evaluate_many(g, pts) for g in cols], axis=1)
-
-    def g_scope_one(x: np.ndarray) -> np.ndarray:
-        return np.array([expr.evaluate(g, x) for g in cols])
+    def g_scope(x: np.ndarray) -> np.ndarray:
+        """Scoped constraint values at one point, shape (k,), or at (N, n) points, (N, k)."""
+        return np.stack([j.value for j in expr.jets(cols, x, 0)], axis=-1)
 
     def scan_pairs(xs: np.ndarray, ys: np.ndarray, method: str) -> LevelsetReport | None:
         mids = 0.5 * (xs + ys)
-        gm = g_scope_many(mids)
+        gm = g_scope(mids)
         flagged = np.nonzero(np.any(gm < a[None, :] - MIDPOINT_GUARD, axis=1))[0]
         for idx in flagged:
-            g_mid = g_scope_one(mids[idx])
+            g_mid = g_scope(mids[idx])
             violated = [scope[k] for k in range(len(scope)) if g_mid[k] < a[k] - MIDPOINT_GUARD]
             if not violated:
                 continue
@@ -414,8 +412,8 @@ def levelset_convexity_probe(
                 x=xs[idx].copy(),
                 y=ys[idx].copy(),
                 midpoint=mids[idx].copy(),
-                g_x=g_scope_one(xs[idx]),
-                g_y=g_scope_one(ys[idx]),
+                g_x=g_scope(xs[idx]),
+                g_y=g_scope(ys[idx]),
                 g_mid=g_mid,
                 violated=violated,
             )
@@ -430,7 +428,7 @@ def levelset_convexity_probe(
         return None
 
     def members_mask(pts: np.ndarray) -> np.ndarray:
-        return np.all(g_scope_many(pts) >= a[None, :], axis=1)
+        return np.all(g_scope(pts) >= a[None, :], axis=1)
 
     def push_to_boundary(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # walk each member outward along its direction, keeping the last

@@ -16,8 +16,8 @@ import numpy as np
 from . import expr
 from .expr import Expr
 
-# 128 KiB per coordinate column: at 1 << 16 points the evaluator's temporaries
-# took hundreds of page faults per call as glibc returned and refetched them
+# 128 KiB per coordinate column: at 1 << 16 points each evaluation cost hundreds
+# of page faults, as glibc returned the walker's temporaries to the system
 GRID_BLOCK_POINTS = 1 << 14
 
 
