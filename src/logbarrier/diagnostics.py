@@ -397,7 +397,7 @@ def levelset_convexity_probe(
 
     def g_scope(x: np.ndarray) -> np.ndarray:
         """Scoped constraint values at one point, shape (k,), or at (N, n) points, (N, k)."""
-        return np.stack([j.value for j in expr.jets(cols, x, 0)], axis=-1)
+        return np.array([j.value for j in expr.jets(cols, x, 0)]).T
 
     def scan_pairs(xs: np.ndarray, ys: np.ndarray, method: str) -> LevelsetReport | None:
         mids = 0.5 * (xs + ys)

@@ -89,7 +89,7 @@ def grid_blocks(box: np.ndarray, res: int):
 
 def evaluate_constraints(p: Problem, x) -> np.ndarray:
     """All g_j at one point, shape (m,), or at an (N, nvars) batch, shape (N, m)."""
-    return np.stack([j.value for j in expr.jets(p.constraints, x, 0)], axis=-1)
+    return np.array([j.value for j in expr.jets(p.constraints, x, 0)]).T
 
 
 def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:
