@@ -314,8 +314,6 @@ def serialize(e: Expr) -> str:
     return _ser(e.root, _SUM)
 
 
-
-
 class Jet(NamedTuple):
     """Value, gradient and Hessian of an expression.
 
