@@ -32,7 +32,7 @@ from .diagnostics import (
     slater_find,
     tangential_curvature_probe,
 )
-from .expr import EvalError, evaluate_many
+from .expr import EvalError, scan_values
 from .inner import InfeasibleStartError
 from .oracle import MAX_ORACLE_VARS, MIN_RESOLUTION, OracleError, grid_minimize
 from .problem import Problem, ProblemError
@@ -307,7 +307,7 @@ def _run_contour(args) -> int:
     ax2 = np.linspace(p.box[1, 0], p.box[1, 1], args.res)
     m1, m2 = np.meshgrid(ax1, ax2, indexing="ij")
     points = np.stack([m1.ravel(), m2.ravel()], axis=1)
-    values = evaluate_many(g, points)
+    values = scan_values([g], points)[:, 0]  # where g overflows, +-inf
 
     # repr of a float round-trips exactly; numpy scalars must be unwrapped first
     lines = ["# levels: " + ",".join(repr(v) for v in levels), "x1,x2,g"]

@@ -395,27 +395,23 @@ def levelset_convexity_probe(
     scope, a = _scope_levels(p, constraint, levels)
     cols = [p.constraints[j - 1] for j in scope]
 
-    def g_scope(x: np.ndarray) -> np.ndarray:
-        """Scoped constraint values at one point, shape (k,), or at (N, n) points, (N, k)."""
-        return np.array([j.value for j in expr.jets(cols, x, 0)]).T
-
     def scan_pairs(xs: np.ndarray, ys: np.ndarray, method: str) -> LevelsetReport | None:
         mids = 0.5 * (xs + ys)
-        gm = g_scope(mids)
-        flagged = np.nonzero(np.any(gm < a[None, :] - MIDPOINT_GUARD, axis=1))[0]
-        for idx in flagged:
-            g_mid = g_scope(mids[idx])
-            violated = [scope[k] for k in range(len(scope)) if g_mid[k] < a[k] - MIDPOINT_GUARD]
-            if not violated:
-                continue
+        gm = evaluate_constraints(p, mids, cols)
+        # a midpoint where some g_j overflows reads -inf throughout: its
+        # value is unknown, so it is no witness
+        below = (gm < a[None, :] - MIDPOINT_GUARD) & np.isfinite(gm)
+        flagged = np.nonzero(below.any(axis=1))[0]
+        if flagged.size:
+            idx = int(flagged[0])
             witness = LevelsetWitness(
                 x=xs[idx].copy(),
                 y=ys[idx].copy(),
                 midpoint=mids[idx].copy(),
-                g_x=g_scope(xs[idx]),
-                g_y=g_scope(ys[idx]),
-                g_mid=g_mid,
-                violated=violated,
+                g_x=evaluate_constraints(p, xs[idx], cols),
+                g_y=evaluate_constraints(p, ys[idx], cols),
+                g_mid=gm[idx].copy(),
+                violated=[scope[k] for k in np.nonzero(below[idx])[0]],
             )
             return LevelsetReport(
                 scope=scope,
@@ -428,7 +424,7 @@ def levelset_convexity_probe(
         return None
 
     def members_mask(pts: np.ndarray) -> np.ndarray:
-        return np.all(g_scope(pts) >= a[None, :], axis=1)
+        return np.all(evaluate_constraints(p, pts, cols) >= a[None, :], axis=1)
 
     def push_to_boundary(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # walk each member outward along its direction, keeping the last

@@ -16,6 +16,8 @@ invalid operation (ln of a nonpositive number, 0 * inf, inf - inf) or a
 nonfinite final value raises EvalError.  Overflow and underflow inside the
 walk are not errors by themselves: 1/exp(1000) is 0.0.  A derivative can
 fail where the value does not: the gradient of 1/exp(1000) needs 0 * inf.
+scan_values, which serves grid and sampling scans, differs in one rule
+only: a final value that overflows is +-inf there, not an error.
 """
 
 from __future__ import annotations
@@ -349,8 +351,6 @@ def _ipow(v, n: int):
     """v**n by repeated squaring, so a point and a batch round alike."""
     if n < 0:
         return 1.0 / _ipow(v, -n)
-    if n == 2:
-        return v * v  # the common case, without the loop
     result = None
     while n:
         if n & 1:
@@ -438,17 +438,10 @@ def _walk(node: Node, at: _At) -> tuple:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def jets(es, x, order: int = 2) -> list[Jet]:
-    """Jets of expressions over the same variables, up to order 0, 1 or 2.
-
-    x is a sequence of nvars floats (one point) or an (N, nvars) array (a
-    batch); see Jet for the shapes.  Every array returned is fresh.  Raises
-    EvalError when any expression is undefined or overflows at any point;
-    see the module docstring for the rules.
-    """
+def _walk_roots(es, x, order: int) -> list[tuple]:
+    """Walk every expression at x under the domain rules; root values are not yet checked."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    x = np.asarray(x, dtype=float)
     n = x.shape[-1] if x.ndim in (1, 2) else 0
     for e in es:
         if e.nvars != n:
@@ -463,9 +456,22 @@ def jets(es, x, order: int = 2) -> list[Jet]:
     )
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            walked = [_walk(e.root, at) for e in es]
+            return [_walk(e.root, at) for e in es]
     except (FloatingPointError, ZeroDivisionError) as err:
         raise EvalError(f"outside the domain: {err}") from None
+
+
+def jets(es, x, order: int = 2) -> list[Jet]:
+    """Jets of expressions over the same variables, up to order 0, 1 or 2.
+
+    x is a sequence of nvars floats (one point) or an (N, nvars) array (a
+    batch); see Jet for the shapes.  Every array returned is fresh.  Raises
+    EvalError when any expression is undefined or overflows at any point;
+    see the module docstring for the rules.
+    """
+    x = np.asarray(x, dtype=float)
+    walked = _walk_roots(es, x, order)
+    batch = x.ndim == 2
     for v, _, _ in walked:
         if not (np.isfinite(v).all() if batch else math.isfinite(v)):
             raise EvalError("overflow")
@@ -476,22 +482,30 @@ def jets(es, x, order: int = 2) -> list[Jet]:
             Jet(float(v), g if g is None else g.copy(), h if h is None else h.copy())
             for v, g, h in walked
         ]
-    count = x.shape[0]  # the point axis goes first
+    count, n = x.shape  # the point axis goes first
     return [
         Jet(
-            _fresh(v, (count,)),
-            None if g is None else _fresh(np.moveaxis(g, -1, 0), (count, n)),
-            None if h is None else _fresh(np.moveaxis(h, -1, 0), (count, n, n)),
+            np.broadcast_to(v, (count,)).copy(),
+            None if g is None else np.broadcast_to(np.moveaxis(g, -1, 0), (count, n)).copy(),
+            None if h is None else np.broadcast_to(np.moveaxis(h, -1, 0), (count, n, n)).copy(),
         )
         for v, g, h in walked
     ]
 
 
-def _fresh(a, shape: tuple) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.shape == shape and a.base is None:
-        return a  # computed by this walk and held by nothing else: no copy needed
-    out = np.empty(shape)
-    out[...] = a
+def scan_values(es, points) -> np.ndarray:
+    """Values of expressions over an (N, nvars) batch, as a fresh (N, len(es)) array.
+
+    For grid and sampling scans: unlike evaluate_many, a value that
+    overflows is +-inf rather than an EvalError, so that one far point does
+    not stop a scan.  A domain error still raises EvalError.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must have shape (N, nvars), got {points.shape}")
+    out = np.empty((points.shape[0], len(es)))
+    for k, (v, _, _) in enumerate(_walk_roots(es, points, 0)):
+        out[:, k] = v
     return out
 
 

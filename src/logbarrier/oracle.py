@@ -42,15 +42,6 @@ class OracleResult:
         }
 
 
-def _feasible_mask(p: Problem, points: np.ndarray) -> np.ndarray:
-    mask = np.ones(points.shape[0], dtype=bool)
-    for g in p.constraints:
-        mask &= expr.evaluate_many(g, points) >= 0.0
-        if not mask.any():
-            break
-    return mask
-
-
 _ACTIVE_EPS = 1e-9
 
 
@@ -153,8 +144,9 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     """Minimize by dense feasible grid search over the box, then polish.
 
     Deterministic: ties on the grid go to the lexicographically smallest
-    point.  Limited to 3 variables; res must be at least 11.  Raises
-    OracleError when no grid point is feasible.
+    point.  Limited to 3 variables; res must be at least 11.  Grid points
+    where f or some g_j overflows are left out.  Raises OracleError when no
+    grid point is feasible.
     """
     if p.nvars > MAX_ORACLE_VARS:
         raise OracleError(f"grid oracle supports up to {MAX_ORACLE_VARS} variables")
@@ -164,11 +156,11 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     best_f = np.inf
     best_x: np.ndarray | None = None
     for block in grid_blocks(p.box, res):
-        mask = _feasible_mask(p, block)
-        if not mask.any():
+        feas = block[np.all(evaluate_constraints(p, block) >= 0.0, axis=1)]
+        if feas.shape[0] == 0:
             continue
-        feas = block[mask]
-        fvals = expr.evaluate_many(p.objective, feas)
+        fvals = expr.scan_values([p.objective], feas)[:, 0]
+        fvals[~np.isfinite(fvals)] = np.inf  # where f overflows, a point is no candidate
         i = int(np.argmin(fvals))
         f_i, x_i = float(fvals[i]), feas[i]
         if f_i < best_f:  # blocks come in row-major order, so a tie keeps the earlier point

@@ -87,9 +87,20 @@ def grid_blocks(box: np.ndarray, res: int):
         yield block[start - first * res : stop - first * res]
 
 
-def evaluate_constraints(p: Problem, x) -> np.ndarray:
-    """All g_j at one point, shape (m,), or at an (N, nvars) batch, shape (N, m)."""
-    return np.array([j.value for j in expr.jets(p.constraints, x, 0)]).T
+def evaluate_constraints(p: Problem, x, constraints=None) -> np.ndarray:
+    """The g_j at one point, shape (m,), or over an (N, nvars) batch, shape (N, m).
+
+    constraints defaults to all of p's.  At one point an overflow raises
+    EvalError.  Over a batch, a point where some g_j overflows gets -inf
+    for every g_j: the barrier cannot be evaluated there, so a scan counts
+    it as infeasible instead of stopping.
+    """
+    constraints = p.constraints if constraints is None else constraints
+    if np.ndim(x) == 1:
+        return np.array([j.value for j in expr.jets(constraints, x, 0)])
+    values = expr.scan_values(constraints, x)
+    values[~np.isfinite(values).all(axis=1)] = -np.inf
+    return values
 
 
 def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:

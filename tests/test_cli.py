@@ -302,3 +302,32 @@ def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
     assert code == 0
     cert = _records(stdout)[-1]
     assert abs(cert["x"][0] - 3.0) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape
+def test_overflow_in_a_scan_is_an_infeasible_point(run_cli, tmp_path):
+    # 1 - exp(x1) overflows to -inf for x1 > 709.78, inside the box
+    path = tmp_path / "exp-box.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "exp-box",
+                "nvars": 2,
+                "objective": "(x1 + 1)^2 + x2^2",
+                "constraints": ["1 - exp(x1)", "4 - x2^2"],
+                "box": [[-5, 800], [-3, 3]],
+            }
+        )
+    )
+    checks = "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"
+    code, stdout, stderr = run_cli(["diagnose", "--problem", path, "--check", checks])
+    assert (code, stderr) == (0, "")
+    slater, nondegeneracy = _records(stdout)[:2]
+    assert slater["passed"] and slater["point"][0] < 0.0
+    assert nondegeneracy["passed"]
+    code, stdout, stderr = run_cli(["oracle", "--problem", path, "--res", "101"])
+    assert (code, stderr) == (0, "")
+    assert np.allclose(_records(stdout)[0]["x_best"], [-1.0, 0.0], atol=1e-6)
+    code, stdout, stderr = run_cli(["contour", "--problem", path, "--res", "3"])
+    assert (code, stderr) == (0, "")
+    assert stdout.splitlines()[-1] == "800.0,3.0,-inf"

@@ -336,6 +336,22 @@ def test_overflow_inside_the_walk_is_not_an_error():
         expr.evaluate_dual(e, [0.0], 1)  # the gradient is 0 * inf
 
 
+def test_scan_values_keep_an_overflow_and_raise_on_a_domain_error():
+    es = [expr.parse("1 - exp(x1)", 2), expr.parse("exp(x1)", 2), expr.parse("x2", 2)]
+    pts = np.array([[0.0, 1.0], [800.0, 2.0], [-1.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        got = expr.scan_values(es, pts)
+        with pytest.raises(EvalError):
+            expr.scan_values([expr.parse("ln(x1)", 2)], pts)
+    assert got.shape == (3, 3)
+    assert not np.shares_memory(got, pts)
+    assert np.array_equal(got[1], [-np.inf, np.inf, 2.0])
+    for e, col in zip(es, got.T):
+        rows = [0, 2]  # where nothing overflows, the values of evaluate_many
+        assert np.array_equal(col[rows], expr.evaluate_many(e, pts[rows]))
+
+
 # Trees with every node kind, unguarded: ln, division and negative powers hit
 # their singularities at the zeros of the coordinate grid below.
 _LEAVES = st.one_of(

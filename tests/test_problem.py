@@ -194,3 +194,27 @@ def test_evaluate_constraints_one_point_or_a_batch(problems):
             assert one.shape == (p.nconstraints,)
             assert np.array_equal(one, row)
             assert np.array_equal(one, [expr.evaluate(g, x) for g in p.constraints])
+
+
+def test_evaluate_constraints_of_a_scan_count_an_overflow_as_infeasible():
+    p = problem.problem_from_dict(
+        {
+            "name": "overflow",
+            "nvars": 2,
+            "objective": "x1",
+            "constraints": ["1 - exp(x1)", "exp(x2)", "4 - x2^2"],
+            "box": [[-5, 800], [-800, 800]],
+        }
+    )
+    pts = np.array([[0.0, 1.0], [800.0, 1.0], [-1.0, 800.0]])
+    got = problem.evaluate_constraints(p, pts)
+    assert np.array_equal(got[0], [0.0, np.e, 3.0])
+    # -inf or +inf in one g_j: the whole point reads -inf
+    assert np.all(got[1:] == -np.inf)
+    for x in pts[1:]:
+        with pytest.raises(expr.EvalError, match="overflow"):
+            problem.evaluate_constraints(p, x)
+    # a subset of the constraints, at a point or over a batch
+    subset = [p.constraints[2], p.constraints[0]]
+    assert np.array_equal(problem.evaluate_constraints(p, pts[:1], subset), [[3.0, 0.0]])
+    assert np.array_equal(problem.evaluate_constraints(p, pts[0], subset), [3.0, 0.0])
