@@ -12,7 +12,7 @@ mu / g_j(x) the natural multiplier estimate attached to each evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ class InfeasiblePointError(Exception):
     """Raised when a barrier Hessian is requested outside the strict interior."""
 
 
-@dataclass(frozen=True)
-class BarrierEvaluation:
+class BarrierEvaluation(NamedTuple):
     mu: float
     value: float  # +inf outside the strict interior
     constraint_values: np.ndarray

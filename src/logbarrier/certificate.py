@@ -11,8 +11,8 @@ statement once those hypotheses have been verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class Verdict(str, Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-@dataclass(frozen=True)
-class KKTTolerances:
+class KKTTolerances(NamedTuple):
     stationarity: float = 1e-5
     complementarity: float = 1e-5
     feasibility: float = 1e-8
@@ -38,8 +37,7 @@ class KKTTolerances:
     activation: float = 1e-6  # g_j <= this counts as active
 
 
-@dataclass(frozen=True)
-class KKTCertificate:
+class KKTCertificate(NamedTuple):
     x: np.ndarray
     multipliers: np.ndarray
     objective_value: float

@@ -9,8 +9,8 @@ final stage yields a certificate candidate directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class MuSchedule:
         return out
 
 
-@dataclass(frozen=True)
-class PathPoint:
+class PathPoint(NamedTuple):
     mu: float
     x: np.ndarray
     multipliers: np.ndarray
@@ -75,8 +74,7 @@ class PathPoint:
         }
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(NamedTuple):
     points: list[PathPoint]
     final_certificate: KKTCertificate
 

@@ -15,20 +15,18 @@ entries ship as JSON problem files under data/.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .problem import Problem, ProblemError, problem_from_dict
 
 
-@dataclass(frozen=True)
-class KnownOptimum:
+class KnownOptimum(NamedTuple):
     x: tuple[float, ...]
     f: float
     provenance: str
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     problem: Problem
     provenance: str
     known_optimum: KnownOptimum | None

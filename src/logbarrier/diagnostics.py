@@ -16,7 +16,7 @@ evaluable there (corpus problems are).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ class NoFeasibleSamplesError(DiagnosticsError):
     """Rejection sampling produced no strictly feasible points."""
 
 
-@dataclass(frozen=True)
-class SlaterReport:
+class SlaterReport(NamedTuple):
     point: np.ndarray
     margin: float  # min_j g_j at the point, always > 0
     grid_resolution: int
@@ -61,16 +60,14 @@ class SlaterReport:
         }
 
 
-@dataclass(frozen=True)
-class NondegeneracyEntry:
+class NondegeneracyEntry(NamedTuple):
     constraint: int  # 1-based
     samples: int
     min_gradient_norm: float | None  # None when the constraint was never active
     passed: bool | None
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     entries: list[NondegeneracyEntry]
     delta: float
     rays: int
@@ -101,8 +98,7 @@ class NondegeneracyReport:
         }
 
 
-@dataclass(frozen=True)
-class LevelsetWitness:
+class LevelsetWitness(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     midpoint: np.ndarray
@@ -112,8 +108,7 @@ class LevelsetWitness:
     violated: list[int]  # 1-based constraint indices failing at the midpoint
 
 
-@dataclass(frozen=True)
-class LevelsetReport:
+class LevelsetReport(NamedTuple):
     scope: list[int]  # 1-based constraint indices probed
     levels: np.ndarray
     verdict: str  # "counterexample", "convex_up_to_sampling", "empty_region"
@@ -143,8 +138,7 @@ class LevelsetReport:
         return rec
 
 
-@dataclass(frozen=True)
-class PhiConvexityReport:
+class PhiConvexityReport(NamedTuple):
     mu: float
     samples: int
     min_eigenvalue: float
@@ -160,15 +154,13 @@ class PhiConvexityReport:
         }
 
 
-@dataclass(frozen=True)
-class CurvatureEntry:
+class CurvatureEntry(NamedTuple):
     constraint: int  # 1-based
     samples: int
     max_tangential_curvature: float | None
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     entries: list[CurvatureEntry]
     boundary_points: int
     vacuous: bool  # one variable only, no tangent directions exist

@@ -115,14 +115,16 @@ class Expr:
         return serialize(self)
 
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Every non-space character starts a match, so one scan covers the text
+# (trailing whitespace aside); "bad" catches a character no token allows.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 _VAR_RE = re.compile(r"^x(\d+)$")
-_OPS = set("+-*/^()")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num", "ident", one of + - * / ^ ( ), or "end"
     text: str
     pos: int
@@ -130,29 +132,13 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if c in _OPS:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        tokens.append(_Token(tok if kind == "op" else kind, tok, pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

@@ -9,9 +9,8 @@ the Hessian safely positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class InnerStatus(str, Enum):
     LINE_SEARCH_STALL = "line_search_stall"
 
 
-@dataclass(frozen=True)
-class InnerResult:
+class InnerResult(NamedTuple):
     x: np.ndarray
     grad_norm: float
     iterations: int

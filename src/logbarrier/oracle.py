@@ -9,7 +9,7 @@ machinery with the barrier code beyond expression evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class OracleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     x_best: np.ndarray
     f_best: float
     grid_resolution: int

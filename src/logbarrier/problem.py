@@ -10,6 +10,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ class Feasibility(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True, slots=True)
-class ActiveSet:
+class ActiveSet(NamedTuple):
     """Indices (1-based) of constraints at or below an activation tolerance."""
 
     indices: frozenset[int]
