@@ -98,7 +98,7 @@ class Div:
 @dataclass(frozen=True, slots=True)
 class Pow:
     base: "Node"
-    exponent: int  # integer literal only
+    exponent: int  # an integer literal, or a param with an int value
 
 
 Node = Const | Var | Neg | Ln | Exp | Add | Sub | Mul | Div | Pow
@@ -143,9 +143,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], nvars: int):
+    def __init__(self, tokens: list[_Token], nvars: int, params: dict):
         self.tokens = tokens
         self.nvars = nvars
+        self.params = params
         self.i = 0
 
     def peek(self) -> _Token:
@@ -208,6 +209,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.pos)
+        value = self.params.get(tok.text) if tok.kind == "ident" else None
+        if type(value) is int:
+            self.take()
+            return sign * value
         if tok.kind != "num" or not tok.text.isdigit():
             raise ParseError(f"exponent must be an integer literal, found {tok.text!r}", tok.pos)
         self.take()
@@ -233,6 +238,8 @@ class _Parser:
                 inner = self.expr()
                 self.expect(")")
                 return Ln(inner) if tok.text == "ln" else Exp(inner)
+            if tok.text in self.params:
+                return Const(float(self.params[tok.text]))
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "(":
             self.take()
@@ -244,16 +251,18 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def parse(text: str, nvars: int) -> Expr:
+def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
     """Parse expression text over variables x1..x<nvars>.
 
     Grammar, loosest binding first: '+'/'-' then '*'/'/' then unary minus,
     then '^' with an integer literal exponent (left associative, so a^2^3
-    means (a^2)^3).  ln and exp take a parenthesized argument.
+    means (a^2)^3).  ln and exp take a parenthesized argument.  params maps
+    further identifiers to numbers: each parses as one constant, so with
+    a = -1, a^2 is 1.  A param with an int value may also be an exponent.
     """
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
-    parser = _Parser(_tokenize(text), nvars)
+    parser = _Parser(_tokenize(text), nvars, params or {})
     return Expr(parser.parse(), nvars)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -124,27 +125,14 @@ def active_set(p: Problem, x, tolerance: float) -> ActiveSet:
 _PARAM_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
-def _format_param(value) -> str:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemError(f"parameter value must be a number, got {value!r}")
-    if isinstance(value, int):
-        return repr(value)
-    return repr(float(value))
-
-
-def _substitute_params(text: str, params: dict) -> str:
-    for name, value in params.items():
-        text = re.sub(rf"\b{re.escape(name)}\b", _format_param(value), text)
-    return text
-
-
 def problem_from_dict(data: dict) -> Problem:
     """Build a Problem from its dict form.
 
     Required keys: name, nvars, objective, constraints, box.  Optional:
     interior_point (must be strictly feasible and strictly inside the box)
-    and params, a mapping of names substituted textually into expression
-    strings before parsing.
+    and params, a mapping of names to numbers that the expressions may use:
+    each name is bound as a constant, so with a = -1, a^2 is 1.  A param
+    with an integer value may also serve as an exponent.
     """
     if not isinstance(data, dict):
         raise ProblemError("problem data must be a JSON object")
@@ -162,17 +150,22 @@ def problem_from_dict(data: dict) -> Problem:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ProblemError("params must be an object")
-    for pname in params:
+    for pname, value in params.items():
         if not _PARAM_NAME_RE.match(pname):
             raise ProblemError(f"invalid parameter name {pname!r}")
         if pname in ("ln", "exp") or re.match(r"^x\d+$", pname):
             raise ProblemError(f"parameter name {pname!r} collides with the expression language")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProblemError(f"parameter value must be a number, got {value!r}")
+        # exact for ints of any size, and false for nan
+        if not abs(value) <= sys.float_info.max:
+            raise ProblemError(f"parameter value must be finite as a float, got {value!r}")
 
     def parse_one(text, label):
         if not isinstance(text, str):
             raise ProblemError(f"{label} must be a string")
         try:
-            return expr.parse(_substitute_params(text, params), nvars)
+            return expr.parse(text, nvars, params)
         except expr.ParseError as err:
             raise ProblemError(f"cannot parse {label}: {err}") from err
 

@@ -1,10 +1,13 @@
 """Problem container, parameter substitution, feasibility classification."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logbarrier import expr, problem
 from logbarrier.problem import Feasibility, ProblemError
@@ -54,6 +57,35 @@ def test_param_substitution_whole_word_only():
     assert expr.evaluate(p.objective, np.array([0.0, 0.0])) == 1.5
 
 
+def test_negative_param_is_one_constant():
+    # substituted as text, a^2 read -1.0^2, which is -(1.0^2)
+    p = problem.problem_from_dict(_variant(objective="a^2 + x1", params={"a": -1}))
+    assert expr.evaluate(p.objective, np.array([0.0, 0.0])) == 1.0
+
+
+def _value_or_error(e, x):
+    try:
+        return np.float64(expr.evaluate(e, x)).tobytes()
+    except expr.EvalError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["a^2 + x1", "x1 - a^3", "-a^2*x2", "x1/a - a", "exp(a*x1)*a", "a*x1^2 - x2/a^2"]),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([1e-5, -1e-5, 2.5e-300, -3e200, 5e-324]),
+    ),
+)
+def test_param_evaluates_as_its_parenthesized_literal(text, value):
+    bound = expr.parse(text, 2, {"a": value})
+    inlined = expr.parse(re.sub(r"\ba\b", f"({value!r})", text), 2)
+    for x in ([0.7, -1.3], [-2.0, 0.25]):
+        assert _value_or_error(bound, x) == _value_or_error(inlined, x)
+
+
 @pytest.mark.parametrize(
     "params, fragment",
     [
@@ -61,6 +93,8 @@ def test_param_substitution_whole_word_only():
         ({"ln": 3}, "collides"),
         ({"a": "three"}, "must be a number"),
         ({"a b": 3}, "invalid parameter name"),
+        ({"a": float("nan")}, "finite"),
+        ({"a": 10**400}, "finite"),
     ],
 )
 def test_param_validation(params, fragment):
