@@ -88,9 +88,10 @@ def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
     """Dense barrier Hessian at a strictly interior point, or at each of a batch.
 
     x is one point, giving shape (n, n), or an (N, n) array, giving shape
-    (N, n, n).  Each constraint contributes (mu / g_j^2) grad g_j grad g_j^T
-    - (mu / g_j) hess g_j on top of the objective Hessian.  Raises
-    InfeasiblePointError off the strict interior.
+    (N, n, n).  Each constraint contributes mu w w^T - (mu / g_j) hess g_j
+    on top of the objective Hessian, with w = grad g_j / g_j: scaling before
+    the outer product keeps a g_j above about 1e154, whose square
+    overflows, finite.  Raises InfeasiblePointError off the strict interior.
     """
     mu = _check_mu(mu)
     gjets = expr.jets(p.constraints, x, 2)
@@ -100,9 +101,8 @@ def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
             f"barrier Hessian requested outside the strict interior (min g = {gvals.min()})"
         )
     h = expr.evaluate_dual(p.objective, x).hess
-    # one factor per constraint, shaped to scale a point's or a batch's matrices
-    outer_w = (mu / gvals**2)[..., None, None]
-    hess_w = (mu / gvals)[..., None, None]
-    for j, a, b in zip(gjets, outer_w, hess_w):
-        h += a * (j.grad[..., :, None] * j.grad[..., None, :]) - b * j.hess
+    # per constraint, g_j shaped to scale a point's or a batch's gradients
+    for j, g in zip(gjets, gvals[..., None]):
+        w = j.grad / g
+        h += mu * (w[..., :, None] * w[..., None, :]) - (mu / g)[..., None] * j.hess
     return h

@@ -1,6 +1,7 @@
 """Barrier value, gradient, multiplier estimates, Hessian."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,3 +164,26 @@ def test_hessian_of_a_batch_stacks_the_point_hessians(problems):
         assert stacked.shape == (len(pts), p.nvars, p.nvars)
         for x, h in zip(pts, stacked):
             assert np.array_equal(h, barrier.barrier_hessian(p, x, 0.3))
+
+
+def test_hessian_stays_finite_where_a_constraint_value_squared_overflows():
+    p = problem.problem_from_dict(
+        {
+            "name": "exp-wall",
+            "nvars": 1,
+            "objective": "x1",
+            "constraints": ["exp(x1) - exp(-1)", "500 - x1"],
+            "box": [[-2, 600]],
+        }
+    )
+    xs = np.array([[460.0], [3.0]])  # g_1(460) is about 1e199, so g_1^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = barrier.barrier_hessian(p, xs, 1.0)
+        at_460 = barrier.barrier_hessian(p, xs[0], 1.0)
+    c = math.exp(-1)
+    for x, h in zip(xs[:, 0], stacked):
+        r = c * math.exp(-x)  # c e^x / (e^x - c)^2, rewritten to stay finite
+        want = r / (1 - r) ** 2 + 1 / (500 - x) ** 2
+        assert h[0, 0] == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(at_460, stacked[0])
