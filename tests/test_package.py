@@ -1,0 +1,90 @@
+"""Package-level guards: which types are dataclasses, frozen records, a clean import."""
+
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import logbarrier
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Each stays a dataclass for a reason: the expression nodes and Expr need
+# equality that tells Ln(x) from Exp(x) and Add from Sub, which tuple
+# equality cannot; MuSchedule validates in __post_init__; Problem's source
+# uses default_factory and repr=False.  Every other record is a NamedTuple,
+# whose class costs far less to create at import.
+DATACLASSES = {
+    *(f"expr.{n}" for n in ("Const", "Var", "Neg", "Ln", "Exp", "Add", "Sub", "Mul", "Div", "Pow")),
+    "expr.Expr",
+    "continuation.MuSchedule",
+    "problem.Problem",
+}
+
+RECORDS = [
+    "barrier.BarrierEvaluation",
+    "certificate.KKTTolerances",
+    "certificate.KKTCertificate",
+    "continuation.PathPoint",
+    "continuation.SolveTrace",
+    "corpus.KnownOptimum",
+    "corpus.CorpusEntry",
+    "diagnostics.SlaterReport",
+    "diagnostics.NondegeneracyEntry",
+    "diagnostics.NondegeneracyReport",
+    "diagnostics.LevelsetWitness",
+    "diagnostics.LevelsetReport",
+    "diagnostics.PhiConvexityReport",
+    "diagnostics.CurvatureEntry",
+    "diagnostics.CurvatureReport",
+    "inner.InnerResult",
+    "oracle.OracleResult",
+    "problem.ActiveSet",
+    "expr._Token",
+]
+
+
+def _classes():
+    for info in pkgutil.iter_modules(logbarrier.__path__):
+        module = importlib.import_module(f"logbarrier.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield f"{info.name}.{obj.__qualname__}", obj
+
+
+def test_only_the_expression_nodes_the_schedule_and_the_problem_are_dataclasses():
+    assert {name for name, cls in _classes() if dataclasses.is_dataclass(cls)} == DATACLASSES
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_named_tuple_that_rejects_assignment(name):
+    module, cls_name = name.split(".")
+    cls = getattr(importlib.import_module(f"logbarrier.{module}"), cls_name)
+    record = cls._make([None] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+
+
+def test_import_is_silent_and_loads_no_third_party_module_but_numpy():
+    code = (
+        "import sys; before = set(sys.modules); import logbarrier.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    loaded = set(proc.stdout.split()) - set(sys.stdlib_module_names)
+    assert loaded == {"logbarrier", "numpy"}
