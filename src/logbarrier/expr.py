@@ -274,7 +274,8 @@ _SUM, _TERM, _UNARY, _POW, _ATOM = 0, 1, 2, 3, 4
 def _render(node: Node) -> tuple[str, int]:
     match node:
         case Const(value):
-            return repr(value), _ATOM if value >= 0 else _UNARY
+            # a param can bind a negative constant, -0.0 included
+            return repr(value), _ATOM if math.copysign(1.0, value) > 0 else _UNARY
         case Var(index):
             return f"x{index + 1}", _ATOM
         case Ln(operand):
@@ -307,7 +308,11 @@ def _ser(node: Node, minlevel: int) -> str:
 
 
 def serialize(e: Expr) -> str:
-    """Render a tree back to text that parses to a structurally equal tree."""
+    """Render a tree back to text that parses to a structurally equal tree.
+
+    A negative constant, which only a param can bind, comes back as the
+    negation of a positive one: a different tree that evaluates alike.
+    """
     return _ser(e.root, _SUM)
 
 

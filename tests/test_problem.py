@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logbarrier import expr, problem
@@ -76,14 +76,17 @@ def _value_or_error(e, x):
     st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.integers(-(10**6), 10**6),
-        st.sampled_from([1e-5, -1e-5, 2.5e-300, -3e200, 5e-324]),
+        st.sampled_from([1e-5, -1e-5, 2.5e-300, -3e200, 5e-324, -0.0]),
     ),
 )
+@example("-a^2*x2", -0.0)  # serialized without parentheses, the sign of the zero flips
 def test_param_evaluates_as_its_parenthesized_literal(text, value):
     bound = expr.parse(text, 2, {"a": value})
     inlined = expr.parse(re.sub(r"\ba\b", f"({value!r})", text), 2)
+    reparsed = expr.parse(expr.serialize(bound), 2)
     for x in ([0.7, -1.3], [-2.0, 0.25]):
         assert _value_or_error(bound, x) == _value_or_error(inlined, x)
+        assert _value_or_error(reparsed, x) == _value_or_error(bound, x)
 
 
 @pytest.mark.parametrize(
