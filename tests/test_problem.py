@@ -1,4 +1,4 @@
-"""Problem container, parameter substitution, feasibility classification."""
+"""Problem container, parameters bound in expressions, feasibility classification."""
 
 import json
 import re
