@@ -10,7 +10,7 @@ from .certificate import (
     check_kkt,
     global_optimality_statement,
 )
-from .continuation import ContinuationError, MuSchedule, PathPoint, SolveTrace, accumulate, solve
+from .continuation import ContinuationError, MuSchedule, PathPoint, SolveTrace, solve
 from .corpus import CorpusEntry, KnownOptimum, builtin, names
 from .diagnostics import (
     SlaterUnverifiedError,
@@ -22,7 +22,7 @@ from .diagnostics import (
 )
 from .expr import EvalError, Expr, ParseError, evaluate, evaluate_dual, evaluate_many, parse
 from .inner import InfeasibleStartError, InnerResult, InnerStatus, solve_inner
-from .oracle import OracleResult, gradient_check, grid_minimize
+from .oracle import OracleResult, grid_minimize
 from .problem import (
     ActiveSet,
     Feasibility,
@@ -60,7 +60,6 @@ __all__ = [
     "SlaterUnverifiedError",
     "SolveTrace",
     "Verdict",
-    "accumulate",
     "active_set",
     "barrier_eval",
     "barrier_hessian",
@@ -73,7 +72,6 @@ __all__ = [
     "evaluate_many",
     "feasibility",
     "global_optimality_statement",
-    "gradient_check",
     "grid_minimize",
     "levelset_convexity_probe",
     "load",

@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import corpus, problem
 from .certificate import Verdict, global_optimality_statement
 from .continuation import ContinuationError, MuSchedule, solve
@@ -303,18 +301,13 @@ def _run_contour(args) -> int:
         return 2
 
     g = p.constraints[args.constraint - 1]
-    ax1 = np.linspace(p.box[0, 0], p.box[0, 1], args.res)
-    ax2 = np.linspace(p.box[1, 0], p.box[1, 1], args.res)
-    m1, m2 = np.meshgrid(ax1, ax2, indexing="ij")
-    points = np.stack([m1.ravel(), m2.ravel()], axis=1)
-    values = scan_values([g], points)[:, 0]  # where g overflows, +-inf
-
-    # repr of a float round-trips exactly; numpy scalars must be unwrapped first
+    # repr of a float round-trips exactly; tolist unwraps the numpy scalars
     lines = ["# levels: " + ",".join(repr(v) for v in levels), "x1,x2,g"]
-    lines.extend(
-        f"{float(points[i, 0])!r},{float(points[i, 1])!r},{float(values[i])!r}"
-        for i in range(points.shape[0])
-    )
+    for block in problem.grid_blocks(p.box, args.res):
+        values = scan_values([g], block)[:, 0]  # where g overflows, +-inf
+        lines.extend(
+            f"{x1!r},{x2!r},{v!r}" for (x1, x2), v in zip(block.tolist(), values.tolist())
+        )
     _emit(lines, args.out)
     return 0
 

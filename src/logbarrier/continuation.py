@@ -17,7 +17,7 @@ import numpy as np
 from . import expr
 from .barrier import barrier_eval
 from .certificate import KKTCertificate, KKTTolerances, check_kkt
-from .inner import InnerStatus, solve_inner
+from .inner import InnerStatus, default_tolerance, solve_inner
 from .problem import Problem, active_set
 
 
@@ -89,14 +89,21 @@ def _stage(p, mu, x, tol_floor, max_iters, newton, callback):
         p,
         mu,
         x,
-        tol=max(tol_floor, 1e-2 * mu),
+        tol=default_tolerance(mu, tol_floor),
         max_iters=max_iters,
         newton=newton,
-        callback=None,
     )
     if callback is not None:
         callback(mu, result)
     return result
+
+
+def _failed(result, mu: float, tol_floor: float) -> bool:
+    """Whether a stage missed its tolerance by more than STAGE_GRACE."""
+    return (
+        result.status is not InnerStatus.CONVERGED
+        and result.grad_norm > STAGE_GRACE * default_tolerance(mu, tol_floor)
+    )
 
 
 def _path_point(p: Problem, mu: float, result) -> PathPoint:
@@ -153,13 +160,8 @@ def solve(
     weights = schedule.weights()
     prev_mu = None
     for mu in weights:
-        tol_stage = max(tol_floor, 1e-2 * mu)
         result = _stage(p, mu, x, tol_floor, max_iters, newton, stage_callback)
-        if (
-            result.status is not InnerStatus.CONVERGED
-            and result.grad_norm > STAGE_GRACE * tol_stage
-            and prev_mu is not None
-        ):
+        if _failed(result, mu, tol_floor) and prev_mu is not None:
             # one retry: ease in through the geometric mean of the two weights
             mu_mid = math.sqrt(prev_mu * mu)
             mid_result = _stage(p, mu_mid, x, tol_floor, max_iters, newton, stage_callback)
@@ -167,10 +169,7 @@ def solve(
                 points.append(_path_point(p, mu_mid, mid_result))
                 x = mid_result.x
                 result = _stage(p, mu, x, tol_floor, max_iters, newton, stage_callback)
-        if (
-            result.status is not InnerStatus.CONVERGED
-            and result.grad_norm > STAGE_GRACE * tol_stage
-        ):
+        if _failed(result, mu, tol_floor):
             raise ContinuationError(
                 f"inner solve failed at mu = {mu:.3e} ({result.status.value}, "
                 f"grad norm {result.grad_norm:.3e})"
@@ -191,23 +190,3 @@ def solve(
         tols = KKTTolerances(activation=cutoff)
     cert = check_kkt(p, x_last, lam, tols)
     return SolveTrace(points=points, final_certificate=cert)
-
-
-def accumulate(trace: SolveTrace, tail: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Final x plus tail-averaged multipliers, zeroed off the active set.
-
-    Averages the multiplier estimates of the last `tail` path points for
-    the constraints in the final certificate's active set.
-    """
-    if tail < 1:
-        raise ValueError("tail must be at least 1")
-    if len(trace.points) < tail:
-        raise ValueError(f"trace has {len(trace.points)} points, need at least {tail}")
-    x_star = trace.points[-1].x
-    aset = trace.final_certificate.active_set
-    stacked = np.stack([pt.multipliers for pt in trace.points[-tail:]])
-    lam = stacked.mean(axis=0)
-    for j in range(lam.shape[0]):
-        if (j + 1) not in aset:
-            lam[j] = 0.0
-    return x_star, lam

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr
 from .barrier import barrier_hessian
-from .problem import Problem, evaluate_constraints, grid_blocks
+from .problem import Problem, bisect, box_exit, evaluate_constraints, grid_blocks, sample_box
 
 LSE_SHARPNESS = 100.0
 ASCENT_STEPS = 50
@@ -253,16 +253,7 @@ def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
     the rest, bisection pins the crossing of min_j g_j down to a residual
     around machine scale.  Returns (points, gvals, residuals) arrays.
     """
-    lo_b, hi_b = p.box[:, 0], p.box[:, 1]
-    nrays = directions.shape[0]
-    t_exit = np.full(nrays, np.inf)
-    for i in range(p.nvars):
-        d = directions[:, i]
-        pos = d > 0
-        neg = d < 0
-        with np.errstate(divide="ignore"):
-            t_exit[pos] = np.minimum(t_exit[pos], (hi_b[i] - x0[i]) / d[pos])
-            t_exit[neg] = np.minimum(t_exit[neg], (lo_b[i] - x0[i]) / d[neg])
+    t_exit = box_exit(p.box, x0, directions)
     valid = np.isfinite(t_exit) & (t_exit > 0)
 
     def min_g_at(ts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -270,23 +261,17 @@ def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
 
     dirs = directions[valid]
     exits = t_exit[valid]
-    if dirs.shape[0] == 0:
-        empty = np.zeros((0, p.nvars))
-        return empty, np.zeros((0, p.nconstraints)), np.zeros(0)
-    crossing = min_g_at(exits, dirs) <= 1e-12
-    dirs = dirs[crossing]
-    exits = exits[crossing]
+    if dirs.shape[0]:
+        crossing = min_g_at(exits, dirs) <= 1e-12
+        dirs = dirs[crossing]
+        exits = exits[crossing]
     if dirs.shape[0] == 0:
         empty = np.zeros((0, p.nvars))
         return empty, np.zeros((0, p.nconstraints)), np.zeros(0)
 
-    lo = np.zeros(dirs.shape[0])
-    hi = exits.copy()
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        interior = min_g_at(mid, dirs) > 0.0
-        lo = np.where(interior, mid, lo)
-        hi = np.where(interior, hi, mid)
+    lo, hi = bisect(
+        lambda t: min_g_at(t, dirs) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
+    )
     h_lo = np.abs(min_g_at(lo, dirs))
     h_hi = np.abs(min_g_at(hi, dirs))
     t_b = np.where(h_lo <= h_hi, lo, hi)
@@ -421,42 +406,23 @@ def levelset_convexity_probe(
     def push_to_boundary(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # walk each member outward along its direction, keeping the last
         # point that still belongs to the set (membership checked exactly)
-        lo_b, hi_b = p.box[:, 0], p.box[:, 1]
-        t_exit = np.full(pts.shape[0], np.inf)
-        for i in range(p.nvars):
-            d = dirs[:, i]
-            pos = d > 0
-            neg = d < 0
-            with np.errstate(divide="ignore"):
-                t_exit[pos] = np.minimum(t_exit[pos], (hi_b[i] - pts[pos, i]) / d[pos])
-                t_exit[neg] = np.minimum(t_exit[neg], (lo_b[i] - pts[neg, i]) / d[neg])
+        t_exit = box_exit(p.box, pts, dirs)
         t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
-        lo = np.zeros(pts.shape[0])
-        hi = t_exit
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            inside = members_mask(pts + mid[:, None] * dirs)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return pts + lo[:, None] * dirs
+        t_in, _ = bisect(
+            lambda t: members_mask(pts + t[:, None] * dirs),
+            np.zeros(pts.shape[0]),
+            t_exit,
+            iters=40,
+        )
+        return pts + t_in[:, None] * dirs
 
     rng = np.random.default_rng(seed)
     need = 2 * pairs
-    accepted: list[np.ndarray] = []
-    accepted_count = 0
-    attempts = 0
     cap = max(100_000, 50 * pairs)
-    batch = 8192
-    while accepted_count < need and attempts < cap:
-        sample = rng.uniform(p.box[:, 0], p.box[:, 1], size=(batch, p.nvars))
-        attempts += batch
-        picked = sample[members_mask(sample)]
-        if picked.shape[0]:
-            accepted.append(picked)
-            accepted_count += picked.shape[0]
+    # the batch size fixes where the draws stop, and so the directions below
+    arr, _ = sample_box(rng, p.box, members_mask, need, batch=8192, cap=cap)
 
-    if accepted_count >= 2:
-        arr = np.concatenate(accepted)[:need]
+    if arr.shape[0] >= 2:
         npairs = arr.shape[0] // 2
         arr = arr[: 2 * npairs]
         dirs = _random_directions(rng, arr.shape[0], p.nvars)
@@ -525,24 +491,17 @@ def phi_convexity_probe(
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    collected: list[np.ndarray] = []
-    count = 0
-    attempts = 0
     cap = max(100_000, 200 * samples)
-    batch = 4096
-    while count < samples and attempts < cap:
-        draw = rng.uniform(p.box[:, 0], p.box[:, 1], size=(batch, p.nvars))
-        attempts += batch
-        strict = np.all(evaluate_constraints(p, draw) > 0.0, axis=1)
-        picked = draw[strict]
-        if picked.shape[0]:
-            collected.append(picked)
-            count += picked.shape[0]
-    if count == 0:
-        raise NoFeasibleSamplesError(
-            f"no strictly feasible samples in {attempts} draws over the box"
-        )
-    pts = np.concatenate(collected)[:samples]
+    pts, drawn = sample_box(
+        rng,
+        p.box,
+        lambda draw: np.all(evaluate_constraints(p, draw) > 0.0, axis=1),
+        samples,
+        batch=4096,
+        cap=cap,
+    )
+    if pts.shape[0] == 0:
+        raise NoFeasibleSamplesError(f"no strictly feasible samples in {drawn} draws over the box")
 
     lowest = np.linalg.eigvalsh(barrier_hessian(p, pts, mu))[:, 0]
     i = int(np.argmin(lowest))  # ties go to the first sample

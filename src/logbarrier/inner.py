@@ -40,9 +40,12 @@ class InnerResult(NamedTuple):
     status: InnerStatus
 
 
-def default_tolerance(mu: float) -> float:
-    """Gradient-norm target at weight mu: max(1e-8, 1e-2 * mu)."""
-    return max(1e-8, 1e-2 * mu)
+def default_tolerance(mu: float, floor: float = 1e-8) -> float:
+    """Gradient-norm target at weight mu: max(floor, 1e-2 * mu).
+
+    Continuation's stages use it with their tolerance floor.
+    """
+    return max(floor, 1e-2 * mu)
 
 
 def _newton_direction(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Slow, independent reference answers.
+"""A slow, independent reference answer.
 
 grid_minimize brute-forces small problems on a dense grid and polishes the
-best feasible point with projected descent along the boundary;
-gradient_check compares dual propagation against central finite
-differences.  Both exist to catch the fast paths lying, so they share no
-machinery with the barrier code beyond expression evaluation.
+best feasible point with projected descent along the boundary.  It exists
+to catch the fast paths lying, so it shares no machinery with the barrier
+code beyond expression evaluation and the problem's helpers.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .expr import Expr
-from .problem import Problem, evaluate_constraints, grid_blocks
+from .problem import Problem, bisect, evaluate_constraints, grid_blocks
 
 MAX_ORACLE_VARS = 3
 MIN_RESOLUTION = 11
@@ -42,6 +40,15 @@ class OracleResult(NamedTuple):
 
 
 _ACTIVE_EPS = 1e-9
+RESTORE_BISECT_ITERS = 60
+
+
+def _feasible(p: Problem, pts: np.ndarray) -> np.ndarray:
+    """Feasibility of each row of an (N, nvars) batch, by the grid scan's rule.
+
+    A point where some g_j overflows is infeasible.
+    """
+    return evaluate_constraints(p, pts).min(axis=1) >= 0.0
 
 
 def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -52,14 +59,16 @@ def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     expand-then-bisect never misses the crossing even when the gradient
     nearly vanishes at the zero set (a plain Newton pullback would creep
     toward a multiple root from the wrong side forever).  When no usable
-    gradient direction exists, falls back to bisecting the chord to the
-    feasible anchor.
+    gradient direction exists, or the worst g_j overflowed, falls back to
+    bisecting the chord to the feasible anchor.
     """
     for _ in range(4):
-        gvals = evaluate_constraints(p, cand)
+        gvals = evaluate_constraints(p, cand[None, :])[0]
         worst = int(np.argmin(gvals))
         if gvals[worst] >= 0.0:
             return cand
+        if gvals[worst] == -np.inf:
+            break
         grad = expr.evaluate_dual(p.constraints[worst], cand, 1).grad
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-14:
@@ -68,31 +77,29 @@ def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         t = -gvals[worst] / gnorm
         feasible_t = None
         for _ in range(60):
-            if evaluate_constraints(p, cand + t * u).min() >= 0.0:
+            if _feasible(p, (cand + t * u)[None, :])[0]:
                 feasible_t = t
                 break
             t *= 2.0
         if feasible_t is None:
             break
-        lo, hi = 0.0, feasible_t
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if evaluate_constraints(p, cand + mid * u).min() >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        cand = cand + hi * u
-    if evaluate_constraints(p, cand).min() >= 0.0:
+        t_in, _ = bisect(
+            lambda ts: _feasible(p, cand + ts[:, None] * u),
+            np.array([feasible_t]),
+            np.zeros(1),
+            RESTORE_BISECT_ITERS,
+        )
+        cand = cand + t_in[0] * u
+    if _feasible(p, cand[None, :])[0]:
         return cand
-    lo, hi = 0.0, 1.0
     chord = anchor - cand
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if evaluate_constraints(p, cand + mid * chord).min() >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return cand + hi * chord
+    t_in, _ = bisect(
+        lambda ts: _feasible(p, cand + ts[:, None] * chord),
+        np.ones(1),
+        np.zeros(1),
+        RESTORE_BISECT_ITERS,
+    )
+    return cand + t_in[0] * chord
 
 
 def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarray, float]:
@@ -102,7 +109,9 @@ def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarra
     outward components of near-active constraint gradients projected out,
     so iterates can slide along a curved boundary instead of jamming
     against it.  Candidates that leave the feasible set are restored
-    inward; only strict objective improvements are kept.
+    inward; only strict objective improvements are kept.  Candidates are
+    judged as the grid scan judges its points: where some g_j overflows a
+    point is infeasible, and where f overflows it is no improvement.
     """
     t = 1.0
     for _ in range(steps):
@@ -125,10 +134,10 @@ def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarra
         improved = False
         for _ in range(25):
             cand = np.clip(x + t * d, p.box[:, 0], p.box[:, 1])
-            if evaluate_constraints(p, cand).min() < 0.0:
+            if not _feasible(p, cand[None, :])[0]:
                 cand = _restore(p, cand, x)
-            fc = expr.evaluate(p.objective, cand)
-            if fc < fx:
+            fc = float(expr.scan_values([p.objective], cand[None, :])[0, 0])
+            if fc < fx and np.isfinite(fc):
                 x, fx = cand, fc
                 improved = True
                 break
@@ -176,23 +185,3 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
         grid_resolution=res,
         polished=polished,
     )
-
-
-def gradient_check(e: Expr, x, step: float = 1e-6) -> float:
-    """Worst relative disagreement between dual gradient and central FD.
-
-    Relative error uses max(|dual|, |fd|, 1) per coordinate.  Evaluation
-    errors at stencil points (for example ln off its domain) propagate.
-    """
-    xs = np.array([float(v) for v in x])
-    grad = expr.evaluate_dual(e, xs, 1).grad
-    worst = 0.0
-    for i in range(e.nvars):
-        hplus = xs.copy()
-        hminus = xs.copy()
-        hplus[i] += step
-        hminus[i] -= step
-        fd = (expr.evaluate(e, hplus) - expr.evaluate(e, hminus)) / (2.0 * step)
-        denom = max(abs(float(grad[i])), abs(fd), 1.0)
-        worst = max(worst, abs(float(grad[i]) - fd) / denom)
-    return worst

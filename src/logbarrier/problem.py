@@ -88,6 +88,55 @@ def grid_blocks(box: np.ndarray, res: int):
         yield block[start - first * res : stop - first * res]
 
 
+def box_exit(box: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Length t at which each ray x + t * d leaves the box, +inf if it never does.
+
+    dirs is (k, n); x is one start point, shape (n,), or one per ray, (k, n).
+    A ray that starts on a face and points out of the box leaves at t = 0.
+    """
+    x = np.broadcast_to(x, dirs.shape)
+    t_exit = np.full(dirs.shape[0], np.inf)
+    for i, (lo, hi) in enumerate(box):
+        d = dirs[:, i]
+        pos, neg = d > 0, d < 0
+        t_exit[pos] = np.minimum(t_exit[pos], (hi - x[pos, i]) / d[pos])
+        t_exit[neg] = np.minimum(t_exit[neg], (lo - x[neg, i]) / d[neg])
+    return t_exit
+
+
+def bisect(inside, t_in: np.ndarray, t_out: np.ndarray, iters: int):
+    """Halve each bracket between t_in and t_out iters times.
+
+    inside maps an array of t to a bool array; where it holds at the
+    midpoint, the midpoint becomes t_in, else t_out.  So inside stays true
+    at t_in if it was at the start.  Either end may be the larger.
+    Returns the final (t_in, t_out).
+    """
+    for _ in range(iters):
+        mid = 0.5 * (t_in + t_out)
+        ok = inside(mid)
+        t_in = np.where(ok, mid, t_in)
+        t_out = np.where(ok, t_out, mid)
+    return t_in, t_out
+
+
+def sample_box(rng: np.random.Generator, box: np.ndarray, keep, need: int, batch: int, cap: int):
+    """Rejection-sample the box in uniform batches of `batch` points.
+
+    keep maps a (batch, n) draw to a bool mask.  Draws stop once `need`
+    points were kept or `cap` points drawn; both must be positive.  Returns
+    the first `need` kept points in draw order, as a (k, n) array with
+    k <= need, and the number of points drawn.
+    """
+    kept, count, drawn = [], 0, 0
+    while count < need and drawn < cap:
+        draw = rng.uniform(box[:, 0], box[:, 1], size=(batch, box.shape[0]))
+        drawn += batch
+        kept.append(draw[keep(draw)])
+        count += kept[-1].shape[0]
+    return np.concatenate(kept)[:need], drawn
+
+
 def evaluate_constraints(p: Problem, x, constraints=None) -> np.ndarray:
     """The g_j at one point, shape (m,), or over an (N, nvars) batch, shape (N, m).
 

@@ -331,3 +331,32 @@ def test_overflow_in_a_scan_is_an_infeasible_point(run_cli, tmp_path):
     code, stdout, stderr = run_cli(["contour", "--problem", path, "--res", "3"])
     assert (code, stderr) == (0, "")
     assert stdout.splitlines()[-1] == "800.0,3.0,-inf"
+
+
+def test_oracle_polish_counts_an_overflow_as_infeasible(run_cli, tmp_path):
+    # the polish's first step lands at x1 = 800, where 1 - exp(x1) overflows;
+    # the grid scan's rule makes that point infeasible, and restoring it
+    # bisects the chord back to the boundary x1 = 0
+    path = tmp_path / "ovf.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "ovf",
+                "nvars": 2,
+                "objective": "-1000*x1 + x2^2",
+                "constraints": ["1 - exp(x1)", "4 - x2^2"],
+                "box": [[-5, 800], [-3, 3]],
+            }
+        )
+    )
+    code, stdout, stderr = run_cli(["oracle", "--problem", path, "--res", "201", "--polish", "0"])
+    assert (code, stderr) == (0, "")
+    scan = _records(stdout)[0]
+    assert np.allclose(scan["x_best"], [-0.975, 0.0])
+    code, stdout, stderr = run_cli(["oracle", "--problem", path, "--res", "201"])
+    assert (code, stderr) == (0, "")
+    polished = _records(stdout)[0]
+    x1, x2 = polished["x_best"]
+    assert 1.0 - np.exp(x1) >= 0.0 and 4.0 - x2**2 >= 0.0
+    assert polished["f_best"] <= scan["f_best"]
+    assert abs(polished["f_best"]) <= 1e-9

@@ -93,21 +93,17 @@ def test_hyperbola_path_endpoint(traces):
     assert abs(cert.multipliers[0] - 1.0) <= 1e-2
 
 
-def test_accumulate(traces):
-    x, lam = continuation.accumulate(traces["hyperbola"])
-    assert np.abs(x - 1.0).max() <= 1e-3
+def test_final_certificate_multipliers(traces):
+    lam = traces["hyperbola"].final_certificate.multipliers
     assert abs(lam[0] - 1.0) <= 1e-2
     assert np.abs(lam[1:]).max() <= 1e-6
 
-    x, lam = continuation.accumulate(traces["epsbox"])
-    assert np.abs(x - [0.0, 1.0]).max() <= 1e-3
+    cert = traces["epsbox"].final_certificate
+    assert np.abs(cert.x - [0.0, 1.0]).max() <= 1e-3
+    lam = cert.multipliers
     assert abs(lam[0] - 1.001) <= 1e-2
     assert abs(lam[3] - 1.0) <= 1e-2
-
-
-def test_accumulate_needs_enough_points(traces):
-    with pytest.raises(ValueError, match="need at least"):
-        continuation.accumulate(traces["disk"], tail=99)
+    assert np.abs(lam[[1, 2]]).max() <= 1e-6
 
 
 def test_zero_objective_ends_unconstrained():
@@ -125,8 +121,7 @@ def test_zero_objective_ends_unconstrained():
     cert = trace.final_certificate
     assert cert.verdict is Verdict.UNCONSTRAINED_MINIMUM
     assert np.abs(cert.x).max() <= 1e-4
-    _, lam = continuation.accumulate(trace)
-    assert np.abs(lam).max() <= 1e-6
+    assert np.abs(cert.multipliers).max() <= 1e-6
 
 
 def test_solve_with_explicit_start(problems):

@@ -134,22 +134,6 @@ def test_deterministic(problems):
     assert a.to_record() == b.to_record()
 
 
-def test_gradient_check():
-    e = expr.parse("x1^2", 1)
-    assert oracle.gradient_check(e, np.array([3.0])) <= 1e-8
-
-
-def test_gradient_check_cassini(problems):
-    g = problems["cassini"].constraints[0]
-    assert oracle.gradient_check(g, np.array([0.3, 0.2])) <= 1e-5
-
-
-def test_gradient_check_domain_error():
-    e = expr.parse("ln(x1)", 1)
-    with pytest.raises(expr.EvalError):
-        oracle.gradient_check(e, np.array([1e-8]))
-
-
 @pytest.mark.parametrize("objective", ["x1^2 + x2^2 - 2*x1 - 2*x2 + 3", "1"])
 def test_block_size_does_not_change_the_result(monkeypatch, problems, objective):
     # the constant objective ties everywhere: the first feasible point wins

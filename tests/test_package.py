@@ -1,5 +1,7 @@
-"""Package-level guards: which types are dataclasses, frozen records, a clean import."""
+"""Package-level guards: which types are dataclasses, frozen records, a clean import,
+the functions the benchmark tracer wraps."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -12,7 +14,8 @@ import pytest
 
 import logbarrier
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Each stays a dataclass for a reason: the expression nodes and Expr need
 # equality that tells Ln(x) from Exp(x) and Add from Sub, which tuple
@@ -88,3 +91,21 @@ def test_import_is_silent_and_loads_no_third_party_module_but_numpy():
     assert proc.stderr == ""
     loaded = set(proc.stdout.split()) - set(sys.stdlib_module_names)
     assert loaded == {"logbarrier", "numpy"}
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # benchmarks/tracing.py wraps these by module and name; a function
+    # renamed or deleted here would break `benchmarks/run.py --trace 1`
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPAN_FUNCTIONS", "LEAF_FUNCTIONS")
+    }
+    assert set(tables) == {"SPAN_FUNCTIONS", "LEAF_FUNCTIONS"}
+    for table in tables.values():
+        assert table
+        for module, attr in table.values():
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

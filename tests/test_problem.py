@@ -207,6 +207,82 @@ def test_grid_blocks_stream_the_row_major_grid(monkeypatch, budget, nvars, res):
     assert 1 <= blocks[-1].shape[0] <= budget
 
 
+def _exit_by_loop(box, x, d):
+    t = np.inf
+    for (lo, hi), xi, di in zip(box, x, d):
+        if di > 0:
+            t = min(t, (hi - xi) / di)
+        elif di < 0:
+            t = min(t, (lo - xi) / di)
+    return t
+
+
+def test_box_exit_matches_a_loop_over_the_rays():
+    box = np.array([[-1.0, 2.0], [0.5, 0.75], [-3.0, -2.0]])
+    dirs = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, -2.0, 0.0],
+            [0.3, -0.7, 1e-3],
+            [-1.0, 1.0, -1.0],
+            [0.0, 0.0, 0.0],  # never leaves
+            [0.0, 1e-300, 0.0],
+        ]
+    )
+    starts = np.array(
+        [
+            [2.0, 0.6, -2.5],  # on the face x1 = hi, pointing out: t = 0
+            [0.0, 0.5, -2.5],  # on the face x2 = lo, pointing out: t = 0
+            [-1.0, 0.5, -3.0],  # on three lower faces, pointing in on x1
+            [0.1, 0.7, -2.1],
+            [0.0, 0.6, -2.5],
+            [0.0, 0.6, -2.5],
+        ]
+    )
+    got = problem.box_exit(box, starts, dirs)
+    assert np.array_equal(got, [_exit_by_loop(box, x, d) for x, d in zip(starts, dirs)])
+    assert got[0] == got[1] == 0.0 and got[4] == np.inf
+    # one start for every ray
+    got = problem.box_exit(box, starts[3], dirs)
+    assert np.array_equal(got, [_exit_by_loop(box, starts[3], d) for d in dirs])
+
+
+def test_bisect_matches_the_scalar_loop_with_the_inside_end_at_hi():
+    roots = np.array([0.3, 1.0 / 3.0, 0.999, 1e-9, 0.0])
+    t_in, t_out = problem.bisect(lambda t: (t - roots) ** 3 >= 0.0, np.ones(5), np.zeros(5), 60)
+    for k, root in enumerate(roots):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (mid - root) ** 3 >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert (t_in[k], t_out[k]) == (hi, lo)
+    # zero halvings leave the bracket as given
+    t_in, t_out = problem.bisect(lambda t: t > 0, np.ones(2), np.zeros(2), 0)
+    assert np.array_equal(t_in, [1.0, 1.0]) and np.array_equal(t_out, [0.0, 0.0])
+
+
+def test_sample_box_keeps_the_accepted_rows_of_one_large_draw():
+    box = np.array([[-1.0, 2.0], [0.0, 0.5], [3.0, 7.0]])
+
+    def keep(pts):
+        return pts[:, 0] + pts[:, 1] > 1.0
+
+    rows, drawn = problem.sample_box(np.random.default_rng(5), box, keep, 50, 16, 10_000)
+    big = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(drawn, 3))
+    assert np.array_equal(rows, big[keep(big)][:50])
+    assert drawn % 16 == 0 and keep(big[: drawn - 16]).sum() < 50 <= keep(big).sum()
+    # the cap stops the draws first
+    rows, drawn = problem.sample_box(np.random.default_rng(5), box, keep, 50, 16, 32)
+    assert drawn == 32 and np.array_equal(rows, big[:32][keep(big[:32])])
+    # nothing kept
+    rng = np.random.default_rng(5)
+    rows, drawn = problem.sample_box(rng, box, lambda pts: pts[:, 0] > 2.0, 5, 16, 40)
+    assert rows.shape == (0, 3) and drawn == 48
+
+
 def test_interior_point_outside_a_constraint_domain():
     data = {
         "name": "ln-interior",
