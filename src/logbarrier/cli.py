@@ -43,13 +43,26 @@ def _fail(message: str) -> None:
     print(f"logbarrier: {message}", file=sys.stderr)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out:
+class OutputError(Exception):
+    """The --out file cannot be written."""
+
+
+def _write(chunks, out: str | None) -> None:
+    """Write an iterable of text chunks to the --out file, or to stdout."""
+    if not out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as err:
+        raise OutputError(f"cannot write {out}: {err.strerror or err}") from None
+
+
+def _emit(lines: list[str], out: str | None) -> None:
+    _write(["".join(line + "\n" for line in lines)], out)
 
 
 def _load_problem(args) -> Problem:
@@ -301,14 +314,21 @@ def _run_contour(args) -> int:
         return 2
 
     g = p.constraints[args.constraint - 1]
-    # repr of a float round-trips exactly; tolist unwraps the numpy scalars
-    lines = ["# levels: " + ",".join(repr(v) for v in levels), "x1,x2,g"]
+    # a values-only pass first: where g is undefined somewhere on the grid,
+    # the EvalError comes before any output, so none is left half written
     for block in problem.grid_blocks(p.box, args.res):
-        values = scan_values([g], block)[:, 0]  # where g overflows, +-inf
-        lines.extend(
-            f"{x1!r},{x2!r},{v!r}" for (x1, x2), v in zip(block.tolist(), values.tolist())
-        )
-    _emit(lines, args.out)
+        scan_values([g], block)
+
+    def chunks():
+        # repr of a float round-trips exactly; tolist unwraps the numpy scalars
+        yield "# levels: " + ",".join(repr(v) for v in levels) + "\nx1,x2,g\n"
+        for block in problem.grid_blocks(p.box, args.res):
+            values = scan_values([g], block)[:, 0]  # where g overflows, +-inf
+            yield "".join(
+                f"{x1!r},{x2!r},{v!r}\n" for (x1, x2), v in zip(block.tolist(), values.tolist())
+            )
+
+    _write(chunks(), args.out)
     return 0
 
 
@@ -372,7 +392,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except EvalError as err:  # an expression undefined where a command must evaluate it
+    # an expression undefined where a command must evaluate it, or an --out
+    # path that is a directory or lies in a missing one
+    except (EvalError, OutputError) as err:
         _fail(f"input error: {err}")
         return 2
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import expr
+from . import expr, problem
 from .barrier import barrier_hessian
 from .problem import Problem, bisect, box_exit, evaluate_constraints, grid_blocks, sample_box
 
@@ -284,7 +284,8 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
     d = rng.standard_normal((rays, n))
     norms = np.linalg.norm(d, axis=1)
     norms[norms < 1e-12] = 1.0
-    return d / norms[:, None]
+    d /= norms[:, None]
+    return d
 
 
 def nondegeneracy_probe(
@@ -347,6 +348,15 @@ def _scope_levels(p: Problem, constraint, levels) -> tuple[list[int], np.ndarray
     return scope, a
 
 
+def _triu_pairs(k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j < k at positions start..stop-1 of np.triu_indices(k, 1)."""
+    i = np.arange(k - 1)
+    first = i * (2 * k - i - 1) // 2  # the position of (i, i + 1)
+    pos = np.arange(start, stop)
+    rows = np.searchsorted(first, pos, side="right") - 1
+    return rows, pos - first[rows] + rows + 1
+
+
 def levelset_convexity_probe(
     p: Problem,
     constraint="all",
@@ -366,13 +376,20 @@ def levelset_convexity_probe(
     not convex.  When rejection sampling finds too few members (a thin or
     lower-dimensional set), a deterministic grid scan takes over.  No
     witness is only evidence of convexity, never proof.
+
+    Pairs are pushed and scanned in blocks of at most GRID_BLOCK_POINTS
+    points, so memory stays bounded; the first witness ends the probe, and
+    the block size changes no result.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
     scope, a = _scope_levels(p, constraint, levels)
     cols = [p.constraints[j - 1] for j in scope]
 
-    def scan_pairs(xs: np.ndarray, ys: np.ndarray, method: str) -> LevelsetReport | None:
+    def scan_pairs(
+        xs: np.ndarray, ys: np.ndarray, method: str, offset: int
+    ) -> LevelsetReport | None:
+        # offset: the pairs checked in earlier blocks
         mids = 0.5 * (xs + ys)
         gm = evaluate_constraints(p, mids, cols)
         # a midpoint where some g_j overflows reads -inf throughout: its
@@ -395,7 +412,7 @@ def levelset_convexity_probe(
                 levels=a,
                 verdict="counterexample",
                 witness=witness,
-                pairs_checked=int(idx) + 1,
+                pairs_checked=offset + idx + 1,
                 method=method,
             )
         return None
@@ -416,31 +433,43 @@ def levelset_convexity_probe(
         )
         return pts + t_in[:, None] * dirs
 
-    rng = np.random.default_rng(seed)
-    need = 2 * pairs
-    cap = max(100_000, 50 * pairs)
-    # the batch size fixes where the draws stop, and so the directions below
-    arr, _ = sample_box(rng, p.box, members_mask, need, batch=8192, cap=cap)
-
-    if arr.shape[0] >= 2:
-        npairs = arr.shape[0] // 2
-        arr = arr[: 2 * npairs]
-        dirs = _random_directions(rng, arr.shape[0], p.nvars)
-        near_boundary = (np.arange(arr.shape[0]) // 2) % 2 == 1
-        if near_boundary.any():
-            arr[near_boundary] = push_to_boundary(arr[near_boundary], dirs[near_boundary])
-        xs, ys = arr[0 : 2 * npairs : 2], arr[1 : 2 * npairs : 2]
-        report = scan_pairs(xs, ys, "rejection")
-        if report is not None:
-            return report
+    def convex(npairs: int, method: str) -> LevelsetReport:
         return LevelsetReport(
             scope=scope,
             levels=a,
             verdict="convex_up_to_sampling",
             witness=None,
             pairs_checked=npairs,
-            method="rejection",
+            method=method,
         )
+
+    rng = np.random.default_rng(seed)
+    need = 2 * pairs
+    cap = max(100_000, 50 * pairs)
+    # the batch size fixes where the draws stop, and so the directions below
+    arr, _ = sample_box(rng, p.box, members_mask, need, batch=8192, cap=cap)
+
+    # a function, so that one block's arrays are freed before the next is drawn
+    def scan_rejection_block(start: int, stop: int) -> LevelsetReport | None:
+        rows = arr[2 * start : 2 * stop]
+        # both ends of every other pair start from the boundary; drawn block
+        # by block, the directions are the same stream as in one draw
+        near_boundary = (np.arange(2 * start, 2 * stop) // 2) % 2 == 1
+        dirs = _random_directions(rng, rows.shape[0], p.nvars)[near_boundary]
+        if near_boundary.any():
+            rows[near_boundary] = push_to_boundary(rows[near_boundary], dirs)
+        return scan_pairs(rows[0::2], rows[1::2], "rejection", start)
+
+    if arr.shape[0] >= 2:
+        npairs = arr.shape[0] // 2
+        # the fewest equal blocks of at most GRID_BLOCK_POINTS member rows
+        nblocks = -(-npairs // max(1, problem.GRID_BLOCK_POINTS // 2))
+        size = -(-npairs // nblocks)
+        for start in range(0, npairs, size):
+            report = scan_rejection_block(start, min(start + size, npairs))
+            if report is not None:
+                return report
+        return convex(npairs, "rejection")
 
     # rejection found at most one member: the set is thin in the box, so
     # fall back to a deterministic grid scan of the pairs among its first
@@ -461,18 +490,13 @@ def levelset_convexity_probe(
             pairs_checked=0,
             method="grid",
         )
-    ii, jj = np.triu_indices(k, 1)
-    report = scan_pairs(sel[ii], sel[jj], "grid")
-    if report is not None:
-        return report
-    return LevelsetReport(
-        scope=scope,
-        levels=a,
-        verdict="convex_up_to_sampling",
-        witness=None,
-        pairs_checked=int(ii.shape[0]),
-        method="grid",
-    )
+    npairs = k * (k - 1) // 2
+    for start in range(0, npairs, problem.GRID_BLOCK_POINTS):
+        ii, jj = _triu_pairs(k, start, min(start + problem.GRID_BLOCK_POINTS, npairs))
+        report = scan_pairs(sel[ii], sel[jj], "grid", start)
+        if report is not None:
+            return report
+    return convex(npairs, "grid")
 
 
 def phi_convexity_probe(

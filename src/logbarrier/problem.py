@@ -128,13 +128,15 @@ def sample_box(rng: np.random.Generator, box: np.ndarray, keep, need: int, batch
     the first `need` kept points in draw order, as a (k, n) array with
     k <= need, and the number of points drawn.
     """
-    kept, count, drawn = [], 0, 0
+    out = np.empty((need, box.shape[0]))  # filled in place: no second copy of the kept rows
+    count, drawn = 0, 0
     while count < need and drawn < cap:
         draw = rng.uniform(box[:, 0], box[:, 1], size=(batch, box.shape[0]))
         drawn += batch
-        kept.append(draw[keep(draw)])
-        count += kept[-1].shape[0]
-    return np.concatenate(kept)[:need], drawn
+        rows = draw[keep(draw)][: need - count]
+        out[count : count + rows.shape[0]] = rows
+        count += rows.shape[0]
+    return out[:count], drawn
 
 
 def evaluate_constraints(p: Problem, x, constraints=None) -> np.ndarray:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logbarrier import cli
+from logbarrier import cli, problem
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -281,6 +282,68 @@ def test_undefined_expression_is_an_input_error(run_cli, ln_box_file, argv):
     assert stdout == ""
     assert stderr.startswith("logbarrier: input error:")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_contour_domain_error_in_a_later_block_leaves_no_output(run_cli, tmp_path, to_file):
+    # ln(1.99 - x1) is undefined only on the last grid row, x1 = 2, which
+    # lies in the third block of 16384 points
+    path = tmp_path / "ln-edge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "ln-edge",
+                "nvars": 2,
+                "objective": "x1",
+                "constraints": ["ln(1.99 - x1)"],
+                "box": [[-2, 2], [-2, 2]],
+            }
+        )
+    )
+    assert 201 * 200 >= 2 * problem.GRID_BLOCK_POINTS
+    out = tmp_path / "contour.csv"
+    argv = ["contour", "--problem", path] + (["--out", out] if to_file else [])
+    code, stdout, stderr = run_cli(argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("logbarrier: input error:")
+    assert not out.exists()
+
+
+def test_contour_csv_streams_in_bounded_memory(run_cli, tmp_path):
+    # the whole CSV of 1002003 rows takes about 33 MiB as text, and the
+    # list of its lines 208 MiB traced; block by block it is 5.4 MiB
+    out = tmp_path / "contour.csv"
+    tracemalloc.start()
+    try:
+        code, _, stderr = run_cli(["contour", "--builtin", "epsbox", "--res", "1001", "--out", out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, stderr) == (0, "")
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 2 + 1001 * 1001
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("target", ["dir", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "disk"],
+        ["diagnose", "--builtin", "disk", "--check", "slater"],
+        ["oracle", "--builtin", "disk", "--res", "11"],
+        ["contour", "--builtin", "disk", "--res", "3"],
+    ],
+)
+def test_unwritable_out_is_an_input_error(run_cli, tmp_path, argv, target):
+    out = tmp_path if target == "dir" else tmp_path / "missing" / "out.jsonl"
+    code, stdout, stderr = run_cli([*argv, "--out", out])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"logbarrier: input error: cannot write {out}: ")
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "missing").exists()
 
 
 def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):

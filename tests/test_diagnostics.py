@@ -1,6 +1,7 @@
 """Hypothesis probes: Slater point, nondegeneracy, convexity checks."""
 
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,11 @@ BALL3 = problem.problem_from_dict(
         "constraints": ["1 - x1^2 - x2^2 - x3^2"],
         "box": [[-1.5, 1.5]] * 3,
     }
+)
+PLANE3 = problem.problem_from_dict(
+    # a set with no interior: rejection sampling finds no member, so the
+    # level-set probe falls back to the grid and scans 130816 pairs
+    {"name": "plane3", "nvars": 3, "objective": "x1", "constraints": ["-x3^2"], "box": [[-2, 2]] * 3}
 )
 # constant margin over the box: every grid point ties
 PLATEAU = problem.problem_from_dict(
@@ -226,31 +232,36 @@ def test_slater_plateau_keeps_the_first_grid_point():
 
 
 def test_block_size_does_not_change_results(monkeypatch, problems):
-    plane = problem.problem_from_dict(
-        {"name": "plane", "nvars": 3, "objective": "x1", "constraints": ["-x3^2"], "box": [[-2, 2]] * 3}
-    )
     levelset_cases = [
-        (problems["cassini"], 5.0),  # empty region
-        (problems["cassini"], 3.9999999),  # the two foci only: a grid counterexample
-        (plane, 0.0),  # a plane: more members than GRID_FALLBACK_CAP
+        # (problem, level, pairs, seed)
+        (problems["cassini"], 5.0, 1000, 42),  # empty region
+        (problems["cassini"], 3.9999999, 1000, 42),  # the two foci only: a grid counterexample
+        (PLANE3, 0.0, 1000, 42),  # a plane: more members than GRID_FALLBACK_CAP
+        # rejection: witnesses at pairs 12 and 42, past the first blocks of
+        # 3 pairs, and a convex set scanned to the end
+        (problems["cassini"], 1.5, 10000, 7),
+        (problems["cassini"], 1.5, 10000, 42),
+        (problems["epsbox"], 0.0, 10000, 42),
     ]
 
     def run_all():
         slater = [diagnostics.slater_find(p, res) for p, res in _slater_cases(problems)]
         levelsets = [
-            diagnostics.levelset_convexity_probe(p, levels=a, pairs=1000).to_record()
-            for p, a in levelset_cases
+            diagnostics.levelset_convexity_probe(p, levels=a, pairs=pairs, seed=seed).to_record()
+            for p, a, pairs, seed in levelset_cases
         ]
         return slater, levelsets
 
     want_slater, want_levelsets = run_all()
-    assert [r["method"] for r in want_levelsets] == ["grid"] * 3
-    assert [r["verdict"] for r in want_levelsets] == [
-        "empty_region",
-        "counterexample",
-        "convex_up_to_sampling",
+    assert [r["method"] for r in want_levelsets] == ["grid"] * 3 + ["rejection"] * 3
+    assert [(r["verdict"], r["pairs_checked"]) for r in want_levelsets] == [
+        ("empty_region", 0),
+        ("counterexample", want_levelsets[1]["pairs_checked"]),
+        ("convex_up_to_sampling", diagnostics.GRID_FALLBACK_CAP * 511 // 2),
+        ("counterexample", 12),
+        ("counterexample", 42),
+        ("convex_up_to_sampling", 10000),
     ]
-    assert want_levelsets[2]["pairs_checked"] == diagnostics.GRID_FALLBACK_CAP * 511 // 2
     monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
     got_slater, got_levelsets = run_all()
     assert got_levelsets == want_levelsets
@@ -268,6 +279,54 @@ def test_slater_scan_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # 1.1 MiB with blocks of 16384 points, 4.0 MiB with 65536
+
+
+def _traced_peak(fn):
+    fn()  # the first call pays for lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_levelset_grid_fallback_memory_stays_bounded():
+    # all 130816 pairs at once took 14.4 MiB
+    report = diagnostics.levelset_convexity_probe(PLANE3)
+    assert (report.method, report.pairs_checked) == ("grid", 130816)
+    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(PLANE3)) < 6 * 2**20
+
+
+def test_levelset_rejection_memory_stays_bounded():
+    # 2.3 MiB when the 20000 member rows were pushed and scanned in one batch;
+    # the rows themselves take 0.46 MiB
+    report = diagnostics.levelset_convexity_probe(BALL3)
+    assert (report.method, report.pairs_checked) == ("rejection", 10000)
+    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(BALL3)) < 1.2 * 2**20
+
+
+def test_diagnose_evaluates_at_most_a_block_of_points(monkeypatch, run_cli, problems, tmp_path):
+    seen = []
+    walk_roots = expr._walk_roots
+
+    def recording(es, x, order):
+        seen.append(x.shape[0])
+        return walk_roots(es, x, order)
+
+    monkeypatch.setattr(expr, "_walk_roots", recording)
+    files = [["--builtin", name] for name in problems]
+    for p in (BALL3, PLANE3):
+        path = tmp_path / f"{p.name}.json"
+        path.write_text(json.dumps(p.source))
+        files.append(["--problem", path])
+    checks = "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"
+    for source in files:
+        code, _, _ = run_cli(["diagnose", *source, "--check", checks])
+        assert code in (0, 3)
+    assert max(seen) <= problem.GRID_BLOCK_POINTS
+    assert max(seen) >= 5000  # the level-set probe's blocks of pairs
 
 
 def _boundary_reference(p, x0, count, seed, activation_tol=1e-6):
