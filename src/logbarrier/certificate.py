@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .problem import ActiveSet, Problem
+from .problem import Problem
 
 MULTIPLIER_CLAMP = 1e-12
 
@@ -40,28 +40,14 @@ class KKTTolerances(NamedTuple):
 class KKTCertificate(NamedTuple):
     x: np.ndarray
     multipliers: np.ndarray
-    objective_value: float
+    objective: float
     stationarity_residual: float
     complementarity_residual: float
     dual_feasibility_violation: float
     primal_feasibility_violation: float
-    active_set: ActiveSet
+    active_set: list[int]  # 1-based, ascending: the g_j at or below the tolerance
+    activation_tolerance: float
     verdict: Verdict
-
-    def to_record(self) -> dict:
-        return {
-            "record": "certificate",
-            "x": [float(v) for v in self.x],
-            "multipliers": [float(v) for v in self.multipliers],
-            "objective": self.objective_value,
-            "stationarity_residual": self.stationarity_residual,
-            "complementarity_residual": self.complementarity_residual,
-            "dual_feasibility_violation": self.dual_feasibility_violation,
-            "primal_feasibility_violation": self.primal_feasibility_violation,
-            "active_set": self.active_set.as_sorted(),
-            "activation_tolerance": self.active_set.tolerance,
-            "verdict": self.verdict.value,
-        }
 
 
 def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> KKTCertificate:
@@ -104,12 +90,13 @@ def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> 
     return KKTCertificate(
         x=x,
         multipliers=lam,
-        objective_value=fjet.value,
+        objective=fjet.value,
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         dual_feasibility_violation=dual_violation,
         primal_feasibility_violation=primal_violation,
-        active_set=ActiveSet.of(gvals, tols.activation),
+        active_set=[int(j) + 1 for j in np.nonzero(gvals <= tols.activation)[0]],
+        activation_tolerance=tols.activation,
         verdict=verdict,
     )
 

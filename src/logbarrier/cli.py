@@ -4,7 +4,8 @@ Commands: solve (continuation run, trace + certificate), diagnose
 (hypothesis probes), contour (grid CSV of a constraint for plotting
 elsewhere), oracle (grid minimization), list (builtin problems).  All
 structured output is line-delimited JSON records sharing one schema, so a
-single reader parses traces, certificates and diagnostic reports alike.
+single reader parses traces, certificates and diagnostic reports alike;
+record() writes each result record from its NamedTuple's fields.
 Exit codes: 0 success (or met expectation), 2 usage or input error,
 3 solver or assumption failure.
 """
@@ -12,8 +13,12 @@ Exit codes: 0 success (or met expectation), 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+
+import numpy as np
 
 from . import corpus, problem
 from .certificate import Verdict, global_optimality_statement
@@ -43,8 +48,53 @@ def _fail(message: str) -> None:
     print(f"logbarrier: {message}", file=sys.stderr)
 
 
+def _plain(value):
+    """A result field as JSON data: a NamedTuple becomes a dict in field
+    order, an array or list a list; numbers, str-Enums and None stay."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _plain(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def record(kind: str, result, **extra) -> dict:
+    """The JSON record of a result NamedTuple: {"record": kind, **fields, **extra}.
+
+    Every result record the CLI prints is written here, so a field's place
+    in its NamedTuple is its key's place in the record.  A witness that is
+    None (a level-set probe that found no counterexample) is left out.
+    """
+    rec = {"record": kind, **_plain(result), **extra}
+    if "witness" in rec and rec["witness"] is None:
+        del rec["witness"]
+    return rec
+
+
 class OutputError(Exception):
     """The --out file cannot be written."""
+
+
+def _check_out(out: str) -> None:
+    """Raise OutputError now if out cannot be opened for writing.
+
+    Creates and truncates nothing; _write still reports what changes
+    between this check and the write.
+    """
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OutputError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _write(chunks, out: str | None) -> None:
@@ -158,14 +208,14 @@ def _run_solve(args) -> int:
         except SlaterUnverifiedError as err:
             _fail(f"assumption check failed (slater): {err}")
             return 3
-        records.append(SlaterReport(x0, margin, SLATER_GRID_RES).to_record())
+        records.append(record("slater", SlaterReport(x0, margin, SLATER_GRID_RES)))
         if p.interior_point is None:
             start = x0  # the point solve would search for again
         ndg = nondegeneracy_probe(p, seed=args.seed, x0=x0)
-        records.append(ndg.to_record())
+        records.append(record("nondegeneracy", ndg))
         if not ndg.passed:
             worst = min(
-                (e.min_gradient_norm for e in ndg.entries if e.min_gradient_norm is not None),
+                (e.min_gradient_norm for e in ndg.constraints if e.min_gradient_norm is not None),
                 default=0.0,
             )
             _emit([json.dumps(r) for r in records], args.out)
@@ -182,15 +232,17 @@ def _run_solve(args) -> int:
         _fail(f"solve failed: {err}")
         return 3
 
-    records.extend(pt.to_record() for pt in trace.points)
+    records.extend(record("path_point", pt) for pt in trace.points)
     cert = trace.final_certificate
-    cert_record = cert.to_record()
-    cert_record["assumptions_verified"] = assumptions_verified
-    cert_record["statement"] = global_optimality_statement(cert, assumptions_verified)
-    records.append(cert_record)
+    statement = global_optimality_statement(cert, assumptions_verified)
+    records.append(
+        record(
+            "certificate", cert, assumptions_verified=assumptions_verified, statement=statement
+        )
+    )
     _emit([json.dumps(r) for r in records], args.out)
     if cert.verdict is Verdict.NOT_CERTIFIED:
-        _fail(f"final iterate not certified: {cert_record['statement']}")
+        _fail(f"final iterate not certified: {statement}")
         return 3
     return 0
 
@@ -238,26 +290,26 @@ def _run_diagnose(args) -> int:
                     raise SlaterUnverifiedError(slater)
                 x0, margin = slater
             if name == "slater":
-                records.append(SlaterReport(x0, margin, SLATER_GRID_RES).to_record())
+                records.append(record("slater", SlaterReport(x0, margin, SLATER_GRID_RES)))
                 passed = True
             elif name == "nondegeneracy":
                 report = nondegeneracy_probe(p, seed=args.seed, x0=x0)
-                records.append(report.to_record())
+                records.append(record("nondegeneracy", report))
                 passed = report.passed
             elif name == "curvature":
                 report = tangential_curvature_probe(p, seed=args.seed, x0=x0)
-                records.append(report.to_record())
+                records.append(record("tangential_curvature", report))
                 if args.expect == "pass":
                     passed = all(
                         e.max_tangential_curvature is None
                         or e.max_tangential_curvature <= CURVATURE_PASS_TOL
-                        for e in report.entries
+                        for e in report.constraints
                     )
                 else:
                     passed = True
             elif name == "levelset":
                 report = levelset_convexity_probe(p, "all", value, seed=args.seed)
-                records.append(report.to_record())
+                records.append(record("levelset_convexity", report))
                 if args.expect == "nonconvex":
                     passed = report.verdict == "counterexample"
                 elif args.expect == "pass":
@@ -269,7 +321,7 @@ def _run_diagnose(args) -> int:
                     _fail("input error: phiconvexity needs mu > 0")
                     return 2
                 report = phi_convexity_probe(p, value, seed=args.seed)
-                records.append(report.to_record())
+                records.append(record("phi_convexity", report))
                 if args.expect in ("indefinite", "nonconvex"):
                     passed = report.min_eigenvalue < 0.0
                 elif args.expect == "pass":
@@ -349,7 +401,7 @@ def _run_oracle(args) -> int:
     except OracleError as err:
         _fail(f"oracle failed: {err}")
         return 3
-    _emit([json.dumps(result.to_record())], args.out)
+    _emit([json.dumps(record("oracle", result))], args.out)
     return 0
 
 
@@ -391,9 +443,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.out:
+            _check_out(args.out)
         return _HANDLERS[args.command](args)
     # an expression undefined where a command must evaluate it, or an --out
-    # path that is a directory or lies in a missing one
+    # path that is a directory or lies in a missing or unwritable one
     except (EvalError, OutputError) as err:
         _fail(f"input error: {err}")
         return 2

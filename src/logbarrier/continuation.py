@@ -18,7 +18,7 @@ from . import expr
 from .barrier import barrier_eval
 from .certificate import KKTCertificate, KKTTolerances, check_kkt
 from .inner import InnerStatus, default_tolerance, solve_inner
-from .problem import Problem, active_set
+from .problem import Problem, evaluate_constraints
 
 
 class ContinuationError(Exception):
@@ -62,26 +62,10 @@ class PathPoint(NamedTuple):
     grad_norm: float
     status: InnerStatus
 
-    def to_record(self) -> dict:
-        return {
-            "record": "path_point",
-            "mu": self.mu,
-            "x": [float(v) for v in self.x],
-            "multipliers": [float(v) for v in self.multipliers],
-            "objective": self.objective,
-            "grad_norm": self.grad_norm,
-            "status": self.status.value,
-        }
-
 
 class SolveTrace(NamedTuple):
     points: list[PathPoint]
     final_certificate: KKTCertificate
-
-    def to_records(self) -> list[dict]:
-        records = [pt.to_record() for pt in self.points]
-        records.append(self.final_certificate.to_record())
-        return records
 
 
 def _stage(p, mu, x, tol_floor, max_iters, newton, callback):
@@ -181,11 +165,7 @@ def solve(
     mu_last = points[-1].mu
     x_last = points[-1].x
     cutoff = math.sqrt(mu_last)
-    aset = active_set(p, x_last, cutoff)
-    lam = points[-1].multipliers.copy()
-    for j in range(p.nconstraints):
-        if (j + 1) not in aset:
-            lam[j] = 0.0
+    lam = np.where(evaluate_constraints(p, x_last) <= cutoff, points[-1].multipliers, 0.0)
     if tols is None:
         tols = KKTTolerances(activation=cutoff)
     cert = check_kkt(p, x_last, lam, tols)

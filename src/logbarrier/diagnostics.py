@@ -49,15 +49,7 @@ class SlaterReport(NamedTuple):
     point: np.ndarray
     margin: float  # min_j g_j at the point, always > 0
     grid_resolution: int
-
-    def to_record(self) -> dict:
-        return {
-            "record": "slater",
-            "point": [float(v) for v in self.point],
-            "margin": self.margin,
-            "grid_resolution": self.grid_resolution,
-            "passed": True,
-        }
+    passed: bool = True  # a point was found; the search raises otherwise
 
 
 class NondegeneracyEntry(NamedTuple):
@@ -68,34 +60,12 @@ class NondegeneracyEntry(NamedTuple):
 
 
 class NondegeneracyReport(NamedTuple):
-    entries: list[NondegeneracyEntry]
     delta: float
     rays: int
     boundary_points: int
     max_boundary_residual: float  # worst |min_j g_j| over accepted boundary points
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed is not False for e in self.entries)
-
-    def to_record(self) -> dict:
-        return {
-            "record": "nondegeneracy",
-            "delta": self.delta,
-            "rays": self.rays,
-            "boundary_points": self.boundary_points,
-            "max_boundary_residual": self.max_boundary_residual,
-            "constraints": [
-                {
-                    "constraint": e.constraint,
-                    "samples": e.samples,
-                    "min_gradient_norm": e.min_gradient_norm,
-                    "passed": e.passed,
-                }
-                for e in self.entries
-            ],
-            "passed": self.passed,
-        }
+    constraints: list[NondegeneracyEntry]
+    passed: bool  # no constraint failed
 
 
 class LevelsetWitness(NamedTuple):
@@ -112,30 +82,9 @@ class LevelsetReport(NamedTuple):
     scope: list[int]  # 1-based constraint indices probed
     levels: np.ndarray
     verdict: str  # "counterexample", "convex_up_to_sampling", "empty_region"
-    witness: LevelsetWitness | None
     pairs_checked: int
     method: str  # "rejection" or "grid"
-
-    def to_record(self) -> dict:
-        rec = {
-            "record": "levelset_convexity",
-            "scope": self.scope,
-            "levels": [float(v) for v in self.levels],
-            "verdict": self.verdict,
-            "pairs_checked": self.pairs_checked,
-            "method": self.method,
-        }
-        if self.witness is not None:
-            rec["witness"] = {
-                "x": [float(v) for v in self.witness.x],
-                "y": [float(v) for v in self.witness.y],
-                "midpoint": [float(v) for v in self.witness.midpoint],
-                "g_x": [float(v) for v in self.witness.g_x],
-                "g_y": [float(v) for v in self.witness.g_y],
-                "g_mid": [float(v) for v in self.witness.g_mid],
-                "violated": self.witness.violated,
-            }
-        return rec
+    witness: LevelsetWitness | None
 
 
 class PhiConvexityReport(NamedTuple):
@@ -143,15 +92,6 @@ class PhiConvexityReport(NamedTuple):
     samples: int
     min_eigenvalue: float
     witness: np.ndarray  # point attaining the minimum eigenvalue
-
-    def to_record(self) -> dict:
-        return {
-            "record": "phi_convexity",
-            "mu": self.mu,
-            "samples": self.samples,
-            "min_eigenvalue": self.min_eigenvalue,
-            "witness": [float(v) for v in self.witness],
-        }
 
 
 class CurvatureEntry(NamedTuple):
@@ -161,24 +101,9 @@ class CurvatureEntry(NamedTuple):
 
 
 class CurvatureReport(NamedTuple):
-    entries: list[CurvatureEntry]
     boundary_points: int
     vacuous: bool  # one variable only, no tangent directions exist
-
-    def to_record(self) -> dict:
-        return {
-            "record": "tangential_curvature",
-            "boundary_points": self.boundary_points,
-            "vacuous": self.vacuous,
-            "constraints": [
-                {
-                    "constraint": e.constraint,
-                    "samples": e.samples,
-                    "max_tangential_curvature": e.max_tangential_curvature,
-                }
-                for e in self.entries
-            ],
-        }
+    constraints: list[CurvatureEntry]
 
 
 def _in_box(box: np.ndarray, x: np.ndarray) -> bool:
@@ -324,11 +249,12 @@ def nondegeneracy_probe(
             )
         )
     return NondegeneracyReport(
-        entries=entries,
         delta=delta,
         rays=rays,
         boundary_points=int(points.shape[0]),
         max_boundary_residual=float(residuals.max()) if residuals.size else 0.0,
+        constraints=entries,
+        passed=all(e.passed is not False for e in entries),
     )
 
 
@@ -556,7 +482,7 @@ def tangential_curvature_probe(
         x0, _ = slater_find(p)
     if p.nvars == 1:
         entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
-        return CurvatureReport(entries=entries, boundary_points=0, vacuous=True)
+        return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)
     rng = np.random.default_rng(seed)
     directions = _random_directions(rng, boundary_samples, p.nvars)
     points, gvals, _ = _boundary_batch(p, x0, directions)
@@ -574,4 +500,6 @@ def tangential_curvature_probe(
         tops = np.linalg.eigvalsh(restricted)[:, -1]
         top = float(tops.max()) if tops.size else None
         entries.append(CurvatureEntry(j + 1, int(tops.size), top))
-    return CurvatureReport(entries=entries, boundary_points=int(points.shape[0]), vacuous=False)
+    return CurvatureReport(
+        boundary_points=int(points.shape[0]), vacuous=False, constraints=entries
+    )

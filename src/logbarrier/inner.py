@@ -19,7 +19,6 @@ from .problem import Problem
 
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-16
-MAX_HALVINGS = 200
 EIG_FLOOR = 1e-8
 
 
@@ -31,6 +30,7 @@ class InnerStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     LINE_SEARCH_STALL = "line_search_stall"
+    NO_PROGRESS = "no_progress"  # the accepted step left x bit-identical
 
 
 class InnerResult(NamedTuple):
@@ -76,7 +76,9 @@ def solve_inner(
 
     tol defaults to max(1e-8, 1e-2 * mu).  The callback, if given, receives
     (iteration, x, value, grad_norm, step) once per iterate; step is the
-    length of the step that produced the iterate, 0.0 for the start.
+    length of the step that produced the iterate, 0.0 for the start.  An
+    accepted step that leaves x bit-identical counts as an iteration but
+    makes no new iterate: the solve ends there with status NO_PROGRESS.
     """
     if tol is None:
         tol = default_tolerance(mu)
@@ -101,22 +103,23 @@ def solve_inner(
         d = _newton_direction(p, x, mu, be.gradient) if newton else -be.gradient
         slope = float(be.gradient @ d)
         t = 1.0
-        halvings = 0
         accepted = None
-        while t >= MIN_STEP and halvings <= MAX_HALVINGS:
+        while t >= MIN_STEP:
             cand = x + t * d
             val = barrier_value(p, cand, mu)
             if val <= be.value + ARMIJO_C1 * t * slope:
                 accepted = (cand, t)
                 break
             t *= 0.5
-            halvings += 1
         if accepted is None:
             return InnerResult(x, grad_norm, iterations, InnerStatus.LINE_SEARCH_STALL)
 
+        iterations += 1
+        if np.array_equal(accepted[0], x):
+            # every later iteration would repeat this one bit for bit
+            return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS)
         x, step = accepted
         be = barrier_eval(p, x, mu)
-        iterations += 1
 
     grad_norm = float(np.linalg.norm(be.gradient))
     return InnerResult(x, grad_norm, iterations, InnerStatus.MAX_ITERS)

@@ -29,15 +29,6 @@ class OracleResult(NamedTuple):
     grid_resolution: int
     polished: bool
 
-    def to_record(self) -> dict:
-        return {
-            "record": "oracle",
-            "x_best": [float(v) for v in self.x_best],
-            "f_best": self.f_best,
-            "grid_resolution": self.grid_resolution,
-            "polished": self.polished,
-        }
-
 
 _ACTIVE_EPS = 1e-9
 RESTORE_BISECT_ITERS = 60

@@ -11,7 +11,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,25 +30,6 @@ class Feasibility(str, Enum):
     STRICTLY_FEASIBLE = "strictly_feasible"
     BOUNDARY = "boundary"
     INFEASIBLE = "infeasible"
-
-
-class ActiveSet(NamedTuple):
-    """Indices (1-based) of constraints at or below an activation tolerance."""
-
-    indices: frozenset[int]
-    tolerance: float
-
-    @staticmethod
-    def of(gvals: np.ndarray, tolerance: float) -> "ActiveSet":
-        """The constraints whose values g_j are at or below the tolerance."""
-        indices = frozenset(int(j) + 1 for j in np.nonzero(gvals <= tolerance)[0])
-        return ActiveSet(indices, tolerance)
-
-    def as_sorted(self) -> list[int]:
-        return sorted(self.indices)
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
 
 
 @dataclass(frozen=True)
@@ -167,10 +147,6 @@ def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:
     if np.all(gvals > boundary_tol):
         return Feasibility.STRICTLY_FEASIBLE
     return Feasibility.BOUNDARY
-
-
-def active_set(p: Problem, x, tolerance: float) -> ActiveSet:
-    return ActiveSet.of(evaluate_constraints(p, x), tolerance)
 
 
 _PARAM_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from logbarrier import barrier, certificate, expr, problem
+from logbarrier import barrier, certificate, cli, problem
 from logbarrier.certificate import KKTTolerances, Verdict
+from logbarrier.problem import Feasibility
 
 ZERO_OBJECTIVE_DISK = problem.problem_from_dict(
     {
@@ -27,8 +28,8 @@ def test_exact_kkt_point(problems):
     assert cert.complementarity_residual == 0.0
     assert cert.dual_feasibility_violation == 0.0
     assert cert.primal_feasibility_violation == 0.0
-    assert cert.active_set.as_sorted() == [1]
-    assert cert.objective_value == 2.0
+    assert cert.active_set == [1]
+    assert cert.objective == 2.0
 
 
 def test_stationarity_failure_named(problems):
@@ -112,7 +113,8 @@ def test_check_is_pure(problems):
     p = problems["epsbox"]
     x = np.array([0.1, 0.9])
     lam = np.array([0.5, 0.0, 0.0, 0.2])
-    assert certificate.check_kkt(p, x, lam).to_record() == certificate.check_kkt(p, x, lam).to_record()
+    want = cli.record("certificate", certificate.check_kkt(p, x, lam))
+    assert cli.record("certificate", certificate.check_kkt(p, x, lam)) == want
 
 
 def test_activation_tolerance_controls_active_set(problems):
@@ -120,8 +122,8 @@ def test_activation_tolerance_controls_active_set(problems):
     x = np.array([0.999, 0.0])  # g about 2e-3
     tight = certificate.check_kkt(p, x, np.array([0.0]))
     loose = certificate.check_kkt(p, x, np.array([0.0]), KKTTolerances(activation=1e-2))
-    assert tight.active_set.as_sorted() == []
-    assert loose.active_set.as_sorted() == [1]
+    assert tight.active_set == []
+    assert loose.active_set == [1]
 
 
 def test_statement_branches(problems):
@@ -135,11 +137,34 @@ def test_statement_branches(problems):
     assert "no global-optimality claim" in cautious
 
 
+def _active(p, x, tolerance):
+    lam = np.zeros(p.nconstraints)
+    return certificate.check_kkt(p, np.array(x), lam, KKTTolerances(activation=tolerance))
+
+
+def test_active_set_examples(problems):
+    assert _active(problems["hyperbola"], [1.0, 1.0], 1e-6).active_set == [1]
+    assert _active(problems["epsbox"], [0.0, 1.0], 1e-6).active_set == [1, 4]
+    got = _active(problems["disk"], [0.0, 0.0], 1e-6)
+    assert got.active_set == []
+    assert got.activation_tolerance == 1e-6
+
+
+def test_active_set_empty_when_strictly_feasible(problems):
+    rng = np.random.default_rng(12)
+    for p in problems.values():
+        pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(40, p.nvars))
+        for x in pts:
+            tol = 1e-8
+            if problem.feasibility(p, x, boundary_tol=tol) is Feasibility.STRICTLY_FEASIBLE:
+                assert _active(p, x, tol).active_set == []
+
+
 def test_record_keys(problems):
     cert = certificate.check_kkt(problems["disk"], np.array([0.0, 0.0]), np.array([2.0]))
-    rec = cert.to_record()
+    rec = cli.record("certificate", cert)
     assert rec["record"] == "certificate"
-    assert set(rec) == {
+    assert list(rec) == [
         "record",
         "x",
         "multipliers",
@@ -151,4 +176,4 @@ def test_record_keys(problems):
         "active_set",
         "activation_tolerance",
         "verdict",
-    }
+    ]

@@ -326,6 +326,14 @@ def test_contour_csv_streams_in_bounded_memory(run_cli, tmp_path):
     assert peak < 16 * 2**20
 
 
+UNWRITABLE_OUT_WORK = {
+    "solve": "solve",
+    "diagnose": "slater_find",
+    "oracle": "grid_minimize",
+    "contour": "scan_values",
+}
+
+
 @pytest.mark.parametrize("target", ["dir", "missing-parent"])
 @pytest.mark.parametrize(
     "argv",
@@ -336,7 +344,12 @@ def test_contour_csv_streams_in_bounded_memory(run_cli, tmp_path):
         ["contour", "--builtin", "disk", "--res", "3"],
     ],
 )
-def test_unwritable_out_is_an_input_error(run_cli, tmp_path, argv, target):
+def test_unwritable_out_is_an_input_error(monkeypatch, run_cli, tmp_path, argv, target):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before checking --out")
+
+    # the first function each command does its work through
+    monkeypatch.setattr(cli, UNWRITABLE_OUT_WORK[argv[0]], work)
     out = tmp_path if target == "dir" else tmp_path / "missing" / "out.jsonl"
     code, stdout, stderr = run_cli([*argv, "--out", out])
     assert code == 2
@@ -423,3 +436,92 @@ def test_oracle_polish_counts_an_overflow_as_infeasible(run_cli, tmp_path):
     assert 1.0 - np.exp(x1) >= 0.0 and 4.0 - x2**2 >= 0.0
     assert polished["f_best"] <= scan["f_best"]
     assert abs(polished["f_best"]) <= 1e-9
+
+
+def test_out_check_creates_and_truncates_nothing(run_cli, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert run_cli(["list", "--out", out])[0] == 0
+    text = out.read_text()
+    assert run_cli(["solve", "--builtin", "no-such-problem", "--out", out])[0] == 2
+    assert out.read_text() == text
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_cli(["solve", "--builtin", "no-such-problem", "--out", fresh])[0] == 2
+    assert not fresh.exists()
+
+
+def _key_tree(rec):
+    # the keys in order; a dict value, or a list of dicts, adds its own keys
+    tree = []
+    for key, value in rec.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = value[0]
+        tree.append((key, _key_tree(value)) if isinstance(value, dict) else key)
+    return tree
+
+
+@pytest.fixture(scope="module")
+def emitted(run_cli):
+    # one record of each kind, keyed by kind; the level-set record twice
+    argvs = [
+        ["solve", "--builtin", "disk"],
+        ["oracle", "--builtin", "disk", "--res", "11"],
+        ["diagnose", "--builtin", "cassini", "--check", "slater,nondegeneracy,curvature"],
+        ["diagnose", "--builtin", "cassini", "--check", "levelset:0,levelset:1.5,phiconvexity:1"],
+    ]
+    out = {}
+    for argv in argvs:
+        code, stdout, _ = run_cli(argv)
+        assert code == 0
+        for rec in _records(stdout):
+            kind = rec["record"]
+            if kind == "levelset_convexity" and "witness" in rec:
+                kind = "levelset_convexity+witness"
+            out.setdefault(kind, rec)
+    return out
+
+
+WITNESS = ("witness", ["x", "y", "midpoint", "g_x", "g_y", "g_mid", "violated"])
+LEVELSET = ["record", "scope", "levels", "verdict", "pairs_checked", "method"]
+RECORD_KEYS = {
+    "slater": ["record", "point", "margin", "grid_resolution", "passed"],
+    "nondegeneracy": [
+        "record",
+        "delta",
+        "rays",
+        "boundary_points",
+        "max_boundary_residual",
+        ("constraints", ["constraint", "samples", "min_gradient_norm", "passed"]),
+        "passed",
+    ],
+    "tangential_curvature": [
+        "record",
+        "boundary_points",
+        "vacuous",
+        ("constraints", ["constraint", "samples", "max_tangential_curvature"]),
+    ],
+    "levelset_convexity": LEVELSET,
+    "levelset_convexity+witness": [*LEVELSET, WITNESS],
+    "phi_convexity": ["record", "mu", "samples", "min_eigenvalue", "witness"],
+    "path_point": ["record", "mu", "x", "multipliers", "objective", "grad_norm", "status"],
+    "certificate": [
+        "record",
+        "x",
+        "multipliers",
+        "objective",
+        "stationarity_residual",
+        "complementarity_residual",
+        "dual_feasibility_violation",
+        "primal_feasibility_violation",
+        "active_set",
+        "activation_tolerance",
+        "verdict",
+        "assumptions_verified",
+        "statement",
+    ],
+    "oracle": ["record", "x_best", "f_best", "grid_resolution", "polished"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_KEYS))
+def test_record_schema(emitted, kind):
+    assert _key_tree(emitted[kind]) == RECORD_KEYS[kind]

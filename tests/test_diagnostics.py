@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logbarrier import barrier, diagnostics, expr, problem
+from logbarrier import barrier, cli, diagnostics, expr, problem
 from logbarrier.diagnostics import NoFeasibleSamplesError, SlaterUnverifiedError
 
 VOID = problem.problem_from_dict(
@@ -70,7 +70,7 @@ def test_nondegeneracy_disk(problems):
     assert r.passed is True
     assert r.boundary_points == 256
     assert r.max_boundary_residual <= 1e-8
-    (entry,) = r.entries
+    (entry,) = r.constraints
     assert entry.samples == 256
     assert abs(entry.min_gradient_norm - 2.0) <= 1e-6
 
@@ -78,9 +78,9 @@ def test_nondegeneracy_disk(problems):
 def test_nondegeneracy_unreached_constraints(problems):
     r = diagnostics.nondegeneracy_probe(problems["hyperbola"])
     assert r.passed is True
-    by_constraint = {e.constraint: e for e in r.entries}
+    by_constraint = {e.constraint: e for e in r.constraints}
     assert sorted(by_constraint) == [1, 2, 3, 4, 5]
-    assert sum(e.samples for e in r.entries) == 256
+    assert sum(e.samples for e in r.constraints) == 256
     # boundary rays never land on the far box edges at x = 10
     for j in (2, 3):
         assert by_constraint[j].samples == 0
@@ -95,7 +95,7 @@ def test_nondegeneracy_unreached_constraints(problems):
 def test_nondegeneracy_detects_vanishing_gradient(problems):
     r = diagnostics.nondegeneracy_probe(problems["degenerate-disk"])
     assert r.passed is False
-    (entry,) = r.entries
+    (entry,) = r.constraints
     assert entry.passed is False
     assert entry.min_gradient_norm <= 1e-4
 
@@ -103,7 +103,7 @@ def test_nondegeneracy_detects_vanishing_gradient(problems):
 def test_nondegeneracy_deterministic(problems):
     a = diagnostics.nondegeneracy_probe(problems["cassini"], seed=42)
     b = diagnostics.nondegeneracy_probe(problems["cassini"], seed=42)
-    assert a.to_record() == b.to_record()
+    assert cli.record("nondegeneracy", a) == cli.record("nondegeneracy", b)
     c = diagnostics.nondegeneracy_probe(problems["cassini"], seed=7)
     assert c.passed is True
 
@@ -161,7 +161,7 @@ def test_levelset_bad_scope(problems):
 def test_levelset_deterministic(problems):
     a = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=42)
     b = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=42)
-    assert a.to_record() == b.to_record()
+    assert cli.record("levelset_convexity", a) == cli.record("levelset_convexity", b)
     c = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=7)
     assert c.verdict == "counterexample"
 
@@ -189,7 +189,7 @@ def test_phi_convexity_needs_samples():
 def test_curvature_disk(problems):
     r = diagnostics.tangential_curvature_probe(problems["disk"])
     assert r.vacuous is False
-    (entry,) = r.entries
+    (entry,) = r.constraints
     assert entry.samples == 256
     assert abs(entry.max_tangential_curvature + 2.0) <= 1e-6
 
@@ -197,7 +197,7 @@ def test_curvature_disk(problems):
 def test_curvature_convex_boundaries(problems):
     for name in ("cassini", "hyperbola"):
         r = diagnostics.tangential_curvature_probe(problems[name])
-        for entry in r.entries:
+        for entry in r.constraints:
             if entry.samples > 0:
                 assert entry.max_tangential_curvature <= 1e-6
 
@@ -215,7 +215,7 @@ def test_curvature_vacuous_in_one_variable():
     )
     r = diagnostics.tangential_curvature_probe(p)
     assert r.vacuous is True
-    (entry,) = r.entries
+    (entry,) = r.constraints
     assert entry.samples == 0
     assert entry.max_tangential_curvature is None
 
@@ -247,7 +247,10 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
     def run_all():
         slater = [diagnostics.slater_find(p, res) for p, res in _slater_cases(problems)]
         levelsets = [
-            diagnostics.levelset_convexity_probe(p, levels=a, pairs=pairs, seed=seed).to_record()
+            cli.record(
+                "levelset_convexity",
+                diagnostics.levelset_convexity_probe(p, levels=a, pairs=pairs, seed=seed),
+            )
             for p, a, pairs, seed in levelset_cases
         ]
         return slater, levelsets
@@ -361,13 +364,13 @@ def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     for j in range(p.nconstraints):
         norms = [norm for k, norm, _ in ref if k == j]
         tops = [top for k, _, top in ref if k == j and top is not None]
-        assert ndg.entries[j].samples == len(norms)
-        assert cur.entries[j].samples == len(tops)
+        assert ndg.constraints[j].samples == len(norms)
+        assert cur.constraints[j].samples == len(tops)
         if not norms:
-            assert ndg.entries[j].min_gradient_norm is None
+            assert ndg.constraints[j].min_gradient_norm is None
             continue
-        assert ndg.entries[j].min_gradient_norm == pytest.approx(min(norms), rel=4 * eps)
-        top = cur.entries[j].max_tangential_curvature
+        assert ndg.constraints[j].min_gradient_norm == pytest.approx(min(norms), rel=4 * eps)
+        top = cur.constraints[j].max_tangential_curvature
         if not tops:
             assert top is None
         else:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logbarrier import expr, oracle, problem
+from logbarrier import cli, expr, oracle, problem
 from logbarrier.oracle import OracleError
 
 ROOT_HALF = float(np.sqrt(0.5))
@@ -131,13 +131,13 @@ def test_no_feasible_grid_point():
 def test_deterministic(problems):
     a = oracle.grid_minimize(problems["cassini"], res=201)
     b = oracle.grid_minimize(problems["cassini"], res=201)
-    assert a.to_record() == b.to_record()
+    assert cli.record("oracle", a) == cli.record("oracle", b)
 
 
 @pytest.mark.parametrize("objective", ["x1^2 + x2^2 - 2*x1 - 2*x2 + 3", "1"])
 def test_block_size_does_not_change_the_result(monkeypatch, problems, objective):
     # the constant objective ties everywhere: the first feasible point wins
     p = problem.problem_from_dict({**problems["disk"].source, "objective": objective})
-    want = oracle.grid_minimize(p, res=101, polish_steps=0).to_record()
+    want = cli.record("oracle", oracle.grid_minimize(p, res=101, polish_steps=0))
     monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
-    assert oracle.grid_minimize(p, res=101, polish_steps=0).to_record() == want
+    assert cli.record("oracle", oracle.grid_minimize(p, res=101, polish_steps=0)) == want

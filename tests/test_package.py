@@ -47,7 +47,6 @@ RECORDS = [
     "diagnostics.CurvatureReport",
     "inner.InnerResult",
     "oracle.OracleResult",
-    "problem.ActiveSet",
     "expr._Token",
 ]
 

@@ -153,25 +153,6 @@ def test_feasibility_monotone_in_tolerance(problems):
                 assert hi is not Feasibility.STRICTLY_FEASIBLE
 
 
-def test_active_set_examples(problems):
-    assert problem.active_set(problems["hyperbola"], np.array([1.0, 1.0]), 1e-6).as_sorted() == [1]
-    assert problem.active_set(problems["epsbox"], np.array([0.0, 1.0]), 1e-6).as_sorted() == [1, 4]
-    got = problem.active_set(problems["disk"], np.array([0.0, 0.0]), 1e-6)
-    assert got.as_sorted() == []
-    assert got.tolerance == 1e-6
-    assert 1 not in got
-
-
-def test_active_set_empty_when_strictly_feasible(problems):
-    rng = np.random.default_rng(12)
-    for p in problems.values():
-        pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(40, p.nvars))
-        for x in pts:
-            tol = 1e-8
-            if problem.feasibility(p, x, boundary_tol=tol) is Feasibility.STRICTLY_FEASIBLE:
-                assert problem.active_set(p, x, tol).as_sorted() == []
-
-
 def test_load_round_trip(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(BASE))
