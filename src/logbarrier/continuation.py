@@ -9,7 +9,6 @@ final stage yields a certificate candidate directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,19 +32,17 @@ class ContinuationError(Exception):
 STAGE_GRACE = 100.0
 
 
-@dataclass(frozen=True)
 class MuSchedule:
     """Geometric weight schedule mu0 * factor^k, stopping at mu_min."""
 
-    mu0: float = 1.0
-    factor: float = 0.2
-    mu_min: float = 1e-8
+    __slots__ = ("mu0", "factor", "mu_min")
 
-    def __post_init__(self):
-        if not 0.0 < self.mu_min <= self.mu0:
+    def __init__(self, mu0: float = 1.0, factor: float = 0.2, mu_min: float = 1e-8):
+        if not 0.0 < mu_min <= mu0:
             raise ValueError("need 0 < mu_min <= mu0")
-        if not 0.0 < self.factor < 1.0:
+        if not 0.0 < factor < 1.0:
             raise ValueError("need 0 < factor < 1")
+        self.mu0, self.factor, self.mu_min = mu0, factor, mu_min
 
     def weights(self) -> list[float]:
         out = [self.mu0]

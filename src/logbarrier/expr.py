@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,69 +45,18 @@ class EvalError(ExprError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: float
+class Expr(NamedTuple):
+    """A parsed expression over a fixed number of variables.
 
+    root is a tree of tagged tuples: ("const", v) with a float v, ("var", i)
+    with a 0-based i (rendered 1-based as x1, x2, ...), ("neg", a),
+    ("ln", a), ("exp", a), ("add", lhs, rhs), ("sub", lhs, rhs),
+    ("mul", lhs, rhs), ("div", lhs, rhs) and ("pow", base, n) with an int n.
+    Tuples give trees equality, hashing and immutability; the tag tells
+    ln from exp and add from sub.
+    """
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: int  # 0-based; rendered 1-based as x1, x2, ...
-
-
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Ln:
-    operand: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Exp:
-    operand: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Add:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Sub:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Mul:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Div:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: "Node"
-    exponent: int  # an integer literal, or a param with an int value
-
-
-Node = Const | Var | Neg | Ln | Exp | Add | Sub | Mul | Div | Pow
-
-
-@dataclass(frozen=True, slots=True)
-class Expr:
-    """A parsed expression over a fixed number of variables."""
-
-    root: Node
+    root: tuple
     nvars: int
 
     def serialize(self) -> str:
@@ -142,6 +90,9 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+_BINARY_TAGS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], nvars: int, params: dict):
         self.tokens = tokens
@@ -165,40 +116,38 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return self.take()
 
-    def parse(self) -> Node:
+    def parse(self) -> tuple:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> Node:
+    def expr(self) -> tuple:
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            node = (_BINARY_TAGS[op.kind], node, self.term())
         return node
 
-    def term(self) -> Node:
+    def term(self) -> tuple:
         node = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            node = (_BINARY_TAGS[op.kind], node, self.factor())
         return node
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple:
         if self.peek().kind == "-":
             self.take()
-            return Neg(self.factor())
+            return ("neg", self.factor())
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> tuple:
         node = self.atom()
         while self.peek().kind == "^":
             self.take()
-            node = Pow(node, self.exponent())
+            node = ("pow", node, self.exponent())
         return node
 
     def exponent(self) -> int:
@@ -218,11 +167,11 @@ class _Parser:
         self.take()
         return sign * int(tok.text)
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return Const(float(tok.text))
+            return ("const", float(tok.text))
         if tok.kind == "ident":
             self.take()
             m = _VAR_RE.match(tok.text)
@@ -232,14 +181,14 @@ class _Parser:
                     raise ParseError(
                         f"variable x{k} out of range for {self.nvars} variable(s)", tok.pos
                     )
-                return Var(k - 1)
+                return ("var", k - 1)
             if tok.text in ("ln", "exp"):
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")
-                return Ln(inner) if tok.text == "ln" else Exp(inner)
+                return (tok.text, inner)  # tagged with the function's name
             if tok.text in self.params:
-                return Const(float(self.params[tok.text]))
+                return ("const", float(self.params[tok.text]))
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "(":
             self.take()
@@ -271,36 +220,36 @@ def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
 _SUM, _TERM, _UNARY, _POW, _ATOM = 0, 1, 2, 3, 4
 
 
-def _render(node: Node) -> tuple[str, int]:
+def _render(node: tuple) -> tuple[str, int]:
     match node:
-        case Const(value):
+        case ("const", value):
             # a param can bind a negative constant, -0.0 included
             return repr(value), _ATOM if math.copysign(1.0, value) > 0 else _UNARY
-        case Var(index):
+        case ("var", index):
             return f"x{index + 1}", _ATOM
-        case Ln(operand):
+        case ("ln", operand):
             return f"ln({_ser(operand, _SUM)})", _ATOM
-        case Exp(operand):
+        case ("exp", operand):
             return f"exp({_ser(operand, _SUM)})", _ATOM
-        case Neg(operand):
+        case ("neg", operand):
             return f"-{_ser(operand, _UNARY)}", _UNARY
-        case Add(lhs, rhs):
+        case ("add", lhs, rhs):
             return f"{_ser(lhs, _SUM)} + {_ser(rhs, _TERM)}", _SUM
-        case Sub(lhs, rhs):
+        case ("sub", lhs, rhs):
             return f"{_ser(lhs, _SUM)} - {_ser(rhs, _TERM)}", _SUM
-        case Mul(lhs, rhs):
+        case ("mul", lhs, rhs):
             return f"{_ser(lhs, _TERM)}*{_ser(rhs, _UNARY)}", _TERM
-        case Div(lhs, rhs):
+        case ("div", lhs, rhs):
             return f"{_ser(lhs, _TERM)}/{_ser(rhs, _UNARY)}", _TERM
-        case Pow(base, exponent):
+        case ("pow", base, exponent):
             # base may itself be a power (chains are left associative);
             # anything looser needs parentheses
-            required = _POW if isinstance(base, Pow) else _ATOM
+            required = _POW if base[0] == "pow" else _ATOM
             return f"{_ser(base, required)}^{exponent}", _POW
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _ser(node: Node, minlevel: int) -> str:
+def _ser(node: tuple, minlevel: int) -> str:
     text, level = _render(node)
     if level < minlevel:
         return f"({text})"
@@ -364,27 +313,27 @@ def _ipow(v, n: int):
 # The walker is a module-level function taking the point(s) as an argument:
 # a nested recursive closure is a reference cycle that would keep the
 # caller's input alive until a GC pass.
-def _walk(node: Node, at: _At) -> tuple:
+def _walk(node: tuple, at: _At) -> tuple:
     """(value, gradient, Hessian) of a subtree; derivatives above the order are None.
 
     The product, quotient and chain rules combine every rank-one pair as
     S + S^T, so Hessians come out exactly symmetric.
     """
     match node:
-        case Const(value):
+        case ("const", value):
             return value, at.zero_grad, at.zero_hess
-        case Var(index):
+        case ("var", index):
             return at.xs[index], at.units[index], at.zero_hess
-        case Neg(operand):
+        case ("neg", operand):
             v, g, h = _walk(operand, at)
             return -v, g if g is None else -g, h if h is None else -h
-        case Add(lhs, rhs):
+        case ("add", lhs, rhs):
             (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
             return va + vb, ga if ga is None else ga + gb, ha if ha is None else ha + hb
-        case Sub(lhs, rhs):
+        case ("sub", lhs, rhs):
             (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
             return va - vb, ga if ga is None else ga - gb, ha if ha is None else ha - hb
-        case Mul(lhs, rhs):
+        case ("mul", lhs, rhs):
             (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
             v = va * vb
             if ga is None:
@@ -394,7 +343,7 @@ def _walk(node: Node, at: _At) -> tuple:
                 return v, g, None
             s = _outer(ga, gb)
             return v, g, ha * vb + va * hb + (s + s.swapaxes(0, 1))
-        case Div(lhs, rhs):
+        case ("div", lhs, rhs):
             (va, ga, ha), (vb, gb, hb) = _walk(lhs, at), _walk(rhs, at)
             v = va / vb
             if ga is None:
@@ -404,7 +353,7 @@ def _walk(node: Node, at: _At) -> tuple:
                 return v, g, None
             s = _outer(g, gb)
             return v, g, (ha - (s + s.swapaxes(0, 1)) - v * hb) / vb
-        case Ln(operand):
+        case ("ln", operand):
             va, ga, ha = _walk(operand, at)
             v = np.log(va)
             if ga is None:
@@ -413,7 +362,7 @@ def _walk(node: Node, at: _At) -> tuple:
             if ha is None:
                 return v, g, None
             return v, g, ha / va - _outer(g, g)
-        case Exp(operand):
+        case ("exp", operand):
             va, ga, ha = _walk(operand, at)
             w = np.exp(va)
             if ga is None:
@@ -421,7 +370,7 @@ def _walk(node: Node, at: _At) -> tuple:
             if ha is None:
                 return w, w * ga, None
             return w, w * ga, w * (ha + _outer(ga, ga))
-        case Pow(base, n):
+        case ("pow", base, n):
             va, ga, ha = _walk(base, at)
             if n == 0:
                 return 1.0, at.zero_grad, at.zero_hess

@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +32,16 @@ class Feasibility(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
+    """A validated problem; problem_from_dict is the one place that builds it."""
+
     name: str
     nvars: int
     objective: Expr
     constraints: tuple[Expr, ...]
     box: np.ndarray  # shape (nvars, 2), columns lo, hi
-    interior_point: np.ndarray | None = None
-    source: dict = field(default_factory=dict, repr=False)
+    interior_point: np.ndarray | None
+    source: dict  # the dict form it was built from
 
     @property
     def nconstraints(self) -> int:

@@ -175,7 +175,7 @@ def test_criterion_6_barrier_calculus_identities(problems):
             worst_prod = max(worst_prod, float(np.abs(prods - mu).max()) / mu)
             for g in p.constraints:
                 d = expr.evaluate_dual(g, x)
-                dl = expr.evaluate_dual(expr.Expr(expr.Ln(g.root), p.nvars), x)
+                dl = expr.evaluate_dual(expr.Expr(("ln", g.root), p.nvars), x)
                 lhs = d.value**2 * dl.hess
                 rhs = d.value * d.hess - np.outer(d.grad, d.grad)
                 rel = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs))

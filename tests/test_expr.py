@@ -12,27 +12,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from logbarrier import expr
-from logbarrier.expr import (
-    Add,
-    Const,
-    Div,
-    EvalError,
-    Exp,
-    Expr,
-    Ln,
-    Mul,
-    Neg,
-    ParseError,
-    Pow,
-    Sub,
-    Var,
-)
+from logbarrier.expr import EvalError, Expr, ParseError
 
 
 def test_parse_structure():
-    assert expr.parse("x1 + x2", 2) == Expr(Add(Var(0), Var(1)), 2)
-    assert expr.parse("-2", 1).root == Neg(Const(2.0))
-    assert expr.parse("x1^2^3", 1).root == Pow(Pow(Var(0), 2), 3)
+    assert expr.parse("x1 + x2", 2) == Expr(("add", ("var", 0), ("var", 1)), 2)
+    assert expr.parse("-2", 1).root == ("neg", ("const", 2.0))
+    assert expr.parse("x1^2^3", 1).root == ("pow", ("pow", ("var", 0), 2), 3)
+    # the tag tells apart nodes of the same shape
+    assert expr.parse("ln(x1)", 1) != expr.parse("exp(x1)", 1)
+    assert expr.parse("x1 + x2", 2).root != expr.parse("x1 - x2", 2).root
+    root = expr.parse("x1*ln(x2) + 3", 2).root
+    assert hash(root) == hash(expr.parse("x1*ln(x2) + 3", 2).root)
 
 
 @pytest.mark.parametrize(
@@ -107,31 +98,32 @@ def test_dual_examples():
 
 
 def _random_tree(rng, nvars, depth):
-    # positive constants only: a negative literal would re-parse as Neg(Const)
+    # positive constants only: a negative literal would re-parse as ("neg", ("const", c))
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
-            return Const(round(float(rng.uniform(0.5, 2.5)), 6))
-        return Var(int(rng.integers(nvars)))
+            return ("const", round(float(rng.uniform(0.5, 2.5)), 6))
+        return ("var", int(rng.integers(nvars)))
     a = _random_tree(rng, nvars, depth - 1)
     b = _random_tree(rng, nvars, depth - 1)
     op = int(rng.integers(9))
     if op == 0:
-        return Add(a, b)
+        return ("add", a, b)
     if op == 1:
-        return Sub(a, b)
+        return ("sub", a, b)
     if op == 2:
-        return Mul(a, b)
+        return ("mul", a, b)
     if op == 3:
-        return Neg(a)
+        return ("neg", a)
     if op == 4:
-        return Pow(a, int(rng.integers(2, 4)))
+        return ("pow", a, int(rng.integers(2, 4)))
     if op == 5:
-        return Ln(Add(Const(1.5), Mul(a, a)))  # argument >= 1.5, always safe
+        return ("ln", ("add", ("const", 1.5), ("mul", a, a)))  # argument >= 1.5, always safe
     if op == 6:
-        return Exp(Div(a, Add(Const(1.5), Mul(a, a))))  # |argument| < 0.5
+        return ("exp", ("div", a, ("add", ("const", 1.5), ("mul", a, a))))  # |argument| < 0.5
     if op == 7:
-        return Pow(Add(Const(1.5), Mul(b, b)), -int(rng.integers(1, 4)))  # base >= 1.5
-    return Div(a, Add(Const(1.5), Mul(b, b)))
+        # base >= 1.5
+        return ("pow", ("add", ("const", 1.5), ("mul", b, b)), -int(rng.integers(1, 4)))
+    return ("div", a, ("add", ("const", 1.5), ("mul", b, b)))
 
 
 def _sample_cases(seed, count, nvars=2):
@@ -182,13 +174,13 @@ def test_dual_hessian_matches_gradient_differences():
 
 def test_serialize_round_trip_specific():
     for root in [
-        Pow(Neg(Var(0)), 2),
-        Sub(Const(1.0), Neg(Var(1))),
-        Mul(Neg(Var(0)), Add(Var(1), Const(2.0))),
-        Div(Var(0), Mul(Var(1), Const(3.0))),
-        Neg(Add(Var(0), Var(1))),
-        Pow(Pow(Var(0), 2), 3),
-        Ln(Exp(Var(0))),
+        ("pow", ("neg", ("var", 0)), 2),
+        ("sub", ("const", 1.0), ("neg", ("var", 1))),
+        ("mul", ("neg", ("var", 0)), ("add", ("var", 1), ("const", 2.0))),
+        ("div", ("var", 0), ("mul", ("var", 1), ("const", 3.0))),
+        ("neg", ("add", ("var", 0), ("var", 1))),
+        ("pow", ("pow", ("var", 0), 2), 3),
+        ("ln", ("exp", ("var", 0))),
     ]:
         e = Expr(root, 2)
         assert expr.parse(expr.serialize(e), 2) == e
@@ -227,7 +219,7 @@ def test_evaluate_many_domain_error():
 def test_ln_curvature_matrix_identity(problems):
     # g^2 * hess(ln g) == g * hess(g) - grad(g) grad(g)^T wherever g > 0
     g = problems["cassini"].constraints[0]
-    ln_g = Expr(Ln(g.root), g.nvars)
+    ln_g = Expr(("ln", g.root), g.nvars)
     rng = np.random.default_rng(707)
     checked = 0
     while checked < 25:
@@ -355,20 +347,20 @@ def test_scan_values_keep_an_overflow_and_raise_on_a_domain_error():
 # Trees with every node kind, unguarded: ln, division and negative powers hit
 # their singularities at the zeros of the coordinate grid below.
 _LEAVES = st.one_of(
-    st.sampled_from([Const(0.0), Const(0.5), Const(1.0), Const(2.0)]),
-    st.builds(Var, st.integers(0, 1)),
+    st.sampled_from([("const", 0.0), ("const", 0.5), ("const", 1.0), ("const", 2.0)]),
+    st.tuples(st.just("var"), st.integers(0, 1)),
 )
 _TREES = st.recursive(
     _LEAVES,
     lambda kids: st.one_of(
-        st.builds(Neg, kids),
-        st.builds(Ln, kids),
-        st.builds(Exp, kids),
-        st.builds(Add, kids, kids),
-        st.builds(Sub, kids, kids),
-        st.builds(Mul, kids, kids),
-        st.builds(Div, kids, kids),
-        st.builds(Pow, kids, st.integers(-3, 3)),
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("ln"), kids),
+        st.tuples(st.just("exp"), kids),
+        st.tuples(st.just("add"), kids, kids),
+        st.tuples(st.just("sub"), kids, kids),
+        st.tuples(st.just("mul"), kids, kids),
+        st.tuples(st.just("div"), kids, kids),
+        st.tuples(st.just("pow"), kids, st.integers(-3, 3)),
     ),
     max_leaves=8,
 )
@@ -378,9 +370,9 @@ _POINTS = st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4)
 
 def _subtrees(node):
     yield node
-    for field in ("operand", "lhs", "rhs", "base"):
-        if hasattr(node, field):
-            yield from _subtrees(getattr(node, field))
+    for child in node[1:]:
+        if isinstance(child, tuple):  # not a constant's value, an index or an exponent
+            yield from _subtrees(child)
 
 
 def _moderate(node, x) -> bool:
@@ -441,25 +433,25 @@ def test_entry_points_agree_bit_for_bit(root, rows):
 
 def _sympy(node, syms):
     match node:
-        case Const(value):
+        case ("const", value):
             return sympy.Float(value)
-        case Var(index):
+        case ("var", index):
             return syms[index]
-        case Neg(operand):
+        case ("neg", operand):
             return -_sympy(operand, syms)
-        case Ln(operand):
+        case ("ln", operand):
             return sympy.log(_sympy(operand, syms))
-        case Exp(operand):
+        case ("exp", operand):
             return sympy.exp(_sympy(operand, syms))
-        case Add(lhs, rhs):
+        case ("add", lhs, rhs):
             return _sympy(lhs, syms) + _sympy(rhs, syms)
-        case Sub(lhs, rhs):
+        case ("sub", lhs, rhs):
             return _sympy(lhs, syms) - _sympy(rhs, syms)
-        case Mul(lhs, rhs):
+        case ("mul", lhs, rhs):
             return _sympy(lhs, syms) * _sympy(rhs, syms)
-        case Div(lhs, rhs):
+        case ("div", lhs, rhs):
             return _sympy(lhs, syms) / _sympy(rhs, syms)
-        case Pow(base, exponent):
+        case ("pow", base, exponent):
             return _sympy(base, syms) ** sympy.Integer(exponent)
     raise TypeError(node)
 
