@@ -25,9 +25,6 @@ from .certificate import Verdict, global_optimality_statement
 from .continuation import ContinuationError, MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
-    NoFeasibleSamplesError,
-    SLATER_GRID_RES,
-    SlaterReport,
     SlaterUnverifiedError,
     levelset_convexity_probe,
     nondegeneracy_probe,
@@ -204,14 +201,14 @@ def _run_solve(args) -> int:
     start = None
     if args.require_assumptions:
         try:
-            x0, margin = slater_find(p, SLATER_GRID_RES)
+            slater = slater_find(p)
         except SlaterUnverifiedError as err:
             _fail(f"assumption check failed (slater): {err}")
             return 3
-        records.append(record("slater", SlaterReport(x0, margin, SLATER_GRID_RES)))
+        records.append(record("slater", slater))
         if p.interior_point is None:
-            start = x0  # the point solve would search for again
-        ndg = nondegeneracy_probe(p, seed=args.seed, x0=x0)
+            start = slater.point  # the point solve would search for again
+        ndg = nondegeneracy_probe(p, seed=args.seed, x0=slater.point)
         records.append(record("nondegeneracy", ndg))
         if not ndg.passed:
             worst = min(
@@ -277,27 +274,26 @@ def _run_diagnose(args) -> int:
 
     records: list[dict] = []
     all_passed = True
-    slater: tuple | str | None = None  # first slater_find outcome: (x0, margin) or its error
+    slater = None  # the first slater_find outcome: its report, or its error message
     for name, value in checks:
         try:
             if name in ("slater", "nondegeneracy", "curvature"):
                 if slater is None:
                     try:
-                        slater = slater_find(p, SLATER_GRID_RES)
+                        slater = slater_find(p)
                     except SlaterUnverifiedError as err:
                         slater = str(err)
                 if isinstance(slater, str):
                     raise SlaterUnverifiedError(slater)
-                x0, margin = slater
             if name == "slater":
-                records.append(record("slater", SlaterReport(x0, margin, SLATER_GRID_RES)))
+                records.append(record("slater", slater))
                 passed = True
             elif name == "nondegeneracy":
-                report = nondegeneracy_probe(p, seed=args.seed, x0=x0)
+                report = nondegeneracy_probe(p, seed=args.seed, x0=slater.point)
                 records.append(record("nondegeneracy", report))
                 passed = report.passed
             elif name == "curvature":
-                report = tangential_curvature_probe(p, seed=args.seed, x0=x0)
+                report = tangential_curvature_probe(p, seed=args.seed, x0=slater.point)
                 records.append(record("tangential_curvature", report))
                 if args.expect == "pass":
                     passed = all(
@@ -328,7 +324,7 @@ def _run_diagnose(args) -> int:
                     passed = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
                 else:
                     passed = True
-        except (SlaterUnverifiedError, NoFeasibleSamplesError, DiagnosticsError) as err:
+        except DiagnosticsError as err:
             records.append({"record": name, "passed": False, "error": str(err)})
             passed = False
         if not passed:

@@ -16,6 +16,7 @@ import numpy as np
 from . import expr
 from .barrier import barrier_eval
 from .certificate import KKTCertificate, KKTTolerances, check_kkt
+from .diagnostics import slater_find
 from .inner import InnerStatus, default_tolerance, solve_inner
 from .problem import Problem, evaluate_constraints
 
@@ -127,9 +128,7 @@ def solve(
     elif p.interior_point is not None:
         x = p.interior_point.copy()
     else:
-        from .diagnostics import slater_find
-
-        x, _ = slater_find(p)
+        x = slater_find(p).point
 
     be = barrier_eval(p, x, schedule.mu0)
     if not be.interior:

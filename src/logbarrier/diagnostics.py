@@ -2,12 +2,13 @@
 
 The global-optimality story needs a strictly feasible point, nonvanishing
 gradients on the active boundary, and a convex feasible set.  None of these
-are taken on faith: slater_find searches for an interior witness,
-nondegeneracy_probe inspects gradients at sampled boundary points,
-levelset_convexity_probe hunts for midpoint convexity counterexamples of
-superlevel sets, phi_convexity_probe samples the barrier Hessian, and
-tangential_curvature_probe measures boundary curvature along tangent
-directions.  Probes are seeded and deterministic for a given seed.
+are taken on faith: slater_find scans a grid over the box for the
+deepest strictly feasible point, nondegeneracy_probe inspects gradients
+at sampled boundary points, levelset_convexity_probe hunts for midpoint
+convexity counterexamples of superlevel sets, phi_convexity_probe samples
+the barrier Hessian, and tangential_curvature_probe measures boundary
+curvature along tangent directions.  Probes are seeded and deterministic
+for a given seed.
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -24,8 +25,6 @@ from . import expr, problem
 from .barrier import barrier_hessian
 from .problem import Problem, bisect, box_exit, evaluate_constraints, grid_blocks, sample_box
 
-LSE_SHARPNESS = 100.0
-ASCENT_STEPS = 50
 BISECT_ITERS = 60
 SLATER_GRID_RES = 101
 GRID_FALLBACK_RES = 201
@@ -106,17 +105,12 @@ class CurvatureReport(NamedTuple):
     constraints: list[CurvatureEntry]
 
 
-def _in_box(box: np.ndarray, x: np.ndarray) -> bool:
-    return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
+def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> SlaterReport:
+    """Scan a grid over the box for the strictly feasible point of largest margin.
 
-
-def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray, float]:
-    """Search the box for a strictly feasible point with maximal margin.
-
-    A grid scan picks the point with the largest min_j g_j (ties go to the
-    first point in row-major order); steepest-ascent steps on a smooth-min
-    surrogate (log-sum-exp, sharpness 100) then push the margin up.
-    Returns (point, margin) with margin > 0, or raises
+    A grid scan with grid_res points per axis picks the point with the
+    largest min_j g_j; ties go to the first point in row-major order.
+    Returns that point's SlaterReport, whose margin is > 0, or raises
     SlaterUnverifiedError when no grid point has positive margin.
     """
     if grid_res < 2:
@@ -132,43 +126,7 @@ def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> tuple[np.ndarray
             f"no strictly feasible point on a {grid_res}^({p.nvars}) grid "
             f"(best margin {best_margin:.3e})"
         )
-    best_x = x.copy()
-
-    beta = LSE_SHARPNESS
-
-    def surrogate(pt: np.ndarray) -> float:
-        g = evaluate_constraints(p, pt)
-        m = g.min()
-        return float(m - math.log(np.sum(np.exp(-beta * (g - m)))) / beta)
-
-    s_val = surrogate(x)
-    for _ in range(ASCENT_STEPS):
-        jets = expr.jets(p.constraints, x, 1)
-        g = np.array([j.value for j in jets])
-        m = g.min()
-        w = np.exp(-beta * (g - m))
-        w /= w.sum()
-        direction = np.stack([j.grad for j in jets]).T @ w
-        slope = float(direction @ direction)
-        if slope < 1e-24:
-            break
-        t = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = x + t * direction
-            if _in_box(p.box, cand):
-                s_cand = surrogate(cand)
-                if s_cand >= s_val + 1e-4 * t * slope:
-                    x, s_val = cand, s_cand
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            break
-        margin = float(evaluate_constraints(p, x).min())
-        if margin > best_margin:
-            best_x, best_margin = x.copy(), margin
-    return best_x, best_margin
+    return SlaterReport(x, best_margin, grid_res)
 
 
 def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
@@ -229,7 +187,7 @@ def nondegeneracy_probe(
     boundary is at least delta; constraints never seen active report None.
     """
     if x0 is None:
-        x0, _ = slater_find(p)
+        x0 = slater_find(p).point
     rng = np.random.default_rng(seed)
     directions = _random_directions(rng, rays, p.nvars)
     points, gvals, residuals = _boundary_batch(p, x0, directions)
@@ -479,7 +437,7 @@ def tangential_curvature_probe(
     With one variable there is no tangent space and the report is vacuous.
     """
     if x0 is None:
-        x0, _ = slater_find(p)
+        x0 = slater_find(p).point
     if p.nvars == 1:
         entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
         return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)

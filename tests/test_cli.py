@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logbarrier import cli, problem
+from logbarrier import cli, corpus, diagnostics, problem
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -151,6 +151,14 @@ def test_diagnose_multiple_checks(run_cli, tmp_path):
     assert [r["record"] for r in records] == ["slater", "nondegeneracy", "tangential_curvature"]
     assert records[0]["passed"] is True
     assert records[1]["passed"] is True
+
+
+@pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
+def test_diagnose_prints_the_slater_report(run_cli, name):
+    code, stdout, stderr = run_cli(["diagnose", "--builtin", name, "--check", "slater"])
+    assert (code, stderr) == (0, "")
+    report = diagnostics.slater_find(corpus.builtin(name).problem)
+    assert stdout == json.dumps(cli.record("slater", report)) + "\n"
 
 
 @pytest.mark.parametrize(

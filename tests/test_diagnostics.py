@@ -41,23 +41,44 @@ PLATEAU = problem.problem_from_dict(
 
 
 def test_slater_finds_deep_points(problems):
-    x0, margin = diagnostics.slater_find(problems["disk"])
-    assert np.array_equal(x0, [0.0, 0.0])
-    assert margin == 1.0
+    report = diagnostics.slater_find(problems["disk"])
+    assert np.array_equal(report.point, [0.0, 0.0])
+    assert report.margin == 1.0
 
-    x0, margin = diagnostics.slater_find(problems["cassini"])
-    assert margin == 4.0
+    report = diagnostics.slater_find(problems["cassini"])
+    assert report.margin == 4.0
 
-    x0, margin = diagnostics.slater_find(problems["hyperbola"])
-    assert margin > 4.99
+    # the grid's best point itself, not the deeper (5, 5) between grid points
+    report = diagnostics.slater_find(problems["hyperbola"])
+    assert report.point.tolist() == [5.005, 5.005]
+    assert report.margin == 4.995
+    assert (report.grid_resolution, report.passed) == (diagnostics.SLATER_GRID_RES, True)
+
+
+def test_slater_passes_on_a_set_about_one_grid_cell_wide():
+    # radius 0.03 around (0.013, 0.017) with a grid step of 0.04: the
+    # origin is the deepest grid point inside, at half the centre's margin
+    thin = problem.problem_from_dict(
+        {
+            "name": "thin-disk",
+            "nvars": 2,
+            "objective": "x1",
+            "constraints": ["0.0009 - (x1 - 0.013)^2 - (x2 - 0.017)^2"],
+            "box": [[-2, 2], [-2, 2]],
+        }
+    )
+    report = diagnostics.slater_find(thin)
+    assert report.passed is True
+    assert report.point.tolist() == [0.0, 0.0]
+    assert abs(report.margin - 0.000442) <= np.spacing(0.000442)
 
 
 def test_slater_margin_is_reproducible(problems):
     for p in problems.values():
-        x0, margin = diagnostics.slater_find(p)
-        recomputed = min(expr.evaluate(g, x0) for g in p.constraints)
-        assert margin > 0.0
-        assert abs(margin - recomputed) <= 1e-12 * max(1.0, abs(margin))
+        report = diagnostics.slater_find(p)
+        recomputed = min(expr.evaluate(g, report.point) for g in p.constraints)
+        assert report.margin > 0.0
+        assert abs(report.margin - recomputed) <= 1e-12 * max(1.0, abs(report.margin))
 
 
 def test_slater_unverified():
@@ -226,9 +247,9 @@ def _slater_cases(problems):
 
 
 def test_slater_plateau_keeps_the_first_grid_point():
-    x0, margin = diagnostics.slater_find(PLATEAU)
-    assert np.array_equal(x0, [-1.0, 0.0])
-    assert margin == 2.0
+    report = diagnostics.slater_find(PLATEAU)
+    assert np.array_equal(report.point, [-1.0, 0.0])
+    assert report.margin == 2.0
 
 
 def test_block_size_does_not_change_results(monkeypatch, problems):
@@ -268,8 +289,9 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
     monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
     got_slater, got_levelsets = run_all()
     assert got_levelsets == want_levelsets
-    for (x_want, m_want), (x_got, m_got) in zip(want_slater, got_slater):
-        assert np.array_equal(x_got, x_want) and m_got == m_want
+    for want, got in zip(want_slater, got_slater):
+        assert np.array_equal(got.point, want.point) and got.margin == want.margin
+        assert got.grid_resolution == want.grid_resolution
 
 
 def test_slater_scan_memory_stays_bounded():
@@ -355,7 +377,7 @@ def _boundary_reference(p, x0, count, seed, activation_tol=1e-6):
 @pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
 def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     p = problems[name]
-    x0, _ = diagnostics.slater_find(p)
+    x0 = diagnostics.slater_find(p).point
     ref = _boundary_reference(p, x0, 256, 42)
     ndg = diagnostics.nondegeneracy_probe(p, x0=x0)
     cur = diagnostics.tangential_curvature_probe(p, x0=x0)
