@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .continuation import ContinuationError, MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
     SlaterUnverifiedError,
+    boundary_sample,
     levelset_convexity_probe,
     nondegeneracy_probe,
     phi_convexity_probe,
@@ -124,8 +126,19 @@ def _add_source(sub, required: bool = True):
     grp.add_argument("--problem", metavar="PATH", help="problem JSON file")
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy seeds its generators with non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=42, help="seed for probe sampling")
+    sub.add_argument("--seed", type=_seed, default=42, help="seed for probe sampling")
     sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
@@ -192,12 +205,15 @@ def _run_solve(args) -> int:
     try:
         p = _load_problem(args)
         schedule = MuSchedule(mu0=args.mu0, factor=args.mu_factor, mu_min=args.mu_min)
+        if not math.isfinite(args.tol):
+            raise ValueError(f"--tol must be finite, got {args.tol}")
     except (ProblemError, ValueError) as err:
         _fail(f"input error: {err}")
         return 2
 
     records: list[dict] = []
     assumptions_verified = False
+    ndg = None
     start = None
     if args.require_assumptions:
         try:
@@ -208,7 +224,7 @@ def _run_solve(args) -> int:
         records.append(record("slater", slater))
         if p.interior_point is None:
             start = slater.point  # the point solve would search for again
-        ndg = nondegeneracy_probe(p, seed=args.seed, x0=slater.point)
+        ndg = nondegeneracy_probe(p, boundary_sample(p, slater.point, seed=args.seed))
         records.append(record("nondegeneracy", ndg))
         if not ndg.passed:
             worst = min(
@@ -231,7 +247,19 @@ def _run_solve(args) -> int:
 
     records.extend(record("path_point", pt) for pt in trace.points)
     cert = trace.final_certificate
-    statement = global_optimality_statement(cert, assumptions_verified)
+    unverified = None
+    if ndg is not None:
+        # an active constraint that no sampled boundary point reached has
+        # had its gradient checked nowhere
+        unsampled = [f"g{j}" for j in cert.active_set if ndg.constraints[j - 1].samples == 0]
+        if unsampled:
+            assumptions_verified = False
+            plural = "s" if len(unsampled) > 1 else ""
+            unverified = (
+                f"nondegeneracy of active constraint{plural} {', '.join(unsampled)}, "
+                "which no sampled boundary point reached,"
+            )
+    statement = global_optimality_statement(cert, assumptions_verified, unverified=unverified)
     records.append(
         record(
             "certificate", cert, assumptions_verified=assumptions_verified, statement=statement
@@ -256,9 +284,14 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
         name, sep, value = token.partition(":")
         if name in ("levelset", "phiconvexity") and sep:
             try:
-                checks.append((name, float(value)))
+                number = float(value)
             except ValueError:
                 raise ValueError(f"bad numeric value in check {token!r}") from None
+            if not math.isfinite(number):
+                raise ValueError(f"check {token!r} needs a finite value")
+            if name == "phiconvexity" and number <= 0:
+                raise ValueError("phiconvexity needs mu > 0")
+            checks.append((name, number))
             continue
         raise ValueError(f"unknown check {token!r}")
     return checks
@@ -275,6 +308,7 @@ def _run_diagnose(args) -> int:
     records: list[dict] = []
     all_passed = True
     slater = None  # the first slater_find outcome: its report, or its error message
+    sample = None  # the boundary walk both boundary probes read
     for name, value in checks:
         try:
             if name in ("slater", "nondegeneracy", "curvature"):
@@ -285,15 +319,17 @@ def _run_diagnose(args) -> int:
                         slater = str(err)
                 if isinstance(slater, str):
                     raise SlaterUnverifiedError(slater)
+            if name in ("nondegeneracy", "curvature") and sample is None:
+                sample = boundary_sample(p, slater.point, seed=args.seed)
             if name == "slater":
                 records.append(record("slater", slater))
                 passed = True
             elif name == "nondegeneracy":
-                report = nondegeneracy_probe(p, seed=args.seed, x0=slater.point)
+                report = nondegeneracy_probe(p, sample)
                 records.append(record("nondegeneracy", report))
                 passed = report.passed
             elif name == "curvature":
-                report = tangential_curvature_probe(p, seed=args.seed, x0=slater.point)
+                report = tangential_curvature_probe(p, sample)
                 records.append(record("tangential_curvature", report))
                 if args.expect == "pass":
                     passed = all(
@@ -313,9 +349,6 @@ def _run_diagnose(args) -> int:
                 else:
                     passed = True
             else:
-                if value <= 0:
-                    _fail("input error: phiconvexity needs mu > 0")
-                    return 2
                 report = phi_convexity_probe(p, value, seed=args.seed)
                 records.append(record("phi_convexity", report))
                 if args.expect in ("indefinite", "nonconvex"):

@@ -41,6 +41,8 @@ class MuSchedule:
     def __init__(self, mu0: float = 1.0, factor: float = 0.2, mu_min: float = 1e-8):
         if not 0.0 < mu_min <= mu0:
             raise ValueError("need 0 < mu_min <= mu0")
+        if not math.isfinite(mu0):
+            raise ValueError("need a finite mu0")
         if not 0.0 < factor < 1.0:
             raise ValueError("need 0 < factor < 1")
         self.mu0, self.factor, self.mu_min = mu0, factor, mu_min

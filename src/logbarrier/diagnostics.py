@@ -3,12 +3,13 @@
 The global-optimality story needs a strictly feasible point, nonvanishing
 gradients on the active boundary, and a convex feasible set.  None of these
 are taken on faith: slater_find scans a grid over the box for the
-deepest strictly feasible point, nondegeneracy_probe inspects gradients
-at sampled boundary points, levelset_convexity_probe hunts for midpoint
-convexity counterexamples of superlevel sets, phi_convexity_probe samples
-the barrier Hessian, and tangential_curvature_probe measures boundary
-curvature along tangent directions.  Probes are seeded and deterministic
-for a given seed.
+deepest strictly feasible point, boundary_sample walks seeded rays from
+that point to the boundary, nondegeneracy_probe inspects the active
+gradients and tangential_curvature_probe the boundary curvature along
+tangent directions at the sampled points, levelset_convexity_probe hunts
+for midpoint convexity counterexamples of superlevel sets, and
+phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
+deterministic for a given seed.
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -49,6 +50,13 @@ class SlaterReport(NamedTuple):
     margin: float  # min_j g_j at the point, always > 0
     grid_resolution: int
     passed: bool = True  # a point was found; the search raises otherwise
+
+
+class BoundarySample(NamedTuple):
+    rays: int
+    points: np.ndarray  # (M, n) boundary points, M <= rays
+    residuals: np.ndarray  # (M,) |min_j g_j| at each point
+    active: list[expr.Jet]  # per constraint: its jet at the points where it is active
 
 
 class NondegeneracyEntry(NamedTuple):
@@ -129,13 +137,22 @@ def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> SlaterReport:
     return SlaterReport(x, best_margin, grid_res)
 
 
-def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
-    """Walk rays from a strict interior point to the feasible-set boundary.
+def boundary_sample(
+    p: Problem,
+    x0: np.ndarray,
+    rays: int = 256,
+    seed: int = 42,
+    activation_tol: float = 1e-6,
+) -> BoundarySample:
+    """Walk seeded random rays from a strict interior point x0 to the boundary.
 
     Rays that leave the box while still strictly feasible are dropped.  For
     the rest, bisection pins the crossing of min_j g_j down to a residual
-    around machine scale.  Returns (points, gvals, residuals) arrays.
+    around machine scale.  Each g_j's value, gradient and Hessian are then
+    taken at the points where g_j <= activation_tol, once for every probe
+    that reads the sample.
     """
+    directions = _random_directions(np.random.default_rng(seed), rays, p.nvars)
     t_exit = box_exit(p.box, x0, directions)
     valid = np.isfinite(t_exit) & (t_exit > 0)
 
@@ -149,18 +166,21 @@ def _boundary_batch(p: Problem, x0: np.ndarray, directions: np.ndarray):
         dirs = dirs[crossing]
         exits = exits[crossing]
     if dirs.shape[0] == 0:
-        empty = np.zeros((0, p.nvars))
-        return empty, np.zeros((0, p.nconstraints)), np.zeros(0)
-
-    lo, hi = bisect(
-        lambda t: min_g_at(t, dirs) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
-    )
-    h_lo = np.abs(min_g_at(lo, dirs))
-    h_hi = np.abs(min_g_at(hi, dirs))
-    t_b = np.where(h_lo <= h_hi, lo, hi)
-    points = x0[None, :] + t_b[:, None] * dirs
-    residuals = np.minimum(h_lo, h_hi)
-    return points, evaluate_constraints(p, points), residuals
+        points, residuals = np.zeros((0, p.nvars)), np.zeros(0)
+    else:
+        lo, hi = bisect(
+            lambda t: min_g_at(t, dirs) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
+        )
+        h_lo = np.abs(min_g_at(lo, dirs))
+        h_hi = np.abs(min_g_at(hi, dirs))
+        points = x0[None, :] + np.where(h_lo <= h_hi, lo, hi)[:, None] * dirs
+        residuals = np.minimum(h_lo, h_hi)
+    gvals = evaluate_constraints(p, points)
+    active = [
+        expr.evaluate_dual(g, points[gvals[:, j] <= activation_tol])
+        for j, g in enumerate(p.constraints)
+    ]
+    return BoundarySample(rays, points, residuals, active)
 
 
 def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarray:
@@ -172,45 +192,31 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
 
 
 def nondegeneracy_probe(
-    p: Problem,
-    rays: int = 256,
-    delta: float = 1e-6,
-    seed: int = 42,
-    activation_tol: float = 1e-6,
-    x0: np.ndarray | None = None,
+    p: Problem, sample: BoundarySample, delta: float = 1e-6
 ) -> NondegeneracyReport:
     """Check that active constraint gradients stay away from zero.
 
-    Boundary points are located by bisection along random rays from a
-    strictly feasible point (found via slater_find when x0 is not given).
-    A constraint passes when every sampled gradient norm on its active
-    boundary is at least delta; constraints never seen active report None.
+    A constraint passes when every gradient norm the sample took on its
+    active boundary is at least delta; constraints never seen active
+    report None.
     """
-    if x0 is None:
-        x0 = slater_find(p).point
-    rng = np.random.default_rng(seed)
-    directions = _random_directions(rng, rays, p.nvars)
-    points, gvals, residuals = _boundary_batch(p, x0, directions)
-
     entries = []
-    for j, g in enumerate(p.constraints):
-        active = points[gvals[:, j] <= activation_tol]
-        low = None
-        if active.shape[0]:
-            low = float(np.linalg.norm(expr.evaluate_dual(g, active, 1).grad, axis=1).min())
+    for j, jet in enumerate(sample.active):
+        count = jet.value.shape[0]
+        low = float(np.linalg.norm(jet.grad, axis=1).min()) if count else None
         entries.append(
             NondegeneracyEntry(
                 constraint=j + 1,
-                samples=int(active.shape[0]),
+                samples=count,
                 min_gradient_norm=low,
                 passed=None if low is None else bool(low >= delta),
             )
         )
     return NondegeneracyReport(
         delta=delta,
-        rays=rays,
-        boundary_points=int(points.shape[0]),
-        max_boundary_residual=float(residuals.max()) if residuals.size else 0.0,
+        rays=sample.rays,
+        boundary_points=int(sample.points.shape[0]),
+        max_boundary_residual=float(sample.residuals.max()) if sample.residuals.size else 0.0,
         constraints=entries,
         passed=all(e.passed is not False for e in entries),
     )
@@ -421,13 +427,7 @@ def phi_convexity_probe(
     )
 
 
-def tangential_curvature_probe(
-    p: Problem,
-    boundary_samples: int = 256,
-    seed: int = 42,
-    activation_tol: float = 1e-6,
-    x0: np.ndarray | None = None,
-) -> CurvatureReport:
+def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureReport:
     """Largest curvature of active constraints along boundary tangents.
 
     At each sampled boundary point and active constraint the Hessian is
@@ -436,19 +436,11 @@ def tangential_curvature_probe(
     g_j >= 0 the restriction should never be significantly positive.
     With one variable there is no tangent space and the report is vacuous.
     """
-    if x0 is None:
-        x0 = slater_find(p).point
     if p.nvars == 1:
         entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
         return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)
-    rng = np.random.default_rng(seed)
-    directions = _random_directions(rng, boundary_samples, p.nvars)
-    points, gvals, _ = _boundary_batch(p, x0, directions)
-
     entries = []
-    for j, g in enumerate(p.constraints):
-        active = points[gvals[:, j] <= activation_tol]
-        jet = expr.evaluate_dual(g, active)
+    for j, jet in enumerate(sample.active):
         norms = np.linalg.norm(jet.grad, axis=1)
         keep = norms >= 1e-12  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]
@@ -459,5 +451,5 @@ def tangential_curvature_probe(
         top = float(tops.max()) if tops.size else None
         entries.append(CurvatureEntry(j + 1, int(tops.size), top))
     return CurvatureReport(
-        boundary_points=int(points.shape[0]), vacuous=False, constraints=entries
+        boundary_points=int(sample.points.shape[0]), vacuous=False, constraints=entries
     )

@@ -533,3 +533,86 @@ RECORD_KEYS = {
 @pytest.mark.parametrize("kind", sorted(RECORD_KEYS))
 def test_record_schema(emitted, kind):
     assert _key_tree(emitted[kind]) == RECORD_KEYS[kind]
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        "phiconvexity:nan",
+        "phiconvexity:inf",
+        "levelset:nan",
+        "levelset:1e400",
+        "slater,levelset:0,phiconvexity:0",
+    ],
+)
+def test_check_values_are_refused_before_any_probe_runs(monkeypatch, run_cli, checks):
+    called = []
+    for name in ("slater_find", "levelset_convexity_probe", "phi_convexity_probe"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: called.append(_name))
+    code, stdout, stderr = run_cli(["diagnose", "--builtin", "cassini", "--check", checks])
+    assert (code, stdout, called) == (2, "", [])
+    assert "input error" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose", "--builtin", "disk", "--check", "nondegeneracy", "--seed", "-1"],
+        ["solve", "--builtin", "disk", "--require-assumptions", "--seed", "-1"],
+        ["diagnose", "--builtin", "disk", "--check", "slater", "--seed", "1.5"],
+    ],
+)
+def test_seed_must_be_a_non_negative_integer(run_cli, argv):
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stdout) == (2, "")
+    assert "--seed: expected a non-negative integer" in stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_solve_refuses_a_tolerance_that_never_binds(run_cli, tol):
+    code, stdout, stderr = run_cli(["solve", "--builtin", "disk", "--tol", tol])
+    assert (code, stdout) == (2, "")
+    assert "input error: --tol must be finite" in stderr
+
+
+def test_an_active_constraint_no_boundary_point_reached_is_not_verified(run_cli, tmp_path):
+    # the disk of radius sqrt(10) holds the whole box, so no ray reaches its
+    # boundary, yet the minimizer (-sqrt(10), 0) lies on it
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "wide",
+                "nvars": 2,
+                "objective": "x1",
+                "constraints": ["10 - x1^2 - x2^2"],
+                "box": [[-1, 1], [-1, 1]],
+            }
+        )
+    )
+    code, stdout, _ = run_cli(["solve", "--problem", path, "--require-assumptions"])
+    assert code == 0
+    records = _records(stdout)
+    nondegeneracy, cert = records[1], records[-1]
+    assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, True)
+    assert (cert["verdict"], cert["active_set"]) == ("kkt_point", [1])
+    assert cert["assumptions_verified"] is False
+    assert "global minimizer" not in cert["statement"]
+    assert "active constraint g1" in cert["statement"]
+    assert "no global-optimality claim" in cert["statement"]
+
+
+def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):
+    calls = []
+    box_exit = diagnostics.box_exit
+
+    def counting(*args):
+        calls.append(args)
+        return box_exit(*args)
+
+    monkeypatch.setattr(diagnostics, "box_exit", counting)
+    checks = "nondegeneracy,curvature"
+    code, stdout, _ = run_cli(["diagnose", "--builtin", "disk", "--check", checks])
+    assert code == 0
+    assert [r["record"] for r in _records(stdout)] == ["nondegeneracy", "tangential_curvature"]
+    assert len(calls) == 1

@@ -35,6 +35,13 @@ def test_schedule_validation(args, fragment):
         MuSchedule(*args)
 
 
+@pytest.mark.parametrize("mu0", [float("inf"), float("nan")])
+def test_schedule_needs_a_finite_mu0(mu0):
+    # weights() would never return from an infinite mu0; only construct
+    with pytest.raises(ValueError, match="mu0"):
+        MuSchedule(mu0=mu0)
+
+
 def test_path_invariants(problems, traces):
     for name, trace in traces.items():
         p = problems[name]

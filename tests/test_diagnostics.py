@@ -34,6 +34,14 @@ PLANE3 = problem.problem_from_dict(
     # level-set probe falls back to the grid and scans 130816 pairs
     {"name": "plane3", "nvars": 3, "objective": "x1", "constraints": ["-x3^2"], "box": [[-2, 2]] * 3}
 )
+# a disk of radius sqrt(10) around the whole box
+WIDE = {
+    "name": "wide",
+    "nvars": 2,
+    "objective": "x1",
+    "constraints": ["10 - x1^2 - x2^2"],
+    "box": [[-1, 1], [-1, 1]],
+}
 # constant margin over the box: every grid point ties
 PLATEAU = problem.problem_from_dict(
     {"name": "plateau", "nvars": 2, "objective": "x1", "constraints": ["2"], "box": [[-1, 1], [0, 3]]}
@@ -86,8 +94,13 @@ def test_slater_unverified():
         diagnostics.slater_find(VOID)
 
 
+def _sample(p, **kwargs):
+    """The boundary sample the CLI takes: rays from the Slater point."""
+    return diagnostics.boundary_sample(p, diagnostics.slater_find(p).point, **kwargs)
+
+
 def test_nondegeneracy_disk(problems):
-    r = diagnostics.nondegeneracy_probe(problems["disk"])
+    r = diagnostics.nondegeneracy_probe(problems["disk"], _sample(problems["disk"]))
     assert r.passed is True
     assert r.boundary_points == 256
     assert r.max_boundary_residual <= 1e-8
@@ -97,7 +110,7 @@ def test_nondegeneracy_disk(problems):
 
 
 def test_nondegeneracy_unreached_constraints(problems):
-    r = diagnostics.nondegeneracy_probe(problems["hyperbola"])
+    r = diagnostics.nondegeneracy_probe(problems["hyperbola"], _sample(problems["hyperbola"]))
     assert r.passed is True
     by_constraint = {e.constraint: e for e in r.constraints}
     assert sorted(by_constraint) == [1, 2, 3, 4, 5]
@@ -114,7 +127,8 @@ def test_nondegeneracy_unreached_constraints(problems):
 
 
 def test_nondegeneracy_detects_vanishing_gradient(problems):
-    r = diagnostics.nondegeneracy_probe(problems["degenerate-disk"])
+    p = problems["degenerate-disk"]
+    r = diagnostics.nondegeneracy_probe(p, _sample(p))
     assert r.passed is False
     (entry,) = r.constraints
     assert entry.passed is False
@@ -122,16 +136,32 @@ def test_nondegeneracy_detects_vanishing_gradient(problems):
 
 
 def test_nondegeneracy_deterministic(problems):
-    a = diagnostics.nondegeneracy_probe(problems["cassini"], seed=42)
-    b = diagnostics.nondegeneracy_probe(problems["cassini"], seed=42)
+    p = problems["cassini"]
+    a = diagnostics.nondegeneracy_probe(p, _sample(p, seed=42))
+    b = diagnostics.nondegeneracy_probe(p, _sample(p, seed=42))
     assert cli.record("nondegeneracy", a) == cli.record("nondegeneracy", b)
-    c = diagnostics.nondegeneracy_probe(problems["cassini"], seed=7)
+    c = diagnostics.nondegeneracy_probe(p, _sample(p, seed=7))
     assert c.passed is True
 
 
 def test_nondegeneracy_accepts_explicit_center(problems):
-    r = diagnostics.nondegeneracy_probe(problems["disk"], x0=np.array([0.1, -0.2]))
+    p = problems["disk"]
+    r = diagnostics.nondegeneracy_probe(p, diagnostics.boundary_sample(p, np.array([0.1, -0.2])))
     assert r.passed is True
+
+
+def test_boundary_probes_on_a_set_no_ray_reaches():
+    # the disk of radius sqrt(10) holds the whole box: every ray leaves
+    # the box strictly feasible, so no boundary point is sampled
+    p = problem.problem_from_dict(WIDE)
+    sample = _sample(p)
+    assert sample.points.shape == (0, 2)
+    ndg = diagnostics.nondegeneracy_probe(p, sample)
+    assert (ndg.rays, ndg.boundary_points, ndg.max_boundary_residual) == (256, 0, 0.0)
+    assert ndg.constraints == [diagnostics.NondegeneracyEntry(1, 0, None, None)]
+    assert ndg.passed is True
+    cur = diagnostics.tangential_curvature_probe(p, sample)
+    assert cur == diagnostics.CurvatureReport(0, False, [diagnostics.CurvatureEntry(1, 0, None)])
 
 
 @pytest.mark.parametrize("level", [2.95, 2.5, 1.5, 4.0])
@@ -208,7 +238,7 @@ def test_phi_convexity_needs_samples():
 
 
 def test_curvature_disk(problems):
-    r = diagnostics.tangential_curvature_probe(problems["disk"])
+    r = diagnostics.tangential_curvature_probe(problems["disk"], _sample(problems["disk"]))
     assert r.vacuous is False
     (entry,) = r.constraints
     assert entry.samples == 256
@@ -217,7 +247,7 @@ def test_curvature_disk(problems):
 
 def test_curvature_convex_boundaries(problems):
     for name in ("cassini", "hyperbola"):
-        r = diagnostics.tangential_curvature_probe(problems[name])
+        r = diagnostics.tangential_curvature_probe(problems[name], _sample(problems[name]))
         for entry in r.constraints:
             if entry.samples > 0:
                 assert entry.max_tangential_curvature <= 1e-6
@@ -234,7 +264,7 @@ def test_curvature_vacuous_in_one_variable():
             "interior_point": [0],
         }
     )
-    r = diagnostics.tangential_curvature_probe(p)
+    r = diagnostics.tangential_curvature_probe(p, _sample(p))
     assert r.vacuous is True
     (entry,) = r.constraints
     assert entry.samples == 0
@@ -354,13 +384,10 @@ def test_diagnose_evaluates_at_most_a_block_of_points(monkeypatch, run_cli, prob
     assert max(seen) >= 5000  # the level-set probe's blocks of pairs
 
 
-def _boundary_reference(p, x0, count, seed, activation_tol=1e-6):
+def _boundary_reference(p, sample, activation_tol=1e-6):
     """Per point and active constraint: (j, gradient norm, top tangential curvature or None)."""
-    rng = np.random.default_rng(seed)
-    directions = diagnostics._random_directions(rng, count, p.nvars)
-    points, gvals, _ = diagnostics._boundary_batch(p, x0, directions)
     out = []
-    for x, gx in zip(points, gvals):
+    for x, gx in zip(sample.points, problem.evaluate_constraints(p, sample.points)):
         for j, g in enumerate(p.constraints):
             if gx[j] > activation_tol:
                 continue
@@ -377,10 +404,11 @@ def _boundary_reference(p, x0, count, seed, activation_tol=1e-6):
 @pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
 def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     p = problems[name]
-    x0 = diagnostics.slater_find(p).point
-    ref = _boundary_reference(p, x0, 256, 42)
-    ndg = diagnostics.nondegeneracy_probe(p, x0=x0)
-    cur = diagnostics.tangential_curvature_probe(p, x0=x0)
+    sample = _sample(p)
+    assert (sample.rays, len(sample.active)) == (256, p.nconstraints)
+    ref = _boundary_reference(p, sample)
+    ndg = diagnostics.nondegeneracy_probe(p, sample)
+    cur = diagnostics.tangential_curvature_probe(p, sample)
     # row norms of a stacked array may round differently from a vector's norm
     eps = np.finfo(float).eps
     for j in range(p.nconstraints):

@@ -28,6 +28,7 @@ RECORDS = [
     "corpus.KnownOptimum",
     "corpus.CorpusEntry",
     "diagnostics.SlaterReport",
+    "diagnostics.BoundarySample",
     "diagnostics.NondegeneracyEntry",
     "diagnostics.NondegeneracyReport",
     "diagnostics.LevelsetWitness",
