@@ -157,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-min", type=float, default=1e-8, help="final barrier weight")
     sp.add_argument("--tol", type=float, default=1e-8, help="inner gradient tolerance floor")
     sp.add_argument(
-        "--newton",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use shifted-Newton inner steps (--no-newton for steepest descent)",
-    )
-    sp.add_argument(
         "--require-assumptions",
         action="store_true",
         help="verify strict feasibility and nondegeneracy before solving; fail otherwise",
@@ -240,7 +234,7 @@ def _run_solve(args) -> int:
         assumptions_verified = True
 
     try:
-        trace = solve(p, schedule, x0=start, newton=args.newton, tol_floor=args.tol)
+        trace = solve(p, schedule, x0=start, tol_floor=args.tol)
     except (ContinuationError, InfeasibleStartError, SlaterUnverifiedError) as err:
         _fail(f"solve failed: {err}")
         return 3

@@ -32,6 +32,12 @@ class ContinuationError(Exception):
 # just above the nominal tolerance; the miss is recorded, not hidden.
 STAGE_GRACE = 100.0
 
+# The longest schedule MuSchedule accepts, counted from logarithms before
+# anything is built: weights() makes the whole list before the first stage,
+# and a factor near 1 over a wide range would ask for 1e8 weights and more.
+# The default schedule has 12 weights and --mu-factor 0.9 has 175.
+MAX_WEIGHTS = 100_000
+
 
 class MuSchedule:
     """Geometric weight schedule mu0 * factor^k, stopping at mu_min."""
@@ -45,6 +51,9 @@ class MuSchedule:
             raise ValueError("need a finite mu0")
         if not 0.0 < factor < 1.0:
             raise ValueError("need 0 < factor < 1")
+        count = math.floor((math.log(mu_min) - math.log(mu0)) / math.log(factor)) + 1
+        if count > MAX_WEIGHTS:
+            raise ValueError(f"schedule of about {count} weights; at most {MAX_WEIGHTS}")
         self.mu0, self.factor, self.mu_min = mu0, factor, mu_min
 
     def weights(self) -> list[float]:
@@ -68,28 +77,6 @@ class SolveTrace(NamedTuple):
     final_certificate: KKTCertificate
 
 
-def _stage(p, mu, x, tol_floor, max_iters, newton, callback):
-    result = solve_inner(
-        p,
-        mu,
-        x,
-        tol=default_tolerance(mu, tol_floor),
-        max_iters=max_iters,
-        newton=newton,
-    )
-    if callback is not None:
-        callback(mu, result)
-    return result
-
-
-def _failed(result, mu: float, tol_floor: float) -> bool:
-    """Whether a stage missed its tolerance by more than STAGE_GRACE."""
-    return (
-        result.status is not InnerStatus.CONVERGED
-        and result.grad_norm > STAGE_GRACE * default_tolerance(mu, tol_floor)
-    )
-
-
 def _path_point(p: Problem, mu: float, result) -> PathPoint:
     be = barrier_eval(p, result.x, mu)
     return PathPoint(
@@ -106,7 +93,6 @@ def solve(
     p: Problem,
     schedule: MuSchedule | None = None,
     x0=None,
-    newton: bool = True,
     tol_floor: float = 1e-8,
     max_iters: int = 5000,
     tols: KKTTolerances | None = None,
@@ -115,11 +101,11 @@ def solve(
     """Run the full continuation and certify the final iterate.
 
     The start is x0, else the problem's interior point, else a grid search
-    for a strictly feasible point.  When a stage fails to converge, one
-    retry eases in through an intermediate weight (the geometric mean of
-    the last two).  A stage that still misses its tolerance is kept anyway,
-    with its honest status on the path point, as long as the gradient norm
-    is within STAGE_GRACE of the tolerance; otherwise ContinuationError.
+    for a strictly feasible point.  Each stage calls solve_inner and then
+    stage_callback(mu, result) once.  A stage that misses its tolerance is
+    kept anyway, with its honest status on the path point, as long as the
+    gradient norm is within STAGE_GRACE of the tolerance; otherwise
+    ContinuationError.
     The final certificate uses activation cutoff sqrt(mu_last) and zeroes
     multiplier estimates outside the resulting active set.
     """
@@ -139,26 +125,18 @@ def solve(
         )
 
     points: list[PathPoint] = []
-    weights = schedule.weights()
-    prev_mu = None
-    for mu in weights:
-        result = _stage(p, mu, x, tol_floor, max_iters, newton, stage_callback)
-        if _failed(result, mu, tol_floor) and prev_mu is not None:
-            # one retry: ease in through the geometric mean of the two weights
-            mu_mid = math.sqrt(prev_mu * mu)
-            mid_result = _stage(p, mu_mid, x, tol_floor, max_iters, newton, stage_callback)
-            if mid_result.status is InnerStatus.CONVERGED:
-                points.append(_path_point(p, mu_mid, mid_result))
-                x = mid_result.x
-                result = _stage(p, mu, x, tol_floor, max_iters, newton, stage_callback)
-        if _failed(result, mu, tol_floor):
+    for mu in schedule.weights():
+        tol = default_tolerance(mu, tol_floor)
+        result = solve_inner(p, mu, x, tol=tol, max_iters=max_iters)
+        if stage_callback is not None:
+            stage_callback(mu, result)
+        if result.status is not InnerStatus.CONVERGED and result.grad_norm > STAGE_GRACE * tol:
             raise ContinuationError(
                 f"inner solve failed at mu = {mu:.3e} ({result.status.value}, "
                 f"grad norm {result.grad_norm:.3e})"
             )
         points.append(_path_point(p, mu, result))
         x = result.x
-        prev_mu = mu
 
     mu_last = points[-1].mu
     x_last = points[-1].x

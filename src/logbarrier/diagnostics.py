@@ -56,7 +56,7 @@ class BoundarySample(NamedTuple):
     rays: int
     points: np.ndarray  # (M, n) boundary points, M <= rays
     residuals: np.ndarray  # (M,) |min_j g_j| at each point
-    active: list[expr.Jet]  # per constraint: its jet at the points where it is active
+    active: list[np.ndarray]  # per constraint: the points where it is active
 
 
 class NondegeneracyEntry(NamedTuple):
@@ -148,9 +148,9 @@ def boundary_sample(
 
     Rays that leave the box while still strictly feasible are dropped.  For
     the rest, bisection pins the crossing of min_j g_j down to a residual
-    around machine scale.  Each g_j's value, gradient and Hessian are then
-    taken at the points where g_j <= activation_tol, once for every probe
-    that reads the sample.
+    around machine scale.  The points where g_j <= activation_tol are kept
+    per constraint; each probe that reads the sample takes the derivatives
+    it needs there.
     """
     directions = _random_directions(np.random.default_rng(seed), rays, p.nvars)
     t_exit = box_exit(p.box, x0, directions)
@@ -176,10 +176,7 @@ def boundary_sample(
         points = x0[None, :] + np.where(h_lo <= h_hi, lo, hi)[:, None] * dirs
         residuals = np.minimum(h_lo, h_hi)
     gvals = evaluate_constraints(p, points)
-    active = [
-        expr.evaluate_dual(g, points[gvals[:, j] <= activation_tol])
-        for j, g in enumerate(p.constraints)
-    ]
+    active = [points[gvals[:, j] <= activation_tol] for j in range(p.nconstraints)]
     return BoundarySample(rays, points, residuals, active)
 
 
@@ -196,12 +193,14 @@ def nondegeneracy_probe(
 ) -> NondegeneracyReport:
     """Check that active constraint gradients stay away from zero.
 
-    A constraint passes when every gradient norm the sample took on its
-    active boundary is at least delta; constraints never seen active
-    report None.
+    A constraint passes when its gradient norm is at least delta at every
+    sampled point where it is active; constraints never seen active report
+    None.  Only gradients are taken, so a Hessian that is undefined on the
+    boundary does not stop this check.
     """
     entries = []
-    for j, jet in enumerate(sample.active):
+    for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
+        jet = expr.evaluate_dual(g, pts, 1)
         count = jet.value.shape[0]
         low = float(np.linalg.norm(jet.grad, axis=1).min()) if count else None
         entries.append(
@@ -440,7 +439,8 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
         entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
         return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)
     entries = []
-    for j, jet in enumerate(sample.active):
+    for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
+        jet = expr.evaluate_dual(g, pts)
         norms = np.linalg.norm(jet.grad, axis=1)
         keep = norms >= 1e-12  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]

@@ -1,20 +1,25 @@
 """Unconstrained minimization of the barrier at fixed mu.
 
-Backtracking line search keeps every iterate strictly interior: a step is
-halved while it lands outside the interior (where the barrier reports +inf)
-and then further until the Armijo decrease test holds.  Directions are
-steepest descent or, optionally, Newton with an eigenvalue shift that makes
-the Hessian safely positive definite.
+Directions are Newton steps with an eigenvalue shift that makes the
+barrier Hessian safely positive definite (steepest descent where the
+Hessian cannot be used).  Backtracking line search keeps every iterate
+strictly interior: a step is halved while it lands outside the interior
+(where the barrier reports +inf) and then further until the Armijo decrease
+test holds.  Below the float floor of phi, where the decrease Armijo asks
+of a full step rounds away, candidates are judged by the gradient norm
+instead (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .barrier import barrier_eval, barrier_hessian, barrier_value
+from .expr import EvalError
 from .problem import Problem
 
 ARMIJO_C1 = 1e-4
@@ -63,13 +68,21 @@ def _newton_direction(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray
     return d
 
 
+def _gradient_norm(p: Problem, x: np.ndarray, mu: float) -> float:
+    """|grad phi| at x; +inf where barrier_value is +inf."""
+    try:
+        be = barrier_eval(p, x, mu)
+    except EvalError:
+        return math.inf
+    return float(np.linalg.norm(be.gradient)) if be.interior else math.inf
+
+
 def solve_inner(
     p: Problem,
     mu: float,
     x_start,
     tol: float | None = None,
     max_iters: int = 5000,
-    newton: bool = False,
     callback: Callable[[int, np.ndarray, float, float, float], None] | None = None,
 ) -> InnerResult:
     """Minimize the barrier at fixed mu from a strictly interior start.
@@ -79,6 +92,10 @@ def solve_inner(
     length of the step that produced the iterate, 0.0 for the start.  An
     accepted step that leaves x bit-identical counts as an iteration but
     makes no new iterate: the solve ends there with status NO_PROGRESS.
+
+    When be.value + ARMIJO_C1 * slope == be.value, the Armijo test cannot
+    rank steps, so a candidate is accepted when it is interior and
+    |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|.
     """
     if tol is None:
         tol = default_tolerance(mu)
@@ -100,25 +117,27 @@ def solve_inner(
         if k == max_iters:
             break
 
-        d = _newton_direction(p, x, mu, be.gradient) if newton else -be.gradient
+        d = _newton_direction(p, x, mu, be.gradient)
         slope = float(be.gradient @ d)
+        by_gradient = be.value + ARMIJO_C1 * slope == be.value
         t = 1.0
-        accepted = None
         while t >= MIN_STEP:
             cand = x + t * d
-            val = barrier_value(p, cand, mu)
-            if val <= be.value + ARMIJO_C1 * t * slope:
-                accepted = (cand, t)
+            if by_gradient:
+                accept = _gradient_norm(p, cand, mu) <= (1 - ARMIJO_C1 * t) * grad_norm
+            else:
+                accept = barrier_value(p, cand, mu) <= be.value + ARMIJO_C1 * t * slope
+            if accept:
                 break
             t *= 0.5
-        if accepted is None:
+        else:
             return InnerResult(x, grad_norm, iterations, InnerStatus.LINE_SEARCH_STALL)
 
         iterations += 1
-        if np.array_equal(accepted[0], x):
+        if np.array_equal(cand, x):
             # every later iteration would repeat this one bit for bit
             return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS)
-        x, step = accepted
+        x, step = cand, t
         be = barrier_eval(p, x, mu)
 
     grad_norm = float(np.linalg.norm(be.gradient))

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, records on stdout or --out, failure paths."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -111,6 +113,23 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
     records = _records(out.read_text())
     assert records[-1]["record"] == "nondegeneracy"
     assert records[-1]["passed"] is False
+
+
+def test_readme_solve_section_names_every_solve_option():
+    # the solve paragraph and the commands' shared introduction above it
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Commands") : readme.index("**`diagnose`**")]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*[a-z0-9]", section))
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        opt
+        for action in subparsers.choices["solve"]._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert options - named == set(), "solve options the README does not name"
+    assert named - options == set(), "README flags the solve parser does not accept"
 
 
 @pytest.mark.parametrize(
@@ -368,24 +387,53 @@ def test_unwritable_out_is_an_input_error(monkeypatch, run_cli, tmp_path, argv, 
 
 
 def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
-    # steepest descent from 4.9 overshoots into x1 < 0, where ln(x1) is undefined
+    # started from 4, a Newton line search at mu = 1 tries x1 = -0.652,
+    # where the constraints hold but ln(x1) is undefined
     path = tmp_path / "ln-objective.json"
     path.write_text(
         json.dumps(
             {
                 "name": "ln-objective",
                 "nvars": 1,
-                "objective": "x1 - 3*ln(x1)",
-                "constraints": ["x1", "5 - x1"],
+                "objective": "ln(x1)^2",
+                "constraints": ["x1 + 1", "5 - x1"],
                 "box": [[-1, 6]],
-                "interior_point": [4.9],
+                "interior_point": [4],
             }
         )
     )
-    code, stdout, _ = run_cli(["solve", "--problem", path, "--no-newton"])
+    code, stdout, _ = run_cli(["solve", "--problem", path])
     assert code == 0
     cert = _records(stdout)[-1]
-    assert abs(cert["x"][0] - 3.0) < 1e-6
+    assert abs(cert["x"][0] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv", [["diagnose", "--check", "nondegeneracy"], ["solve", "--require-assumptions"]]
+)
+def test_nondegeneracy_check_needs_gradients_only(run_cli, tmp_path, argv):
+    # near x1 = 1 the zero term's Hessian overflows while its value and
+    # gradient stay finite; only the curvature probe needs that Hessian
+    path = tmp_path / "hessian-overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "hessian-overflow",
+                "nvars": 2,
+                "objective": "x1 + x2",
+                "constraints": ["1 - x1^2 - x2^2 + 0*exp(exp(10*(x1 - 1) + 6.551))"],
+                "box": [[-1, 1], [-1, 1]],
+            }
+        )
+    )
+    code, stdout, stderr = run_cli([*argv, "--problem", path])
+    assert (code, stderr) == (0, "")
+    (ndg,) = [r for r in _records(stdout) if r["record"] == "nondegeneracy"]
+    assert ndg["passed"] is True
+    assert ndg["boundary_points"] == 256
+    code, _, stderr = run_cli(["diagnose", "--check", "curvature", "--problem", path])
+    assert code == 2
+    assert "outside the domain" in stderr
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape

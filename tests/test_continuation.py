@@ -42,6 +42,17 @@ def test_schedule_needs_a_finite_mu0(mu0):
         MuSchedule(mu0=mu0)
 
 
+def test_schedule_length_is_bounded():
+    # construction only: weights() of a refused schedule would build its
+    # list before the first stage, 7.1e8 floats for the first one here
+    assert len(MuSchedule(1.0, 0.9, 1e-8).weights()) == 175
+    with pytest.raises(ValueError, match="709[0-9]{6} weights; at most 100000"):
+        MuSchedule(1e300, 0.999999, 1e-8)
+    MuSchedule(1.0, 0.9999, 1e-4)  # 92099 weights
+    with pytest.raises(ValueError, match="weights"):
+        MuSchedule(1.0, 0.9999, 1e-5)  # about 115124
+
+
 def test_path_invariants(problems, traces):
     for name, trace in traces.items():
         p = problems[name]
@@ -176,13 +187,47 @@ def test_stage_callback_sees_every_weight(problems):
 
 @pytest.mark.parametrize("name", ["cassini", "hyperbola"])
 def test_float_floor_stage_ends_without_spinning(problems, name):
-    # the last stage reaches a step that leaves x bit-identical; it used to
-    # repeat that step until max_iters, 5068 and 5074 iterations in all
+    # the last stage reaches the float floor of phi; it used to repeat a
+    # step there until max_iters, 5068 and 5074 iterations in all
     seen = []
     trace = continuation.solve(problems[name], stage_callback=lambda mu, r: seen.append(r))
     assert sum(r.iterations for r in seen) < 100
+    assert seen[-1].status is InnerStatus.CONVERGED
+    assert trace.final_certificate.verdict is Verdict.KKT_POINT
+
+
+# instance 25 of the benchmark's seed-2 solve pool: its last stage cycled
+# between two iterates with bit-equal barrier values, which the Armijo test
+# accepts, for 5000 iterations; judged by the gradient norm it ends in a few
+HYPERBOLA_006 = {
+    "name": "hyperbola-006",
+    "nvars": 2,
+    "objective": "0.9773640578448384*x1 + 1.8472011595754063*x2",
+    "constraints": ["x1*x2 - 1", "x1", "x2", "10 - x1", "10 - x2"],
+    "box": [[0.01, 10.0], [0.01, 10.0]],
+    "interior_point": [2.0, 2.0],
+}
+
+
+def test_two_point_cycle_ends_below_the_float_floor():
+    seen = []
+    trace = continuation.solve(
+        problem.problem_from_dict(HYPERBOLA_006),
+        stage_callback=lambda mu, r: seen.append(r),
+    )
+    assert sum(r.iterations for r in seen) < 100
+    assert all(r.status is not InnerStatus.MAX_ITERS for r in seen)
     assert seen[-1].status is InnerStatus.NO_PROGRESS
     assert trace.final_certificate.verdict is Verdict.KKT_POINT
+    assert abs(trace.final_certificate.objective - 2.6872945658995477) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
+def test_builtin_newton_iterations(problems, name):
+    # deterministic counters: 76, 71, 76, 71 and 71 Newton iterations
+    seen = []
+    continuation.solve(problems[name], stage_callback=lambda mu, r: seen.append(r))
+    assert sum(r.iterations for r in seen) <= 76
 
 
 def test_records_shape(traces):

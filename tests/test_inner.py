@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from logbarrier import expr, inner, problem
+from logbarrier import barrier, expr, inner, problem
 from logbarrier.inner import InfeasibleStartError, InnerStatus
 
 DISK_FLAT = problem.problem_from_dict(
@@ -45,7 +46,7 @@ def test_monotone_descent_and_feasible_iterates(problems):
 
 
 def test_small_mu_tracks_constrained_minimizer(problems):
-    r = inner.solve_inner(problems["disk"], 1e-6, np.array([0.0, 0.0]), newton=True)
+    r = inner.solve_inner(problems["disk"], 1e-6, np.array([0.0, 0.0]))
     assert r.status is InnerStatus.CONVERGED
     root_half = np.sqrt(0.5)
     assert np.abs(r.x - root_half).max() <= 1e-3
@@ -59,22 +60,27 @@ def test_start_independence(problems):
         x0 = rng.uniform(p.box[:, 0], p.box[:, 1])
         if expr.evaluate(p.constraints[0], x0) < 0.05:
             continue
-        r = inner.solve_inner(p, 0.1, x0, tol=1e-10, newton=True)
+        r = inner.solve_inner(p, 0.1, x0, tol=1e-10)
         assert r.status is InnerStatus.CONVERGED
         results.append(r.x)
     for x in results[1:]:
         assert np.abs(x - results[0]).max() <= 1e-6
 
 
-def test_newton_agrees_with_steepest(problems):
-    # steepest descent has a slow tail, so compare at a tolerance it can reach
+def test_newton_agrees_with_nelder_mead(problems):
+    # an independent derivative-free minimizer of the same barrier value
     p = problems["cassini"]
-    a = inner.solve_inner(p, 0.5, np.array([0.2, -0.1]), tol=1e-7, newton=False)
-    b = inner.solve_inner(p, 0.5, np.array([0.2, -0.1]), tol=1e-7, newton=True)
-    assert a.status is InnerStatus.CONVERGED
+    b = inner.solve_inner(p, 0.5, np.array([0.2, -0.1]), tol=1e-7)
+    a = minimize(
+        lambda x: barrier.barrier_value(p, x, 0.5),
+        [0.2, -0.1],
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 10000},
+    )
+    assert a.success
     assert b.status is InnerStatus.CONVERGED
     assert np.abs(a.x - b.x).max() <= 1e-5
-    assert b.iterations < a.iterations
+    assert b.iterations < a.nit
 
 
 def test_infeasible_start(problems):
@@ -93,7 +99,12 @@ def test_max_iters_status(problems):
 
 
 def test_line_search_stall_status(problems):
-    # a steep wall next to the start defeats every Armijo backtrack
-    r = inner.solve_inner(problems["epsbox"], 1.0, np.array([1.0 - 1e-15, 0.5]), tol=1e-12)
+    # within an ulp of the boundary every backtracked Newton step either
+    # leaves the interior or fails the Armijo test
+    p = problems["cassini"]
+    x0 = np.array([-1.6063481213192292, -0.45167526013009995])
+    assert 0.0 < expr.evaluate(p.constraints[0], x0) <= 1e-15
+    r = inner.solve_inner(p, 1.0, x0)
     assert r.status is InnerStatus.LINE_SEARCH_STALL
-    assert min(expr.evaluate(g, r.x) for g in problems["epsbox"].constraints) > 0.0
+    assert r.iterations == 0
+    assert min(expr.evaluate(g, r.x) for g in p.constraints) > 0.0
