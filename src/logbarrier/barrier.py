@@ -25,7 +25,6 @@ class InfeasiblePointError(Exception):
 
 
 class BarrierEvaluation(NamedTuple):
-    mu: float
     value: float  # +inf outside the strict interior
     constraint_values: np.ndarray
     gradient: np.ndarray | None  # None outside the strict interior
@@ -74,14 +73,14 @@ def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     gjets = expr.jets(p.constraints, x, 1)
     gvals = np.array([j.value for j in gjets])
     if np.any(gvals <= 0.0):
-        return BarrierEvaluation(mu, math.inf, gvals, None, None)
+        return BarrierEvaluation(math.inf, gvals, None, None)
 
     fjet = expr.evaluate_dual(p.objective, x, 1)
     grads = np.array([j.grad for j in gjets])
     multipliers = mu / gvals
     value = fjet.value - mu * float(np.sum(np.log(gvals)))
     gradient = fjet.grad - grads.T @ multipliers
-    return BarrierEvaluation(mu, value, gvals, gradient, multipliers)
+    return BarrierEvaluation(value, gvals, gradient, multipliers)
 
 
 def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:

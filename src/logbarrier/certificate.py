@@ -20,21 +20,17 @@ from . import expr
 from .problem import Problem
 
 MULTIPLIER_CLAMP = 1e-12
+STATIONARITY_TOL = 1e-5
+COMPLEMENTARITY_TOL = 1e-5
+FEASIBILITY_TOL = 1e-8
+DUAL_TOL = 0.0
+GRADIENT_TOL = 1e-7  # |grad f| below this means unconstrained minimum
 
 
 class Verdict(str, Enum):
     KKT_POINT = "kkt_point"
     UNCONSTRAINED_MINIMUM = "unconstrained_minimum"
     NOT_CERTIFIED = "not_certified"
-
-
-class KKTTolerances(NamedTuple):
-    stationarity: float = 1e-5
-    complementarity: float = 1e-5
-    feasibility: float = 1e-8
-    dual: float = 0.0
-    gradient: float = 1e-7  # |grad f| below this means unconstrained minimum
-    activation: float = 1e-6  # g_j <= this counts as active
 
 
 class KKTCertificate(NamedTuple):
@@ -50,14 +46,15 @@ class KKTCertificate(NamedTuple):
     verdict: Verdict
 
 
-def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> KKTCertificate:
+def check_kkt(p: Problem, x, multipliers, activation: float = 1e-6) -> KKTCertificate:
     """Score a primal-dual candidate against the KKT residuals.
 
+    A g_j at or below activation counts as active.  The verdict compares
+    the residuals with STATIONARITY_TOL, COMPLEMENTARITY_TOL,
+    FEASIBILITY_TOL and DUAL_TOL, and |grad f| with GRADIENT_TOL.
     Multipliers with |lambda_j| < 1e-12 are clamped to zero before scoring,
     so barrier noise on inactive constraints does not poison complementarity.
     """
-    if tols is None:
-        tols = KKTTolerances()
     x = np.array([float(v) for v in x])
     lam = np.array([float(v) for v in multipliers])
     if lam.shape != (p.nconstraints,):
@@ -75,13 +72,13 @@ def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> 
     primal_violation = float(np.max(np.maximum(0.0, -gvals)))
     fgrad_norm = float(np.linalg.norm(fjet.grad))
 
-    if fgrad_norm <= tols.gradient and primal_violation <= tols.feasibility:
+    if fgrad_norm <= GRADIENT_TOL and primal_violation <= FEASIBILITY_TOL:
         verdict = Verdict.UNCONSTRAINED_MINIMUM
     elif (
-        stationarity <= tols.stationarity
-        and complementarity <= tols.complementarity
-        and primal_violation <= tols.feasibility
-        and dual_violation <= tols.dual
+        stationarity <= STATIONARITY_TOL
+        and complementarity <= COMPLEMENTARITY_TOL
+        and primal_violation <= FEASIBILITY_TOL
+        and dual_violation <= DUAL_TOL
     ):
         verdict = Verdict.KKT_POINT
     else:
@@ -95,18 +92,18 @@ def check_kkt(p: Problem, x, multipliers, tols: KKTTolerances | None = None) -> 
         complementarity_residual=complementarity,
         dual_feasibility_violation=dual_violation,
         primal_feasibility_violation=primal_violation,
-        active_set=[int(j) + 1 for j in np.nonzero(gvals <= tols.activation)[0]],
-        activation_tolerance=tols.activation,
+        active_set=[int(j) + 1 for j in np.nonzero(gvals <= activation)[0]],
+        activation_tolerance=activation,
         verdict=verdict,
     )
 
 
-def _worst_residual(cert: KKTCertificate, tols: KKTTolerances) -> tuple[str, float]:
+def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
     scored = [
-        ("stationarity", cert.stationarity_residual, tols.stationarity),
-        ("complementarity", cert.complementarity_residual, tols.complementarity),
-        ("primal feasibility", cert.primal_feasibility_violation, tols.feasibility),
-        ("dual feasibility", cert.dual_feasibility_violation, tols.dual),
+        ("stationarity", cert.stationarity_residual, STATIONARITY_TOL),
+        ("complementarity", cert.complementarity_residual, COMPLEMENTARITY_TOL),
+        ("primal feasibility", cert.primal_feasibility_violation, FEASIBILITY_TOL),
+        ("dual feasibility", cert.dual_feasibility_violation, DUAL_TOL),
     ]
 
     def ratio(item):
@@ -122,7 +119,6 @@ def _worst_residual(cert: KKTCertificate, tols: KKTTolerances) -> tuple[str, flo
 def global_optimality_statement(
     cert: KKTCertificate,
     assumptions_verified: bool,
-    tols: KKTTolerances | None = None,
     unverified: str | None = None,
 ) -> str:
     """One-sentence conclusion to attach to a certificate.
@@ -132,10 +128,8 @@ def global_optimality_statement(
     claim; a clean verdict without it stays a local statement naming what
     was not verified; a failed verdict names the worst residual.
     """
-    if tols is None:
-        tols = KKTTolerances()
     if cert.verdict is Verdict.NOT_CERTIFIED:
-        name, value = _worst_residual(cert, tols)
+        name, value = _worst_residual(cert)
         return (
             f"not certified: {name} residual {value:.6g} exceeds tolerance; "
             "the candidate is not a certified stationary point"

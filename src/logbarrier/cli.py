@@ -334,7 +334,7 @@ def _run_diagnose(args) -> int:
                 else:
                     passed = True
             elif name == "levelset":
-                report = levelset_convexity_probe(p, "all", value, seed=args.seed)
+                report = levelset_convexity_probe(p, value, seed=args.seed)
                 records.append(record("levelset_convexity", report))
                 if args.expect == "nonconvex":
                     passed = report.verdict == "counterexample"

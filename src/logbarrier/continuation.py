@@ -9,13 +9,13 @@ final stage yields a certificate candidate directly.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr
 from .barrier import barrier_eval
-from .certificate import KKTCertificate, KKTTolerances, check_kkt
+from .certificate import KKTCertificate, check_kkt
 from .diagnostics import slater_find
 from .inner import InnerStatus, default_tolerance, solve_inner
 from .problem import Problem, evaluate_constraints
@@ -94,20 +94,19 @@ def solve(
     schedule: MuSchedule | None = None,
     x0=None,
     tol_floor: float = 1e-8,
-    max_iters: int = 5000,
-    tols: KKTTolerances | None = None,
-    stage_callback: Callable | None = None,
 ) -> SolveTrace:
     """Run the full continuation and certify the final iterate.
 
     The start is x0, else the problem's interior point, else a grid search
-    for a strictly feasible point.  Each stage calls solve_inner and then
-    stage_callback(mu, result) once.  A stage that misses its tolerance is
+    for a strictly feasible point.  Each stage calls solve_inner once, at
+    most inner.MAX_ITERS Newton steps, with tolerance
+    default_tolerance(mu, tol_floor).  A stage that misses its tolerance is
     kept anyway, with its honest status on the path point, as long as the
     gradient norm is within STAGE_GRACE of the tolerance; otherwise
     ContinuationError.
-    The final certificate uses activation cutoff sqrt(mu_last) and zeroes
-    multiplier estimates outside the resulting active set.
+    The final certificate uses activation cutoff sqrt(mu_last), with the
+    verdict tolerances of the certificate module, and zeroes multiplier
+    estimates outside the resulting active set.
     """
     if schedule is None:
         schedule = MuSchedule()
@@ -127,9 +126,7 @@ def solve(
     points: list[PathPoint] = []
     for mu in schedule.weights():
         tol = default_tolerance(mu, tol_floor)
-        result = solve_inner(p, mu, x, tol=tol, max_iters=max_iters)
-        if stage_callback is not None:
-            stage_callback(mu, result)
+        result = solve_inner(p, mu, x, tol)
         if result.status is not InnerStatus.CONVERGED and result.grad_norm > STAGE_GRACE * tol:
             raise ContinuationError(
                 f"inner solve failed at mu = {mu:.3e} ({result.status.value}, "
@@ -142,7 +139,5 @@ def solve(
     x_last = points[-1].x
     cutoff = math.sqrt(mu_last)
     lam = np.where(evaluate_constraints(p, x_last) <= cutoff, points[-1].multipliers, 0.0)
-    if tols is None:
-        tols = KKTTolerances(activation=cutoff)
-    cert = check_kkt(p, x_last, lam, tols)
+    cert = check_kkt(p, x_last, lam, cutoff)
     return SolveTrace(points=points, final_certificate=cert)

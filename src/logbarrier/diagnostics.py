@@ -28,6 +28,11 @@ from .problem import Problem, bisect, box_exit, evaluate_constraints, grid_block
 
 BISECT_ITERS = 60
 SLATER_GRID_RES = 101
+BOUNDARY_RAYS = 256
+ACTIVATION_TOL = 1e-6  # a sampled boundary point where g_j <= this is active for g_j
+NONDEGENERACY_DELTA = 1e-6  # the least active gradient norm that passes
+LEVELSET_PAIRS = 10000
+PHI_SAMPLES = 1000
 GRID_FALLBACK_RES = 201
 GRID_FALLBACK_CAP = 512
 MIDPOINT_GUARD = 1e-10
@@ -79,15 +84,15 @@ class LevelsetWitness(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     midpoint: np.ndarray
-    g_x: np.ndarray  # constraint values over the probed scope, at x
+    g_x: np.ndarray  # every constraint's value at x
     g_y: np.ndarray
     g_mid: np.ndarray
     violated: list[int]  # 1-based constraint indices failing at the midpoint
 
 
 class LevelsetReport(NamedTuple):
-    scope: list[int]  # 1-based constraint indices probed
-    levels: np.ndarray
+    scope: list[int]  # 1-based constraint indices probed: all of them
+    levels: np.ndarray  # the level, once per constraint
     verdict: str  # "counterexample", "convex_up_to_sampling", "empty_region"
     pairs_checked: int
     method: str  # "rejection" or "grid"
@@ -113,46 +118,38 @@ class CurvatureReport(NamedTuple):
     constraints: list[CurvatureEntry]
 
 
-def slater_find(p: Problem, grid_res: int = SLATER_GRID_RES) -> SlaterReport:
+def slater_find(p: Problem) -> SlaterReport:
     """Scan a grid over the box for the strictly feasible point of largest margin.
 
-    A grid scan with grid_res points per axis picks the point with the
-    largest min_j g_j; ties go to the first point in row-major order.
+    A grid scan with SLATER_GRID_RES points per axis picks the point with
+    the largest min_j g_j; ties go to the first point in row-major order.
     Returns that point's SlaterReport, whose margin is > 0, or raises
     SlaterUnverifiedError when no grid point has positive margin.
     """
-    if grid_res < 2:
-        raise ValueError("grid_res must be at least 2")
     x, best_margin = None, -math.inf
-    for block in grid_blocks(p.box, grid_res):
+    for block in grid_blocks(p.box, SLATER_GRID_RES):
         margins = evaluate_constraints(p, block).min(axis=1)
         best = int(np.argmax(margins))
         if x is None or margins[best] > best_margin:
             x, best_margin = block[best].copy(), float(margins[best])
     if best_margin <= 0.0:
         raise SlaterUnverifiedError(
-            f"no strictly feasible point on a {grid_res}^({p.nvars}) grid "
+            f"no strictly feasible point on a {SLATER_GRID_RES}^({p.nvars}) grid "
             f"(best margin {best_margin:.3e})"
         )
-    return SlaterReport(x, best_margin, grid_res)
+    return SlaterReport(x, best_margin, SLATER_GRID_RES)
 
 
-def boundary_sample(
-    p: Problem,
-    x0: np.ndarray,
-    rays: int = 256,
-    seed: int = 42,
-    activation_tol: float = 1e-6,
-) -> BoundarySample:
-    """Walk seeded random rays from a strict interior point x0 to the boundary.
+def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySample:
+    """Walk BOUNDARY_RAYS seeded random rays from a strict interior point x0 to the boundary.
 
     Rays that leave the box while still strictly feasible are dropped.  For
     the rest, bisection pins the crossing of min_j g_j down to a residual
-    around machine scale.  The points where g_j <= activation_tol are kept
+    around machine scale.  The points where g_j <= ACTIVATION_TOL are kept
     per constraint; each probe that reads the sample takes the derivatives
     it needs there.
     """
-    directions = _random_directions(np.random.default_rng(seed), rays, p.nvars)
+    directions = _random_directions(np.random.default_rng(seed), BOUNDARY_RAYS, p.nvars)
     t_exit = box_exit(p.box, x0, directions)
     valid = np.isfinite(t_exit) & (t_exit > 0)
 
@@ -176,8 +173,8 @@ def boundary_sample(
         points = x0[None, :] + np.where(h_lo <= h_hi, lo, hi)[:, None] * dirs
         residuals = np.minimum(h_lo, h_hi)
     gvals = evaluate_constraints(p, points)
-    active = [points[gvals[:, j] <= activation_tol] for j in range(p.nconstraints)]
-    return BoundarySample(rays, points, residuals, active)
+    active = [points[gvals[:, j] <= ACTIVATION_TOL] for j in range(p.nconstraints)]
+    return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 
 
 def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarray:
@@ -188,15 +185,14 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
     return d
 
 
-def nondegeneracy_probe(
-    p: Problem, sample: BoundarySample, delta: float = 1e-6
-) -> NondegeneracyReport:
+def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyReport:
     """Check that active constraint gradients stay away from zero.
 
-    A constraint passes when its gradient norm is at least delta at every
-    sampled point where it is active; constraints never seen active report
-    None.  Only gradients are taken, so a Hessian that is undefined on the
-    boundary does not stop this check.
+    A constraint passes when its gradient norm is at least
+    NONDEGENERACY_DELTA at every sampled point where it is active;
+    constraints never seen active report None.  Only gradients are taken,
+    so a Hessian that is undefined on the boundary does not stop this
+    check.
     """
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
@@ -208,33 +204,17 @@ def nondegeneracy_probe(
                 constraint=j + 1,
                 samples=count,
                 min_gradient_norm=low,
-                passed=None if low is None else bool(low >= delta),
+                passed=None if low is None else bool(low >= NONDEGENERACY_DELTA),
             )
         )
     return NondegeneracyReport(
-        delta=delta,
+        delta=NONDEGENERACY_DELTA,
         rays=sample.rays,
         boundary_points=int(sample.points.shape[0]),
         max_boundary_residual=float(sample.residuals.max()) if sample.residuals.size else 0.0,
         constraints=entries,
         passed=all(e.passed is not False for e in entries),
     )
-
-
-def _scope_levels(p: Problem, constraint, levels) -> tuple[list[int], np.ndarray]:
-    if constraint == "all":
-        scope = list(range(1, p.nconstraints + 1))
-    else:
-        j = int(constraint)
-        if not 1 <= j <= p.nconstraints:
-            raise ValueError(f"constraint index {j} out of range")
-        scope = [j]
-    a = np.asarray(levels, dtype=float)
-    if a.ndim == 0:
-        a = np.full(len(scope), float(a))
-    if a.shape != (len(scope),):
-        raise ValueError(f"expected {len(scope)} level(s), got shape {a.shape}")
-    return scope, a
 
 
 def _triu_pairs(k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,44 +226,37 @@ def _triu_pairs(k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, pos - first[rows] + rows + 1
 
 
-def levelset_convexity_probe(
-    p: Problem,
-    constraint="all",
-    levels=0.0,
-    pairs: int = 10000,
-    seed: int = 42,
-) -> LevelsetReport:
-    """Hunt for a midpoint convexity counterexample of {x : g_j(x) >= a_j}.
+def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> LevelsetReport:
+    """Hunt for a midpoint convexity counterexample of {x : g_j(x) >= level for all j}.
 
-    Pairs are drawn from the superlevel set by rejection sampling over the
-    box.  Alternate pairs are pushed to the set's boundary along random
-    directions (bisection, staying on the member side): shallow boundary
-    dents produce midpoint violations only for chords with both ends near
-    the boundary, which volume sampling almost never delivers.  A midpoint
-    whose constraint value drops below its level by more than a small guard
-    (1e-10, absorbing roundoff near the level) is a witness that the set is
-    not convex.  When rejection sampling finds too few members (a thin or
-    lower-dimensional set), a deterministic grid scan takes over.  No
-    witness is only evidence of convexity, never proof.
+    LEVELSET_PAIRS pairs are drawn from the superlevel set by rejection
+    sampling over the box.  Alternate pairs are pushed to the set's
+    boundary along random directions (bisection, staying on the member
+    side): shallow boundary dents produce midpoint violations only for
+    chords with both ends near the boundary, which volume sampling almost
+    never delivers.  A midpoint where some constraint value drops below the
+    level by more than a small guard (1e-10, absorbing roundoff near the
+    level) is a witness that the set is not convex.  When rejection
+    sampling finds too few members (a thin or lower-dimensional set), a
+    deterministic grid scan takes over.  No witness is only evidence of
+    convexity, never proof.
 
     Pairs are pushed and scanned in blocks of at most GRID_BLOCK_POINTS
     points, so memory stays bounded; the first witness ends the probe, and
     the block size changes no result.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be positive")
-    scope, a = _scope_levels(p, constraint, levels)
-    cols = [p.constraints[j - 1] for j in scope]
+    scope = list(range(1, p.nconstraints + 1))
+    levels = np.full(p.nconstraints, float(level))
 
     def scan_pairs(
         xs: np.ndarray, ys: np.ndarray, method: str, offset: int
     ) -> LevelsetReport | None:
         # offset: the pairs checked in earlier blocks
         mids = 0.5 * (xs + ys)
-        gm = evaluate_constraints(p, mids, cols)
+        gm = evaluate_constraints(p, mids)
         # a midpoint where some g_j overflows reads -inf throughout: its
         # value is unknown, so it is no witness
-        below = (gm < a[None, :] - MIDPOINT_GUARD) & np.isfinite(gm)
+        below = (gm < level - MIDPOINT_GUARD) & np.isfinite(gm)
         flagged = np.nonzero(below.any(axis=1))[0]
         if flagged.size:
             idx = int(flagged[0])
@@ -291,14 +264,14 @@ def levelset_convexity_probe(
                 x=xs[idx].copy(),
                 y=ys[idx].copy(),
                 midpoint=mids[idx].copy(),
-                g_x=evaluate_constraints(p, xs[idx], cols),
-                g_y=evaluate_constraints(p, ys[idx], cols),
+                g_x=evaluate_constraints(p, xs[idx]),
+                g_y=evaluate_constraints(p, ys[idx]),
                 g_mid=gm[idx].copy(),
-                violated=[scope[k] for k in np.nonzero(below[idx])[0]],
+                violated=[int(k) + 1 for k in np.nonzero(below[idx])[0]],
             )
             return LevelsetReport(
                 scope=scope,
-                levels=a,
+                levels=levels,
                 verdict="counterexample",
                 witness=witness,
                 pairs_checked=offset + idx + 1,
@@ -307,7 +280,7 @@ def levelset_convexity_probe(
         return None
 
     def members_mask(pts: np.ndarray) -> np.ndarray:
-        return np.all(evaluate_constraints(p, pts, cols) >= a[None, :], axis=1)
+        return np.all(evaluate_constraints(p, pts) >= level, axis=1)
 
     def push_to_boundary(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # walk each member outward along its direction, keeping the last
@@ -325,7 +298,7 @@ def levelset_convexity_probe(
     def convex(npairs: int, method: str) -> LevelsetReport:
         return LevelsetReport(
             scope=scope,
-            levels=a,
+            levels=levels,
             verdict="convex_up_to_sampling",
             witness=None,
             pairs_checked=npairs,
@@ -333,8 +306,8 @@ def levelset_convexity_probe(
         )
 
     rng = np.random.default_rng(seed)
-    need = 2 * pairs
-    cap = max(100_000, 50 * pairs)
+    need = 2 * LEVELSET_PAIRS
+    cap = max(100_000, 50 * LEVELSET_PAIRS)
     # the batch size fixes where the draws stop, and so the directions below
     arr, _ = sample_box(rng, p.box, members_mask, need, batch=8192, cap=cap)
 
@@ -373,7 +346,7 @@ def levelset_convexity_probe(
     if k < 2:
         return LevelsetReport(
             scope=scope,
-            levels=a,
+            levels=levels,
             verdict="empty_region",
             witness=None,
             pairs_checked=0,
@@ -388,28 +361,21 @@ def levelset_convexity_probe(
     return convex(npairs, "grid")
 
 
-def phi_convexity_probe(
-    p: Problem,
-    mu: float,
-    samples: int = 1000,
-    seed: int = 42,
-) -> PhiConvexityReport:
-    """Sample the barrier Hessian over the strict interior within the box.
+def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityReport:
+    """Sample the barrier Hessian at PHI_SAMPLES strictly interior points in the box.
 
     Reports the smallest eigenvalue seen and where; a clearly negative
     value exhibits nonconvexity of the barrier at this mu.  Raises
     NoFeasibleSamplesError when rejection sampling finds no strictly
     feasible points.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    cap = max(100_000, 200 * samples)
+    cap = max(100_000, 200 * PHI_SAMPLES)
     pts, drawn = sample_box(
         rng,
         p.box,
         lambda draw: np.all(evaluate_constraints(p, draw) > 0.0, axis=1),
-        samples,
+        PHI_SAMPLES,
         batch=4096,
         cap=cap,
     )

@@ -29,11 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-class ExprError(Exception):
-    pass
-
-
-class ParseError(ExprError):
+class ParseError(Exception):
     """Syntax or naming problem in expression text, with a 0-based position."""
 
     def __init__(self, message: str, position: int):
@@ -41,7 +37,7 @@ class ParseError(ExprError):
         self.position = position
 
 
-class EvalError(ExprError):
+class EvalError(Exception):
     pass
 
 
@@ -58,9 +54,6 @@ class Expr(NamedTuple):
 
     root: tuple
     nvars: int
-
-    def serialize(self) -> str:
-        return serialize(self)
 
 
 # Every non-space character starts a match, so one scan covers the text

@@ -7,14 +7,15 @@ strictly interior: a step is halved while it lands outside the interior
 (where the barrier reports +inf) and then further until the Armijo decrease
 test holds.  Below the float floor of phi, where the decrease Armijo asks
 of a full step rounds away, candidates are judged by the gradient norm
-instead (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
+instead (Boyd & Vandenberghe, Convex Optimization, 9.5.1).  A solve takes
+at most MAX_ITERS Newton steps.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .problem import Problem
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-16
 EIG_FLOOR = 1e-8
+MAX_ITERS = 5000
 
 
 class InfeasibleStartError(Exception):
@@ -45,7 +47,7 @@ class InnerResult(NamedTuple):
     status: InnerStatus
 
 
-def default_tolerance(mu: float, floor: float = 1e-8) -> float:
+def default_tolerance(mu: float, floor: float) -> float:
     """Gradient-norm target at weight mu: max(floor, 1e-2 * mu).
 
     Continuation's stages use it with their tolerance floor.
@@ -77,28 +79,20 @@ def _gradient_norm(p: Problem, x: np.ndarray, mu: float) -> float:
     return float(np.linalg.norm(be.gradient)) if be.interior else math.inf
 
 
-def solve_inner(
-    p: Problem,
-    mu: float,
-    x_start,
-    tol: float | None = None,
-    max_iters: int = 5000,
-    callback: Callable[[int, np.ndarray, float, float, float], None] | None = None,
-) -> InnerResult:
+def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     """Minimize the barrier at fixed mu from a strictly interior start.
 
-    tol defaults to max(1e-8, 1e-2 * mu).  The callback, if given, receives
-    (iteration, x, value, grad_norm, step) once per iterate; step is the
-    length of the step that produced the iterate, 0.0 for the start.  An
+    Stops at the first iterate whose gradient norm is at most tol, or after
+    MAX_ITERS Newton steps (read at each call) with status MAX_ITERS.  An
     accepted step that leaves x bit-identical counts as an iteration but
     makes no new iterate: the solve ends there with status NO_PROGRESS.
 
-    When be.value + ARMIJO_C1 * slope == be.value, the Armijo test cannot
-    rank steps, so a candidate is accepted when it is interior and
-    |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|.
+    A candidate must lower phi: the Armijo test alone would accept an
+    equal value once the decrease it asks for at a backtracked step rounds
+    away.  When be.value + ARMIJO_C1 * slope == be.value, the Armijo test
+    cannot rank steps at all, so a candidate is accepted when it is
+    interior and |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|.
     """
-    if tol is None:
-        tol = default_tolerance(mu)
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
     if not be.interior:
@@ -106,15 +100,12 @@ def solve_inner(
             f"start is not strictly interior (min g = {be.constraint_values.min()})"
         )
 
-    step = 0.0
     iterations = 0
-    for k in range(max_iters + 1):
+    for k in range(MAX_ITERS + 1):
         grad_norm = float(np.linalg.norm(be.gradient))
-        if callback is not None:
-            callback(k, x.copy(), be.value, grad_norm, step)
         if grad_norm <= tol:
             return InnerResult(x, grad_norm, iterations, InnerStatus.CONVERGED)
-        if k == max_iters:
+        if k == MAX_ITERS:
             break
 
         d = _newton_direction(p, x, mu, be.gradient)
@@ -126,7 +117,8 @@ def solve_inner(
             if by_gradient:
                 accept = _gradient_norm(p, cand, mu) <= (1 - ARMIJO_C1 * t) * grad_norm
             else:
-                accept = barrier_value(p, cand, mu) <= be.value + ARMIJO_C1 * t * slope
+                value = barrier_value(p, cand, mu)
+                accept = value < be.value and value <= be.value + ARMIJO_C1 * t * slope
             if accept:
                 break
             t *= 0.5
@@ -137,7 +129,7 @@ def solve_inner(
         if np.array_equal(cand, x):
             # every later iteration would repeat this one bit for bit
             return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS)
-        x, step = cand, t
+        x = cand
         be = barrier_eval(p, x, mu)
 
     grad_norm = float(np.linalg.norm(be.gradient))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -26,12 +25,6 @@ class ProblemError(Exception):
     pass
 
 
-class Feasibility(str, Enum):
-    STRICTLY_FEASIBLE = "strictly_feasible"
-    BOUNDARY = "boundary"
-    INFEASIBLE = "infeasible"
-
-
 class Problem(NamedTuple):
     """A validated problem; problem_from_dict is the one place that builds it."""
 
@@ -41,7 +34,6 @@ class Problem(NamedTuple):
     constraints: tuple[Expr, ...]
     box: np.ndarray  # shape (nvars, 2), columns lo, hi
     interior_point: np.ndarray | None
-    source: dict  # the dict form it was built from
 
     @property
     def nconstraints(self) -> int:
@@ -120,37 +112,31 @@ def sample_box(rng: np.random.Generator, box: np.ndarray, keep, need: int, batch
     return out[:count], drawn
 
 
-def evaluate_constraints(p: Problem, x, constraints=None) -> np.ndarray:
+def evaluate_constraints(p: Problem, x) -> np.ndarray:
     """The g_j at one point, shape (m,), or over an (N, nvars) batch, shape (N, m).
 
-    constraints defaults to all of p's.  At one point an overflow raises
-    EvalError.  Over a batch, a point where some g_j overflows gets -inf
-    for every g_j: the barrier cannot be evaluated there, so a scan counts
-    it as infeasible instead of stopping.
+    At one point an overflow raises EvalError.  Over a batch, a point where
+    some g_j overflows gets -inf for every g_j: the barrier cannot be
+    evaluated there, so a scan counts it as infeasible instead of stopping.
     """
-    constraints = p.constraints if constraints is None else constraints
     if np.ndim(x) == 1:
-        return np.array([j.value for j in expr.jets(constraints, x, 0)])
-    values = expr.scan_values(constraints, x)
+        return np.array([j.value for j in expr.jets(p.constraints, x, 0)])
+    values = expr.scan_values(p.constraints, x)
     values[~np.isfinite(values).all(axis=1)] = -np.inf
     return values
 
 
-def feasibility(p: Problem, x, boundary_tol: float = 0.0) -> Feasibility:
-    """Classify a point against the constraints (the box is ignored).
-
-    Strictly feasible means every g_j > boundary_tol; boundary means no g_j
-    is negative below -boundary_tol but some g_j is within the tolerance.
-    """
-    gvals = evaluate_constraints(p, x)
-    if np.any(gvals < -boundary_tol):
-        return Feasibility.INFEASIBLE
-    if np.all(gvals > boundary_tol):
-        return Feasibility.STRICTLY_FEASIBLE
-    return Feasibility.BOUNDARY
-
-
 _PARAM_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+
+
+def _finite(value, label: str) -> float:
+    """value as a float; ProblemError unless it is a finite int or float (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemError(f"{label} must be a number, got {value!r}")
+    # exact for ints of any size, and false for nan
+    if not abs(value) <= sys.float_info.max:
+        raise ProblemError(f"{label} must be finite as a float, got {value!r}")
+    return float(value)
 
 
 def problem_from_dict(data: dict) -> Problem:
@@ -160,7 +146,9 @@ def problem_from_dict(data: dict) -> Problem:
     interior_point (must be strictly feasible and strictly inside the box)
     and params, a mapping of names to numbers that the expressions may use:
     each name is bound as a constant, so with a = -1, a^2 is 1.  A param
-    with an integer value may also serve as an exponent.
+    with an integer value may also serve as an exponent.  Box bounds,
+    interior_point coordinates and param values must be finite JSON
+    numbers; a string or a bool is none.
     """
     if not isinstance(data, dict):
         raise ProblemError("problem data must be a JSON object")
@@ -183,11 +171,7 @@ def problem_from_dict(data: dict) -> Problem:
             raise ProblemError(f"invalid parameter name {pname!r}")
         if pname in ("ln", "exp") or re.match(r"^x\d+$", pname):
             raise ProblemError(f"parameter name {pname!r} collides with the expression language")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProblemError(f"parameter value must be a number, got {value!r}")
-        # exact for ints of any size, and false for nan
-        if not abs(value) <= sys.float_info.max:
-            raise ProblemError(f"parameter value must be finite as a float, got {value!r}")
+        _finite(value, "parameter value")
 
     def parse_one(text, label):
         if not isinstance(text, str):
@@ -212,7 +196,8 @@ def problem_from_dict(data: dict) -> Problem:
     for i, pair in enumerate(raw_box):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ProblemError(f"box entry {i + 1} must be a [lo, hi] pair")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo = _finite(pair[0], f"box entry {i + 1} lo")
+        hi = _finite(pair[1], f"box entry {i + 1} hi")
         if not lo < hi:
             raise ProblemError(f"box entry {i + 1} must have lo < hi")
         box[i] = (lo, hi)
@@ -222,7 +207,9 @@ def problem_from_dict(data: dict) -> Problem:
         raw_pt = data["interior_point"]
         if not isinstance(raw_pt, list) or len(raw_pt) != nvars:
             raise ProblemError(f"interior_point must list {nvars} coordinates")
-        interior = np.array([float(v) for v in raw_pt])
+        interior = np.array(
+            [_finite(v, f"interior_point coordinate {i + 1}") for i, v in enumerate(raw_pt)]
+        )
 
     p = Problem(
         name=name,
@@ -231,17 +218,16 @@ def problem_from_dict(data: dict) -> Problem:
         constraints=constraints,
         box=box,
         interior_point=interior,
-        source=data,
     )
 
     if interior is not None:
         if np.any(interior <= box[:, 0]) or np.any(interior >= box[:, 1]):
             raise ProblemError("interior_point must lie strictly inside the box")
         try:
-            status = feasibility(p, interior)
+            strictly_feasible = np.all(evaluate_constraints(p, interior) > 0)
         except expr.EvalError as err:
             raise ProblemError(f"cannot evaluate the constraints at interior_point: {err}") from err
-        if status is not Feasibility.STRICTLY_FEASIBLE:
+        if not strictly_feasible:
             raise ProblemError("interior_point must be strictly feasible")
     return p
 

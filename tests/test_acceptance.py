@@ -91,7 +91,7 @@ def test_criterion_4_levelset_probe_separates_levels(problems):
     results = {}
     witness_ok = True
     for level in (2.95, 2.5, 1.5, 4.0, 0.0, -2.0):
-        r = diagnostics.levelset_convexity_probe(p, levels=level, pairs=10000)
+        r = diagnostics.levelset_convexity_probe(p, level)
         results[level] = r.verdict
         if r.witness is not None:
             w = r.witness

@@ -311,6 +311,49 @@ def test_undefined_expression_is_an_input_error(run_cli, ln_box_file, argv):
     assert "Traceback" not in stderr
 
 
+# (key, JSON text that replaces the key's value in the problem file, message)
+BAD_NUMBERS = [
+    ("box", '[["a", 1], [-2, 2]]', "box entry 1 lo must be a number, got 'a'"),
+    ("box", "[[-2, 1e400], [-2, 2]]", "box entry 1 hi must be finite as a float, got inf"),
+    ("box", "[[-2, 2], [-2, true]]", "box entry 2 hi must be a number, got True"),
+    ("interior_point", '["a", 0]', "interior_point coordinate 1 must be a number, got 'a'"),
+    (
+        "interior_point",
+        "[0, NaN]",
+        "interior_point coordinate 2 must be finite as a float, got nan",
+    ),
+    ("interior_point", "[true, 0]", "interior_point coordinate 1 must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    BAD_NUMBERS,
+    ids=["box-string", "box-1e400", "box-true", "point-string", "point-nan", "point-true"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["diagnose", "--check", "slater"], ["oracle", "--res", "11"], ["contour"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_bad_number_in_a_problem_file_is_an_input_error(
+    run_cli, tmp_path, argv, key, text, message
+):
+    data = {
+        "name": "unit",
+        "nvars": 2,
+        "objective": "x1 + x2",
+        "constraints": ["1 - x1^2 - x2^2"],
+        "box": [[-2, 2], [-2, 2]],
+        "interior_point": [0, 0],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, key: "HOLE"}).replace('"HOLE"', text))
+    code, stdout, stderr = run_cli([argv[0], "--problem", path, *argv[1:]])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"logbarrier: input error: {message}\n"
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_contour_domain_error_in_a_later_block_leaves_no_output(run_cli, tmp_path, to_file):
     # ln(1.99 - x1) is undefined only on the last grid row, x1 = 2, which

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logbarrier import barrier, cli, continuation, expr, problem
+from logbarrier import barrier, cli, continuation, expr, inner, problem
 from logbarrier.certificate import Verdict
 from logbarrier.continuation import ContinuationError, MuSchedule
 from logbarrier.diagnostics import SlaterUnverifiedError
@@ -168,29 +168,41 @@ def test_no_interior_anywhere():
         continuation.solve(p)
 
 
-def test_stuck_stage_raises(problems):
+def _stage_results(monkeypatch) -> list:
+    """The InnerResult of every stage continuation.solve runs from now on, in order."""
+    seen = []
+    solve_inner = continuation.solve_inner
+
+    def recording(*args):
+        seen.append(solve_inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(continuation, "solve_inner", recording)
+    return seen
+
+
+def test_stuck_stage_raises(monkeypatch, problems):
     # a hard iteration cap leaves the first stage far from tolerance
+    monkeypatch.setattr(inner, "MAX_ITERS", 0)
+    seen = _stage_results(monkeypatch)
     with pytest.raises(ContinuationError, match="inner solve failed at mu"):
-        continuation.solve(problems["cassini"], max_iters=0)
+        continuation.solve(problems["cassini"])
+    assert [(r.iterations, r.status) for r in seen] == [(0, InnerStatus.MAX_ITERS)]
 
 
 def test_stage_callback_sees_every_weight(problems):
-    seen = []
-    continuation.solve(
-        problems["disk"],
-        MuSchedule(1.0, 0.2, 1e-6),
-        stage_callback=lambda mu, result: seen.append((mu, result.status)),
-    )
-    assert [mu for mu, _ in seen] == MuSchedule(1.0, 0.2, 1e-6).weights()
-    assert all(status is InnerStatus.CONVERGED for _, status in seen)
+    # one stage per weight, each on the path with its status
+    trace = continuation.solve(problems["disk"], MuSchedule(1.0, 0.2, 1e-6))
+    assert [pt.mu for pt in trace.points] == MuSchedule(1.0, 0.2, 1e-6).weights()
+    assert all(pt.status is InnerStatus.CONVERGED for pt in trace.points)
 
 
 @pytest.mark.parametrize("name", ["cassini", "hyperbola"])
-def test_float_floor_stage_ends_without_spinning(problems, name):
+def test_float_floor_stage_ends_without_spinning(monkeypatch, problems, name):
     # the last stage reaches the float floor of phi; it used to repeat a
     # step there until max_iters, 5068 and 5074 iterations in all
-    seen = []
-    trace = continuation.solve(problems[name], stage_callback=lambda mu, r: seen.append(r))
+    seen = _stage_results(monkeypatch)
+    trace = continuation.solve(problems[name])
     assert sum(r.iterations for r in seen) < 100
     assert seen[-1].status is InnerStatus.CONVERGED
     assert trace.final_certificate.verdict is Verdict.KKT_POINT
@@ -209,12 +221,9 @@ HYPERBOLA_006 = {
 }
 
 
-def test_two_point_cycle_ends_below_the_float_floor():
-    seen = []
-    trace = continuation.solve(
-        problem.problem_from_dict(HYPERBOLA_006),
-        stage_callback=lambda mu, r: seen.append(r),
-    )
+def test_two_point_cycle_ends_below_the_float_floor(monkeypatch):
+    seen = _stage_results(monkeypatch)
+    trace = continuation.solve(problem.problem_from_dict(HYPERBOLA_006))
     assert sum(r.iterations for r in seen) < 100
     assert all(r.status is not InnerStatus.MAX_ITERS for r in seen)
     assert seen[-1].status is InnerStatus.NO_PROGRESS
@@ -223,10 +232,10 @@ def test_two_point_cycle_ends_below_the_float_floor():
 
 
 @pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
-def test_builtin_newton_iterations(problems, name):
+def test_builtin_newton_iterations(monkeypatch, problems, name):
     # deterministic counters: 76, 71, 76, 71 and 71 Newton iterations
-    seen = []
-    continuation.solve(problems[name], stage_callback=lambda mu, r: seen.append(r))
+    seen = _stage_results(monkeypatch)
+    continuation.solve(problems[name])
     assert sum(r.iterations for r in seen) <= 76
 
 

@@ -20,20 +20,24 @@ VOID = problem.problem_from_dict(
     }
 )
 
-BALL3 = problem.problem_from_dict(
-    {
-        "name": "ball3",
-        "nvars": 3,
-        "objective": "x1 + x2 + x3",
-        "constraints": ["1 - x1^2 - x2^2 - x3^2"],
-        "box": [[-1.5, 1.5]] * 3,
-    }
-)
-PLANE3 = problem.problem_from_dict(
-    # a set with no interior: rejection sampling finds no member, so the
-    # level-set probe falls back to the grid and scans 130816 pairs
-    {"name": "plane3", "nvars": 3, "objective": "x1", "constraints": ["-x3^2"], "box": [[-2, 2]] * 3}
-)
+BALL3_DATA = {
+    "name": "ball3",
+    "nvars": 3,
+    "objective": "x1 + x2 + x3",
+    "constraints": ["1 - x1^2 - x2^2 - x3^2"],
+    "box": [[-1.5, 1.5]] * 3,
+}
+BALL3 = problem.problem_from_dict(BALL3_DATA)
+# a set with no interior: rejection sampling finds no member, so the
+# level-set probe falls back to the grid and scans 130816 pairs
+PLANE3_DATA = {
+    "name": "plane3",
+    "nvars": 3,
+    "objective": "x1",
+    "constraints": ["-x3^2"],
+    "box": [[-2, 2]] * 3,
+}
+PLANE3 = problem.problem_from_dict(PLANE3_DATA)
 # a disk of radius sqrt(10) around the whole box
 WIDE = {
     "name": "wide",
@@ -167,7 +171,7 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
 @pytest.mark.parametrize("level", [2.95, 2.5, 1.5, 4.0])
 def test_levelset_counterexamples(problems, level):
     p = problems["cassini"]
-    r = diagnostics.levelset_convexity_probe(p, levels=level)
+    r = diagnostics.levelset_convexity_probe(p, level)
     assert r.verdict == "counterexample"
     assert r.method in ("rejection", "grid")
     w = r.witness
@@ -185,35 +189,29 @@ def test_levelset_counterexamples(problems, level):
 
 @pytest.mark.parametrize("level", [0.0, -2.0])
 def test_levelset_convex_levels(problems, level):
-    r = diagnostics.levelset_convexity_probe(problems["cassini"], levels=level)
-    assert r.verdict == "convex_up_to_sampling"
-    assert r.witness is None
-    assert r.pairs_checked == 10000
+    # the hyperbola region is convex although x1*x2 - 1 is not concave
+    for name in ("cassini", "hyperbola"):
+        p = problems[name]
+        r = diagnostics.levelset_convexity_probe(p, level)
+        assert r.scope == list(range(1, p.nconstraints + 1))
+        assert r.levels.tolist() == [level] * p.nconstraints
+        assert r.verdict == "convex_up_to_sampling"
+        assert r.witness is None
+        assert r.pairs_checked == 10000
 
 
-def test_levelset_empty_region(problems):
-    r = diagnostics.levelset_convexity_probe(problems["cassini"], levels=5.0, pairs=1000)
+def test_levelset_empty_region(monkeypatch, problems):
+    monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", 1000)
+    r = diagnostics.levelset_convexity_probe(problems["cassini"], 5.0)
     assert r.verdict == "empty_region"
     assert r.witness is None
 
 
-def test_levelset_scoped_constraint(problems):
-    r = diagnostics.levelset_convexity_probe(problems["hyperbola"], constraint=1, pairs=2000)
-    assert r.scope == [1]
-    assert r.verdict == "convex_up_to_sampling"
-    assert r.pairs_checked == 2000
-
-
-def test_levelset_bad_scope(problems):
-    with pytest.raises(ValueError, match="out of range"):
-        diagnostics.levelset_convexity_probe(problems["disk"], constraint=7)
-
-
 def test_levelset_deterministic(problems):
-    a = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=42)
-    b = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=42)
+    a = diagnostics.levelset_convexity_probe(problems["cassini"], 1.5, seed=42)
+    b = diagnostics.levelset_convexity_probe(problems["cassini"], 1.5, seed=42)
     assert cli.record("levelset_convexity", a) == cli.record("levelset_convexity", b)
-    c = diagnostics.levelset_convexity_probe(problems["cassini"], levels=1.5, seed=7)
+    c = diagnostics.levelset_convexity_probe(problems["cassini"], 1.5, seed=7)
     assert c.verdict == "counterexample"
 
 
@@ -272,7 +270,7 @@ def test_curvature_vacuous_in_one_variable():
 
 
 def _slater_cases(problems):
-    # (problem, grid_res); 7 divides neither resolution, so tiny blocks split rows
+    # (problem, SLATER_GRID_RES); 7 divides neither resolution, so tiny blocks split rows
     return [(p, 101) for p in problems.values()] + [(BALL3, 23), (PLATEAU, 101)]
 
 
@@ -296,14 +294,14 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
     ]
 
     def run_all():
-        slater = [diagnostics.slater_find(p, res) for p, res in _slater_cases(problems)]
-        levelsets = [
-            cli.record(
-                "levelset_convexity",
-                diagnostics.levelset_convexity_probe(p, levels=a, pairs=pairs, seed=seed),
-            )
-            for p, a, pairs, seed in levelset_cases
-        ]
+        slater, levelsets = [], []
+        for p, res in _slater_cases(problems):
+            monkeypatch.setattr(diagnostics, "SLATER_GRID_RES", res)
+            slater.append(diagnostics.slater_find(p))
+        for p, a, pairs, seed in levelset_cases:
+            monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", pairs)
+            report = diagnostics.levelset_convexity_probe(p, a, seed=seed)
+            levelsets.append(cli.record("levelset_convexity", report))
         return slater, levelsets
 
     want_slater, want_levelsets = run_all()
@@ -349,17 +347,17 @@ def _traced_peak(fn):
 
 def test_levelset_grid_fallback_memory_stays_bounded():
     # all 130816 pairs at once took 14.4 MiB
-    report = diagnostics.levelset_convexity_probe(PLANE3)
+    report = diagnostics.levelset_convexity_probe(PLANE3, 0.0)
     assert (report.method, report.pairs_checked) == ("grid", 130816)
-    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(PLANE3)) < 6 * 2**20
+    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(PLANE3, 0.0)) < 6 * 2**20
 
 
 def test_levelset_rejection_memory_stays_bounded():
     # 2.3 MiB when the 20000 member rows were pushed and scanned in one batch;
     # the rows themselves take 0.46 MiB
-    report = diagnostics.levelset_convexity_probe(BALL3)
+    report = diagnostics.levelset_convexity_probe(BALL3, 0.0)
     assert (report.method, report.pairs_checked) == ("rejection", 10000)
-    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(BALL3)) < 1.2 * 2**20
+    assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(BALL3, 0.0)) < 1.2 * 2**20
 
 
 def test_diagnose_evaluates_at_most_a_block_of_points(monkeypatch, run_cli, problems, tmp_path):
@@ -372,9 +370,9 @@ def test_diagnose_evaluates_at_most_a_block_of_points(monkeypatch, run_cli, prob
 
     monkeypatch.setattr(expr, "_walk_roots", recording)
     files = [["--builtin", name] for name in problems]
-    for p in (BALL3, PLANE3):
-        path = tmp_path / f"{p.name}.json"
-        path.write_text(json.dumps(p.source))
+    for data in (BALL3_DATA, PLANE3_DATA):
+        path = tmp_path / f"{data['name']}.json"
+        path.write_text(json.dumps(data))
         files.append(["--problem", path])
     checks = "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"
     for source in files:
@@ -384,12 +382,12 @@ def test_diagnose_evaluates_at_most_a_block_of_points(monkeypatch, run_cli, prob
     assert max(seen) >= 5000  # the level-set probe's blocks of pairs
 
 
-def _boundary_reference(p, sample, activation_tol=1e-6):
+def _boundary_reference(p, sample):
     """Per point and active constraint: (j, gradient norm, top tangential curvature or None)."""
     out = []
     for x, gx in zip(sample.points, problem.evaluate_constraints(p, sample.points)):
         for j, g in enumerate(p.constraints):
-            if gx[j] > activation_tol:
+            if gx[j] > diagnostics.ACTIVATION_TOL:
                 continue
             jet = expr.evaluate_dual(g, x)
             norm = float(np.linalg.norm(jet.grad))
@@ -427,16 +425,17 @@ def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
             assert top == pytest.approx(max(tops), rel=1e3 * eps, abs=1e3 * eps)
 
 
-def test_phi_probe_reports_the_lowest_point_eigenvalue(problems):
+def test_phi_probe_reports_the_lowest_point_eigenvalue(monkeypatch, problems):
+    monkeypatch.setattr(diagnostics, "PHI_SAMPLES", 200)
     p = problems["epsbox"]
-    r = diagnostics.phi_convexity_probe(p, 1.0, samples=200, seed=5)
+    r = diagnostics.phi_convexity_probe(p, 1.0, seed=5)
     eig = np.linalg.eigvalsh(barrier.barrier_hessian(p, r.witness, 1.0))[0]
     assert r.samples == 200
     assert r.min_eigenvalue == eig < 0.0
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape
-def test_levelset_midpoint_that_overflows_is_no_witness():
+def test_levelset_midpoint_that_overflows_is_no_witness(monkeypatch):
     # exp(x1*x2) >= 0.5 holds on the whole box, but overflows where x1*x2 > 709.78:
     # such points are no members, and a midpoint there proves nothing
     p = problem.problem_from_dict(
@@ -448,6 +447,7 @@ def test_levelset_midpoint_that_overflows_is_no_witness():
             "box": [[0, 100], [0, 100]],
         }
     )
-    report = diagnostics.levelset_convexity_probe(p, levels=0.5, pairs=2000)
+    monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", 2000)
+    report = diagnostics.levelset_convexity_probe(p, 0.5)
     assert report.verdict == "convex_up_to_sampling"
     assert report.pairs_checked == 2000

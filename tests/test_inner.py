@@ -20,9 +20,9 @@ DISK_FLAT = problem.problem_from_dict(
 
 
 def test_default_tolerance():
-    assert inner.default_tolerance(1.0) == 1e-2
-    assert inner.default_tolerance(1e-8) == 1e-8
-    assert inner.default_tolerance(5e-7) == 1e-8
+    assert inner.default_tolerance(1.0, 1e-8) == 1e-2
+    assert inner.default_tolerance(1e-8, 1e-8) == 1e-8
+    assert inner.default_tolerance(5e-7, 1e-8) == 1e-8
 
 
 def test_analytic_center():
@@ -31,22 +31,30 @@ def test_analytic_center():
     assert np.abs(r.x).max() <= 1e-6
 
 
-def test_monotone_descent_and_feasible_iterates(problems):
+def test_monotone_descent_and_feasible_iterates(monkeypatch, problems):
+    # solves are deterministic, so a solve capped at k steps ends at iterate k
     p = problems["cassini"]
-    log = []
-    r = inner.solve_inner(p, 1.0, np.array([0.1, 0.1]), callback=lambda *a: log.append(a))
+    x0 = np.array([0.1, 0.1])
+    tol = inner.default_tolerance(1.0, 1e-8)
+    r = inner.solve_inner(p, 1.0, x0, tol)
     assert r.status is InnerStatus.CONVERGED
-    assert len(log) == r.iterations + 1
-    assert log[0][4] == 0.0  # step length reported for the start record
-    values = [rec[2] for rec in log]
+    iterates = []
+    for k in range(r.iterations + 1):
+        monkeypatch.setattr(inner, "MAX_ITERS", k)
+        capped = inner.solve_inner(p, 1.0, x0, tol)
+        assert capped.iterations == k
+        iterates.append(capped.x)
+    assert np.array_equal(iterates[0], x0)
+    assert np.array_equal(iterates[-1], r.x)
+    values = [barrier.barrier_eval(p, x, 1.0).value for x in iterates]
     assert all(b < a for a, b in zip(values, values[1:]))
-    for rec in log:
-        assert min(expr.evaluate(g, rec[1]) for g in p.constraints) > 0.0
-    assert r.grad_norm <= inner.default_tolerance(1.0)
+    for x in iterates:
+        assert min(expr.evaluate(g, x) for g in p.constraints) > 0.0
+    assert r.grad_norm <= tol
 
 
 def test_small_mu_tracks_constrained_minimizer(problems):
-    r = inner.solve_inner(problems["disk"], 1e-6, np.array([0.0, 0.0]))
+    r = inner.solve_inner(problems["disk"], 1e-6, np.array([0.0, 0.0]), 1e-8)
     assert r.status is InnerStatus.CONVERGED
     root_half = np.sqrt(0.5)
     assert np.abs(r.x - root_half).max() <= 1e-3
@@ -85,17 +93,19 @@ def test_newton_agrees_with_nelder_mead(problems):
 
 def test_infeasible_start(problems):
     with pytest.raises(InfeasibleStartError, match="strictly interior"):
-        inner.solve_inner(problems["disk"], 1.0, np.array([2.0, 0.0]))
+        inner.solve_inner(problems["disk"], 1.0, np.array([2.0, 0.0]), 1e-2)
     # boundary is not interior either
     with pytest.raises(InfeasibleStartError):
-        inner.solve_inner(problems["disk"], 1.0, np.array([1.0, 0.0]))
+        inner.solve_inner(problems["disk"], 1.0, np.array([1.0, 0.0]), 1e-2)
 
 
-def test_max_iters_status(problems):
-    r = inner.solve_inner(problems["cassini"], 1e-4, np.array([0.1, 0.1]), max_iters=1)
+def test_max_iters_status(monkeypatch, problems):
+    monkeypatch.setattr(inner, "MAX_ITERS", 1)
+    tol = inner.default_tolerance(1e-4, 1e-8)
+    r = inner.solve_inner(problems["cassini"], 1e-4, np.array([0.1, 0.1]), tol)
     assert r.status is InnerStatus.MAX_ITERS
     assert r.iterations == 1
-    assert r.grad_norm > inner.default_tolerance(1e-4)
+    assert r.grad_norm > tol
 
 
 def test_line_search_stall_status(problems):
@@ -104,7 +114,20 @@ def test_line_search_stall_status(problems):
     p = problems["cassini"]
     x0 = np.array([-1.6063481213192292, -0.45167526013009995])
     assert 0.0 < expr.evaluate(p.constraints[0], x0) <= 1e-15
-    r = inner.solve_inner(p, 1.0, x0)
+    r = inner.solve_inner(p, 1.0, x0, 1e-2)
     assert r.status is InnerStatus.LINE_SEARCH_STALL
     assert r.iterations == 0
     assert min(expr.evaluate(g, r.x) for g in p.constraints) > 0.0
+
+
+def test_a_step_that_leaves_phi_unchanged_is_refused(monkeypatch, problems):
+    # within an ulp of the boundary the Newton step is about 1e-16 long; at
+    # t = 2.9e-11 the decrease Armijo asks for rounds away, and accepting
+    # the equal value there moved x2 by 1.6e-27 a step until MAX_ITERS
+    monkeypatch.setattr(inner, "MAX_ITERS", 50)
+    p = problems["cassini"]
+    x0 = np.array([1.7320508075688772, 0.0])
+    r = inner.solve_inner(p, 1.0, x0, inner.default_tolerance(1.0, 1e-8))
+    assert r.status is not InnerStatus.MAX_ITERS
+    assert r.status is InnerStatus.LINE_SEARCH_STALL
+    assert np.array_equal(r.x, x0)

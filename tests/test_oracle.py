@@ -1,9 +1,11 @@
 """Grid oracle: exhaustive scan, boundary polish, derivative spot checks."""
 
+import json
+
 import numpy as np
 import pytest
 
-from logbarrier import cli, expr, oracle, problem
+from logbarrier import cli, corpus, expr, oracle, problem
 from logbarrier.oracle import OracleError
 
 ROOT_HALF = float(np.sqrt(0.5))
@@ -135,9 +137,10 @@ def test_deterministic(problems):
 
 
 @pytest.mark.parametrize("objective", ["x1^2 + x2^2 - 2*x1 - 2*x2 + 3", "1"])
-def test_block_size_does_not_change_the_result(monkeypatch, problems, objective):
+def test_block_size_does_not_change_the_result(monkeypatch, objective):
     # the constant objective ties everywhere: the first feasible point wins
-    p = problem.problem_from_dict({**problems["disk"].source, "objective": objective})
+    data = json.loads(corpus.entry_json("disk"))
+    p = problem.problem_from_dict({**data, "objective": objective})
     want = cli.record("oracle", oracle.grid_minimize(p, res=101, polish_steps=0))
     monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
     assert cli.record("oracle", oracle.grid_minimize(p, res=101, polish_steps=0)) == want

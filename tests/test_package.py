@@ -1,5 +1,5 @@
 """Package-level guards: no dataclasses, frozen records, a clean import,
-the functions the benchmark tracer wraps."""
+the functions the benchmark tracer wraps, no default nothing overrides."""
 
 import ast
 import dataclasses
@@ -21,7 +21,6 @@ SRC = ROOT / "src"
 # dataclass costs about 1 ms to create at import, a NamedTuple far less.
 RECORDS = [
     "barrier.BarrierEvaluation",
-    "certificate.KKTTolerances",
     "certificate.KKTCertificate",
     "continuation.PathPoint",
     "continuation.SolveTrace",
@@ -112,3 +111,55 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
         assert table
         for module, attr in table.values():
             assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _unpassed_defaults(package: Path) -> list[str]:
+    """module.function.parameter for each default no call in the package overrides.
+
+    Public module-level functions only.  A call counts when it names the
+    parameter, passes enough positional arguments to reach it, or splats
+    *args or **kwargs.  Calls are matched by the called name alone.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = _calls_by_name(trees.values())
+    out = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, a.arg)
+                for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None
+            ]
+            for index, param in defaulted:
+                passed = any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls.get(fn.name, [])
+                )
+                if not passed:
+                    out.append(f"{module}.{fn.name}.{param}")
+    return out
+
+
+def test_every_default_is_overridden_somewhere_in_the_package():
+    # a default that no caller overrides is a setting the program never
+    # sets: make it a module constant instead.  The entry point's argv is
+    # set from outside, by the command line
+    assert _unpassed_defaults(SRC / "logbarrier") == ["cli.main.argv"]

@@ -1,4 +1,4 @@
-"""Problem container, parameters bound in expressions, feasibility classification."""
+"""Problem container, parameters bound in expressions, constraint scans."""
 
 import json
 import re
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logbarrier import expr, problem
-from logbarrier.problem import Feasibility, ProblemError
+from logbarrier.problem import ProblemError
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -130,27 +130,6 @@ def test_missing_key():
     del d["box"]
     with pytest.raises(ProblemError, match="box"):
         problem.problem_from_dict(d)
-
-
-def test_feasibility_examples(problems):
-    disk = problems["disk"]
-    assert problem.feasibility(disk, np.array([0.0, 0.0])) is Feasibility.STRICTLY_FEASIBLE
-    assert problem.feasibility(disk, np.array([1.0, 0.0])) is Feasibility.BOUNDARY
-    assert problem.feasibility(disk, np.array([2.0, 0.0])) is Feasibility.INFEASIBLE
-    # widening the band reclassifies a near-boundary point
-    assert problem.feasibility(disk, np.array([0.9, 0.0]), boundary_tol=0.5) is Feasibility.BOUNDARY
-
-
-def test_feasibility_monotone_in_tolerance(problems):
-    # raising the tolerance never moves a point from infeasible to strictly feasible
-    rng = np.random.default_rng(11)
-    for p in problems.values():
-        pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(40, p.nvars))
-        for x in pts:
-            lo = problem.feasibility(p, x, boundary_tol=1e-9)
-            hi = problem.feasibility(p, x, boundary_tol=1e-2)
-            if lo is Feasibility.INFEASIBLE:
-                assert hi is not Feasibility.STRICTLY_FEASIBLE
 
 
 def test_load_round_trip(tmp_path):
@@ -308,7 +287,3 @@ def test_evaluate_constraints_of_a_scan_count_an_overflow_as_infeasible():
     for x in pts[1:]:
         with pytest.raises(expr.EvalError, match="overflow"):
             problem.evaluate_constraints(p, x)
-    # a subset of the constraints, at a point or over a batch
-    subset = [p.constraints[2], p.constraints[0]]
-    assert np.array_equal(problem.evaluate_constraints(p, pts[:1], subset), [[3.0, 0.0]])
-    assert np.array_equal(problem.evaluate_constraints(p, pts[0], subset), [3.0, 0.0])
