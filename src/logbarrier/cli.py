@@ -6,8 +6,15 @@ elsewhere), oracle (grid minimization), list (builtin problems).  All
 structured output is line-delimited JSON records sharing one schema, so a
 single reader parses traces, certificates and diagnostic reports alike;
 record() writes each result record from its NamedTuple's fields.
-Exit codes: 0 success (or met expectation), 2 usage or input error,
-3 solver or assumption failure.
+
+Handlers return nothing and raise on failure; main() alone turns an
+exception into an exit code.  Exit 0: success (or a met expectation).
+Exit 2, printed as "input error": a usage error, InputError (a flag value
+or check list the command refuses), ProblemError (problem data, or oracle
+limits), EvalError (an expression undefined where the command evaluates
+it) and OutputError (an --out that cannot be written).  Exit 3:
+NegativeResult, an honest negative (not certified, an assumption or
+probe failed, an expectation did not hold, no feasible grid point).
 """
 
 from __future__ import annotations
@@ -36,11 +43,28 @@ from .diagnostics import (
 )
 from .expr import EvalError, scan_values
 from .inner import InfeasibleStartError
-from .oracle import MAX_ORACLE_VARS, MIN_RESOLUTION, OracleError, grid_minimize
+from .oracle import OracleError, grid_minimize
 from .problem import Problem, ProblemError
 
 CURVATURE_PASS_TOL = 1e-6
 PHI_CONVEX_PASS_TOL = -1e-8
+
+# the record kind each --check name writes, for its report and its error alike
+CHECK_KINDS = {
+    "slater": "slater",
+    "nondegeneracy": "nondegeneracy",
+    "curvature": "tangential_curvature",
+    "levelset": "levelset_convexity",
+    "phiconvexity": "phi_convexity",
+}
+
+
+class InputError(Exception):
+    """A flag value or check list the command refuses: exit 2."""
+
+
+class NegativeResult(Exception):
+    """An honest negative; its message is printed as is: exit 3."""
 
 
 def _fail(message: str) -> None:
@@ -110,8 +134,9 @@ def _write(chunks, out: str | None) -> None:
         raise OutputError(f"cannot write {out}: {err.strerror or err}") from None
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    _write(["".join(line + "\n" for line in lines)], out)
+def _emit(records: list[dict], out: str | None) -> None:
+    """Write records as line-delimited JSON to the --out file, or to stdout."""
+    _write(["".join(json.dumps(r) + "\n" for r in records)], out)
 
 
 def _load_problem(args) -> Problem:
@@ -120,14 +145,9 @@ def _load_problem(args) -> Problem:
     return problem.load(args.problem)
 
 
-def _add_source(sub, required: bool = True):
-    grp = sub.add_mutually_exclusive_group(required=required)
-    grp.add_argument("--builtin", metavar="NAME", help="builtin problem name")
-    grp.add_argument("--problem", metavar="PATH", help="problem JSON file")
-
-
-def _seed(text: str) -> int:
-    """The --seed type: numpy seeds its generators with non-negative integers."""
+def _count(text: str) -> int:
+    """The type of --seed (numpy seeds its generators with non-negative
+    integers) and of --polish (a number of steps)."""
     try:
         value = int(text)
     except ValueError:
@@ -137,8 +157,13 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=_seed, default=42, help="seed for probe sampling")
+def _add_common(sub, seed: bool):
+    """--builtin or --problem, --seed where the command samples, and --out."""
+    grp = sub.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--builtin", metavar="NAME", help="builtin problem name")
+    grp.add_argument("--problem", metavar="PATH", help="problem JSON file")
+    if seed:
+        sub.add_argument("--seed", type=_count, default=42, help="seed for probe sampling")
     sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
@@ -150,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="run continuation and certify the final iterate")
-    _add_source(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.add_argument("--mu0", type=float, default=1.0, help="initial barrier weight")
     sp.add_argument("--mu-factor", type=float, default=0.2, help="geometric decrease factor")
     sp.add_argument("--mu-min", type=float, default=1e-8, help="final barrier weight")
@@ -163,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("diagnose", help="run hypothesis probes")
-    _add_source(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.add_argument(
         "--check",
         required=True,
@@ -178,32 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("contour", help="grid CSV of one constraint over the box")
-    _add_source(sp)
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.add_argument("--levels", default="0", metavar="CSV", help="level values, comma-separated")
     sp.add_argument("--res", type=int, default=201, help="grid resolution per axis")
     sp.add_argument("--constraint", type=int, default=1, help="1-based constraint index")
 
     sp = sub.add_parser("oracle", help="brute-force grid minimization")
-    _add_source(sp)
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.add_argument("--res", type=int, default=2001, help="grid resolution per axis")
-    sp.add_argument("--polish", type=int, default=50, help="projected-descent polish steps")
+    sp.add_argument("--polish", type=_count, default=50, help="projected-descent polish steps")
 
     sp = sub.add_parser("list", help="list builtin problems")
     sp.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     return parser
 
 
-def _run_solve(args) -> int:
+def _run_solve(args) -> None:
+    p = _load_problem(args)
     try:
-        p = _load_problem(args)
         schedule = MuSchedule(mu0=args.mu0, factor=args.mu_factor, mu_min=args.mu_min)
-        if not math.isfinite(args.tol):
-            raise ValueError(f"--tol must be finite, got {args.tol}")
-    except (ProblemError, ValueError) as err:
-        _fail(f"input error: {err}")
-        return 2
+    except ValueError as err:
+        raise InputError(str(err)) from None
+    if not math.isfinite(args.tol):
+        raise InputError(f"--tol must be finite, got {args.tol}")
 
     records: list[dict] = []
     assumptions_verified = False
@@ -213,8 +233,7 @@ def _run_solve(args) -> int:
         try:
             slater = slater_find(p)
         except SlaterUnverifiedError as err:
-            _fail(f"assumption check failed (slater): {err}")
-            return 3
+            raise NegativeResult(f"assumption check failed (slater): {err}") from None
         records.append(record("slater", slater))
         if p.interior_point is None:
             start = slater.point  # the point solve would search for again
@@ -225,19 +244,17 @@ def _run_solve(args) -> int:
                 (e.min_gradient_norm for e in ndg.constraints if e.min_gradient_norm is not None),
                 default=0.0,
             )
-            _emit([json.dumps(r) for r in records], args.out)
-            _fail(
+            _emit(records, args.out)
+            raise NegativeResult(
                 "assumption check failed (nondegeneracy): active constraint gradient "
                 f"norm {worst:.3e} below {ndg.delta:.1e} at sampled boundary points"
             )
-            return 3
         assumptions_verified = True
 
     try:
         trace = solve(p, schedule, x0=start, tol_floor=args.tol)
     except (ContinuationError, InfeasibleStartError, SlaterUnverifiedError) as err:
-        _fail(f"solve failed: {err}")
-        return 3
+        raise NegativeResult(f"solve failed: {err}") from None
 
     records.extend(record("path_point", pt) for pt in trace.points)
     cert = trace.final_certificate
@@ -259,11 +276,9 @@ def _run_solve(args) -> int:
             "certificate", cert, assumptions_verified=assumptions_verified, statement=statement
         )
     )
-    _emit([json.dumps(r) for r in records], args.out)
+    _emit(records, args.out)
     if cert.verdict is Verdict.NOT_CERTIFIED:
-        _fail(f"final iterate not certified: {statement}")
-        return 3
-    return 0
+        raise NegativeResult(f"final iterate not certified: {statement}")
 
 
 def _parse_checks(text: str) -> list[tuple[str, float | None]]:
@@ -271,7 +286,7 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            raise ValueError("empty check name")
+            raise InputError("empty check name")
         if token in ("slater", "nondegeneracy", "curvature"):
             checks.append((token, None))
             continue
@@ -280,24 +295,20 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
             try:
                 number = float(value)
             except ValueError:
-                raise ValueError(f"bad numeric value in check {token!r}") from None
+                raise InputError(f"bad numeric value in check {token!r}") from None
             if not math.isfinite(number):
-                raise ValueError(f"check {token!r} needs a finite value")
+                raise InputError(f"check {token!r} needs a finite value")
             if name == "phiconvexity" and number <= 0:
-                raise ValueError("phiconvexity needs mu > 0")
+                raise InputError("phiconvexity needs mu > 0")
             checks.append((name, number))
             continue
-        raise ValueError(f"unknown check {token!r}")
+        raise InputError(f"unknown check {token!r}")
     return checks
 
 
-def _run_diagnose(args) -> int:
-    try:
-        p = _load_problem(args)
-        checks = _parse_checks(args.check)
-    except (ProblemError, ValueError) as err:
-        _fail(f"input error: {err}")
-        return 2
+def _run_diagnose(args) -> None:
+    p = _load_problem(args)
+    checks = _parse_checks(args.check)
 
     records: list[dict] = []
     all_passed = True
@@ -316,26 +327,19 @@ def _run_diagnose(args) -> int:
             if name in ("nondegeneracy", "curvature") and sample is None:
                 sample = boundary_sample(p, slater.point, seed=args.seed)
             if name == "slater":
-                records.append(record("slater", slater))
-                passed = True
+                report, passed = slater, True
             elif name == "nondegeneracy":
                 report = nondegeneracy_probe(p, sample)
-                records.append(record("nondegeneracy", report))
                 passed = report.passed
             elif name == "curvature":
                 report = tangential_curvature_probe(p, sample)
-                records.append(record("tangential_curvature", report))
-                if args.expect == "pass":
-                    passed = all(
-                        e.max_tangential_curvature is None
-                        or e.max_tangential_curvature <= CURVATURE_PASS_TOL
-                        for e in report.constraints
-                    )
-                else:
-                    passed = True
+                passed = args.expect != "pass" or all(
+                    e.max_tangential_curvature is None
+                    or e.max_tangential_curvature <= CURVATURE_PASS_TOL
+                    for e in report.constraints
+                )
             elif name == "levelset":
                 report = levelset_convexity_probe(p, value, seed=args.seed)
-                records.append(record("levelset_convexity", report))
                 if args.expect == "nonconvex":
                     passed = report.verdict == "counterexample"
                 elif args.expect == "pass":
@@ -344,49 +348,41 @@ def _run_diagnose(args) -> int:
                     passed = True
             else:
                 report = phi_convexity_probe(p, value, seed=args.seed)
-                records.append(record("phi_convexity", report))
                 if args.expect in ("indefinite", "nonconvex"):
                     passed = report.min_eigenvalue < 0.0
                 elif args.expect == "pass":
                     passed = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
                 else:
                     passed = True
+            records.append(record(CHECK_KINDS[name], report))
         except DiagnosticsError as err:
-            records.append({"record": name, "passed": False, "error": str(err)})
+            records.append({"record": CHECK_KINDS[name], "passed": False, "error": str(err)})
             passed = False
-        if not passed:
-            all_passed = False
+        all_passed = all_passed and passed
 
-    _emit([json.dumps(r) for r in records], args.out)
+    _emit(records, args.out)
     if not all_passed:
-        _fail("one or more checks failed (see report records)")
-        return 3
-    return 0
+        raise NegativeResult("one or more checks failed (see report records)")
 
 
-def _run_contour(args) -> int:
-    try:
-        p = _load_problem(args)
-    except ProblemError as err:
-        _fail(f"input error: {err}")
-        return 2
+def _run_contour(args) -> None:
+    p = _load_problem(args)
     if p.nvars != 2:
-        _fail(f"input error: contour needs a 2-variable problem, got {p.nvars}")
-        return 2
+        raise InputError(f"contour needs a 2-variable problem, got {p.nvars}")
     if args.res < 2:
-        _fail(f"input error: resolution must be at least 2, got {args.res}")
-        return 2
+        raise InputError(f"resolution must be at least 2, got {args.res}")
     if not 1 <= args.constraint <= p.nconstraints:
-        _fail(f"input error: constraint index {args.constraint} out of range")
-        return 2
+        raise InputError(f"constraint index {args.constraint} out of range")
+    tokens = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
     try:
-        levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
+        levels = [float(tok) for tok in tokens]
     except ValueError:
-        _fail(f"input error: bad level list {args.levels!r}")
-        return 2
+        raise InputError(f"bad level list {args.levels!r}") from None
     if not levels:
-        _fail("input error: empty level list")
-        return 2
+        raise InputError("empty level list")
+    for tok, level in zip(tokens, levels):
+        if not math.isfinite(level):
+            raise InputError(f"level {tok!r} needs a finite value")
 
     g = p.constraints[args.constraint - 1]
     # a values-only pass first: where g is undefined somewhere on the grid,
@@ -404,31 +400,18 @@ def _run_contour(args) -> int:
             )
 
     _write(chunks(), args.out)
-    return 0
 
 
-def _run_oracle(args) -> int:
-    try:
-        p = _load_problem(args)
-    except ProblemError as err:
-        _fail(f"input error: {err}")
-        return 2
-    if p.nvars > MAX_ORACLE_VARS:
-        _fail(f"input error: oracle supports up to {MAX_ORACLE_VARS} variables, got {p.nvars}")
-        return 2
-    if args.res < MIN_RESOLUTION:
-        _fail(f"input error: oracle resolution must be at least {MIN_RESOLUTION}")
-        return 2
+def _run_oracle(args) -> None:
+    p = _load_problem(args)
     try:
         result = grid_minimize(p, res=args.res, polish_steps=args.polish)
     except OracleError as err:
-        _fail(f"oracle failed: {err}")
-        return 3
-    _emit([json.dumps(record("oracle", result))], args.out)
-    return 0
+        raise NegativeResult(f"oracle failed: {err}") from None
+    _emit([record("oracle", result)], args.out)
 
 
-def _run_list(args) -> int:
+def _run_list(args) -> None:
     records = []
     for name in corpus.names():
         entry = corpus.builtin(name)
@@ -446,8 +429,7 @@ def _run_list(args) -> int:
                 "provenance": entry.known_optimum.provenance,
             }
         records.append(rec)
-    _emit([json.dumps(r) for r in records], args.out)
-    return 0
+    _emit(records, args.out)
 
 
 _HANDLERS = {
@@ -468,12 +450,17 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return _HANDLERS[args.command](args)
-    # an expression undefined where a command must evaluate it, or an --out
-    # path that is a directory or lies in a missing or unwritable one
-    except (EvalError, OutputError) as err:
+        _HANDLERS[args.command](args)
+    # a refused flag value, bad problem data, an expression undefined where a
+    # command must evaluate it, or an --out path that is a directory or lies
+    # in a missing or unwritable one
+    except (InputError, ProblemError, EvalError, OutputError) as err:
         _fail(f"input error: {err}")
         return 2
+    except NegativeResult as err:
+        _fail(str(err))
+        return 3
+    return 0
 
 
 def entry() -> None:

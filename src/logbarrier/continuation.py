@@ -22,7 +22,7 @@ from .problem import Problem, evaluate_constraints
 
 
 class ContinuationError(Exception):
-    pass
+    """A stage failed."""
 
 
 # A stage that misses its gradient tolerance but lands within this factor of
@@ -98,9 +98,10 @@ def solve(
     """Run the full continuation and certify the final iterate.
 
     The start is x0, else the problem's interior point, else a grid search
-    for a strictly feasible point.  Each stage calls solve_inner once, at
-    most inner.MAX_ITERS Newton steps, with tolerance
-    default_tolerance(mu, tol_floor).  A stage that misses its tolerance is
+    for a strictly feasible point; the first stage's solve_inner raises
+    InfeasibleStartError when the start is not strictly interior.  Each
+    stage calls solve_inner once, at most inner.MAX_ITERS Newton steps,
+    with tolerance default_tolerance(mu, tol_floor).  A stage that misses its tolerance is
     kept anyway, with its honest status on the path point, as long as the
     gradient norm is within STAGE_GRACE of the tolerance; otherwise
     ContinuationError.
@@ -116,12 +117,6 @@ def solve(
         x = p.interior_point.copy()
     else:
         x = slater_find(p).point
-
-    be = barrier_eval(p, x, schedule.mu0)
-    if not be.interior:
-        raise ContinuationError(
-            f"no strictly feasible start (min g = {be.constraint_values.min()} at the start point)"
-        )
 
     points: list[PathPoint] = []
     for mu in schedule.weights():

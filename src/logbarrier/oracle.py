@@ -13,14 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .problem import Problem, bisect, evaluate_constraints, grid_blocks
+from .problem import Problem, ProblemError, bisect, evaluate_constraints, grid_blocks
 
 MAX_ORACLE_VARS = 3
 MIN_RESOLUTION = 11
 
 
 class OracleError(Exception):
-    pass
+    """No grid point is feasible."""
 
 
 class OracleResult(NamedTuple):
@@ -143,14 +143,14 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     """Minimize by dense feasible grid search over the box, then polish.
 
     Deterministic: ties on the grid go to the lexicographically smallest
-    point.  Limited to 3 variables; res must be at least 11.  Grid points
-    where f or some g_j overflows are left out.  Raises OracleError when no
-    grid point is feasible.
+    point.  Grid points where f or some g_j overflows are left out.  Raises
+    ProblemError for more than MAX_ORACLE_VARS variables or res below
+    MIN_RESOLUTION, and OracleError when no grid point is feasible.
     """
     if p.nvars > MAX_ORACLE_VARS:
-        raise OracleError(f"grid oracle supports up to {MAX_ORACLE_VARS} variables")
+        raise ProblemError(f"oracle supports up to {MAX_ORACLE_VARS} variables, got {p.nvars}")
     if res < MIN_RESOLUTION:
-        raise OracleError(f"resolution must be at least {MIN_RESOLUTION}")
+        raise ProblemError(f"oracle resolution must be at least {MIN_RESOLUTION}")
 
     best_f = np.inf
     best_x: np.ndarray | None = None

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, records on stdout or --out, failure paths."""
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -146,6 +147,10 @@ def test_readme_solve_section_names_every_solve_option():
         ["contour", "--builtin", "cassini", "--levels", ""],
         ["contour", "--builtin", "cassini", "--levels", "a,b"],
         ["oracle", "--builtin", "disk", "--res", "5"],
+        ["oracle", "--builtin", "disk", "--res", "11", "--polish", "-5"],
+        # --seed only where the command samples
+        ["contour", "--builtin", "cassini", "--res", "3", "--seed", "7"],
+        ["oracle", "--builtin", "disk", "--res", "11", "--seed", "7"],
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):
@@ -204,6 +209,21 @@ def test_diagnose_probe_failure_record(run_cli, void_file, tmp_path):
     assert record["record"] == "slater"
     assert record["passed"] is False
     assert "error" in record
+
+
+def test_a_failing_probe_writes_the_record_kind_of_its_report(run_cli, void_file):
+    # on the void problem slater, curvature and phiconvexity fail; each error
+    # record must carry the kind the same check prints when it runs
+    checks = "slater,curvature,levelset:0,phiconvexity:1"
+    code, stdout, _ = run_cli(["diagnose", "--problem", void_file, "--check", checks])
+    assert code == 3
+    failing = _records(stdout)
+    assert [r["passed"] for r in failing if "error" in r] == [False, False, False]
+    code, stdout, _ = run_cli(["diagnose", "--builtin", "disk", "--check", checks])
+    assert code == 0
+    passing = [r["record"] for r in _records(stdout)]
+    assert [r["record"] for r in failing] == passing
+    assert passing == [cli.CHECK_KINDS[c.partition(":")[0]] for c in checks.split(",")]
 
 
 def test_contour_grid(run_cli, tmp_path):
@@ -657,6 +677,35 @@ def test_seed_must_be_a_non_negative_integer(run_cli, argv):
     code, stdout, stderr = run_cli(argv)
     assert (code, stdout) == (2, "")
     assert "--seed: expected a non-negative integer" in stderr
+
+
+@pytest.mark.parametrize(
+    "levels, bad",
+    [("nan", "nan"), ("0,inf", "inf"), ("1, -1e400", "-1e400")],
+    ids=["nan", "inf", "-1e400"],
+)
+def test_contour_refuses_a_level_that_is_not_finite(run_cli, levels, bad):
+    argv = ["contour", "--builtin", "cassini", "--res", "3", "--levels", levels]
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"logbarrier: input error: level {bad!r} needs a finite value\n"
+
+
+def test_handlers_raise_and_only_main_maps_exit_codes():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    handlers = [f for f in functions if f.name.startswith("_run_")]
+    assert sorted(f.name for f in handlers) == sorted(h.__name__ for h in cli._HANDLERS.values())
+    for handler in handlers:
+        returned = [n for n in ast.walk(handler) if isinstance(n, ast.Return) and n.value]
+        assert returned == [], f"{handler.name} returns a value"
+    callers = {
+        f.name
+        for f in functions
+        for n in ast.walk(f)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_fail"
+    }
+    assert callers == {"main"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

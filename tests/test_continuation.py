@@ -7,7 +7,7 @@ from logbarrier import barrier, cli, continuation, expr, inner, problem
 from logbarrier.certificate import Verdict
 from logbarrier.continuation import ContinuationError, MuSchedule
 from logbarrier.diagnostics import SlaterUnverifiedError
-from logbarrier.inner import InnerStatus
+from logbarrier.inner import InfeasibleStartError, InnerStatus
 
 
 def test_schedule_weights():
@@ -150,7 +150,7 @@ def test_solve_with_explicit_start(problems):
 
 
 def test_infeasible_start_rejected(problems):
-    with pytest.raises(ContinuationError, match="no strictly feasible start"):
+    with pytest.raises(InfeasibleStartError, match="strictly interior"):
         continuation.solve(problems["disk"], x0=np.array([5.0, 0.0]))
 
 

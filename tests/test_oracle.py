@@ -7,6 +7,7 @@ import pytest
 
 from logbarrier import cli, corpus, expr, oracle, problem
 from logbarrier.oracle import OracleError
+from logbarrier.problem import ProblemError
 
 ROOT_HALF = float(np.sqrt(0.5))
 DISK_FSTAR = 3.0 - 2.0 * np.sqrt(2.0)
@@ -106,12 +107,12 @@ def test_dimension_limit():
             "interior_point": [0, 0, 0, 0],
         }
     )
-    with pytest.raises(OracleError, match="up to 3 variables"):
+    with pytest.raises(ProblemError, match="^oracle supports up to 3 variables, got 4$"):
         oracle.grid_minimize(p, res=51)
 
 
 def test_resolution_limit(problems):
-    with pytest.raises(OracleError, match="at least 11"):
+    with pytest.raises(ProblemError, match="^oracle resolution must be at least 11$"):
         oracle.grid_minimize(problems["disk"], res=5)
 
 
