@@ -29,6 +29,7 @@ class BarrierEvaluation(NamedTuple):
     constraint_values: np.ndarray
     gradient: np.ndarray | None  # None outside the strict interior
     multipliers: np.ndarray | None  # mu / g_j, None outside the strict interior
+    objective: float | None  # f(x), None outside the strict interior
 
     @property
     def interior(self) -> bool:
@@ -63,24 +64,24 @@ def barrier_value(p: Problem, x, mu: float) -> float:
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
-    """Value, gradient and multiplier estimates at one point.
+    """Value, gradient, multiplier estimates and objective value at one point.
 
     One order-1 pass per expression.  Outside the strict interior the value
-    is +inf and gradient and multipliers are None; no logarithm of a
-    nonpositive value is ever taken.
+    is +inf, gradient, multipliers and objective are None, and f is not
+    evaluated; no logarithm of a nonpositive value is ever taken.
     """
     mu = _check_mu(mu)
     gjets = expr.jets(p.constraints, x, 1)
     gvals = np.array([j.value for j in gjets])
     if np.any(gvals <= 0.0):
-        return BarrierEvaluation(math.inf, gvals, None, None)
+        return BarrierEvaluation(math.inf, gvals, None, None, None)
 
     fjet = expr.evaluate_dual(p.objective, x, 1)
     grads = np.array([j.grad for j in gjets])
     multipliers = mu / gvals
     value = fjet.value - mu * float(np.sum(np.log(gvals)))
     gradient = fjet.grad - grads.T @ multipliers
-    return BarrierEvaluation(value, gvals, gradient, multipliers)
+    return BarrierEvaluation(value, gvals, gradient, multipliers, fjet.value)
 
 
 def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:

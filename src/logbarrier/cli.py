@@ -222,8 +222,8 @@ def _run_solve(args) -> None:
         schedule = MuSchedule(mu0=args.mu0, factor=args.mu_factor, mu_min=args.mu_min)
     except ValueError as err:
         raise InputError(str(err)) from None
-    if not math.isfinite(args.tol):
-        raise InputError(f"--tol must be finite, got {args.tol}")
+    if not 0.0 <= args.tol < math.inf:  # max(floor, 1e-2 * mu) would drop a negative floor
+        raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
 
     records: list[dict] = []
     assumptions_verified = False

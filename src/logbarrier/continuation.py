@@ -13,12 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import expr
-from .barrier import barrier_eval
 from .certificate import KKTCertificate, check_kkt
 from .diagnostics import slater_find
 from .inner import InnerStatus, default_tolerance, solve_inner
-from .problem import Problem, evaluate_constraints
+from .problem import Problem
 
 
 class ContinuationError(Exception):
@@ -77,18 +75,6 @@ class SolveTrace(NamedTuple):
     final_certificate: KKTCertificate
 
 
-def _path_point(p: Problem, mu: float, result) -> PathPoint:
-    be = barrier_eval(p, result.x, mu)
-    return PathPoint(
-        mu=mu,
-        x=result.x,
-        multipliers=be.multipliers,
-        objective=float(expr.evaluate(p.objective, result.x)),
-        grad_norm=result.grad_norm,
-        status=result.status,
-    )
-
-
 def solve(
     p: Problem,
     schedule: MuSchedule | None = None,
@@ -127,12 +113,14 @@ def solve(
                 f"inner solve failed at mu = {mu:.3e} ({result.status.value}, "
                 f"grad norm {result.grad_norm:.3e})"
             )
-        points.append(_path_point(p, mu, result))
+        be = result.evaluation
+        points.append(
+            PathPoint(mu, result.x, be.multipliers, be.objective, result.grad_norm, result.status)
+        )
         x = result.x
 
-    mu_last = points[-1].mu
-    x_last = points[-1].x
-    cutoff = math.sqrt(mu_last)
-    lam = np.where(evaluate_constraints(p, x_last) <= cutoff, points[-1].multipliers, 0.0)
-    cert = check_kkt(p, x_last, lam, cutoff)
+    # mu, x and be are the last stage's
+    cutoff = math.sqrt(mu)
+    lam = np.where(be.constraint_values <= cutoff, be.multipliers, 0.0)
+    cert = check_kkt(p, x, lam, cutoff)
     return SolveTrace(points=points, final_certificate=cert)

@@ -135,7 +135,7 @@ def slater_find(p: Problem) -> SlaterReport:
     if best_margin <= 0.0:
         raise SlaterUnverifiedError(
             f"no strictly feasible point on a {SLATER_GRID_RES}^({p.nvars}) grid "
-            f"(best margin {best_margin:.3e})"
+            f"(best margin {best_margin + 0.0:.3e})"  # + 0.0 turns -0.0 into 0.0
         )
     return SlaterReport(x, best_margin, SLATER_GRID_RES)
 
@@ -226,6 +226,57 @@ def _triu_pairs(k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, pos - first[rows] + rows + 1
 
 
+def _members(p: Problem, level: float, pts: np.ndarray) -> np.ndarray:
+    return np.all(evaluate_constraints(p, pts) >= level, axis=1)
+
+
+def _push_alternate(p: Problem, level: float, rows: np.ndarray, start: int, rng) -> None:
+    """Push both ends of every other pair of rows, the pairs from start on, in place.
+
+    Each walks outward along a random direction to the last point that
+    still belongs to the set (bisection, membership checked exactly).
+    Drawn block by block, the directions are the same stream as in one draw.
+    """
+    near = (np.arange(2 * start, 2 * start + rows.shape[0]) // 2) % 2 == 1
+    dirs = _random_directions(rng, rows.shape[0], p.nvars)[near]
+    pts = rows[near]
+    t_exit = box_exit(p.box, pts, dirs)
+    t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
+    t_in, _ = bisect(
+        lambda t: _members(p, level, pts + t[:, None] * dirs), np.zeros(len(pts)), t_exit, 40
+    )
+    rows[near] = pts + t_in[:, None] * dirs
+
+
+def _rejection_pairs(p: Problem, level: float, rows: np.ndarray, rng):
+    """Yield consecutive rows as pairs (xs, ys) in the fewest equal blocks of at most
+    GRID_BLOCK_POINTS rows; every other pair is pushed to the boundary."""
+    npairs = rows.shape[0] // 2
+    nblocks = -(-npairs // max(1, problem.GRID_BLOCK_POINTS // 2))
+    size = -(-npairs // nblocks)
+    for start in range(0, npairs, size):
+        block = rows[2 * start : 2 * min(start + size, npairs)]
+        # a function, so that its arrays are freed before the next block is drawn
+        _push_alternate(p, level, block, start, rng)
+        yield block[0::2], block[1::2]
+
+
+def _grid_pairs(p: Problem, level: float):
+    """Yield the pairs among the first GRID_FALLBACK_CAP members of the GRID_FALLBACK_RES
+    grid, row-major, in np.triu_indices order and blocks of at most GRID_BLOCK_POINTS."""
+    chosen, k = [], 0
+    for block in grid_blocks(p.box, GRID_FALLBACK_RES):
+        chosen.append(block[_members(p, level, block)][: GRID_FALLBACK_CAP - k])
+        k += chosen[-1].shape[0]
+        if k == GRID_FALLBACK_CAP:
+            break
+    sel = np.concatenate(chosen)
+    npairs = k * (k - 1) // 2
+    for start in range(0, npairs, problem.GRID_BLOCK_POINTS):
+        ii, jj = _triu_pairs(k, start, min(start + problem.GRID_BLOCK_POINTS, npairs))
+        yield sel[ii], sel[jj]
+
+
 def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> LevelsetReport:
     """Hunt for a midpoint convexity counterexample of {x : g_j(x) >= level for all j}.
 
@@ -239,19 +290,27 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
     level) is a witness that the set is not convex.  When rejection
     sampling finds too few members (a thin or lower-dimensional set), a
     deterministic grid scan takes over.  No witness is only evidence of
-    convexity, never proof.
+    convexity, never proof; no pair at all reads empty_region.
 
     Pairs are pushed and scanned in blocks of at most GRID_BLOCK_POINTS
     points, so memory stays bounded; the first witness ends the probe, and
     the block size changes no result.
     """
+    rng = np.random.default_rng(seed)
+    cap = max(100_000, 50 * LEVELSET_PAIRS)
+    # the batch size fixes where the draws stop, and so the directions after them
+    rows, _ = sample_box(
+        rng, p.box, lambda pts: _members(p, level, pts), 2 * LEVELSET_PAIRS, batch=8192, cap=cap
+    )
+    if rows.shape[0] >= 2:
+        method, pairs = "rejection", _rejection_pairs(p, level, rows, rng)
+    else:
+        # rejection found at most one member: the set is thin in the box
+        method, pairs = "grid", _grid_pairs(p, level)
     scope = list(range(1, p.nconstraints + 1))
     levels = np.full(p.nconstraints, float(level))
-
-    def scan_pairs(
-        xs: np.ndarray, ys: np.ndarray, method: str, offset: int
-    ) -> LevelsetReport | None:
-        # offset: the pairs checked in earlier blocks
+    checked = 0
+    for xs, ys in pairs:
         mids = 0.5 * (xs + ys)
         gm = evaluate_constraints(p, mids)
         # a midpoint where some g_j overflows reads -inf throughout: its
@@ -259,106 +318,21 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
         below = (gm < level - MIDPOINT_GUARD) & np.isfinite(gm)
         flagged = np.nonzero(below.any(axis=1))[0]
         if flagged.size:
-            idx = int(flagged[0])
+            i = int(flagged[0])
             witness = LevelsetWitness(
-                x=xs[idx].copy(),
-                y=ys[idx].copy(),
-                midpoint=mids[idx].copy(),
-                g_x=evaluate_constraints(p, xs[idx]),
-                g_y=evaluate_constraints(p, ys[idx]),
-                g_mid=gm[idx].copy(),
-                violated=[int(k) + 1 for k in np.nonzero(below[idx])[0]],
+                x=xs[i].copy(),
+                y=ys[i].copy(),
+                midpoint=mids[i].copy(),
+                g_x=evaluate_constraints(p, xs[i]),
+                g_y=evaluate_constraints(p, ys[i]),
+                g_mid=gm[i].copy(),
+                violated=[int(j) + 1 for j in np.nonzero(below[i])[0]],
             )
-            return LevelsetReport(
-                scope=scope,
-                levels=levels,
-                verdict="counterexample",
-                witness=witness,
-                pairs_checked=offset + idx + 1,
-                method=method,
-            )
-        return None
-
-    def members_mask(pts: np.ndarray) -> np.ndarray:
-        return np.all(evaluate_constraints(p, pts) >= level, axis=1)
-
-    def push_to_boundary(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        # walk each member outward along its direction, keeping the last
-        # point that still belongs to the set (membership checked exactly)
-        t_exit = box_exit(p.box, pts, dirs)
-        t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
-        t_in, _ = bisect(
-            lambda t: members_mask(pts + t[:, None] * dirs),
-            np.zeros(pts.shape[0]),
-            t_exit,
-            iters=40,
-        )
-        return pts + t_in[:, None] * dirs
-
-    def convex(npairs: int, method: str) -> LevelsetReport:
-        return LevelsetReport(
-            scope=scope,
-            levels=levels,
-            verdict="convex_up_to_sampling",
-            witness=None,
-            pairs_checked=npairs,
-            method=method,
-        )
-
-    rng = np.random.default_rng(seed)
-    need = 2 * LEVELSET_PAIRS
-    cap = max(100_000, 50 * LEVELSET_PAIRS)
-    # the batch size fixes where the draws stop, and so the directions below
-    arr, _ = sample_box(rng, p.box, members_mask, need, batch=8192, cap=cap)
-
-    # a function, so that one block's arrays are freed before the next is drawn
-    def scan_rejection_block(start: int, stop: int) -> LevelsetReport | None:
-        rows = arr[2 * start : 2 * stop]
-        # both ends of every other pair start from the boundary; drawn block
-        # by block, the directions are the same stream as in one draw
-        near_boundary = (np.arange(2 * start, 2 * stop) // 2) % 2 == 1
-        dirs = _random_directions(rng, rows.shape[0], p.nvars)[near_boundary]
-        if near_boundary.any():
-            rows[near_boundary] = push_to_boundary(rows[near_boundary], dirs)
-        return scan_pairs(rows[0::2], rows[1::2], "rejection", start)
-
-    if arr.shape[0] >= 2:
-        npairs = arr.shape[0] // 2
-        # the fewest equal blocks of at most GRID_BLOCK_POINTS member rows
-        nblocks = -(-npairs // max(1, problem.GRID_BLOCK_POINTS // 2))
-        size = -(-npairs // nblocks)
-        for start in range(0, npairs, size):
-            report = scan_rejection_block(start, min(start + size, npairs))
-            if report is not None:
-                return report
-        return convex(npairs, "rejection")
-
-    # rejection found at most one member: the set is thin in the box, so
-    # fall back to a deterministic grid scan of the pairs among its first
-    # GRID_FALLBACK_CAP members in row-major order
-    chosen, k = [], 0
-    for block in grid_blocks(p.box, GRID_FALLBACK_RES):
-        chosen.append(block[members_mask(block)][: GRID_FALLBACK_CAP - k])
-        k += chosen[-1].shape[0]
-        if k == GRID_FALLBACK_CAP:
-            break
-    sel = np.concatenate(chosen)
-    if k < 2:
-        return LevelsetReport(
-            scope=scope,
-            levels=levels,
-            verdict="empty_region",
-            witness=None,
-            pairs_checked=0,
-            method="grid",
-        )
-    npairs = k * (k - 1) // 2
-    for start in range(0, npairs, problem.GRID_BLOCK_POINTS):
-        ii, jj = _triu_pairs(k, start, min(start + problem.GRID_BLOCK_POINTS, npairs))
-        report = scan_pairs(sel[ii], sel[jj], "grid", start)
-        if report is not None:
-            return report
-    return convex(npairs, "grid")
+            return LevelsetReport(scope, levels, "counterexample", checked + i + 1, method, witness)
+        checked += xs.shape[0]
+        del xs, ys, mids, gm, below, flagged  # freed before the next block is drawn
+    verdict = "convex_up_to_sampling" if checked else "empty_region"
+    return LevelsetReport(scope, levels, verdict, checked, method, None)
 
 
 def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityReport:

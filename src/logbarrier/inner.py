@@ -13,13 +13,12 @@ at most MAX_ITERS Newton steps.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import barrier_eval, barrier_hessian, barrier_value
+from .barrier import BarrierEvaluation, barrier_eval, barrier_hessian, barrier_value
 from .expr import EvalError
 from .problem import Problem
 
@@ -45,6 +44,7 @@ class InnerResult(NamedTuple):
     grad_norm: float
     iterations: int
     status: InnerStatus
+    evaluation: BarrierEvaluation  # at x
 
 
 def default_tolerance(mu: float, floor: float) -> float:
@@ -70,15 +70,6 @@ def _newton_direction(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray
     return d
 
 
-def _gradient_norm(p: Problem, x: np.ndarray, mu: float) -> float:
-    """|grad phi| at x; +inf where barrier_value is +inf."""
-    try:
-        be = barrier_eval(p, x, mu)
-    except EvalError:
-        return math.inf
-    return float(np.linalg.norm(be.gradient)) if be.interior else math.inf
-
-
 def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     """Minimize the barrier at fixed mu from a strictly interior start.
 
@@ -91,7 +82,9 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     equal value once the decrease it asks for at a backtracked step rounds
     away.  When be.value + ARMIJO_C1 * slope == be.value, the Armijo test
     cannot rank steps at all, so a candidate is accepted when it is
-    interior and |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|.
+    interior and |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|;
+    its evaluation serves the next iteration.  The result carries the
+    evaluation at its x.
     """
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
@@ -104,7 +97,7 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     for k in range(MAX_ITERS + 1):
         grad_norm = float(np.linalg.norm(be.gradient))
         if grad_norm <= tol:
-            return InnerResult(x, grad_norm, iterations, InnerStatus.CONVERGED)
+            return InnerResult(x, grad_norm, iterations, InnerStatus.CONVERGED, be)
         if k == MAX_ITERS:
             break
 
@@ -115,7 +108,13 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
         while t >= MIN_STEP:
             cand = x + t * d
             if by_gradient:
-                accept = _gradient_norm(p, cand, mu) <= (1 - ARMIJO_C1 * t) * grad_norm
+                try:
+                    trial = barrier_eval(p, cand, mu)
+                    accept = trial.interior and (
+                        np.linalg.norm(trial.gradient) <= (1 - ARMIJO_C1 * t) * grad_norm
+                    )
+                except EvalError:  # off the domain of f or some g_j
+                    accept = False
             else:
                 value = barrier_value(p, cand, mu)
                 accept = value < be.value and value <= be.value + ARMIJO_C1 * t * slope
@@ -123,14 +122,14 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
                 break
             t *= 0.5
         else:
-            return InnerResult(x, grad_norm, iterations, InnerStatus.LINE_SEARCH_STALL)
+            return InnerResult(x, grad_norm, iterations, InnerStatus.LINE_SEARCH_STALL, be)
 
         iterations += 1
         if np.array_equal(cand, x):
             # every later iteration would repeat this one bit for bit
-            return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS)
+            return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS, be)
         x = cand
-        be = barrier_eval(p, x, mu)
+        be = trial if by_gradient else barrier_eval(p, x, mu)
 
     grad_norm = float(np.linalg.norm(be.gradient))
-    return InnerResult(x, grad_norm, iterations, InnerStatus.MAX_ITERS)
+    return InnerResult(x, grad_norm, iterations, InnerStatus.MAX_ITERS, be)

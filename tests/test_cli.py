@@ -708,7 +708,7 @@ def test_handlers_raise_and_only_main_maps_exit_codes():
     assert callers == {"main"}
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_solve_refuses_a_tolerance_that_never_binds(run_cli, tol):
     code, stdout, stderr = run_cli(["solve", "--builtin", "disk", "--tol", tol])
     assert (code, stdout) == (2, "")

@@ -38,6 +38,16 @@ PLANE3_DATA = {
     "box": [[-2, 2]] * 3,
 }
 PLANE3 = problem.problem_from_dict(PLANE3_DATA)
+# a single point: the grid fallback finds one member, so no pair
+POINT = problem.problem_from_dict(
+    {
+        "name": "point",
+        "nvars": 2,
+        "objective": "x1",
+        "constraints": ["-(x1^2 + x2^2)"],
+        "box": [[-1, 1], [-1, 1]],
+    }
+)
 # a disk of radius sqrt(10) around the whole box
 WIDE = {
     "name": "wide",
@@ -96,6 +106,9 @@ def test_slater_margin_is_reproducible(problems):
 def test_slater_unverified():
     with pytest.raises(SlaterUnverifiedError, match="no strictly feasible point"):
         diagnostics.slater_find(VOID)
+    # the best margin, -(0^2 + 0^2) at the origin, is -0.0: reported without its sign
+    with pytest.raises(SlaterUnverifiedError, match=r"\(best margin 0\.000e\+00\)$"):
+        diagnostics.slater_find(POINT)
 
 
 def _sample(p, **kwargs):
@@ -286,6 +299,7 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
         (problems["cassini"], 5.0, 1000, 42),  # empty region
         (problems["cassini"], 3.9999999, 1000, 42),  # the two foci only: a grid counterexample
         (PLANE3, 0.0, 1000, 42),  # a plane: more members than GRID_FALLBACK_CAP
+        (POINT, 0.0, 1000, 42),  # one grid member, so no pair: empty region
         # rejection: witnesses at pairs 12 and 42, past the first blocks of
         # 3 pairs, and a convex set scanned to the end
         (problems["cassini"], 1.5, 10000, 7),
@@ -305,11 +319,12 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
         return slater, levelsets
 
     want_slater, want_levelsets = run_all()
-    assert [r["method"] for r in want_levelsets] == ["grid"] * 3 + ["rejection"] * 3
+    assert [r["method"] for r in want_levelsets] == ["grid"] * 4 + ["rejection"] * 3
     assert [(r["verdict"], r["pairs_checked"]) for r in want_levelsets] == [
         ("empty_region", 0),
         ("counterexample", want_levelsets[1]["pairs_checked"]),
         ("convex_up_to_sampling", diagnostics.GRID_FALLBACK_CAP * 511 // 2),
+        ("empty_region", 0),
         ("counterexample", 12),
         ("counterexample", 42),
         ("convex_up_to_sampling", 10000),
