@@ -55,12 +55,11 @@ def barrier_value(p: Problem, x, mu: float) -> float:
         fjet, *gjets = expr.jets((p.objective, *p.constraints), x, 0)
     except expr.EvalError:
         return math.inf
-    total = fjet.value
-    for g in gjets:
-        if g.value <= 0.0:
-            return math.inf
-        total -= mu * math.log(g.value)
-    return total
+    gvals = np.array([g.value for g in gjets])
+    if np.any(gvals <= 0.0):
+        return math.inf
+    # barrier_eval's formula, as the line search compares one with the other
+    return fjet.value - mu * float(np.sum(np.log(gvals)))
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:

@@ -147,7 +147,7 @@ def _load_problem(args) -> Problem:
 
 def _count(text: str) -> int:
     """The type of --seed (numpy seeds its generators with non-negative
-    integers) and of --polish (a number of steps)."""
+    integers) and of --polish (a number of sweeps)."""
     try:
         value = int(text)
     except ValueError:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="brute-force grid minimization")
     _add_common(sp, seed=False)
     sp.add_argument("--res", type=int, default=2001, help="grid resolution per axis")
-    sp.add_argument("--polish", type=_count, default=50, help="projected-descent polish steps")
+    sp.add_argument("--polish", type=_count, default=50, help="polish sweeps along rays; 0 skips")
 
     sp = sub.add_parser("list", help="list builtin problems")
     sp.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")

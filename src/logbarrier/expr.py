@@ -445,7 +445,8 @@ def scan_values(es, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must have shape (N, nvars), got {points.shape}")
-    out = np.empty((points.shape[0], len(es)))
+    # column-major: the walk writes columns and scans reduce rows
+    out = np.empty((points.shape[0], len(es)), order="F")
     for k, (v, _, _) in enumerate(_walk_roots(es, points, 0)):
         out[:, k] = v
     return out

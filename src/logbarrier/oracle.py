@@ -1,9 +1,14 @@
 """A slow, independent reference answer.
 
-grid_minimize brute-forces small problems on a dense grid and polishes the
-best feasible point with projected descent along the boundary.  It exists
-to catch the fast paths lying, so it shares no machinery with the barrier
-code beyond expression evaluation and the problem's helpers.
+grid_minimize brute-forces small problems on a dense grid, then polishes
+the best feasible point by a search along rays from the grid's deepest
+point c, the one of largest min_j g_j.  A point is written
+x = c + s * R(u) * u with s in [0, 1], where R(u) is the distance from c
+to the boundary along u, found by bisection on the sign of min_j g_j.  The
+polish needs no constraint gradient, so a boundary where one vanishes does
+not stall it.  The oracle exists to catch the fast paths lying, so it
+shares no machinery with the barrier code beyond expression evaluation and
+the problem's helpers.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .problem import Problem, ProblemError, bisect, evaluate_constraints, grid_blocks
+from .problem import Problem, ProblemError, bisect, box_exit, evaluate_constraints, grid_blocks
 
 MAX_ORACLE_VARS = 3
 MIN_RESOLUTION = 11
+RADIUS_BISECT_ITERS = 60
+SEARCH_POINTS = 33  # candidates per round of a 1-D search
+SEARCH_ROUNDS = 10  # each round narrows the interval 16-fold around the best point so far
 
 
 class OracleError(Exception):
@@ -30,112 +38,74 @@ class OracleResult(NamedTuple):
     polished: bool
 
 
-_ACTIVE_EPS = 1e-9
-RESTORE_BISECT_ITERS = 60
+def _radius(p: Problem, c: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Length t of each ray c + t * d, one per row of dirs, to the boundary.
 
-
-def _feasible(p: Problem, pts: np.ndarray) -> np.ndarray:
-    """Feasibility of each row of an (N, nvars) batch, by the grid scan's rule.
-
-    A point where some g_j overflows is infeasible.
+    Bisection judges points as the grid scan does (where some g_j
+    overflows, a point is infeasible) and keeps c + t * d feasible.  A ray
+    still feasible where it leaves the box gets the box exit.
     """
-    return evaluate_constraints(p, pts).min(axis=1) >= 0.0
+    t_exit = box_exit(p.box, c, dirs)
+
+    def inside(ts: np.ndarray) -> np.ndarray:
+        return evaluate_constraints(p, c + ts[:, None] * dirs).min(axis=1) >= 0.0
+
+    t_in, _ = bisect(inside, np.zeros(dirs.shape[0]), t_exit, RADIUS_BISECT_ITERS)
+    return np.where(inside(t_exit), t_exit, t_in)
 
 
-def _restore(p: Problem, cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Pull an infeasible candidate back into the feasible set.
+def _least(p: Problem, pts: np.ndarray, feasible: np.ndarray) -> tuple[int, float]:
+    """(row, f) of the least finite f over the feasible rows of pts, the first on a
+    tie; f is inf where no row is feasible or f overflows at each feasible one."""
+    fv = np.full(pts.shape[0], np.inf)
+    fv[feasible] = expr.scan_values([p.objective], pts[feasible])[:, 0]
+    fv[~np.isfinite(fv)] = np.inf  # where f overflows, a point is no candidate
+    i = int(np.argmin(fv))
+    return i, float(fv[i])
 
-    Walks inward along the most violated constraint's gradient, expanding
-    the step until feasible and bisecting back to the boundary.  The
-    expand-then-bisect never misses the crossing even when the gradient
-    nearly vanishes at the zero set (a plain Newton pullback would creep
-    toward a multiple root from the wrong side forever).  When no usable
-    gradient direction exists, or the worst g_j overflowed, falls back to
-    bisecting the chord to the feasible anchor.
+
+def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
+    """Search x = c + s * R(u) * u from the feasible point x; returns the best (x, f).
+
+    Each sweep searches s, then turns u by an angle toward the part of
+    grad f orthogonal to u and toward the rest of an orthonormal basis of
+    u's complement.  Only a strict decrease of a finite f at a feasible
+    point moves x, so a feasible set that is not convex cannot lead it
+    outside.  Sweeps stop once one gains at most 1e-13 * (1 + |f|).
     """
-    for _ in range(4):
-        gvals = evaluate_constraints(p, cand[None, :])[0]
-        worst = int(np.argmin(gvals))
-        if gvals[worst] >= 0.0:
-            return cand
-        if gvals[worst] == -np.inf:
-            break
-        grad = expr.evaluate_dual(p.constraints[worst], cand, 1).grad
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-14:
-            break
-        u = grad / gnorm
-        t = -gvals[worst] / gnorm
-        feasible_t = None
-        for _ in range(60):
-            if _feasible(p, (cand + t * u)[None, :])[0]:
-                feasible_t = t
-                break
-            t *= 2.0
-        if feasible_t is None:
-            break
-        t_in, _ = bisect(
-            lambda ts: _feasible(p, cand + ts[:, None] * u),
-            np.array([feasible_t]),
-            np.zeros(1),
-            RESTORE_BISECT_ITERS,
-        )
-        cand = cand + t_in[0] * u
-    if _feasible(p, cand[None, :])[0]:
-        return cand
-    chord = anchor - cand
-    t_in, _ = bisect(
-        lambda ts: _feasible(p, cand + ts[:, None] * chord),
-        np.ones(1),
-        np.zeros(1),
-        RESTORE_BISECT_ITERS,
-    )
-    return cand + t_in[0] * chord
 
+    def search(points, a: float, h: float, lo: float, hi: float) -> float:
+        nonlocal x, fx
+        for _ in range(SEARCH_ROUNDS):
+            ts = np.clip(np.linspace(a - h, a + h, SEARCH_POINTS), lo, hi)
+            pts = points(ts)
+            i, f_i = _least(p, pts, evaluate_constraints(p, pts).min(axis=1) >= 0.0)
+            if f_i < fx:
+                a, x, fx = ts[i], pts[i], f_i
+            h /= 16.0
+        return a
 
-def _polish(p: Problem, x: np.ndarray, fx: float, steps: int) -> tuple[np.ndarray, float]:
-    """Projected descent from a feasible point, never leaving the feasible set.
+    def on_turned_rays(alphas: np.ndarray) -> np.ndarray:  # u turned toward v by each angle
+        dirs = np.cos(alphas)[:, None] * u + np.sin(alphas)[:, None] * v
+        return c + (s * _radius(p, c, dirs))[:, None] * dirs
 
-    The step direction is the negative objective gradient with the
-    outward components of near-active constraint gradients projected out,
-    so iterates can slide along a curved boundary instead of jamming
-    against it.  Candidates that leave the feasible set are restored
-    inward; only strict objective improvements are kept.  Candidates are
-    judged as the grid scan judges its points: where some g_j overflows a
-    point is infeasible, and where f overflows it is no improvement.
-    """
-    t = 1.0
-    for _ in range(steps):
-        grad = expr.evaluate_dual(p.objective, x, 1).grad
-        d = -grad
-        scale = 1.0 + float(np.linalg.norm(grad))
-        for jet in expr.jets(p.constraints, x, 1):
-            if jet.value > _ACTIVE_EPS * scale:
-                continue
-            n = jet.grad
-            nn = float(np.linalg.norm(n))
-            if nn < 1e-14:
-                continue
-            n = n / nn
-            downhill = float(n @ d)
-            if downhill < 0.0:
-                d = d - downhill * n
-        if float(np.linalg.norm(d)) <= 1e-10 * scale:
+    r = float(np.linalg.norm(x - c))
+    u = (x - c) / r if r > 0.0 else np.eye(p.nvars)[0]
+    radius = _radius(p, c, u[None, :])[0]
+    s = r / radius if r > 0.0 else 0.0
+    for _ in range(sweeps):
+        f_start = fx
+        s = search(lambda ts: c + (ts * radius)[:, None] * u, s, 1.0, 0.0, 1.0)
+        complement = np.linalg.svd(u[None, :])[2][1:]
+        grad = expr.jets([p.objective], x, 1)[0].grad
+        # the first v lies along grad f's part orthogonal to u; its sign does
+        # not matter, as each angle search is symmetric about 0
+        for v in np.linalg.svd((complement @ grad)[None, :])[2] @ complement:
+            alpha = search(on_turned_rays, 0.0, np.pi / 8, -np.inf, np.inf)
+            u = np.cos(alpha) * u + np.sin(alpha) * v
+        if f_start - fx <= 1e-13 * (1.0 + abs(fx)):
             break
-        improved = False
-        for _ in range(25):
-            cand = np.clip(x + t * d, p.box[:, 0], p.box[:, 1])
-            if not _feasible(p, cand[None, :])[0]:
-                cand = _restore(p, cand, x)
-            fc = float(expr.scan_values([p.objective], cand[None, :])[0, 0])
-            if fc < fx and np.isfinite(fc):
-                x, fx = cand, fc
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        t = min(t * 2.0, 1.0)
+        radius = _radius(p, c, u[None, :])[0]
     return x, fx
 
 
@@ -143,9 +113,11 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     """Minimize by dense feasible grid search over the box, then polish.
 
     Deterministic: ties on the grid go to the lexicographically smallest
-    point.  Grid points where f or some g_j overflows are left out.  Raises
-    ProblemError for more than MAX_ORACLE_VARS variables or res below
-    MIN_RESOLUTION, and OracleError when no grid point is feasible.
+    point.  Grid points where f or some g_j overflows are left out.  The
+    polish runs at most polish_steps sweeps, and only when some grid point
+    has min_j g_j > 0.  Raises ProblemError for more than MAX_ORACLE_VARS
+    variables or res below MIN_RESOLUTION, and OracleError when no grid
+    point is feasible.
     """
     if p.nvars > MAX_ORACLE_VARS:
         raise ProblemError(f"oracle supports up to {MAX_ORACLE_VARS} variables, got {p.nvars}")
@@ -154,25 +126,19 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
 
     best_f = np.inf
     best_x: np.ndarray | None = None
+    depth, centre = 0.0, None  # the first grid point of largest min_j g_j, if that is > 0
     for block in grid_blocks(p.box, res):
-        feas = block[np.all(evaluate_constraints(p, block) >= 0.0, axis=1)]
-        if feas.shape[0] == 0:
-            continue
-        fvals = expr.scan_values([p.objective], feas)[:, 0]
-        fvals[~np.isfinite(fvals)] = np.inf  # where f overflows, a point is no candidate
-        i = int(np.argmin(fvals))
-        f_i, x_i = float(fvals[i]), feas[i]
+        gmin = evaluate_constraints(p, block).min(axis=1)
+        k = int(np.argmax(gmin))
+        if gmin[k] > depth:
+            depth, centre = gmin[k], block[k].copy()
+        i, f_i = _least(p, block, gmin >= 0.0)
         if f_i < best_f:  # blocks come in row-major order, so a tie keeps the earlier point
-            best_f, best_x = f_i, x_i.copy()
+            best_f, best_x = f_i, block[i].copy()
     if best_x is None:
         raise OracleError(f"no feasible grid point at resolution {res}")
 
-    polished = polish_steps > 0
+    polished = polish_steps > 0 and centre is not None
     if polished:
-        best_x, best_f = _polish(p, best_x, best_f, polish_steps)
-    return OracleResult(
-        x_best=best_x,
-        f_best=float(best_f),
-        grid_resolution=res,
-        polished=polished,
-    )
+        best_x, best_f = _polish(p, centre, best_x, best_f, polish_steps)
+    return OracleResult(best_x, float(best_f), res, polished)

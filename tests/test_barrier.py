@@ -86,6 +86,16 @@ def test_gradient_identity_bitwise(problems):
             assert np.array_equal(be.gradient, want)
 
 
+def test_value_is_bitwise_the_evaluation_value_along_every_path(problems, traces):
+    # the inner line search compares a barrier_value against a barrier_eval
+    # value, so the two must round alike
+    for name, trace in traces.items():
+        p = problems[name]
+        for pt in trace.points:
+            want = barrier.barrier_eval(p, pt.x, pt.mu).value
+            assert barrier.barrier_value(p, pt.x, pt.mu) == want, (name, pt.mu)
+
+
 def test_gradient_matches_finite_differences(problems):
     h = 1e-6
     rng = np.random.default_rng(24)

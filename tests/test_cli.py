@@ -116,6 +116,16 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
     assert records[-1]["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--require-assumptions"], "assumption check failed (slater): "), ([], "solve failed: ")],
+)
+def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, message):
+    code, stdout, stderr = run_cli(["solve", "--problem", void_file, *flags])
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(f"logbarrier: {message}")
+
+
 def test_readme_solve_section_names_every_solve_option():
     # the solve paragraph and the commands' shared introduction above it
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
@@ -151,6 +161,7 @@ def test_readme_solve_section_names_every_solve_option():
         # --seed only where the command samples
         ["contour", "--builtin", "cassini", "--res", "3", "--seed", "7"],
         ["oracle", "--builtin", "disk", "--res", "11", "--seed", "7"],
+        ["diagnose", "--builtin", "disk", "--check", "slater,,curvature"],
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):
@@ -194,6 +205,8 @@ def test_diagnose_prints_the_slater_report(run_cli, name):
         (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "pass"], 3),
         (["diagnose", "--builtin", "cassini", "--check", "levelset:0", "--expect", "pass"], 0),
         (["diagnose", "--builtin", "degenerate-disk", "--check", "nondegeneracy"], 3),
+        (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "pass"], 0),
+        (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "pass"], 3),
     ],
 )
 def test_diagnose_expectations(run_cli, argv, want):
@@ -529,9 +542,9 @@ def test_overflow_in_a_scan_is_an_infeasible_point(run_cli, tmp_path):
 
 
 def test_oracle_polish_counts_an_overflow_as_infeasible(run_cli, tmp_path):
-    # the polish's first step lands at x1 = 800, where 1 - exp(x1) overflows;
-    # the grid scan's rule makes that point infeasible, and restoring it
-    # bisects the chord back to the boundary x1 = 0
+    # the polish's rays start at (-5, 0) and leave the box at x1 = 800, where
+    # 1 - exp(x1) overflows; the grid scan's rule makes such a point
+    # infeasible, so bisection finds the boundary x1 = 0
     path = tmp_path / "ovf.json"
     path.write_text(
         json.dumps(
@@ -539,7 +552,7 @@ def test_oracle_polish_counts_an_overflow_as_infeasible(run_cli, tmp_path):
                 "name": "ovf",
                 "nvars": 2,
                 "objective": "-1000*x1 + x2^2",
-                "constraints": ["1 - exp(x1)", "4 - x2^2"],
+                "constraints": ["1 - exp(x1)", "0.25 - x2^2"],
                 "box": [[-5, 800], [-3, 3]],
             }
         )
@@ -552,7 +565,7 @@ def test_oracle_polish_counts_an_overflow_as_infeasible(run_cli, tmp_path):
     assert (code, stderr) == (0, "")
     polished = _records(stdout)[0]
     x1, x2 = polished["x_best"]
-    assert 1.0 - np.exp(x1) >= 0.0 and 4.0 - x2**2 >= 0.0
+    assert 1.0 - np.exp(x1) >= 0.0 and 0.25 - x2**2 >= 0.0
     assert polished["f_best"] <= scan["f_best"]
     assert abs(polished["f_best"]) <= 1e-9
 

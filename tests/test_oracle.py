@@ -22,10 +22,65 @@ def test_disk_minimum(problems):
 
 
 def test_degenerate_disk_minimum(problems):
-    # the cubed constraint flattens the boundary gradient; the polish
-    # restoration must still cross the zero set instead of creeping
+    # the cubed constraint's gradient vanishes on the boundary; the polish
+    # bisects rays on the sign of g alone, so it still reaches the zero set
     r = oracle.grid_minimize(problems["degenerate-disk"], res=501)
     assert abs(r.f_best - DISK_FSTAR) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "constraint, a",
+    [
+        ("(1 - x1^2 - x2^2)^3", (0.9932238214022842, -0.9583625403973901)),
+        ("1 - x1^2 - x2^2", (-1.3989543548579892, -1.426379409199535)),
+    ],
+)
+def test_disk_targets_reach_the_nearest_boundary_point(constraint, a):
+    # min |x - a|^2 over the unit disk is (|a| - 1)^2, attained at a / |a|
+    p = problem.problem_from_dict(
+        {
+            "name": "disk-target",
+            "nvars": 2,
+            "objective": f"(x1 - {a[0]!r})^2 + (x2 - {a[1]!r})^2",
+            "constraints": [constraint],
+            "box": [[-1.5, 1.5], [-1.5, 1.5]],
+        }
+    )
+    r = oracle.grid_minimize(p, res=2001)
+    assert abs(r.f_best - (np.hypot(*a) - 1.0) ** 2) <= 1e-9
+
+
+def test_no_polish_without_a_strictly_feasible_grid_point():
+    # the feasible set is the segment x2 = 0: no point has min_j g_j > 0,
+    # so there is no centre for the polish's rays
+    p = problem.problem_from_dict(
+        {
+            "name": "segment",
+            "nvars": 2,
+            "objective": "x1",
+            "constraints": ["-x2^2"],
+            "box": [[-1, 1], [-1, 1]],
+        }
+    )
+    r = oracle.grid_minimize(p, res=11)
+    assert r.polished is False
+    assert (r.f_best, r.x_best.tolist()) == (-1.0, [-1.0, 0.0])
+
+
+def test_polish_stays_in_a_feasible_set_that_is_not_convex():
+    # rays from the annulus' deepest point cross its hole, where f is lower
+    p = problem.problem_from_dict(
+        {
+            "name": "annulus",
+            "nvars": 2,
+            "objective": "x1^2 + x2^2",
+            "constraints": ["x1^2 + x2^2 - 0.25", "1 - x1^2 - x2^2"],
+            "box": [[-1.5, 1.5], [-1.5, 1.5]],
+        }
+    )
+    r = oracle.grid_minimize(p, res=101)
+    assert min(expr.evaluate(g, r.x_best) for g in p.constraints) >= 0.0
+    assert abs(r.f_best - 0.25) <= 1e-9
 
 
 def test_known_corner_minima(problems):
