@@ -43,6 +43,10 @@ def _check_mu(mu: float) -> float:
     return mu
 
 
+def _phi(f: float, gvals: np.ndarray, mu: float) -> float:
+    return f - mu * float(np.sum(np.log(gvals)))
+
+
 def barrier_value(p: Problem, x, mu: float) -> float:
     """Barrier value only; +inf outside the strict interior.
 
@@ -56,10 +60,7 @@ def barrier_value(p: Problem, x, mu: float) -> float:
     except expr.EvalError:
         return math.inf
     gvals = np.array([g.value for g in gjets])
-    if np.any(gvals <= 0.0):
-        return math.inf
-    # barrier_eval's formula, as the line search compares one with the other
-    return fjet.value - mu * float(np.sum(np.log(gvals)))
+    return math.inf if np.any(gvals <= 0.0) else _phi(fjet.value, gvals, mu)
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
@@ -78,7 +79,7 @@ def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     fjet = expr.evaluate_dual(p.objective, x, 1)
     grads = np.array([j.grad for j in gjets])
     multipliers = mu / gvals
-    value = fjet.value - mu * float(np.sum(np.log(gvals)))
+    value = _phi(fjet.value, gvals, mu)
     gradient = fjet.grad - grads.T @ multipliers
     return BarrierEvaluation(value, gvals, gradient, multipliers, fjet.value)
 

@@ -67,11 +67,11 @@ def _least(p: Problem, pts: np.ndarray, feasible: np.ndarray) -> tuple[int, floa
 def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
     """Search x = c + s * R(u) * u from the feasible point x; returns the best (x, f).
 
-    Each sweep searches s, then turns u by an angle toward the part of
-    grad f orthogonal to u and toward the rest of an orthonormal basis of
-    u's complement.  Only a strict decrease of a finite f at a feasible
-    point moves x, so a feasible set that is not convex cannot lead it
-    outside.  Sweeps stop once one gains at most 1e-13 * (1 + |f|).
+    From x = c, u starts down grad f.  Each sweep searches s, then turns u
+    by an angle toward grad f's part orthogonal to u and toward the rest of
+    an orthonormal basis of u's complement.  Only a strict decrease of a
+    finite f at a feasible point moves x, so a feasible set that is not
+    convex cannot lead it outside.  Sweeps stop on a gain <= 1e-13 * (1 + |f|).
     """
 
     def search(points, a: float, h: float, lo: float, hi: float) -> float:
@@ -90,7 +90,9 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
         return c + (s * _radius(p, c, dirs))[:, None] * dirs
 
     r = float(np.linalg.norm(x - c))
-    u = (x - c) / r if r > 0.0 else np.eye(p.nvars)[0]
+    d = x - c if r > 0.0 else -expr.jets([p.objective], x, 1)[0].grad  # at c, no turn moves x
+    n = float(np.linalg.norm(d))
+    u = d / n if 0.0 < n < np.inf else np.eye(p.nvars)[0]
     radius = _radius(p, c, u[None, :])[0]
     s = r / radius if r > 0.0 else 0.0
     for _ in range(sweeps):
@@ -98,8 +100,7 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
         s = search(lambda ts: c + (ts * radius)[:, None] * u, s, 1.0, 0.0, 1.0)
         complement = np.linalg.svd(u[None, :])[2][1:]
         grad = expr.jets([p.objective], x, 1)[0].grad
-        # the first v lies along grad f's part orthogonal to u; its sign does
-        # not matter, as each angle search is symmetric about 0
+        # the first v lies along +-(grad f's part orthogonal to u): angle searches are symmetric
         for v in np.linalg.svd((complement @ grad)[None, :])[2] @ complement:
             alpha = search(on_turned_rays, 0.0, np.pi / 8, -np.inf, np.inf)
             u = np.cos(alpha) * u + np.sin(alpha) * v

@@ -50,6 +50,32 @@ def test_disk_targets_reach_the_nearest_boundary_point(constraint, a):
     assert abs(r.f_best - (np.hypot(*a) - 1.0) ** 2) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "objective, constraint, f_star",
+    [
+        # only the centre (0, 0) is feasible on the res-11 grid; f* is at (-0.1, 0)
+        ("x1", "0.01 - x1^2 - x2^2", -0.1),
+        # an interior minimum at (-0.05, 0.03), nearest to the centre among grid points
+        ("(x1 + 0.05)^2 + (x2 - 0.03)^2", "1 - x1^2 - x2^2", 0.0),
+    ],
+)
+def test_polish_leaves_a_best_grid_point_at_the_centre(objective, constraint, f_star):
+    # from c itself no ray turns, so the polish must first head down grad f
+    p = problem.problem_from_dict(
+        {
+            "name": "centre",
+            "nvars": 2,
+            "objective": objective,
+            "constraints": [constraint],
+            "box": [[-1, 1], [-1, 1]],
+        }
+    )
+    r = oracle.grid_minimize(p, res=11)
+    assert r.polished is True
+    assert abs(r.f_best - f_star) <= 1e-12
+    assert expr.evaluate(p.constraints[0], r.x_best) >= 0.0
+
+
 def test_no_polish_without_a_strictly_feasible_grid_point():
     # the feasible set is the segment x2 = 0: no point has min_j g_j > 0,
     # so there is no centre for the polish's rays
