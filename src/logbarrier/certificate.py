@@ -6,7 +6,8 @@ dual feasibility max_j max(0, -lambda_j), and primal feasibility
 max_j max(0, -g_j(x)).  For problems whose feasible set is convex with a
 strictly feasible point, a KKT point is a global minimizer of a convex
 program in disguise, so a clean certificate upgrades to a global-optimality
-statement once those hypotheses have been verified.
+statement once a strictly feasible point and nonvanishing active gradients
+have been checked.  Convexity of the set is assumed there, not checked.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def global_optimality_statement(
 
     A clean verdict plus verified regularity (strictly feasible point
     exists, active constraint gradients do not vanish) yields a global
-    claim; a clean verdict without it stays a local statement naming what
-    was not verified; a failed verdict names the worst residual.
+    claim that states convexity of the feasible set as assumed, since no
+    check tests it; a clean verdict without it stays a local statement
+    naming what was not verified; a failed verdict names the worst residual.
     """
     if cert.verdict is Verdict.NOT_CERTIFIED:
         name, value = _worst_residual(cert)
@@ -140,9 +142,10 @@ def global_optimality_statement(
         kind = "a KKT point"
     if assumptions_verified:
         return (
-            f"x is {kind}; with a convex feasible set, a strictly feasible point, "
-            "and nonvanishing active constraint gradients all verified, this "
-            "certifies a global minimizer"
+            f"x is {kind}; a strictly feasible point was found and the active "
+            "constraint gradients were nonvanishing at the sampled boundary points, "
+            "so x is a global minimizer if the feasible set is convex, which is "
+            "assumed, not checked"
         )
     missing = unverified or "strict feasibility and nondegeneracy of active constraint gradients"
     return (

@@ -14,7 +14,6 @@ entries ship as JSON problem files under data/.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .problem import Problem, ProblemError, problem_from_dict
@@ -141,9 +140,3 @@ def builtin(name: str) -> CorpusEntry:
         known_optimum=_KNOWN[name],
     )
 
-
-def entry_json(name: str) -> str:
-    """Canonical problem-file text for a builtin; data/ files match this byte for byte."""
-    if name not in _RAW:
-        raise ProblemError(f"unknown builtin problem {name!r}")
-    return json.dumps(_RAW[name], indent=2) + "\n"

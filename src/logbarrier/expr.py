@@ -45,7 +45,7 @@ class Expr(NamedTuple):
     """A parsed expression over a fixed number of variables.
 
     root is a tree of tagged tuples: ("const", v) with a float v, ("var", i)
-    with a 0-based i (rendered 1-based as x1, x2, ...), ("neg", a),
+    with a 0-based i (written 1-based as x1, x2, ... in text), ("neg", a),
     ("ln", a), ("exp", a), ("add", lhs, rhs), ("sub", lhs, rhs),
     ("mul", lhs, rhs), ("div", lhs, rhs) and ("pow", base, n) with an int n.
     Tuples give trees equality, hashing and immutability; the tag tells
@@ -205,57 +205,10 @@ def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
     parser = _Parser(_tokenize(text), nvars, params or {})
-    return Expr(parser.parse(), nvars)
-
-
-# Rendering levels, loosest to tightest; a child whose level is below the
-# level its context requires gets parenthesized.
-_SUM, _TERM, _UNARY, _POW, _ATOM = 0, 1, 2, 3, 4
-
-
-def _render(node: tuple) -> tuple[str, int]:
-    match node:
-        case ("const", value):
-            # a param can bind a negative constant, -0.0 included
-            return repr(value), _ATOM if math.copysign(1.0, value) > 0 else _UNARY
-        case ("var", index):
-            return f"x{index + 1}", _ATOM
-        case ("ln", operand):
-            return f"ln({_ser(operand, _SUM)})", _ATOM
-        case ("exp", operand):
-            return f"exp({_ser(operand, _SUM)})", _ATOM
-        case ("neg", operand):
-            return f"-{_ser(operand, _UNARY)}", _UNARY
-        case ("add", lhs, rhs):
-            return f"{_ser(lhs, _SUM)} + {_ser(rhs, _TERM)}", _SUM
-        case ("sub", lhs, rhs):
-            return f"{_ser(lhs, _SUM)} - {_ser(rhs, _TERM)}", _SUM
-        case ("mul", lhs, rhs):
-            return f"{_ser(lhs, _TERM)}*{_ser(rhs, _UNARY)}", _TERM
-        case ("div", lhs, rhs):
-            return f"{_ser(lhs, _TERM)}/{_ser(rhs, _UNARY)}", _TERM
-        case ("pow", base, exponent):
-            # base may itself be a power (chains are left associative);
-            # anything looser needs parentheses
-            required = _POW if base[0] == "pow" else _ATOM
-            return f"{_ser(base, required)}^{exponent}", _POW
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _ser(node: tuple, minlevel: int) -> str:
-    text, level = _render(node)
-    if level < minlevel:
-        return f"({text})"
-    return text
-
-
-def serialize(e: Expr) -> str:
-    """Render a tree back to text that parses to a structurally equal tree.
-
-    A negative constant, which only a param can bind, comes back as the
-    negation of a positive one: a different tree that evaluates alike.
-    """
-    return _ser(e.root, _SUM)
+    try:
+        return Expr(parser.parse(), nvars)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
 
 
 class Jet(NamedTuple):
@@ -401,6 +354,8 @@ def _walk_roots(es, x, order: int) -> list[tuple]:
             return [_walk(e.root, at) for e in es]
     except (FloatingPointError, ZeroDivisionError) as err:
         raise EvalError(f"outside the domain: {err}") from None
+    except RecursionError:
+        raise EvalError("expression nested too deeply to evaluate") from None
 
 
 def jets(es, x, order: int = 2) -> list[Jet]:

@@ -82,12 +82,15 @@ def bisect(inside, t_in: np.ndarray, t_out: np.ndarray, iters: int):
 
     inside maps an array of t to a bool array; where it holds at the
     midpoint, the midpoint becomes t_in, else t_out.  So inside stays true
-    at t_in if it was at the start.  Either end may be the larger.
-    Returns the final (t_in, t_out).
+    at t_in if it was at the start.  Either end may be the larger.  Stops
+    early once a halving would move no end: inside is a function of t, so
+    no later halving would either.  Returns the final (t_in, t_out).
     """
     for _ in range(iters):
         mid = 0.5 * (t_in + t_out)
         ok = inside(mid)
+        if np.array_equal(mid, np.where(ok, t_in, t_out)):
+            break
         t_in = np.where(ok, mid, t_in)
         t_out = np.where(ok, t_out, mid)
     return t_in, t_out

@@ -1,0 +1,85 @@
+"""One sha256 per command of what the command line prints, to compare two trees.
+
+Usage, from the repository root:
+
+    python3 tests/corpus_digest.py [--src DIR] [--seeds 1 2]
+
+Each output line is the sha256 of one command's exit code, stdout and
+stderr, then the command.  The commands are the 25 builtin ones: solve,
+solve --require-assumptions, diagnose with each of the two standard check
+lists, and oracle --res 201, on each builtin.  Each seed adds the commands
+of the benchmark's solve, probe2d and probe3d pools on the problem files
+benchmarks/instances.py generates for it, written to a temporary
+directory.  To see which commands a change moves, run the script against
+the package sources of each tree and compare:
+
+    python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
+    python3 tests/corpus_digest.py --seeds 1 2 > after.txt
+    diff before.txt after.txt
+
+The commands run in this process through logbarrier.cli.main; one that
+raises is digested with its exception in place of an exit code.  Pytest
+does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILTINS = ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"]
+BUILTIN_COMMANDS = [
+    ["solve"],
+    ["solve", "--require-assumptions"],
+    ["diagnose", "--check", "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"],
+    ["diagnose", "--check", "levelset:1.5,levelset:2.95,phiconvexity:0.01", "--seed", "7"],
+    ["oracle", "--res", "201"],
+]
+
+
+def digest(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback is one more outcome to compare
+            code = None
+            err.write(f"raised {exc!r}")
+    return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package sources")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[], help="benchmark pool seeds")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src), str(ROOT / "benchmarks")]
+    import run  # benchmarks/run.py: its workloads, and instances for their pools
+
+    from logbarrier.cli import main as cli_main
+
+    for name in BUILTINS:
+        for command in BUILTIN_COMMANDS:
+            argv = [command[0], "--builtin", name, *command[1:]]
+            print(digest(cli_main, argv), " ".join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for workload_name in ("solve", "probe2d", "probe3d"):
+                workload = run.WORKLOADS[workload_name]
+                insts = run.instances.generate(seed, workload.families, workload.per_family)
+                paths = run.instances.write(insts, Path(tmp) / f"{workload_name}-s{seed}")
+                for inst, path in zip(insts, paths):
+                    for argv in workload.argvs(path, with_oracle=False):
+                        label = " ".join(argv).replace(str(path), f"{inst.name}.json")
+                        print(digest(cli_main, argv), f"seed {seed}:", label, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -131,6 +131,9 @@ def test_statement_branches(problems):
     cert = certificate.check_kkt(p, np.array([1.0, 1.0]), lam)
     verified = certificate.global_optimality_statement(cert, True)
     assert "global minimizer" in verified
+    # nothing checks that the feasible set is convex: the claim must say so
+    assert "if the feasible set is convex, which is assumed, not checked" in verified
+    assert "verified" not in verified
     cautious = certificate.global_optimality_statement(cert, False, unverified="nondegeneracy")
     assert "nondegeneracy was not verified" in cautious
     assert "no global-optimality claim" in cautious

@@ -207,11 +207,34 @@ def test_diagnose_prints_the_slater_report(run_cli, name):
         (["diagnose", "--builtin", "degenerate-disk", "--check", "nondegeneracy"], 3),
         (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "pass"], 0),
         (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "pass"], 3),
+        (["diagnose", "--builtin", "disk", "--check", "curvature", "--expect", "pass"], 0),
     ],
 )
 def test_diagnose_expectations(run_cli, argv, want):
     code, _, _ = run_cli(argv)
     assert code == want
+
+
+def test_curvature_expectation_fails_where_the_boundary_bends_outward(run_cli, tmp_path):
+    # the annulus's inner circle, g2 = x1^2 + x2^2 - 1, curves away from the set
+    path = tmp_path / "annulus.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "annulus",
+                "nvars": 2,
+                "objective": "x1",
+                "constraints": ["4 - x1^2 - x2^2", "x1^2 + x2^2 - 1"],
+                "box": [[-2.5, 2.5], [-2.5, 2.5]],
+                "interior_point": [1.5, 0],
+            }
+        )
+    )
+    argv = ["diagnose", "--problem", path, "--check", "curvature", "--expect", "pass"]
+    code, stdout, _ = run_cli(argv)
+    (report,) = _records(stdout)
+    assert [e["max_tangential_curvature"] > 0 for e in report["constraints"]] == [False, True]
+    assert code == 3
 
 
 def test_diagnose_probe_failure_record(run_cli, void_file, tmp_path):
@@ -312,6 +335,61 @@ def test_module_entry_point(run_cli):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(["list"])[1]
     assert len(_records(proc.stdout)) == 5
+
+
+NESTED_COMMANDS = [["solve"], ["diagnose", "--check", "slater"]]
+
+
+def _nested_file(tmp_path, objective: str, terms: int):
+    # a sum of `terms` terms is a tree that deep: the parser loops over a
+    # sum, but the evaluator recurses into it
+    zero = f" + 0*({' + '.join(['x2'] * terms)})" if terms else ""
+    path = tmp_path / "nested.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "nested",
+                "nvars": 2,
+                "objective": objective,
+                "constraints": ["1 - x1^2 - x2^2" + zero],
+                "box": [[-1.5, 1.5], [-1.5, 1.5]],
+            }
+        )
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "objective, terms, message",
+    [
+        ("(" * 200 + "x1" + ")" * 200, 0, "cannot parse objective: expression nested too deeply"),
+        ("x1", 1000, "expression nested too deeply to evaluate"),
+    ],
+    ids=["200-parentheses", "1000-terms"],
+)
+@pytest.mark.parametrize("argv", NESTED_COMMANDS, ids=["solve", "slater"])
+def test_a_deeply_nested_expression_is_an_input_error(
+    run_cli, tmp_path, objective, terms, message, argv
+):
+    code, stdout, stderr = run_cli([*argv, "--problem", _nested_file(tmp_path, objective, terms)])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"logbarrier: input error: {message}")
+
+
+@pytest.mark.parametrize("argv", NESTED_COMMANDS, ids=["solve", "slater"])
+def test_a_sum_of_900_terms_still_runs(tmp_path, argv):
+    # in a process of its own: the test runner's frames would count
+    # against the recursion limit the command line runs under
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    nested = _nested_file(tmp_path, "x1", 900)
+    proc = subprocess.run(
+        [sys.executable, "-m", "logbarrier.cli", *argv, "--problem", nested],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.fixture()

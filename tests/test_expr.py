@@ -8,8 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.parsing import sympy_parser
 
 from logbarrier import expr
 from logbarrier.expr import EvalError, Expr, ParseError
@@ -57,6 +58,10 @@ def test_evaluate(text, x, want):
         ("x0", 0, "out of range"),
         ("x3", 0, "out of range"),
         ("y1", 0, "unknown identifier"),
+        ("x1 $ 2", 3, "unexpected character '$'"),
+        ("ln x1", 3, "expected '('"),
+        ("x1^", 3, "unexpected end of input"),  # where the exponent should be
+        ("x1 + )", 5, "unexpected token ')'"),
     ],
 )
 def test_parse_errors(text, position, fragment):
@@ -98,7 +103,7 @@ def test_dual_examples():
 
 
 def _random_tree(rng, nvars, depth):
-    # positive constants only: a negative literal would re-parse as ("neg", ("const", c))
+    # positive constants only, like the literals of expression text
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return ("const", round(float(rng.uniform(0.5, 2.5)), 6))
@@ -170,27 +175,6 @@ def test_dual_hessian_matches_gradient_differences():
             err = np.abs(d.hess[:, i] - col)
             scale = np.maximum(1.0, np.abs(d.hess[:, i]))
             assert (err <= 1e-3 * scale).all()
-
-
-def test_serialize_round_trip_specific():
-    for root in [
-        ("pow", ("neg", ("var", 0)), 2),
-        ("sub", ("const", 1.0), ("neg", ("var", 1))),
-        ("mul", ("neg", ("var", 0)), ("add", ("var", 1), ("const", 2.0))),
-        ("div", ("var", 0), ("mul", ("var", 1), ("const", 3.0))),
-        ("neg", ("add", ("var", 0), ("var", 1))),
-        ("pow", ("pow", ("var", 0), 2), 3),
-        ("ln", ("exp", ("var", 0))),
-    ]:
-        e = Expr(root, 2)
-        assert expr.parse(expr.serialize(e), 2) == e
-
-
-def test_serialize_round_trip_random():
-    rng = np.random.default_rng(404)
-    for _ in range(200):
-        e = Expr(_random_tree(rng, 3, 5), 3)
-        assert expr.parse(expr.serialize(e), 3) == e
 
 
 def test_evaluate_many_matches_scalar():
@@ -431,29 +415,34 @@ def test_entry_points_agree_bit_for_bit(root, rows):
         assert [_bits(v) for v in values] == [_bits(v) for v in many]
 
 
-def _sympy(node, syms):
-    match node:
-        case ("const", value):
-            return sympy.Float(value)
-        case ("var", index):
-            return syms[index]
-        case ("neg", operand):
-            return -_sympy(operand, syms)
-        case ("ln", operand):
-            return sympy.log(_sympy(operand, syms))
-        case ("exp", operand):
-            return sympy.exp(_sympy(operand, syms))
-        case ("add", lhs, rhs):
-            return _sympy(lhs, syms) + _sympy(rhs, syms)
-        case ("sub", lhs, rhs):
-            return _sympy(lhs, syms) - _sympy(rhs, syms)
-        case ("mul", lhs, rhs):
-            return _sympy(lhs, syms) * _sympy(rhs, syms)
-        case ("div", lhs, rhs):
-            return _sympy(lhs, syms) / _sympy(rhs, syms)
-        case ("pow", base, exponent):
-            return _sympy(base, syms) ** sympy.Integer(exponent)
-    raise TypeError(node)
+def _sympy(node, syms, number=sympy.Float):
+    """The tree as a sympy expression, built by the operators Python reads in its text."""
+
+    def walk(node):
+        match node:
+            case ("const", value):
+                return number(value)
+            case ("var", index):
+                return syms[index]
+            case ("neg", operand):
+                return -walk(operand)
+            case ("ln", operand):
+                return sympy.log(walk(operand))
+            case ("exp", operand):
+                return sympy.exp(walk(operand))
+            case ("add", lhs, rhs):
+                return walk(lhs) + walk(rhs)
+            case ("sub", lhs, rhs):
+                return walk(lhs) - walk(rhs)
+            case ("mul", lhs, rhs):
+                return walk(lhs) * walk(rhs)
+            case ("div", lhs, rhs):
+                return walk(lhs) / walk(rhs)
+            case ("pow", base, exponent):
+                return walk(base) ** sympy.Integer(exponent)
+        raise TypeError(node)
+
+    return walk(node)
 
 
 def _assert_matches_sympy(e: Expr, xs):
@@ -486,3 +475,54 @@ def test_derivatives_match_sympy_on_the_corpus(problems):
 def test_derivatives_match_sympy_on_generated_trees():
     for e, x, _ in _sample_cases(seed=909, count=25):
         _assert_matches_sympy(e, [x])
+
+
+# Expression text with no redundant parentheses, as (text, level) with the
+# levels of the grammar, loosest first: a child whose level is below the
+# one its place needs is parenthesized.  A power is never a base without
+# parentheses, since Python reads x^2^3 as x^(2^3) and the parser as (x^2)^3.
+_SUM, _TERM, _UNARY, _POW, _ATOM = range(5)
+
+
+def _wrap(child, level):
+    text, own = child
+    return text if own >= level else f"({text})"
+
+
+_TEXTS = st.recursive(
+    st.tuples(
+        # dyadic literals, so a float and sympy's exact rational are one number
+        st.sampled_from(["0", "2", "3", "0.5", "1.25", ".75", "2.", "25e-2", "3E0", "x1", "x2"]),
+        st.just(_ATOM),
+    ),
+    lambda kids: st.one_of(
+        kids.map(lambda a: (f"-{_wrap(a, _UNARY)}", _UNARY)),
+        st.tuples(kids, st.sampled_from([" + ", " - "]), kids).map(
+            lambda t: (_wrap(t[0], _SUM) + t[1] + _wrap(t[2], _TERM), _SUM)
+        ),
+        st.tuples(kids, st.sampled_from(["*", "/"]), kids).map(
+            lambda t: (_wrap(t[0], _TERM) + t[1] + _wrap(t[2], _UNARY), _TERM)
+        ),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda t: (f"{_wrap(t[0], _ATOM)}^{t[1]}", _POW)),
+        st.tuples(st.sampled_from(["ln", "exp"]), kids).map(lambda t: (f"{t[0]}({t[1][0]})", _ATOM)),
+    ),
+    max_leaves=8,
+).map(lambda t: t[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_TEXTS)
+@example("-x1^2")  # unary minus binds looser than ^
+@example("x1 - x2 - 2/x1/x2")  # both left associative
+def test_parse_reads_text_as_sympy_does(text):
+    # sympy builds each tree by Python's own precedence, with exact
+    # rationals for the literals, so equal precedence and associativity
+    # give structurally equal expressions
+    syms = sympy.symbols("x1:3")
+    theirs = sympy_parser.parse_expr(
+        text,
+        local_dict={"x1": syms[0], "x2": syms[1], "ln": sympy.log, "exp": sympy.exp},
+        transformations=sympy_parser.standard_transformations
+        + (sympy_parser.convert_xor, sympy_parser.rationalize),
+    )
+    assert _sympy(expr.parse(text, 2).root, syms, sympy.Rational) == theirs

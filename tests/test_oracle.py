@@ -1,14 +1,16 @@
 """Grid oracle: exhaustive scan, boundary polish, derivative spot checks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logbarrier import cli, corpus, expr, oracle, problem
+from logbarrier import cli, expr, oracle, problem
 from logbarrier.oracle import OracleError
 from logbarrier.problem import ProblemError
 
+DATA = Path(__file__).resolve().parents[1] / "data"
 ROOT_HALF = float(np.sqrt(0.5))
 DISK_FSTAR = 3.0 - 2.0 * np.sqrt(2.0)
 
@@ -221,7 +223,7 @@ def test_deterministic(problems):
 @pytest.mark.parametrize("objective", ["x1^2 + x2^2 - 2*x1 - 2*x2 + 3", "1"])
 def test_block_size_does_not_change_the_result(monkeypatch, objective):
     # the constant objective ties everywhere: the first feasible point wins
-    data = json.loads(corpus.entry_json("disk"))
+    data = json.loads((DATA / "disk.json").read_text(encoding="utf-8"))
     p = problem.problem_from_dict({**data, "objective": objective})
     want = cli.record("oracle", oracle.grid_minimize(p, res=101, polish_steps=0))
     monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)

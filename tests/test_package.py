@@ -1,5 +1,6 @@
 """Package-level guards: no dataclasses, frozen records, a clean import,
-the functions the benchmark tracer wraps, no default nothing overrides."""
+the functions the benchmark tracer wraps, no function nothing references,
+no default nothing overrides."""
 
 import ast
 import dataclasses
@@ -95,22 +96,70 @@ def test_import_does_not_load_dataclasses():
     assert out.split() == ["False"]
 
 
-def test_every_function_the_benchmark_tracer_wraps_exists():
-    # benchmarks/tracing.py wraps these by module and name; a function
-    # renamed or deleted here would break `benchmarks/run.py --trace 1`
+def _tracer_tables() -> dict[str, dict]:
+    """SPAN_FUNCTIONS and LEAF_FUNCTIONS of benchmarks/tracing.py, read without importing it."""
     tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
-    tables = {
+    return {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and isinstance(node.targets[0], ast.Name)
         and node.targets[0].id in ("SPAN_FUNCTIONS", "LEAF_FUNCTIONS")
     }
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # benchmarks/tracing.py wraps these by module and name; a function
+    # renamed or deleted here would break `benchmarks/run.py --trace 1`
+    tables = _tracer_tables()
     assert set(tables) == {"SPAN_FUNCTIONS", "LEAF_FUNCTIONS"}
     for table in tables.values():
         assert table
         for module, attr in table.values():
             assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def _unreferenced_functions(package: Path) -> list[str]:
+    """module.function for each public module-level function nothing else in the package names.
+
+    A reference is a name, an attribute or an imported name anywhere in
+    the package outside the function's own body; like _calls_by_name, it
+    is matched by the name alone.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referrers: dict[str, set] = {}  # name -> the (module, top-level statement) naming it
+    for module, tree in trees.items():
+        for k, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    referrers.setdefault(name, set()).add((module, k))
+    return [
+        f"{module}.{fn.name}"
+        for module, tree in trees.items()
+        for k, fn in enumerate(tree.body)
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and not referrers.get(fn.name, set()) - {(module, k)}
+    ]
+
+
+def test_every_public_function_is_referenced_in_the_package():
+    # a function nothing calls is code to keep in step for no command; the
+    # wrappers the benchmark tracer names stay until the tracer drops them
+    traced = {
+        f"{module.rpartition('.')[2]}.{attr}"
+        for table in _tracer_tables().values()
+        for module, attr in table.values()
+    }
+    assert [f for f in _unreferenced_functions(SRC / "logbarrier") if f not in traced] == []
 
 
 def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
