@@ -526,3 +526,45 @@ def test_parse_reads_text_as_sympy_does(text):
         + (sympy_parser.convert_xor, sympy_parser.rationalize),
     )
     assert _sympy(expr.parse(text, 2).root, syms, sympy.Rational) == theirs
+
+
+def _text(node):
+    """A tree as (text, level): expression text with no redundant parentheses."""
+    match node:
+        case ("const", value):
+            return repr(value), _ATOM  # positive, as in _random_tree
+        case ("var", index):
+            return f"x{index + 1}", _ATOM
+        case ("ln" | "exp" as name, operand):
+            return f"{name}({_text(operand)[0]})", _ATOM
+        case ("neg", operand):
+            return f"-{_wrap(_text(operand), _UNARY)}", _UNARY
+        case ("add" | "sub" as op, lhs, rhs):
+            sign = " + " if op == "add" else " - "
+            return _wrap(_text(lhs), _SUM) + sign + _wrap(_text(rhs), _TERM), _SUM
+        case ("mul" | "div" as op, lhs, rhs):
+            sign = "*" if op == "mul" else "/"
+            return _wrap(_text(lhs), _TERM) + sign + _wrap(_text(rhs), _UNARY), _TERM
+        case ("pow", base, exponent):
+            return f"{_wrap(_text(base), _ATOM)}^{exponent}", _POW
+    raise TypeError(node)
+
+
+def test_serialize_round_trip_specific():
+    for root in [
+        ("pow", ("neg", ("var", 0)), 2),
+        ("sub", ("const", 1.0), ("neg", ("var", 1))),
+        ("mul", ("neg", ("var", 0)), ("add", ("var", 1), ("const", 2.0))),
+        ("div", ("var", 0), ("mul", ("var", 1), ("const", 3.0))),
+        ("neg", ("add", ("var", 0), ("var", 1))),
+        ("pow", ("pow", ("var", 0), 2), 3),
+        ("ln", ("exp", ("var", 0))),
+    ]:
+        assert expr.parse(_text(root)[0], 2) == Expr(root, 2)
+
+
+def test_serialize_round_trip_random():
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        root = _random_tree(rng, 3, 5)
+        assert expr.parse(_text(root)[0], 3) == Expr(root, 3)
