@@ -65,132 +65,99 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-class _Token(NamedTuple):
-    kind: str  # "num", "ident", one of + - * / ^ ( ), or "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok, pos = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", pos)
-        tokens.append(_Token(tok if kind == "op" else kind, tok, pos))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-_BINARY_TAGS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# The binary operators by level, loosest binding first; each is left associative.
+_BINARY_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], nvars: int, params: dict):
-        self.tokens = tokens
+    def __init__(self, text: str, nvars: int, params: dict):
+        self.tokens = []  # (kind, text, pos); kind: "num", "ident", "end" or the operator
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            tok, pos = m.group(kind), m.start(kind)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            self.tokens.append((tok if kind == "op" else kind, tok, pos))
+        self.tokens.append(("end", "", len(text)))
         self.nvars = nvars
         self.params = params
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
+    def take(self, kind: str | None = None) -> tuple:
+        """The next token, which must be of kind if one is given."""
         tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            if tok[0] == "end":
+                raise ParseError("unexpected end of input", tok[2])
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            if tok.kind == "end":
-                raise ParseError("unexpected end of input", tok.pos)
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        return self.take()
-
-    def parse(self) -> tuple:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    def binary(self, level: int) -> tuple:
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        tags = _BINARY_LEVELS[level]
+        node = self.binary(level + 1)
+        while self.tokens[self.i][0] in tags:
+            node = (tags[self.take()[0]], node, self.binary(level + 1))
         return node
 
-    def expr(self) -> tuple:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            node = (_BINARY_TAGS[op.kind], node, self.term())
-        return node
-
-    def term(self) -> tuple:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            node = (_BINARY_TAGS[op.kind], node, self.factor())
-        return node
-
-    def factor(self) -> tuple:
-        if self.peek().kind == "-":
+    def unary(self) -> tuple:
+        if self.tokens[self.i][0] == "-":
             self.take()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self) -> tuple:
+            return ("neg", self.unary())
         node = self.atom()
-        while self.peek().kind == "^":
+        while self.tokens[self.i][0] == "^":
             self.take()
             node = ("pow", node, self.exponent())
         return node
 
     def exponent(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
+        if self.tokens[self.i][0] == "-":
             self.take()
             sign = -1
-        tok = self.peek()
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
-        value = self.params.get(tok.text) if tok.kind == "ident" else None
-        if type(value) is int:
-            self.take()
-            return sign * value
-        if tok.kind != "num" or not tok.text.isdigit():
-            raise ParseError(f"exponent must be an integer literal, found {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        value = self.params.get(text) if kind == "ident" else None
+        if type(value) is not int:
+            if kind != "num" or not text.isdigit():
+                raise ParseError(f"exponent must be an integer literal, found {text!r}", pos)
+            value = int(text)
         self.take()
-        return sign * int(tok.text)
+        return sign * value
 
     def atom(self) -> tuple:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return ("const", float(tok.text))
-        if tok.kind == "ident":
-            self.take()
-            m = _VAR_RE.match(tok.text)
-            if m:
-                k = int(m.group(1))
-                if k < 1 or k > self.nvars:
-                    raise ParseError(
-                        f"variable x{k} out of range for {self.nvars} variable(s)", tok.pos
-                    )
-                return ("var", k - 1)
-            if tok.text in ("ln", "exp"):
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return (tok.text, inner)  # tagged with the function's name
-            if tok.text in self.params:
-                return ("const", float(self.params[tok.text]))
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "(":
-            self.take()
-            inner = self.expr()
-            self.expect(")")
+        kind, text, pos = self.tokens[self.i]
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        if kind not in ("num", "ident", "("):
+            raise ParseError(f"unexpected token {text!r}", pos)
+        self.take()
+        if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not finite as a float", pos)
+            return ("const", value)
+        if kind == "(":
+            inner = self.binary(0)
+            self.take(")")
             return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        m = _VAR_RE.match(text)
+        if m:
+            k = int(m.group(1))
+            if k < 1 or k > self.nvars:
+                raise ParseError(f"variable x{k} out of range for {self.nvars} variable(s)", pos)
+            return ("var", k - 1)
+        if text in ("ln", "exp"):
+            self.take("(")
+            inner = self.binary(0)
+            self.take(")")
+            return (text, inner)  # tagged with the function's name
+        if text in self.params:
+            return ("const", float(self.params[text]))
+        raise ParseError(f"unknown identifier {text!r}", pos)
 
 
 def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
@@ -198,17 +165,22 @@ def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
 
     Grammar, loosest binding first: '+'/'-' then '*'/'/' then unary minus,
     then '^' with an integer literal exponent (left associative, so a^2^3
-    means (a^2)^3).  ln and exp take a parenthesized argument.  params maps
-    further identifiers to numbers: each parses as one constant, so with
-    a = -1, a^2 is 1.  A param with an int value may also be an exponent.
+    means (a^2)^3).  ln and exp take a parenthesized argument.  A numeric
+    literal must be finite as a float.  params maps further identifiers to
+    numbers: each parses as one constant, so with a = -1, a^2 is 1.  A
+    param with an int value may also be an exponent.
     """
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
-    parser = _Parser(_tokenize(text), nvars, params or {})
+    parser = _Parser(text, nvars, params or {})
     try:
-        return Expr(parser.parse(), nvars)
+        root = parser.binary(0)
     except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek().pos) from None
+        raise ParseError("expression nested too deeply", parser.tokens[parser.i][2]) from None
+    kind, text, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
+    return Expr(root, nvars)
 
 
 class Jet(NamedTuple):

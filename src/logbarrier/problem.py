@@ -129,7 +129,7 @@ def evaluate_constraints(p: Problem, x) -> np.ndarray:
     return values
 
 
-_PARAM_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _finite(value, label: str) -> float:
@@ -170,9 +170,9 @@ def problem_from_dict(data: dict) -> Problem:
     if not isinstance(params, dict):
         raise ProblemError("params must be an object")
     for pname, value in params.items():
-        if not _PARAM_NAME_RE.match(pname):
+        if not _PARAM_NAME_RE.fullmatch(pname):
             raise ProblemError(f"invalid parameter name {pname!r}")
-        if pname in ("ln", "exp") or re.match(r"^x\d+$", pname):
+        if pname in ("ln", "exp") or re.fullmatch(r"x\d+", pname):
             raise ProblemError(f"parameter name {pname!r} collides with the expression language")
         _finite(value, "parameter value")
 

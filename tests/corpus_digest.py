@@ -7,7 +7,10 @@ Usage, from the repository root:
 Each output line is the sha256 of one command's exit code, stdout and
 stderr, then the command.  The commands are the 25 builtin ones: solve,
 solve --require-assumptions, diagnose with each of the two standard check
-lists, and oracle --res 201, on each builtin.  Each seed adds the commands
+lists, and oracle --res 201, on each builtin.  Then one solve per
+malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
+2-variable problem file that is valid apart from it: these compare the
+parser's error output.  Each seed adds the commands
 of the benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
 directory.  To see which commands a change moves, run the script against
@@ -28,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +45,13 @@ BUILTIN_COMMANDS = [
     ["diagnose", "--check", "levelset:1.5,levelset:2.95,phiconvexity:0.01", "--seed", "7"],
     ["oracle", "--res", "201"],
 ]
+MALFORMED_BASE = {
+    "name": "malformed",
+    "nvars": 2,
+    "constraints": ["1 - x1^2 - x2^2"],
+    "box": [[-2, 2], [-2, 2]],
+    "interior_point": [0, 0],
+}
 
 
 def digest(main, argv: list[str]) -> str:
@@ -61,6 +72,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src), str(ROOT / "benchmarks")]
     import run  # benchmarks/run.py: its workloads, and instances for their pools
+    from test_expr import PARSE_ERRORS
 
     from logbarrier.cli import main as cli_main
 
@@ -69,6 +81,11 @@ def main(argv=None) -> int:
             argv = [command[0], "--builtin", name, *command[1:]]
             print(digest(cli_main, argv), " ".join(argv), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
+        for k, (objective, _, _) in enumerate(PARSE_ERRORS):
+            path = Path(tmp) / f"malformed-{k}.json"
+            path.write_text(json.dumps({**MALFORMED_BASE, "objective": objective}))
+            label = f"objective {objective!r}: solve --problem {path.name}"
+            print(digest(cli_main, ["solve", "--problem", str(path)]), label, flush=True)
         for seed in args.seeds:
             for workload_name in ("solve", "probe2d", "probe3d"):
                 workload = run.WORKLOADS[workload_name]

@@ -434,13 +434,26 @@ BAD_NUMBERS = [
         "interior_point coordinate 2 must be finite as a float, got nan",
     ),
     ("interior_point", "[true, 0]", "interior_point coordinate 1 must be a number, got True"),
+    (
+        "objective",
+        '"x1 + 1e400"',
+        "cannot parse objective: number '1e400' is not finite as a float (at position 5)",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "key, text, message",
     BAD_NUMBERS,
-    ids=["box-string", "box-1e400", "box-true", "point-string", "point-nan", "point-true"],
+    ids=[
+        "box-string",
+        "box-1e400",
+        "box-true",
+        "point-string",
+        "point-nan",
+        "point-true",
+        "objective-1e400",
+    ],
 )
 @pytest.mark.parametrize(
     "argv",

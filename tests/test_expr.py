@@ -20,6 +20,7 @@ def test_parse_structure():
     assert expr.parse("x1 + x2", 2) == Expr(("add", ("var", 0), ("var", 1)), 2)
     assert expr.parse("-2", 1).root == ("neg", ("const", 2.0))
     assert expr.parse("x1^2^3", 1).root == ("pow", ("pow", ("var", 0), 2), 3)
+    assert expr.parse("1e-400", 1).root == ("const", 0.0)  # finite, unlike 1e400
     # the tag tells apart nodes of the same shape
     assert expr.parse("ln(x1)", 1) != expr.parse("exp(x1)", 1)
     assert expr.parse("x1 + x2", 2).root != expr.parse("x1 - x2", 2).root
@@ -46,24 +47,28 @@ def test_evaluate(text, x, want):
     assert expr.evaluate(e, np.array(x)) == want
 
 
-@pytest.mark.parametrize(
-    "text, position, fragment",
-    [
-        ("x1 +", 4, "end of input"),
-        ("", 0, "end of input"),
-        ("(x1", 3, "end of input"),
-        ("x1 x2", 3, "trailing"),
-        ("x1^2.5", 3, "integer literal"),
-        ("x1^(2)", 3, "integer literal"),
-        ("x0", 0, "out of range"),
-        ("x3", 0, "out of range"),
-        ("y1", 0, "unknown identifier"),
-        ("x1 $ 2", 3, "unexpected character '$'"),
-        ("ln x1", 3, "expected '('"),
-        ("x1^", 3, "unexpected end of input"),  # where the exponent should be
-        ("x1 + )", 5, "unexpected token ')'"),
-    ],
-)
+# also the objectives of tests/corpus_digest.py's malformed problem files
+PARSE_ERRORS = [
+    ("x1 +", 4, "end of input"),
+    ("", 0, "end of input"),
+    ("(x1", 3, "end of input"),
+    ("x1 x2", 3, "trailing"),
+    ("x1^2.5", 3, "integer literal"),
+    ("x1^(2)", 3, "integer literal"),
+    ("x0", 0, "out of range"),
+    ("x3", 0, "out of range"),
+    ("y1", 0, "unknown identifier"),
+    ("x1 $ 2", 3, "unexpected character '$'"),
+    ("ln x1", 3, "expected '('"),
+    ("x1^", 3, "unexpected end of input"),  # where the exponent should be
+    ("x1 + )", 5, "unexpected token ')'"),
+    ("(x1 x2", 4, "expected ')', found 'x2'"),
+    ("x1^-", 4, "unexpected end of input"),
+    ("x1 + 1e400", 5, "number '1e400' is not finite as a float"),
+]
+
+
+@pytest.mark.parametrize("text, position, fragment", PARSE_ERRORS)
 def test_parse_errors(text, position, fragment):
     with pytest.raises(ParseError) as ei:
         expr.parse(text, 2)

@@ -40,7 +40,6 @@ RECORDS = [
     "inner.InnerResult",
     "oracle.OracleResult",
     "problem.Problem",
-    "expr._Token",
 ]
 
 

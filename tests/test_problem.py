@@ -96,6 +96,7 @@ def test_param_evaluates_as_its_parenthesized_literal(text, value):
         ({"a b": 3}, "invalid parameter name"),
         ({"a": float("nan")}, "finite"),
         ({"a": 10**400}, "finite"),
+        ({"a\n": 3}, "invalid parameter name"),
     ],
 )
 def test_param_validation(params, fragment):
@@ -119,6 +120,10 @@ def test_param_validation(params, fragment):
         ({"params": [1]}, "params must be an object"),
         ({"constraints": [3]}, "constraint 1 must be a string"),
         ({"box": [[0], [-2, 2]]}, r"box entry 1 must be a \[lo, hi\] pair"),
+        (
+            {"objective": "x1^a", "params": {"a": 0.5}},
+            r"exponent must be an integer literal, found 'a' \(at position 3\)",
+        ),
     ],
 )
 def test_from_dict_validation(overrides, fragment):
