@@ -30,7 +30,7 @@ import numpy as np
 
 from . import corpus, problem
 from .certificate import Verdict, global_optimality_statement
-from .continuation import ContinuationError, MuSchedule, solve
+from .continuation import MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
     SlaterUnverifiedError,
@@ -253,7 +253,7 @@ def _run_solve(args) -> None:
 
     try:
         trace = solve(p, schedule, x0=start, tol_floor=args.tol)
-    except (ContinuationError, InfeasibleStartError, SlaterUnverifiedError) as err:
+    except (InfeasibleStartError, SlaterUnverifiedError) as err:
         raise NegativeResult(f"solve failed: {err}") from None
 
     records.extend(record("path_point", pt) for pt in trace.points)

@@ -60,7 +60,8 @@ class Expr(NamedTuple):
 # (trailing whitespace aside); "bad" catches a character no token allows.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))",
+    re.ASCII,
 )
 _VAR_RE = re.compile(r"^x(\d+)$")
 

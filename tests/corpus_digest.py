@@ -5,12 +5,15 @@ Usage, from the repository root:
     python3 tests/corpus_digest.py [--src DIR] [--seeds 1 2]
 
 Each output line is the sha256 of one command's exit code, stdout and
-stderr, then the command.  The commands are the 25 builtin ones: solve,
+stderr, then the command.  The commands are the 30 builtin ones: solve,
 solve --require-assumptions, diagnose with each of the two standard check
-lists, and oracle --res 201, on each builtin.  Then one solve per
-malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
-2-variable problem file that is valid apart from it: these compare the
-parser's error output.  Each seed adds the commands
+lists, oracle --res 201 and solve --mu-min 1e-12, on each builtin.  Then
+one solve per malformed objective, the texts of test_expr.PARSE_ERRORS,
+each in a 2-variable problem file that is valid apart from it: these
+compare the parser's error output.  Then one solve per steep linear
+objective over the unit disk, whose last stages end short of their
+tolerance.  The off-default and steep solves show a change to the stage
+or stopping rules that the default runs do not.  Each seed adds the commands
 of the benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
 directory.  To see which commands a change moves, run the script against
@@ -44,14 +47,16 @@ BUILTIN_COMMANDS = [
     ["diagnose", "--check", "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"],
     ["diagnose", "--check", "levelset:1.5,levelset:2.95,phiconvexity:0.01", "--seed", "7"],
     ["oracle", "--res", "201"],
+    ["solve", "--mu-min", "1e-12"],
 ]
-MALFORMED_BASE = {
-    "name": "malformed",
+UNIT_DISK = {  # every objective below is solved over this set
+    "name": "unit-disk",
     "nvars": 2,
     "constraints": ["1 - x1^2 - x2^2"],
     "box": [[-2, 2], [-2, 2]],
     "interior_point": [0, 0],
 }
+STEEP_OBJECTIVES = ["50*x1", "200*x1"]
 
 
 def digest(main, argv: list[str]) -> str:
@@ -81,10 +86,12 @@ def main(argv=None) -> int:
             argv = [command[0], "--builtin", name, *command[1:]]
             print(digest(cli_main, argv), " ".join(argv), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (objective, _, _) in enumerate(PARSE_ERRORS):
-            path = Path(tmp) / f"malformed-{k}.json"
-            path.write_text(json.dumps({**MALFORMED_BASE, "objective": objective}))
-            label = f"objective {objective!r}: solve --problem {path.name}"
+        objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]
+        objectives += [(f"steep-{k}", text) for k, text in enumerate(STEEP_OBJECTIVES)]
+        for stem, objective in objectives:
+            path = Path(tmp) / f"{stem}.json"
+            path.write_text(json.dumps({**UNIT_DISK, "objective": objective}))
+            label = f"objective {ascii(objective)}: solve --problem {path.name}"
             print(digest(cli_main, ["solve", "--problem", str(path)]), label, flush=True)
         for seed in args.seeds:
             for workload_name in ("solve", "probe2d", "probe3d"):

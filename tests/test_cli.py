@@ -92,6 +92,41 @@ def test_solve_uncertified_exit(run_cli):
     assert "not certified" in stderr
 
 
+def test_solve_certifies_a_steep_linear_objective(run_cli, tmp_path):
+    # the last stages end no_progress above their gradient tolerance, and
+    # the certificate still accepts the final iterate
+    path = tmp_path / "steep.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "steep",
+                "nvars": 2,
+                "objective": "50*x1",
+                "constraints": ["1 - x1^2 - x2^2"],
+                "box": [[-1.5, 1.5], [-1.5, 1.5]],
+                "interior_point": [0, 0],
+            }
+        )
+    )
+    code, stdout, _ = run_cli(["solve", "--problem", path])
+    assert code == 0
+    cert = _records(stdout)[-1]
+    assert cert["verdict"] == "kkt_point"
+    assert abs(cert["multipliers"][0] - 25.0) <= 1e-5
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_solve_prints_the_whole_path_off_the_default_schedule(run_cli, name):
+    # stages below mu 1e-8 stop short of tolerance; none aborts the run
+    code, stdout, stderr = run_cli(["solve", "--builtin", name, "--mu-min", "1e-12"])
+    records = _records(stdout)
+    assert [r["record"] for r in records] == ["path_point"] * 18 + ["certificate"]
+    verdict = records[-1]["verdict"]
+    assert (code == 0) == (verdict != "not_certified"), (code, verdict, stderr)
+    if name in ("cassini", "epsbox"):
+        assert code == 0
+
+
 def test_solve_verified_assumptions(run_cli, tmp_path):
     out = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(["solve", "--builtin", "disk", "--require-assumptions", "--out", out])

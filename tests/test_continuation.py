@@ -5,7 +5,7 @@ import pytest
 
 from logbarrier import barrier, cli, continuation, expr, inner, problem
 from logbarrier.certificate import Verdict
-from logbarrier.continuation import ContinuationError, MuSchedule
+from logbarrier.continuation import MuSchedule
 from logbarrier.diagnostics import SlaterUnverifiedError
 from logbarrier.inner import InfeasibleStartError, InnerStatus
 
@@ -69,7 +69,8 @@ def test_path_invariants(problems, traces):
 
 def test_path_gradient_norms_are_honest(problems, traces):
     # the reported norm must be the actual barrier gradient norm at (x, mu),
-    # within stage tolerance when converged and within the grace factor always
+    # within stage tolerance when converged; on the default schedule a stage
+    # that stops short of its tolerance ends no_progress
     for name, trace in traces.items():
         p = problems[name]
         for pt in trace.points:
@@ -78,7 +79,8 @@ def test_path_gradient_norms_are_honest(problems, traces):
             tol = max(1e-8, 1e-2 * pt.mu)
             if pt.status is InnerStatus.CONVERGED:
                 assert pt.grad_norm <= tol
-            assert pt.grad_norm <= continuation.STAGE_GRACE * tol
+            else:
+                assert pt.status is InnerStatus.NO_PROGRESS, (name, pt.mu)
 
 
 def test_multiplier_estimates_settle(traces):
@@ -181,13 +183,15 @@ def _stage_results(monkeypatch) -> list:
     return seen
 
 
-def test_stuck_stage_raises(monkeypatch, problems):
-    # a hard iteration cap leaves the first stage far from tolerance
+def test_stuck_stages_are_recorded(monkeypatch, problems):
+    # a hard iteration cap leaves every stage far from tolerance; each is
+    # recorded with its status and the certificate alone judges the run
     monkeypatch.setattr(inner, "MAX_ITERS", 0)
     seen = _stage_results(monkeypatch)
-    with pytest.raises(ContinuationError, match="inner solve failed at mu"):
-        continuation.solve(problems["cassini"])
-    assert [(r.iterations, r.status) for r in seen] == [(0, InnerStatus.MAX_ITERS)]
+    trace = continuation.solve(problems["cassini"])
+    assert [(r.iterations, r.status) for r in seen] == [(0, InnerStatus.MAX_ITERS)] * 12
+    assert [pt.status for pt in trace.points] == [InnerStatus.MAX_ITERS] * 12
+    assert trace.final_certificate.verdict is Verdict.NOT_CERTIFIED
 
 
 def test_stage_callback_sees_every_weight(problems):

@@ -65,6 +65,11 @@ PARSE_ERRORS = [
     ("(x1 x2", 4, "expected ')', found 'x2'"),
     ("x1^-", 4, "unexpected end of input"),
     ("x1 + 1e400", 5, "number '1e400' is not finite as a float"),
+    # the text is ASCII: other digits and whitespace are not read as such
+    ("x1 + \u0663", 5, "unexpected character"),  # Arabic-Indic three
+    ("\uff11\uff10", 0, "unexpected character"),  # full-width 10
+    ("x1^\u0662", 3, "unexpected character"),  # Arabic-Indic two
+    ("x1\u00a0+ 1", 2, "unexpected character"),  # no-break space
 ]
 
 
