@@ -56,11 +56,10 @@ def barrier_value(p: Problem, x, mu: float) -> float:
     """
     mu = _check_mu(mu)
     try:
-        fjet, *gjets = expr.jets((p.objective, *p.constraints), x, 0)
+        values = expr.jets((p.objective, *p.constraints), x, 0).value
     except expr.EvalError:
         return math.inf
-    gvals = np.array([g.value for g in gjets])
-    return math.inf if np.any(gvals <= 0.0) else _phi(fjet.value, gvals, mu)
+    return math.inf if np.any(values[1:] <= 0.0) else _phi(values[0], values[1:], mu)
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
@@ -71,17 +70,15 @@ def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     evaluated; no logarithm of a nonpositive value is ever taken.
     """
     mu = _check_mu(mu)
-    gjets = expr.jets(p.constraints, x, 1)
-    gvals = np.array([j.value for j in gjets])
-    if np.any(gvals <= 0.0):
-        return BarrierEvaluation(math.inf, gvals, None, None, None)
+    g = expr.jets(p.constraints, x, 1)
+    if np.any(g.value <= 0.0):
+        return BarrierEvaluation(math.inf, g.value, None, None, None)
 
     fjet = expr.evaluate_dual(p.objective, x, 1)
-    grads = np.array([j.grad for j in gjets])
-    multipliers = mu / gvals
-    value = _phi(fjet.value, gvals, mu)
-    gradient = fjet.grad - grads.T @ multipliers
-    return BarrierEvaluation(value, gvals, gradient, multipliers, fjet.value)
+    multipliers = mu / g.value
+    value = _phi(fjet.value, g.value, mu)
+    gradient = fjet.grad - g.grad.T @ multipliers
+    return BarrierEvaluation(value, g.value, gradient, multipliers, fjet.value)
 
 
 def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
@@ -94,15 +91,15 @@ def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
     overflows, finite.  Raises InfeasiblePointError off the strict interior.
     """
     mu = _check_mu(mu)
-    gjets = expr.jets(p.constraints, x, 2)
-    gvals = np.array([j.value for j in gjets])
-    if np.any(gvals <= 0.0):
+    g = expr.jets(p.constraints, x, 2)
+    if np.any(g.value <= 0.0):
         raise InfeasiblePointError(
-            f"barrier Hessian requested outside the strict interior (min g = {gvals.min()})"
+            f"barrier Hessian requested outside the strict interior (min g = {g.value.min()})"
         )
     h = expr.evaluate_dual(p.objective, x).hess
-    # per constraint, g_j shaped to scale a point's or a batch's gradients
-    for j, g in zip(gjets, gvals[..., None]):
-        w = j.grad / g
-        h += mu * (w[..., :, None] * w[..., None, :]) - (mu / g)[..., None] * j.hess
+    with np.errstate(over="ignore"):  # inner falls back where w w^T overflows
+        w = g.grad / g.value[..., None]  # row j is grad g_j / g_j
+        terms = mu * (w[..., :, None] * w[..., None, :]) - (mu / g.value)[..., None, None] * g.hess
+        for term in terms:  # added in constraint order
+            h += term
     return h

@@ -62,16 +62,15 @@ def check_kkt(p: Problem, x, multipliers, activation: float = 1e-6) -> KKTCertif
         raise ValueError(f"expected {p.nconstraints} multipliers, got {lam.shape}")
     lam = np.where(np.abs(lam) < MULTIPLIER_CLAMP, 0.0, lam)
 
-    fjet, *gjets = expr.jets((p.objective, *p.constraints), x, 1)
-    grads = np.array([j.grad for j in gjets])
-    gvals = np.array([j.value for j in gjets])
+    jet = expr.jets((p.objective, *p.constraints), x, 1)
+    gvals = jet.value[1:]
 
-    stat_vec = fjet.grad - grads.T @ lam
+    stat_vec = jet.grad[0] - jet.grad[1:].T @ lam
     stationarity = float(np.linalg.norm(stat_vec))
     complementarity = float(np.max(np.abs(lam * gvals)))
     dual_violation = float(np.max(np.maximum(0.0, -lam)))
     primal_violation = float(np.max(np.maximum(0.0, -gvals)))
-    fgrad_norm = float(np.linalg.norm(fjet.grad))
+    fgrad_norm = float(np.linalg.norm(jet.grad[0]))
 
     if fgrad_norm <= GRADIENT_TOL and primal_violation <= FEASIBILITY_TOL:
         verdict = Verdict.UNCONSTRAINED_MINIMUM
@@ -88,7 +87,7 @@ def check_kkt(p: Problem, x, multipliers, activation: float = 1e-6) -> KKTCertif
     return KKTCertificate(
         x=x,
         multipliers=lam,
-        objective=fjet.value,
+        objective=jet.value[0],
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         dual_feasibility_violation=dual_violation,

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--expect",
         choices=["nonconvex", "indefinite", "pass"],
-        help="turn levelset/phiconvexity findings into pass/fail expectations",
+        help="turn curvature, levelset and phiconvexity findings into pass/fail expectations",
     )
 
     sp = sub.add_parser("contour", help="grid CSV of one constraint over the box")
@@ -309,6 +309,9 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
 def _run_diagnose(args) -> None:
     p = _load_problem(args)
     checks = _parse_checks(args.check)
+    convexity = ("curvature", "levelset", "phiconvexity")  # the checks --expect judges
+    if args.expect and not any(name in convexity for name, _ in checks):
+        raise InputError("--expect needs a curvature, levelset or phiconvexity check")
 
     records: list[dict] = []
     all_passed = True
@@ -333,27 +336,22 @@ def _run_diagnose(args) -> None:
                 passed = report.passed
             elif name == "curvature":
                 report = tangential_curvature_probe(p, sample)
-                passed = args.expect != "pass" or all(
-                    e.max_tangential_curvature is None
-                    or e.max_tangential_curvature <= CURVATURE_PASS_TOL
+                nonconvex = any(
+                    e.max_tangential_curvature is not None
+                    and e.max_tangential_curvature > CURVATURE_PASS_TOL
                     for e in report.constraints
                 )
+                convex = not nonconvex
             elif name == "levelset":
                 report = levelset_convexity_probe(p, value, seed=args.seed)
-                if args.expect == "nonconvex":
-                    passed = report.verdict == "counterexample"
-                elif args.expect == "pass":
-                    passed = report.verdict == "convex_up_to_sampling"
-                else:
-                    passed = True
+                nonconvex = report.verdict == "counterexample"
+                convex = report.verdict == "convex_up_to_sampling"
             else:
                 report = phi_convexity_probe(p, value, seed=args.seed)
-                if args.expect in ("indefinite", "nonconvex"):
-                    passed = report.min_eigenvalue < 0.0
-                elif args.expect == "pass":
-                    passed = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
-                else:
-                    passed = True
+                nonconvex = report.min_eigenvalue < 0.0
+                convex = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
+            if name in convexity:  # --expect nonconvex and indefinite are synonyms
+                passed = {None: True, "pass": convex}.get(args.expect, nonconvex)
             records.append(record(CHECK_KINDS[name], report))
         except DiagnosticsError as err:
             records.append({"record": CHECK_KINDS[name], "passed": False, "error": str(err)})

@@ -10,6 +10,8 @@ and on request the gradient and dense Hessian.  It takes a float per
 variable (one point) or an array per variable (a batch) and runs the same
 IEEE operations on both, so evaluate, evaluate_many and evaluate_dual agree
 bit for bit.  Integer powers use repeated squaring, ln and exp use numpy.
+jets stacks the jets of a list of expressions on a first axis, so row j
+of its gradient is grad g_j; evaluate_dual drops that axis.
 
 Domain rules, the same for every entry point: a division by zero, an
 invalid operation (ln of a nonpositive number, 0 * inf, inf - inf) or a
@@ -185,11 +187,11 @@ def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
 
 
 class Jet(NamedTuple):
-    """Value, gradient and Hessian of an expression.
+    """Value, gradient and Hessian of m expressions, the expression axis first.
 
-    At one point: a float, shape (n,) and shape (n, n).  Over a batch of N
-    points: shapes (N,), (N, n) and (N, n, n).  Derivatives above the order
-    asked for are None.
+    At one point: shapes (m,), (m, n) and (m, n, n); over a batch of N
+    points: (m, N), (m, N, n) and (m, N, n, n).  Derivatives above the order
+    asked for are None.  evaluate_dual's jet has no expression axis.
     """
 
     value: float | np.ndarray
@@ -331,40 +333,39 @@ def _walk_roots(es, x, order: int) -> list[tuple]:
         raise EvalError("expression nested too deeply to evaluate") from None
 
 
-def jets(es, x, order: int = 2) -> list[Jet]:
-    """Jets of expressions over the same variables, up to order 0, 1 or 2.
+def _stack(parts, x: np.ndarray, k: int) -> np.ndarray | None:
+    """The walk's k-th derivatives at x as one fresh array, the expression axis first.
+
+    Over a batch each part has its point axis last, and the result has it
+    second.  Parts of None (above the order asked for) give None.
+    """
+    if parts[0] is None or x.ndim == 1:
+        return None if parts[0] is None else np.array(parts)
+    out = np.empty((len(parts), len(x)) + x.shape[1:] * k)
+    into = out.transpose(0, *range(2, out.ndim), 1) if k else out  # in the parts' layout
+    for j, part in enumerate(parts):
+        into[j] = part  # broadcasts a scalar, or a point axis of length 1
+    return out
+
+
+def jets(es, x, order: int = 2) -> Jet:
+    """The stacked jet of a nonempty list of expressions over the same variables.
 
     x is a sequence of nvars floats (one point) or an (N, nvars) array (a
-    batch); see Jet for the shapes.  Every array returned is fresh.  Raises
-    EvalError when any expression is undefined or overflows at any point;
-    see the module docstring for the rules.
+    batch); order is 0, 1 or 2, and Jet gives the shapes.  Every array is
+    fresh.  Raises EvalError when any expression is undefined or overflows
+    at any point; see the module docstring for the rules.
     """
     x = np.asarray(x, dtype=float)
-    walked = _walk_roots(es, x, order)
-    batch = x.ndim == 2
-    for v, _, _ in walked:
-        if not (np.isfinite(v).all() if batch else math.isfinite(v)):
-            raise EvalError("overflow")
-    # fresh arrays: leaves share their seed derivatives, and a bare
-    # variable's value over a batch is a view of x
-    if not batch:
-        return [
-            Jet(float(v), g if g is None else g.copy(), h if h is None else h.copy())
-            for v, g, h in walked
-        ]
-    count, n = x.shape  # the point axis goes first
-    return [
-        Jet(
-            np.broadcast_to(v, (count,)).copy(),
-            None if g is None else np.broadcast_to(np.moveaxis(g, -1, 0), (count, n)).copy(),
-            None if h is None else np.broadcast_to(np.moveaxis(h, -1, 0), (count, n, n)).copy(),
-        )
-        for v, g, h in walked
-    ]
+    values, grads, hesses = zip(*_walk_roots(es, x, order))
+    value = _stack(values, x, 0)
+    if not (np.isfinite(value).all() if x.ndim == 2 else all(map(math.isfinite, values))):
+        raise EvalError("overflow")
+    return Jet(value, _stack(grads, x, 1), _stack(hesses, x, 2))
 
 
 def scan_values(es, points) -> np.ndarray:
-    """Values of expressions over an (N, nvars) batch, as a fresh (N, len(es)) array.
+    """Values of expressions over an (N, nvars) batch, as a fresh column-major (N, len(es)) array.
 
     For grid and sampling scans: unlike evaluate_many, a value that
     overflows is +-inf rather than an EvalError, so that one far point does
@@ -373,27 +374,24 @@ def scan_values(es, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must have shape (N, nvars), got {points.shape}")
-    # column-major: the walk writes columns and scans reduce rows
-    out = np.empty((points.shape[0], len(es)), order="F")
-    for k, (v, _, _) in enumerate(_walk_roots(es, points, 0)):
-        out[:, k] = v
-    return out
+    return _stack([v for v, _, _ in _walk_roots(es, points, 0)], points, 0).T
 
 
 def evaluate(e: Expr, x) -> float:
     """Value at a single point, given as a sequence of nvars floats."""
     if np.ndim(x) != 1:
         raise ValueError("evaluate takes one point; use evaluate_many for a batch")
-    return jets([e], x, 0)[0].value
+    return float(jets([e], x, 0).value[0])
 
 
 def evaluate_many(e: Expr, points) -> np.ndarray:
     """Values over an (N, nvars) array of points, as a fresh array of shape (N,)."""
     if np.ndim(points) != 2:
         raise ValueError(f"points must have shape (N, {e.nvars})")
-    return jets([e], points, 0)[0].value
+    return jets([e], points, 0).value[0]
 
 
 def evaluate_dual(e: Expr, x, order: int = 2) -> Jet:
     """Value, gradient and (at order 2) Hessian at one point or over a batch."""
-    return jets([e], x, order)[0]
+    value, grad, hess = jets([e], x, order)
+    return Jet(value[0], grad if grad is None else grad[0], hess if hess is None else hess[0])

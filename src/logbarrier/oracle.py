@@ -90,7 +90,7 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
         return c + (s * _radius(p, c, dirs))[:, None] * dirs
 
     r = float(np.linalg.norm(x - c))
-    d = x - c if r > 0.0 else -expr.jets([p.objective], x, 1)[0].grad  # at c, no turn moves x
+    d = x - c if r > 0.0 else -expr.jets([p.objective], x, 1).grad[0]  # at c, no turn moves x
     n = float(np.linalg.norm(d))
     u = d / n if 0.0 < n < np.inf else np.eye(p.nvars)[0]
     radius = _radius(p, c, u[None, :])[0]
@@ -99,7 +99,7 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
         f_start = fx
         s = search(lambda ts: c + (ts * radius)[:, None] * u, s, 1.0, 0.0, 1.0)
         complement = np.linalg.svd(u[None, :])[2][1:]
-        grad = expr.jets([p.objective], x, 1)[0].grad
+        grad = expr.jets([p.objective], x, 1).grad[0]
         # the first v lies along +-(grad f's part orthogonal to u): angle searches are symmetric
         for v in np.linalg.svd((complement @ grad)[None, :])[2] @ complement:
             alpha = search(on_turned_rays, 0.0, np.pi / 8, -np.inf, np.inf)

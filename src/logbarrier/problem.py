@@ -123,7 +123,7 @@ def evaluate_constraints(p: Problem, x) -> np.ndarray:
     evaluated there, so a scan counts it as infeasible instead of stopping.
     """
     if np.ndim(x) == 1:
-        return np.array([j.value for j in expr.jets(p.constraints, x, 0)])
+        return expr.jets(p.constraints, x, 0).value
     values = expr.scan_values(p.constraints, x)
     values[~np.isfinite(values).all(axis=1)] = -np.inf
     return values

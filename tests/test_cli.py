@@ -243,6 +243,12 @@ def test_diagnose_prints_the_slater_report(run_cli, name):
         (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "pass"], 0),
         (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "pass"], 3),
         (["diagnose", "--builtin", "disk", "--check", "curvature", "--expect", "pass"], 0),
+        # nonconvex and indefinite are one expectation on every convexity check
+        (["diagnose", "--builtin", "disk", "--check", "curvature", "--expect", "nonconvex"], 3),
+        (["diagnose", "--builtin", "disk", "--check", "levelset:0", "--expect", "indefinite"], 3),
+        (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "indefinite"], 0),
+        # an expectation no check in the list can test is a usage error
+        (["diagnose", "--builtin", "disk", "--check", "slater", "--expect", "nonconvex"], 2),
     ],
 )
 def test_diagnose_expectations(run_cli, argv, want):
@@ -270,6 +276,28 @@ def test_curvature_expectation_fails_where_the_boundary_bends_outward(run_cli, t
     (report,) = _records(stdout)
     assert [e["max_tangential_curvature"] > 0 for e in report["constraints"]] == [False, True]
     assert code == 3
+
+
+def test_curvature_expectation_holds_where_the_set_is_nonconvex(run_cli, tmp_path):
+    # the box [-1, 1]^2 outside a disk of radius 1/2: g1 bends away from the set
+    path = tmp_path / "outside-disk.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "outside-disk",
+                "nvars": 2,
+                "objective": "x1",
+                "constraints": ["x1^2 + x2^2 - 0.25", "x1 + 1", "1 - x1", "x2 + 1", "1 - x2"],
+                "box": [[-1, 1], [-1, 1]],
+                "interior_point": [0.75, 0.75],
+            }
+        )
+    )
+    argv = ["diagnose", "--problem", path, "--check", "curvature", "--expect", "nonconvex"]
+    code, stdout, _ = run_cli(argv)
+    (report,) = _records(stdout)
+    assert report["constraints"][0]["max_tangential_curvature"] == pytest.approx(2.0)
+    assert code == 0
 
 
 def test_diagnose_probe_failure_record(run_cli, void_file, tmp_path):

@@ -194,7 +194,7 @@ def test_stuck_stages_are_recorded(monkeypatch, problems):
     assert trace.final_certificate.verdict is Verdict.NOT_CERTIFIED
 
 
-def test_stage_callback_sees_every_weight(problems):
+def test_one_stage_per_weight_on_the_path(problems):
     # one stage per weight, each on the path with its status
     trace = continuation.solve(problems["disk"], MuSchedule(1.0, 0.2, 1e-6))
     assert [pt.mu for pt in trace.points] == MuSchedule(1.0, 0.2, 1e-6).weights()

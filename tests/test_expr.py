@@ -256,6 +256,12 @@ def test_evaluate_many_returns_fresh_arrays():
         expr.evaluate_many(e, pts)[:] = 99.0
         for part in expr.evaluate_dual(e, pts):
             part[...] = 99.0
+    es = [expr.parse(text, 2) for text in ("x1", "x2", "5")]
+    for x in (pts, pts[0]):
+        want = [part.copy() for part in expr.jets(es, x)]
+        for part in expr.jets(es, x):
+            part[...] = 99.0
+        assert all(np.array_equal(a, b) for a, b in zip(expr.jets(es, x), want))
     assert np.array_equal(pts, before)
 
 
@@ -279,6 +285,18 @@ def test_jet_shapes_and_orders():
         assert batch.value[i] == point.value
         assert np.array_equal(batch.grad[i], point.grad)
         assert np.array_equal(batch.hess[i], point.hess)
+    # a list of expressions stacks on a first axis; its rows are evaluate_dual's
+    es = [e, expr.parse("exp(x1) - x2", 2)]
+    for order in (0, 1, 2):
+        for x, lead in ((pts[0], ()), (pts, (3,))):
+            stacked = expr.jets(es, x, order)
+            shapes = [(2,) + lead + (2,) * k if k <= order else None for k in range(3)]
+            assert [None if a is None else a.shape for a in stacked] == shapes
+            for k, g in enumerate(es):
+                one = expr.evaluate_dual(g, x, order)
+                assert [None if a is None else a[k].tobytes() for a in stacked] == [
+                    None if a is None else np.asarray(a).tobytes() for a in one
+                ]
     with pytest.raises(ValueError):
         expr.evaluate_dual(e, pts, 3)
     with pytest.raises(ValueError):
@@ -330,12 +348,13 @@ def test_scan_values_keep_an_overflow_and_raise_on_a_domain_error():
         got = expr.scan_values(es, pts)
         with pytest.raises(EvalError):
             expr.scan_values([expr.parse("ln(x1)", 2)], pts)
-    assert got.shape == (3, 3)
+    assert got.shape == (3, 3) and got.flags.f_contiguous
     assert not np.shares_memory(got, pts)
     assert np.array_equal(got[1], [-np.inf, np.inf, 2.0])
+    rows = [0, 2]  # where nothing overflows, the values of evaluate_many and jets
     for e, col in zip(es, got.T):
-        rows = [0, 2]  # where nothing overflows, the values of evaluate_many
         assert np.array_equal(col[rows], expr.evaluate_many(e, pts[rows]))
+    assert np.array_equal(got[rows], expr.jets(es, pts[rows], 0).value.T)
 
 
 # Trees with every node kind, unguarded: ln, division and negative powers hit
@@ -423,6 +442,15 @@ def test_entry_points_agree_bit_for_bit(root, rows):
         assert many is None
     else:
         assert [_bits(v) for v in values] == [_bits(v) for v in many]
+    # the rows of a batch jet are the jets at its points
+    for order in (0, 1, 2):
+        batch = _outcome(lambda: expr.jets([e], pts, order))
+        rows = [_outcome(lambda: expr.jets([e], x, order)) for x in pts]
+        assert (batch is None) == any(row is None for row in rows)
+        for i, row in enumerate(rows if batch is not None else []):
+            for whole, part in zip(batch, row):
+                assert (whole is None) == (part is None)
+                assert whole is None or whole[0, i].tobytes() == part[0].tobytes()
 
 
 def _sympy(node, syms, number=sympy.Float):

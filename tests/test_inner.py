@@ -1,5 +1,7 @@
 """Fixed-mu inner minimization: descent, feasibility, termination statuses."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -15,6 +17,17 @@ DISK_FLAT = problem.problem_from_dict(
         "constraints": ["1 - x1^2 - x2^2"],
         "box": [[-1.5, 1.5], [-1.5, 1.5]],
         "interior_point": [0, 0],
+    }
+)
+
+UNIT_BOX = problem.problem_from_dict(
+    {
+        "name": "unit-box",
+        "nvars": 2,
+        "objective": "x1 + x2",
+        "constraints": ["x1", "1 - x1", "x2", "1 - x2"],
+        "box": [[-0.5, 1.5], [-0.5, 1.5]],
+        "interior_point": [0.5, 0.5],
     }
 )
 
@@ -131,3 +144,32 @@ def test_a_step_that_leaves_phi_unchanged_is_refused(monkeypatch, problems):
     assert r.status is not InnerStatus.MAX_ITERS
     assert r.status is InnerStatus.LINE_SEARCH_STALL
     assert np.array_equal(r.x, x0)
+
+
+def test_newton_direction_is_steepest_descent_where_the_hessian_overflows():
+    # w = grad g1 / g1 = (1e170, 0), so mu w w^T overflows to inf
+    x = np.array([1e-170, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        gradient = barrier.barrier_eval(UNIT_BOX, x, 1.0).gradient
+        assert not np.all(np.isfinite(barrier.barrier_hessian(UNIT_BOX, x, 1.0)))
+        d = inner._newton_direction(UNIT_BOX, x, 1.0, gradient)
+    assert np.all(np.isfinite(gradient))
+    assert np.array_equal(d, -gradient)
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [_singular, lambda a, b: -b, lambda a, b: np.full_like(b, np.nan)],
+    ids=["singular", "ascent", "not-finite"],
+)
+def test_newton_direction_is_steepest_descent_where_the_solve_fails(monkeypatch, solve):
+    x = np.array([0.3, 0.6])
+    gradient = barrier.barrier_eval(UNIT_BOX, x, 1.0).gradient
+    assert not np.array_equal(inner._newton_direction(UNIT_BOX, x, 1.0, gradient), -gradient)
+    monkeypatch.setattr(inner.np.linalg, "solve", solve)
+    assert np.array_equal(inner._newton_direction(UNIT_BOX, x, 1.0, gradient), -gradient)
