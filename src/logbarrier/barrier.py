@@ -7,6 +7,7 @@ For a problem with constraints g_j(x) >= 0 and weight mu > 0 the barrier is
 defined on the strict interior {x : all g_j(x) > 0} and +inf elsewhere.
 The gradient identity grad phi = grad f - sum_j (mu / g_j) grad g_j makes
 mu / g_j(x) the natural multiplier estimate attached to each evaluation.
+Each function here reads f and every g_j in one stacked jet.
 """
 
 from __future__ import annotations
@@ -65,20 +66,18 @@ def barrier_value(p: Problem, x, mu: float) -> float:
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     """Value, gradient, multiplier estimates and objective value at one point.
 
-    One order-1 pass per expression.  Outside the strict interior the value
-    is +inf, gradient, multipliers and objective are None, and f is not
-    evaluated; no logarithm of a nonpositive value is ever taken.
+    Outside the strict interior the value is +inf and gradient, multipliers
+    and objective are None; no logarithm of a nonpositive value is ever taken.
     """
     mu = _check_mu(mu)
-    g = expr.jets(p.constraints, x, 1)
-    if np.any(g.value <= 0.0):
-        return BarrierEvaluation(math.inf, g.value, None, None, None)
+    jet = expr.jets((p.objective, *p.constraints), x, 1)
+    f, g = jet.value[0], jet.value[1:]
+    if np.any(g <= 0.0):
+        return BarrierEvaluation(math.inf, g, None, None, None)
 
-    fjet = expr.evaluate_dual(p.objective, x, 1)
-    multipliers = mu / g.value
-    value = _phi(fjet.value, g.value, mu)
-    gradient = fjet.grad - g.grad.T @ multipliers
-    return BarrierEvaluation(value, g.value, gradient, multipliers, fjet.value)
+    multipliers = mu / g
+    gradient = jet.grad[0] - jet.grad[1:].T @ multipliers
+    return BarrierEvaluation(_phi(f, g, mu), g, gradient, multipliers, f)
 
 
 def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
@@ -91,15 +90,15 @@ def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
     overflows, finite.  Raises InfeasiblePointError off the strict interior.
     """
     mu = _check_mu(mu)
-    g = expr.jets(p.constraints, x, 2)
-    if np.any(g.value <= 0.0):
+    jet = expr.jets((p.objective, *p.constraints), x, 2)
+    h, g = jet.hess[0], jet.value[1:]
+    if np.any(g <= 0.0):
         raise InfeasiblePointError(
-            f"barrier Hessian requested outside the strict interior (min g = {g.value.min()})"
+            f"barrier Hessian requested outside the strict interior (min g = {g.min()})"
         )
-    h = expr.evaluate_dual(p.objective, x).hess
-    with np.errstate(over="ignore"):  # inner falls back where w w^T overflows
-        w = g.grad / g.value[..., None]  # row j is grad g_j / g_j
-        terms = mu * (w[..., :, None] * w[..., None, :]) - (mu / g.value)[..., None, None] * g.hess
+    with np.errstate(over="ignore", invalid="ignore"):  # callers handle an h that is not finite
+        w = jet.grad[1:] / g[..., None]  # row j is grad g_j / g_j
+        terms = mu * (w[..., :, None] * w[..., None, :]) - (mu / g)[..., None, None] * jet.hess[1:]
         for term in terms:  # added in constraint order
             h += term
     return h

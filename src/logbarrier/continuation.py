@@ -74,7 +74,8 @@ def solve(
 
     The start is x0, else the problem's interior point, else a grid search
     for a strictly feasible point; the first stage's solve_inner raises
-    InfeasibleStartError when the start is not strictly interior.  Each
+    InfeasibleStartError when the start is not strictly interior, and
+    EvalError where f or some g_j is undefined at it.  Each
     stage calls solve_inner once, at most inner.MAX_ITERS Newton steps,
     with tolerance default_tolerance(mu, tol_floor), and is recorded with its
     honest status; the next stage starts where it ended.  No stage aborts

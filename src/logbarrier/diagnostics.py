@@ -341,7 +341,8 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
     Reports the smallest eigenvalue seen and where; a clearly negative
     value exhibits nonconvexity of the barrier at this mu.  Raises
     NoFeasibleSamplesError when rejection sampling finds no strictly
-    feasible points.
+    feasible points, and DiagnosticsError when some sampled Hessian is not
+    finite (its terms overflow at a huge mu).
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 200 * PHI_SAMPLES)
@@ -356,7 +357,13 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
     if pts.shape[0] == 0:
         raise NoFeasibleSamplesError(f"no strictly feasible samples in {drawn} draws over the box")
 
-    lowest = np.linalg.eigvalsh(barrier_hessian(p, pts, mu))[:, 0]
+    hessians = barrier_hessian(p, pts, mu)
+    bad = np.count_nonzero(~np.isfinite(hessians).all(axis=(1, 2)))
+    if bad:
+        raise DiagnosticsError(
+            f"{bad} of {pts.shape[0]} sampled barrier Hessians are not finite at mu = {mu}"
+        )
+    lowest = np.linalg.eigvalsh(hessians)[:, 0]
     i = int(np.argmin(lowest))  # ties go to the first sample
     return PhiConvexityReport(
         mu=float(mu),

@@ -93,13 +93,12 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
             f"start is not strictly interior (min g = {be.constraint_values.min()})"
         )
 
-    iterations = 0
     for k in range(MAX_ITERS + 1):
         grad_norm = float(np.linalg.norm(be.gradient))
         if grad_norm <= tol:
-            return InnerResult(x, grad_norm, iterations, InnerStatus.CONVERGED, be)
+            return InnerResult(x, grad_norm, k, InnerStatus.CONVERGED, be)
         if k == MAX_ITERS:
-            break
+            return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
 
         d = _newton_direction(p, x, mu, be.gradient)
         slope = float(be.gradient @ d)
@@ -122,14 +121,10 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
                 break
             t *= 0.5
         else:
-            return InnerResult(x, grad_norm, iterations, InnerStatus.LINE_SEARCH_STALL, be)
+            return InnerResult(x, grad_norm, k, InnerStatus.LINE_SEARCH_STALL, be)
 
-        iterations += 1
         if np.array_equal(cand, x):
             # every later iteration would repeat this one bit for bit
-            return InnerResult(x, grad_norm, iterations, InnerStatus.NO_PROGRESS, be)
+            return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
         x = cand
         be = trial if by_gradient else barrier_eval(p, x, mu)
-
-    grad_norm = float(np.linalg.norm(be.gradient))
-    return InnerResult(x, grad_norm, iterations, InnerStatus.MAX_ITERS, be)

@@ -117,8 +117,8 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     point.  Grid points where f or some g_j overflows are left out.  The
     polish runs at most polish_steps sweeps, and only when some grid point
     has min_j g_j > 0.  Raises ProblemError for more than MAX_ORACLE_VARS
-    variables or res below MIN_RESOLUTION, and OracleError when no grid
-    point is feasible.
+    variables or res below MIN_RESOLUTION (or, from grid_blocks, above
+    problem.MAX_RESOLUTION), and OracleError when no grid point is feasible.
     """
     if p.nvars > MAX_ORACLE_VARS:
         raise ProblemError(f"oracle supports up to {MAX_ORACLE_VARS} variables, got {p.nvars}")

@@ -19,6 +19,7 @@ from .expr import Expr
 # 128 KiB per coordinate column: at 1 << 16 points each evaluation cost hundreds
 # of page faults, as glibc returned the walker's temporaries to the system
 GRID_BLOCK_POINTS = 1 << 14
+MAX_RESOLUTION = 1 << 20  # points per axis, so that an axis takes at most 8 MiB
 
 
 class ProblemError(Exception):
@@ -45,7 +46,11 @@ def grid_blocks(box: np.ndarray, res: int):
 
     Each block is a (k, n) array of at most GRID_BLOCK_POINTS points; a
     consumer that keeps a point copies it, so that the block can be freed.
+    Raises ProblemError, before any axis is allocated, for res above
+    MAX_RESOLUTION.
     """
+    if res > MAX_RESOLUTION:
+        raise ProblemError(f"grid resolution must be at most {MAX_RESOLUTION}, got {res}")
     axes = [np.linspace(lo, hi, res) for lo, hi in box]
     n = len(axes)
     total = res**n

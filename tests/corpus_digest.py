@@ -5,19 +5,21 @@ Usage, from the repository root:
     python3 tests/corpus_digest.py [--src DIR] [--seeds 1 2]
 
 Each output line is the sha256 of one command's exit code, stdout and
-stderr, then the command.  The commands are the 30 builtin ones: solve,
+stderr, then the command.  The commands are the 35 builtin ones: solve,
 solve --require-assumptions, diagnose with each of the two standard check
-lists, oracle --res 201 and solve --mu-min 1e-12, on each builtin.  Then
-one solve per malformed objective, the texts of test_expr.PARSE_ERRORS,
-each in a 2-variable problem file that is valid apart from it: these
-compare the parser's error output.  Then one solve per steep linear
-objective over the unit disk, whose last stages end short of their
-tolerance.  The off-default and steep solves show a change to the stage
-or stopping rules that the default runs do not.  Each seed adds the commands
-of the benchmark's solve, probe2d and probe3d pools on the problem files
-benchmarks/instances.py generates for it, written to a temporary
-directory.  To see which commands a change moves, run the script against
-the package sources of each tree and compare:
+lists, oracle --res 201, solve --mu-min 1e-12 and diagnose --check
+phiconvexity:1e308 (whose barrier Hessians overflow), on each builtin.
+Then contour and oracle on disk at --res 1000000000000000, a grid no
+memory holds.  Then one solve per malformed objective, the texts of
+test_expr.PARSE_ERRORS, each in a 2-variable problem file that is valid
+apart from it: these compare the parser's error output.  Then one solve
+per steep linear objective over the unit disk, whose last stages end
+short of their tolerance.  The off-default and steep solves show a change
+to the stage or stopping rules that the default runs do not.  Each seed
+adds the commands of the benchmark's solve, probe2d and probe3d pools on
+the problem files benchmarks/instances.py generates for it, written to a
+temporary directory.  To see which commands a change moves, run the
+script against the package sources of each tree and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt
@@ -48,6 +50,10 @@ BUILTIN_COMMANDS = [
     ["diagnose", "--check", "levelset:1.5,levelset:2.95,phiconvexity:0.01", "--seed", "7"],
     ["oracle", "--res", "201"],
     ["solve", "--mu-min", "1e-12"],
+    ["diagnose", "--check", "phiconvexity:1e308"],
+]
+HUGE_GRIDS = [
+    [command, "--builtin", "disk", "--res", "1000000000000000"] for command in ("contour", "oracle")
 ]
 UNIT_DISK = {  # every objective below is solved over this set
     "name": "unit-disk",
@@ -85,6 +91,8 @@ def main(argv=None) -> int:
         for command in BUILTIN_COMMANDS:
             argv = [command[0], "--builtin", name, *command[1:]]
             print(digest(cli_main, argv), " ".join(argv), flush=True)
+    for argv in HUGE_GRIDS:
+        print(digest(cli_main, argv), " ".join(argv), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]
         objectives += [(f"steep-{k}", text) for k, text in enumerate(STEEP_OBJECTIVES)]

@@ -197,3 +197,62 @@ def test_hessian_stays_finite_where_a_constraint_value_squared_overflows():
         want = r / (1 - r) ** 2 + 1 / (500 - x) ** 2
         assert h[0, 0] == pytest.approx(want, rel=1e-12)
     assert np.array_equal(at_460, stacked[0])
+
+
+def test_each_barrier_call_walks_f_and_every_g_once(monkeypatch, problems):
+    walks = []
+    walk_roots = expr._walk_roots
+
+    def recording(es, x, order):
+        walks.append(len(es))
+        return walk_roots(es, x, order)
+
+    monkeypatch.setattr(expr, "_walk_roots", recording)
+    rng = np.random.default_rng(112)
+    for p in problems.values():
+        pts = np.array(_feasible_points(p, rng, 5))
+        calls = [
+            (barrier.barrier_value, pts[0]),
+            (barrier.barrier_eval, pts[0]),
+            (barrier.barrier_hessian, pts[0]),
+            (barrier.barrier_hessian, pts),  # the phi probe's batch
+        ]
+        for fn, x in calls:
+            walks.clear()
+            fn(p, x, 0.3)
+            assert walks == [1 + p.nconstraints], (p.name, fn.__name__, x.shape)
+
+
+def _eval_from_separate_walks(p, x, mu):
+    """barrier_eval's value, gradient and objective from a walk of f and one of the g_j."""
+    f, g = expr.evaluate_dual(p.objective, x, 1), expr.jets(p.constraints, x, 1)
+    multipliers = mu / g.value
+    value = f.value - mu * float(np.sum(np.log(g.value)))
+    return value, f.grad - g.grad.T @ multipliers, f.value
+
+
+def _hessian_from_separate_walks(p, x, mu):
+    g = expr.jets(p.constraints, x, 2)
+    h = expr.evaluate_dual(p.objective, x).hess
+    with np.errstate(over="ignore"):
+        w = g.grad / g.value[..., None]
+        terms = mu * (w[..., :, None] * w[..., None, :]) - (mu / g.value)[..., None, None] * g.hess
+        for term in terms:
+            h += term
+    return h
+
+
+def test_one_jet_rounds_as_separate_walks_of_f_and_the_constraints(problems, traces):
+    rng = np.random.default_rng(113)
+    for name, p in problems.items():
+        sampled = [(x, 0.7) for x in _feasible_points(p, rng, 10)]
+        for x, mu in sampled + [(pt.x, pt.mu) for pt in traces[name].points]:
+            be = barrier.barrier_eval(p, x, mu)
+            value, gradient, objective = _eval_from_separate_walks(p, x, mu)
+            assert be.value == value and be.objective == objective, (name, mu)
+            assert np.array_equal(be.gradient, gradient), (name, mu)
+            want = _hessian_from_separate_walks(p, x, mu)
+            assert np.array_equal(barrier.barrier_hessian(p, x, mu), want), (name, mu)
+        pts = np.array([x for x, _ in sampled])
+        want = _hessian_from_separate_walks(p, pts, 0.7)
+        assert np.array_equal(barrier.barrier_hessian(p, pts, 0.7), want), name

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +198,31 @@ def test_readme_solve_section_names_every_solve_option():
         ["contour", "--builtin", "cassini", "--res", "3", "--seed", "7"],
         ["oracle", "--builtin", "disk", "--res", "11", "--seed", "7"],
         ["diagnose", "--builtin", "disk", "--check", "slater,,curvature"],
+        # a grid of 10^15 points per axis, whose axes alone would take PiB
+        ["contour", "--builtin", "disk", "--res", "1000000000000000"],
+        ["oracle", "--builtin", "disk", "--res", "1000000000000000"],
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):
     code, _, stderr = run_cli(argv)
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("command", ["contour", "oracle"])
+def test_a_resolution_above_the_bound_is_refused_before_any_axis(
+    monkeypatch, run_cli, tmp_path, command
+):
+    def no_axis(*args, **kwargs):
+        raise AssertionError("a grid axis was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_axis)
+    out = tmp_path / "grid.out"
+    res = problem.MAX_RESOLUTION + 1
+    code, stdout, stderr = run_cli([command, "--builtin", "disk", "--res", res, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("logbarrier: input error:")
+    assert not out.exists()
 
 
 def test_contour_rejects_non_planar(run_cli, ball3_file):
@@ -830,6 +850,22 @@ def test_check_values_are_refused_before_any_probe_runs(monkeypatch, run_cli, ch
     code, stdout, stderr = run_cli(["diagnose", "--builtin", "cassini", "--check", checks])
     assert (code, stdout, called) == (2, "", [])
     assert "input error" in stderr
+
+
+@pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
+def test_a_phi_probe_whose_hessians_overflow_writes_an_error_record(run_cli, name):
+    # at mu = 1e308 the term mu w w^T overflows, and inf - inf leaves NaN
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["diagnose", "--builtin", name, "--check", "phiconvexity:1e308"]
+        code, stdout, _ = run_cli(argv)
+    (rec,) = [json.loads(line, parse_constant=refuse) for line in stdout.splitlines()]
+    assert code == 3
+    assert (rec["record"], rec["passed"]) == ("phi_convexity", False)
+    assert "sampled barrier Hessians are not finite at mu = 1e+308" in rec["error"]
 
 
 @pytest.mark.parametrize(
