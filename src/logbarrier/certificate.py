@@ -65,54 +65,44 @@ def check_kkt(p: Problem, x, multipliers, activation: float = 1e-6) -> KKTCertif
     jet = expr.jets((p.objective, *p.constraints), x, 1)
     gvals = jet.value[1:]
 
-    stat_vec = jet.grad[0] - jet.grad[1:].T @ lam
-    stationarity = float(np.linalg.norm(stat_vec))
-    complementarity = float(np.max(np.abs(lam * gvals)))
-    dual_violation = float(np.max(np.maximum(0.0, -lam)))
-    primal_violation = float(np.max(np.maximum(0.0, -gvals)))
-    fgrad_norm = float(np.linalg.norm(jet.grad[0]))
-
-    if fgrad_norm <= GRADIENT_TOL and primal_violation <= FEASIBILITY_TOL:
-        verdict = Verdict.UNCONSTRAINED_MINIMUM
-    elif (
-        stationarity <= STATIONARITY_TOL
-        and complementarity <= COMPLEMENTARITY_TOL
-        and primal_violation <= FEASIBILITY_TOL
-        and dual_violation <= DUAL_TOL
-    ):
-        verdict = Verdict.KKT_POINT
-    else:
-        verdict = Verdict.NOT_CERTIFIED
-
-    return KKTCertificate(
+    cert = KKTCertificate(
         x=x,
         multipliers=lam,
         objective=jet.value[0],
-        stationarity_residual=stationarity,
-        complementarity_residual=complementarity,
-        dual_feasibility_violation=dual_violation,
-        primal_feasibility_violation=primal_violation,
+        stationarity_residual=float(np.linalg.norm(jet.grad[0] - jet.grad[1:].T @ lam)),
+        complementarity_residual=float(np.max(np.abs(lam * gvals))),
+        dual_feasibility_violation=float(np.max(np.maximum(0.0, -lam))),
+        primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))),
         active_set=[int(j) + 1 for j in np.nonzero(gvals <= activation)[0]],
         activation_tolerance=activation,
-        verdict=verdict,
+        verdict=Verdict.NOT_CERTIFIED,
     )
+    flat = np.linalg.norm(jet.grad[0]) <= GRADIENT_TOL
+    if flat and cert.primal_feasibility_violation <= FEASIBILITY_TOL:
+        return cert._replace(verdict=Verdict.UNCONSTRAINED_MINIMUM)
+    if all(value <= tol for _, value, tol in _scored(cert)):
+        return cert._replace(verdict=Verdict.KKT_POINT)
+    return cert
 
 
-def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
-    scored = [
+def _scored(cert: KKTCertificate) -> list[tuple[str, float, float]]:
+    """(name, residual, tolerance) of the four residuals the verdict and the statement read."""
+    return [
         ("stationarity", cert.stationarity_residual, STATIONARITY_TOL),
         ("complementarity", cert.complementarity_residual, COMPLEMENTARITY_TOL),
         ("primal feasibility", cert.primal_feasibility_violation, FEASIBILITY_TOL),
         ("dual feasibility", cert.dual_feasibility_violation, DUAL_TOL),
     ]
 
+
+def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
     def ratio(item):
         _, value, tol = item
         if tol > 0.0:
             return value / tol
         return float("inf") if value > 0.0 else 0.0
 
-    name, value, _ = max(scored, key=ratio)
+    name, value, _ = max(_scored(cert), key=ratio)
     return name, value
 
 

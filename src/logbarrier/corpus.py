@@ -8,15 +8,19 @@ control with a concave constraint, and the disk with its constraint cubed
 so that boundary gradients vanish (a nondegeneracy failure control).
 
 Objectives are linear where the point is isolating barrier curvature in
-the constraint representation, quadratic on the disk controls.  The same
-entries ship as JSON problem files under data/.
+the constraint representation, quadratic on the disk controls.  Each
+builtin is its problem file, data/<name>.json next to this module; this
+module adds what the files do not carry: provenance and known optima.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple
 
-from .problem import Problem, ProblemError, problem_from_dict
+from .problem import Problem, ProblemError, load
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class KnownOptimum(NamedTuple):
@@ -31,50 +35,7 @@ class CorpusEntry(NamedTuple):
     known_optimum: KnownOptimum | None
 
 
-_RAW: dict[str, dict] = {
-    "cassini": {
-        "name": "cassini",
-        "nvars": 2,
-        "objective": "x1 + x2",
-        "constraints": ["4 - ((x1 + 1)^2 + x2^2)*((x1 - 1)^2 + x2^2)"],
-        "box": [[-2, 2], [-2, 2]],
-        "interior_point": [0, 0],
-    },
-    "hyperbola": {
-        "name": "hyperbola",
-        "nvars": 2,
-        "objective": "x1 + x2",
-        "constraints": ["x1*x2 - 1", "x1", "x2", "10 - x1", "10 - x2"],
-        "box": [[0.01, 10], [0.01, 10]],
-        "interior_point": [2, 2],
-    },
-    "epsbox": {
-        "name": "epsbox",
-        "nvars": 2,
-        "objective": "x1 - x2",
-        "constraints": ["x1/(epsilon + x2^2)", "a - x1", "x2", "b - x2"],
-        "box": [[0, 1], [0, 1]],
-        "interior_point": [0.5, 0.5],
-        "params": {"epsilon": 0.001, "a": 1, "b": 1},
-    },
-    "disk": {
-        "name": "disk",
-        "nvars": 2,
-        "objective": "(x1 - 1)^2 + (x2 - 1)^2",
-        "constraints": ["1 - x1^2 - x2^2"],
-        "box": [[-1.5, 1.5], [-1.5, 1.5]],
-        "interior_point": [0, 0],
-    },
-    "degenerate-disk": {
-        "name": "degenerate-disk",
-        "nvars": 2,
-        "objective": "(x1 - 1)^2 + (x2 - 1)^2",
-        "constraints": ["(1 - x1^2 - x2^2)^3"],
-        "box": [[-1.5, 1.5], [-1.5, 1.5]],
-        "interior_point": [0, 0],
-    },
-}
-
+# the builtins, in the order names() lists them
 _PROVENANCE = {
     "cassini": (
         "region bounded by a Cassini oval (squared-distance product to (-1,0) and (1,0) "
@@ -126,16 +87,16 @@ _KNOWN: dict[str, KnownOptimum | None] = {
 
 
 def names() -> list[str]:
-    return list(_RAW)
+    return list(_PROVENANCE)
 
 
 def builtin(name: str) -> CorpusEntry:
     """Look up a built-in problem by name."""
-    if name not in _RAW:
+    if name not in _PROVENANCE:
         known = ", ".join(names())
         raise ProblemError(f"unknown builtin problem {name!r} (choose from: {known})")
     return CorpusEntry(
-        problem=problem_from_dict(_RAW[name]),
+        problem=load(DATA_DIR / f"{name}.json"),
         provenance=_PROVENANCE[name],
         known_optimum=_KNOWN[name],
     )

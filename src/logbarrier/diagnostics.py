@@ -152,27 +152,22 @@ def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySampl
     directions = _random_directions(np.random.default_rng(seed), BOUNDARY_RAYS, p.nvars)
     t_exit = box_exit(p.box, x0, directions)
     valid = np.isfinite(t_exit) & (t_exit > 0)
+    dirs, exits = directions[valid], t_exit[valid]
 
-    def min_g_at(ts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        return evaluate_constraints(p, x0[None, :] + ts[:, None] * dirs).min(axis=1)
+    def g_at(ts: np.ndarray) -> np.ndarray:
+        return evaluate_constraints(p, x0[None, :] + ts[:, None] * dirs)
 
-    dirs = directions[valid]
-    exits = t_exit[valid]
-    if dirs.shape[0]:
-        crossing = min_g_at(exits, dirs) <= 1e-12
-        dirs = dirs[crossing]
-        exits = exits[crossing]
-    if dirs.shape[0] == 0:
-        points, residuals = np.zeros((0, p.nvars)), np.zeros(0)
-    else:
-        lo, hi = bisect(
-            lambda t: min_g_at(t, dirs) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
-        )
-        h_lo = np.abs(min_g_at(lo, dirs))
-        h_hi = np.abs(min_g_at(hi, dirs))
-        points = x0[None, :] + np.where(h_lo <= h_hi, lo, hi)[:, None] * dirs
-        residuals = np.minimum(h_lo, h_hi)
-    gvals = evaluate_constraints(p, points)
+    crossing = g_at(exits).min(axis=1) <= 1e-12
+    dirs, exits = dirs[crossing], exits[crossing]
+    lo, hi = bisect(
+        lambda t: g_at(t).min(axis=1) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
+    )
+    g_lo, g_hi = g_at(lo), g_at(hi)
+    h_lo, h_hi = np.abs(g_lo.min(axis=1)), np.abs(g_hi.min(axis=1))
+    nearer = h_lo <= h_hi
+    points = x0[None, :] + np.where(nearer, lo, hi)[:, None] * dirs
+    gvals = np.where(nearer[:, None], g_lo, g_hi)
+    residuals = np.minimum(h_lo, h_hi)
     active = [points[gvals[:, j] <= ACTIVATION_TOL] for j in range(p.nconstraints)]
     return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 

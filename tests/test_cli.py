@@ -16,7 +16,7 @@ import pytest
 
 from logbarrier import cli, corpus, diagnostics, problem
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

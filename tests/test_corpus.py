@@ -8,7 +8,7 @@ import pytest
 from logbarrier import corpus, expr, oracle, problem
 from logbarrier.problem import ProblemError
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 
 
 def test_names():

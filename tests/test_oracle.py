@@ -10,7 +10,7 @@ from logbarrier import cli, expr, oracle, problem
 from logbarrier.oracle import OracleError
 from logbarrier.problem import ProblemError
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 ROOT_HALF = float(np.sqrt(0.5))
 DISK_FSTAR = 3.0 - 2.0 * np.sqrt(2.0)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from logbarrier import expr, problem
 from logbarrier.problem import ProblemError
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 
 BASE = {
     "name": "unit",
