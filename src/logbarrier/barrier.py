@@ -49,13 +49,15 @@ def _phi(f: float, gvals: np.ndarray, mu: float) -> float:
 
 
 def barrier_value(p: Problem, x, mu: float) -> float:
-    """Barrier value only; +inf outside the strict interior.
+    """Barrier value at one point only; +inf outside the strict interior.
 
     Cheap path for line searches: no derivatives, and ln is never reached
     for a nonpositive constraint value.  A point where f or some g_j is
     undefined (EvalError) lies outside the barrier's domain too.
     """
     mu = _check_mu(mu)
+    if np.ndim(x) != 1:
+        raise ValueError("barrier_value takes one point")
     try:
         values = expr.jets((p.objective, *p.constraints), x, 0).value
     except expr.EvalError:
@@ -70,6 +72,8 @@ def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
     and objective are None; no logarithm of a nonpositive value is ever taken.
     """
     mu = _check_mu(mu)
+    if np.ndim(x) != 1:
+        raise ValueError("barrier_eval takes one point")
     jet = expr.jets((p.objective, *p.constraints), x, 1)
     f, g = jet.value[0], jet.value[1:]
     if np.any(g <= 0.0):

@@ -71,8 +71,9 @@ def check_kkt(p: Problem, x, multipliers, activation: float = 1e-6) -> KKTCertif
         objective=jet.value[0],
         stationarity_residual=float(np.linalg.norm(jet.grad[0] - jet.grad[1:].T @ lam)),
         complementarity_residual=float(np.max(np.abs(lam * gvals))),
-        dual_feasibility_violation=float(np.max(np.maximum(0.0, -lam))),
-        primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))),
+        # + 0.0 turns the -0.0 of a zeroed multiplier or constraint value into 0.0
+        dual_feasibility_violation=float(np.max(np.maximum(0.0, -lam))) + 0.0,
+        primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))) + 0.0,
         active_set=[int(j) + 1 for j in np.nonzero(gvals <= activation)[0]],
         activation_tolerance=activation,
         verdict=Verdict.NOT_CERTIFIED,

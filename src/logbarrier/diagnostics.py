@@ -180,6 +180,17 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
     return d
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Row norms; a finite row whose plain norm overflows is scaled by its largest entry first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+    big = np.isinf(norms) & np.isfinite(v).all(axis=1)
+    if big.any():
+        scale = np.abs(v[big]).max(axis=1, keepdims=True)
+        norms[big] = scale[:, 0] * np.linalg.norm(v[big] / scale, axis=1)
+    return norms
+
+
 def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyReport:
     """Check that active constraint gradients stay away from zero.
 
@@ -193,7 +204,7 @@ def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyRepo
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
         jet = expr.evaluate_dual(g, pts, 1)
         count = jet.value.shape[0]
-        low = float(np.linalg.norm(jet.grad, axis=1).min()) if count else None
+        low = float(_row_norms(jet.grad).min()) if count else None
         entries.append(
             NondegeneracyEntry(
                 constraint=j + 1,
@@ -383,7 +394,7 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
         jet = expr.evaluate_dual(g, pts)
-        norms = np.linalg.norm(jet.grad, axis=1)
+        norms = _row_norms(jet.grad)
         keep = norms >= 1e-12  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]
         _, _, vh = np.linalg.svd(units[:, None, :])

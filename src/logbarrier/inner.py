@@ -13,6 +13,7 @@ at most MAX_ITERS Newton steps.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,6 +78,7 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     MAX_ITERS Newton steps (read at each call) with status MAX_ITERS.  An
     accepted step that leaves x bit-identical counts as an iteration but
     makes no new iterate: the solve ends there with status NO_PROGRESS.
+    Raises EvalError at an iterate whose barrier gradient norm overflows.
 
     A candidate must lower phi: the Armijo test alone would accept an
     equal value once the decrease it asks for at a backtracked step rounds
@@ -93,38 +95,42 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
             f"start is not strictly interior (min g = {be.constraint_values.min()})"
         )
 
-    for k in range(MAX_ITERS + 1):
-        grad_norm = float(np.linalg.norm(be.gradient))
-        if grad_norm <= tol:
-            return InnerResult(x, grad_norm, k, InnerStatus.CONVERGED, be)
-        if k == MAX_ITERS:
-            return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
+    # a dot product of huge vectors reads inf, which the norm check and the step tests handle
+    with np.errstate(over="ignore"):
+        for k in range(MAX_ITERS + 1):
+            grad_norm = float(np.linalg.norm(be.gradient))
+            if not math.isfinite(grad_norm):
+                raise EvalError(f"the barrier gradient's norm overflows at mu = {mu}")
+            if grad_norm <= tol:
+                return InnerResult(x, grad_norm, k, InnerStatus.CONVERGED, be)
+            if k == MAX_ITERS:
+                return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
 
-        d = _newton_direction(p, x, mu, be.gradient)
-        slope = float(be.gradient @ d)
-        by_gradient = be.value + ARMIJO_C1 * slope == be.value
-        t = 1.0
-        while t >= MIN_STEP:
-            cand = x + t * d
-            if by_gradient:
-                try:
-                    trial = barrier_eval(p, cand, mu)
-                    accept = trial.interior and (
-                        np.linalg.norm(trial.gradient) <= (1 - ARMIJO_C1 * t) * grad_norm
-                    )
-                except EvalError:  # off the domain of f or some g_j
-                    accept = False
+            d = _newton_direction(p, x, mu, be.gradient)
+            slope = float(be.gradient @ d)
+            by_gradient = be.value + ARMIJO_C1 * slope == be.value
+            t = 1.0
+            while t >= MIN_STEP:
+                cand = x + t * d
+                if by_gradient:
+                    try:
+                        trial = barrier_eval(p, cand, mu)
+                        accept = trial.interior and (
+                            np.linalg.norm(trial.gradient) <= (1 - ARMIJO_C1 * t) * grad_norm
+                        )
+                    except EvalError:  # off the domain of f or some g_j
+                        accept = False
+                else:
+                    value = barrier_value(p, cand, mu)
+                    accept = value < be.value and value <= be.value + ARMIJO_C1 * t * slope
+                if accept:
+                    break
+                t *= 0.5
             else:
-                value = barrier_value(p, cand, mu)
-                accept = value < be.value and value <= be.value + ARMIJO_C1 * t * slope
-            if accept:
-                break
-            t *= 0.5
-        else:
-            return InnerResult(x, grad_norm, k, InnerStatus.LINE_SEARCH_STALL, be)
+                return InnerResult(x, grad_norm, k, InnerStatus.LINE_SEARCH_STALL, be)
 
-        if np.array_equal(cand, x):
-            # every later iteration would repeat this one bit for bit
-            return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
-        x = cand
-        be = trial if by_gradient else barrier_eval(p, x, mu)
+            if np.array_equal(cand, x):
+                # every later iteration would repeat this one bit for bit
+                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
+            x = cand
+            be = trial if by_gradient else barrier_eval(p, x, mu)

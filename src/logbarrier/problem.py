@@ -7,6 +7,7 @@ set; problems that want bound constraints state them as g_j entries.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from typing import NamedTuple
@@ -155,8 +156,8 @@ def problem_from_dict(data: dict) -> Problem:
     and params, a mapping of names to numbers that the expressions may use:
     each name is bound as a constant, so with a = -1, a^2 is 1.  A param
     with an integer value may also serve as an exponent.  Box bounds,
-    interior_point coordinates and param values must be finite JSON
-    numbers; a string or a bool is none.
+    interior_point coordinates, param values and box widths hi - lo must
+    be finite numbers; a string or a bool is none.
     """
     if not isinstance(data, dict):
         raise ProblemError("problem data must be a JSON object")
@@ -208,6 +209,8 @@ def problem_from_dict(data: dict) -> Problem:
         hi = _finite(pair[1], f"box entry {i + 1} hi")
         if not lo < hi:
             raise ProblemError(f"box entry {i + 1} must have lo < hi")
+        if not math.isfinite(hi - lo):  # grids and samplers step by it
+            raise ProblemError(f"box entry {i + 1} must have a finite width hi - lo")
         box[i] = (lo, hi)
 
     interior = None

@@ -13,13 +13,21 @@ Then contour and oracle on disk at --res 1000000000000000, a grid no
 memory holds.  Then one solve per malformed objective, the texts of
 test_expr.PARSE_ERRORS, each in a 2-variable problem file that is valid
 apart from it: these compare the parser's error output.  Then one solve
-per steep linear objective over the unit disk, whose last stages end
-short of their tolerance.  The off-default and steep solves show a change
-to the stage or stopping rules that the default runs do not.  Each seed
-adds the commands of the benchmark's solve, probe2d and probe3d pools on
-the problem files benchmarks/instances.py generates for it, written to a
-temporary directory.  To see which commands a change moves, run the
-script against the package sources of each tree and compare:
+per steep linear objective over the unit disk: the gentler ones end
+their last stages short of their tolerance, and past about 1.3e154 the
+norm of the barrier gradient overflows.  The off-default and steep
+solves show a change to the stage or stopping rules that the default
+runs do not.  Then five commands on variants of the unit-disk file:
+nondegeneracy and curvature on the disk written as
+1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
+contour --res 3 and diagnose --check slater on a box whose width
+overflows; and solve on the disk written as 1e4*(1 - x1^2 - x2^2),
+which is not certified while 1000*(...) is.  That makes 67 commands.
+Each seed adds the commands of the benchmark's solve, probe2d and
+probe3d pools on the problem files benchmarks/instances.py generates
+for it, written to a temporary directory: 443 commands in all with
+--seeds 1 2.  To see which commands a change moves, run the script
+against the package sources of each tree and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt
@@ -62,7 +70,25 @@ UNIT_DISK = {  # every objective below is solved over this set
     "box": [[-2, 2], [-2, 2]],
     "interior_point": [0, 0],
 }
-STEEP_OBJECTIVES = ["50*x1", "200*x1"]
+STEEP_OBJECTIVES = ["50*x1", "200*x1", "1e154*x1", "1e160*x1", "1e300*x1"]
+# (stem, the keys that replace UNIT_DISK's and its objective, commands on that file)
+VARIANTS = [
+    (
+        "steep-constraint",
+        {"objective": "x1", "constraints": ["1e160*(1 - x1^2 - x2^2)"]},
+        [["diagnose", "--check", "nondegeneracy"], ["diagnose", "--check", "curvature"]],
+    ),
+    (
+        "wide-box",
+        {"objective": "x1", "box": [[-1e308, 1.7e308], [-1e308, 1e308]]},
+        [["contour", "--res", "3"], ["diagnose", "--check", "slater"]],
+    ),
+    (
+        "scaled-disk",
+        {"objective": "(x1 - 1)^2 + (x2 - 1)^2", "constraints": ["1e4*(1 - x1^2 - x2^2)"]},
+        [["solve"]],
+    ),
+]
 
 
 def digest(main, argv: list[str]) -> str:
@@ -101,6 +127,13 @@ def main(argv=None) -> int:
             path.write_text(json.dumps({**UNIT_DISK, "objective": objective}))
             label = f"objective {ascii(objective)}: solve --problem {path.name}"
             print(digest(cli_main, ["solve", "--problem", str(path)]), label, flush=True)
+        for stem, keys, commands in VARIANTS:
+            path = Path(tmp) / f"{stem}.json"
+            path.write_text(json.dumps({**UNIT_DISK, **keys}))
+            for command in commands:
+                argv = [command[0], "--problem", str(path), *command[1:]]
+                label = " ".join(argv).replace(str(path), path.name)
+                print(digest(cli_main, argv), label, flush=True)
         for seed in args.seeds:
             for workload_name in ("solve", "probe2d", "probe3d"):
                 workload = run.WORKLOADS[workload_name]

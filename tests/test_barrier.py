@@ -139,6 +139,13 @@ def test_hessian_outside_interior(problems):
         barrier.barrier_hessian(problems["disk"], np.array([1.0, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("fn", [barrier.barrier_value, barrier.barrier_eval])
+def test_point_functions_refuse_a_batch(problems, fn):
+    # summed over a batch, the log term would mix every point's g_j into each value
+    with pytest.raises(ValueError, match="takes one point"):
+        fn(problems["disk"], np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
+
+
 def test_mu_must_be_positive(problems):
     disk = problems["disk"]
     x = np.array([0.0, 0.0])

@@ -43,6 +43,32 @@ def test_stationarity_failure_named(problems):
     assert "stationarity" in statement
 
 
+# hyperbola: grad f = (1, 1), g1 = x1*x2 - 1, g2 = x1, g4 = 10 - x1; at (1, 1),
+# lam = (1, 0, 0, 0, 0) is an exact KKT pair
+@pytest.mark.parametrize(
+    "name, x, lam",
+    [
+        ("stationarity", [1.0, 1.0], [0.5, 0.0, 0.0, 0.0, 0.0]),
+        # lam2 * grad g2 + lam4 * grad g4 = 0, but g2 = 1 and g4 = 9
+        ("complementarity", [1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 0.0]),
+        ("primal feasibility", [1.0, 1.0 - 1e-6], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ("dual feasibility", [1.0, 1.0], [1.0, -1e-9, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_a_residual_alone_over_its_tolerance_is_named(problems, name, x, lam):
+    cert = certificate.check_kkt(problems["hyperbola"], np.array(x), np.array(lam))
+    over = {
+        "stationarity": cert.stationarity_residual > certificate.STATIONARITY_TOL,
+        "complementarity": cert.complementarity_residual > certificate.COMPLEMENTARITY_TOL,
+        "primal feasibility": cert.primal_feasibility_violation > certificate.FEASIBILITY_TOL,
+        "dual feasibility": cert.dual_feasibility_violation > certificate.DUAL_TOL,
+    }
+    assert [k for k, v in over.items() if v] == [name]
+    assert cert.verdict is Verdict.NOT_CERTIFIED
+    statement = certificate.global_optimality_statement(cert, True)
+    assert statement.startswith(f"not certified: {name} residual ")
+
+
 def test_unconstrained_minimum_verdict():
     cert = certificate.check_kkt(ZERO_OBJECTIVE_DISK, np.array([0.2, 0.1]), np.array([0.0]))
     assert cert.verdict is Verdict.UNCONSTRAINED_MINIMUM

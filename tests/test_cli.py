@@ -522,6 +522,8 @@ BAD_NUMBERS = [
         '"x1 + 1e400"',
         "cannot parse objective: number '1e400' is not finite as a float (at position 5)",
     ),
+    # hi - lo overflows, so every grid axis and sampler would read nan or inf
+    ("box", "[[-1e308, 1.7e308], [-1e308, 1e308]]", "box entry 1 must have a finite width hi - lo"),
 ]
 
 
@@ -536,6 +538,7 @@ BAD_NUMBERS = [
         "point-nan",
         "point-true",
         "objective-1e400",
+        "box-width",
     ],
 )
 @pytest.mark.parametrize(
@@ -866,6 +869,56 @@ def test_a_phi_probe_whose_hessians_overflow_writes_an_error_record(run_cli, nam
     assert code == 3
     assert (rec["record"], rec["passed"]) == ("phi_convexity", False)
     assert "sampled barrier Hessians are not finite at mu = 1e+308" in rec["error"]
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _steep_disk(tmp_path, objective, constraint="1 - x1^2 - x2^2"):
+    path = tmp_path / "steep.json"
+    data = {
+        "name": "steep",
+        "nvars": 2,
+        "objective": objective,
+        "constraints": [constraint],
+        "box": [[-2, 2], [-2, 2]],
+        "interior_point": [0, 0],
+    }
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("objective", ["1e160*x1", "1e300*x1", "1e154*x1"])
+def test_a_steep_objective_prints_no_infinity_and_no_warning(run_cli, tmp_path, objective):
+    # from 1e155 on, the norm of the barrier gradient overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(["solve", "--problem", _steep_disk(tmp_path, objective)])
+    records = [json.loads(line, parse_constant=_refuse_constant) for line in stdout.splitlines()]
+    if objective == "1e154*x1":
+        assert code == 3
+        assert records[-1]["stationarity_residual"] == 1e154
+    else:
+        assert (code, records) == (2, [])
+        assert stderr == (
+            "logbarrier: input error: the barrier gradient's norm overflows at mu = 1.0\n"
+        )
+
+
+def test_boundary_probes_of_a_steep_constraint_print_finite_norms(run_cli, tmp_path):
+    path = _steep_disk(tmp_path, "x1", "1e160*(1 - x1^2 - x2^2)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["diagnose", "--problem", path, "--check", "nondegeneracy,curvature"]
+        code, stdout, _ = run_cli(argv)
+    ndg, cur = [json.loads(line, parse_constant=_refuse_constant) for line in stdout.splitlines()]
+    assert code == 0
+    # on the unit circle |grad g| = 2e160 and the tangential curvature is -2e160
+    (entry,) = ndg["constraints"]
+    assert entry["passed"] is True
+    assert entry["min_gradient_norm"] == pytest.approx(2e160, rel=1e-12)
+    assert cur["constraints"][0]["max_tangential_curvature"] == pytest.approx(-2e160, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,14 @@ def test_final_certificates(traces):
     assert traces["epsbox"].final_certificate.active_set == [1, 4]
 
 
+def test_no_certificate_field_is_negative_zero(traces):
+    # max(0, -lam) keeps the sign of a zeroed multiplier unless it is normalized
+    for name, trace in traces.items():
+        cert = trace.final_certificate
+        numbers = [v for v in cert if isinstance(v, float)] + [*cert.x, *cert.multipliers]
+        assert [v for v in numbers if v == 0.0 and np.signbit(v)] == [], name
+
+
 def test_hyperbola_path_endpoint(traces):
     cert = traces["hyperbola"].final_certificate
     assert np.abs(cert.x - 1.0).max() <= 1e-3

@@ -15,6 +15,11 @@ def test_names():
     assert corpus.names() == ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"]
 
 
+def test_names_are_the_packaged_problem_files():
+    assert corpus.DATA_DIR == DATA
+    assert sorted(corpus.names()) == sorted(path.stem for path in DATA.glob("*.json"))
+
+
 def test_unknown_name():
     with pytest.raises(ProblemError, match="unknown builtin"):
         corpus.builtin("nosuch")

@@ -181,6 +181,34 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
     assert cur == diagnostics.CurvatureReport(0, False, [diagnostics.CurvatureEntry(1, 0, None)])
 
 
+@pytest.mark.parametrize("name", ["disk", "hyperbola", "wide"])
+def test_boundary_sample_evaluates_each_bisection_end_once(monkeypatch, problems, name):
+    # outside the bisection: once at the box exits and once at each end; the chosen
+    # points read their end's values, also where no ray reaches the boundary
+    p = problem.problem_from_dict(WIDE) if name == "wide" else problems[name]
+    x0 = diagnostics.slater_find(p).point
+    calls, bisecting = [], []
+    evaluate, bisect = diagnostics.evaluate_constraints, diagnostics.bisect
+
+    def counting(p, x):
+        if not bisecting:
+            calls.append(np.shape(x))
+        return evaluate(p, x)
+
+    def marked(*args):
+        bisecting.append(True)
+        try:
+            return bisect(*args)
+        finally:
+            bisecting.pop()
+
+    monkeypatch.setattr(diagnostics, "evaluate_constraints", counting)
+    monkeypatch.setattr(diagnostics, "bisect", marked)
+    sample = diagnostics.boundary_sample(p, x0)
+    assert len(calls) == 3
+    assert calls[1] == calls[2] == sample.points.shape
+
+
 @pytest.mark.parametrize("level", [2.95, 2.5, 1.5, 4.0])
 def test_levelset_counterexamples(problems, level):
     p = problems["cassini"]

@@ -37,6 +37,7 @@ RECORDS = [
     "diagnostics.CurvatureEntry",
     "diagnostics.CurvatureReport",
     "expr.Expr",
+    "expr.Jet",
     "inner.InnerResult",
     "oracle.OracleResult",
     "problem.Problem",

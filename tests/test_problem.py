@@ -124,6 +124,7 @@ def test_param_validation(params, fragment):
             {"objective": "x1^a", "params": {"a": 0.5}},
             r"exponent must be an integer literal, found 'a' \(at position 3\)",
         ),
+        ({"box": [[-1e308, 1.7e308], [-1e308, 1e308]]}, "box entry 1 must have a finite width"),
     ],
 )
 def test_from_dict_validation(overrides, fragment):
