@@ -182,12 +182,12 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Row norms; a finite row whose plain norm overflows is scaled by its largest entry first."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a norm above the float range stays inf
         norms = np.linalg.norm(v, axis=1)
-    big = np.isinf(norms) & np.isfinite(v).all(axis=1)
-    if big.any():
-        scale = np.abs(v[big]).max(axis=1, keepdims=True)
-        norms[big] = scale[:, 0] * np.linalg.norm(v[big] / scale, axis=1)
+        big = np.isinf(norms) & np.isfinite(v).all(axis=1)
+        if big.any():
+            scale = np.abs(v[big]).max(axis=1, keepdims=True)
+            norms[big] = scale[:, 0] * np.linalg.norm(v[big] / scale, axis=1)
     return norms
 
 
