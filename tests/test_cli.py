@@ -891,7 +891,7 @@ def _steep_disk(tmp_path, objective, constraint="1 - x1^2 - x2^2"):
 
 @pytest.mark.parametrize("objective", ["1e160*x1", "1e300*x1", "1e154*x1"])
 def test_a_steep_objective_prints_no_infinity_and_no_warning(run_cli, tmp_path, objective):
-    # from 1e155 on, the norm of the barrier gradient overflows
+    # past about 1.3e154 the norm of the barrier gradient overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, stderr = run_cli(["solve", "--problem", _steep_disk(tmp_path, objective)])
