@@ -240,10 +240,7 @@ def _run_solve(args) -> None:
         ndg = nondegeneracy_probe(p, boundary_sample(p, slater.point, seed=args.seed))
         records.append(record("nondegeneracy", ndg))
         if not ndg.passed:
-            worst = min(
-                (e.min_gradient_norm for e in ndg.constraints if e.min_gradient_norm is not None),
-                default=0.0,
-            )
+            worst = min(e.min_gradient_norm for e in ndg.constraints if e.passed is False)
             _emit(records, args.out)
             raise NegativeResult(
                 "assumption check failed (nondegeneracy): active constraint gradient "
@@ -421,11 +418,7 @@ def _run_list(args) -> None:
             "provenance": entry.provenance,
         }
         if entry.known_optimum is not None:
-            rec["known_optimum"] = {
-                "x": list(entry.known_optimum.x),
-                "f": entry.known_optimum.f,
-                "provenance": entry.known_optimum.provenance,
-            }
+            rec["known_optimum"] = _plain(entry.known_optimum)
         records.append(rec)
     _emit(records, args.out)
 

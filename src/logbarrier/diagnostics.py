@@ -223,15 +223,6 @@ def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyRepo
     )
 
 
-def _triu_pairs(k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j < k at positions start..stop-1 of np.triu_indices(k, 1)."""
-    i = np.arange(k - 1)
-    first = i * (2 * k - i - 1) // 2  # the position of (i, i + 1)
-    pos = np.arange(start, stop)
-    rows = np.searchsorted(first, pos, side="right") - 1
-    return rows, pos - first[rows] + rows + 1
-
-
 def _members(p: Problem, level: float, pts: np.ndarray) -> np.ndarray:
     return np.all(evaluate_constraints(p, pts) >= level, axis=1)
 
@@ -269,7 +260,7 @@ def _rejection_pairs(p: Problem, level: float, rows: np.ndarray, rng):
 
 def _grid_pairs(p: Problem, level: float):
     """Yield the pairs among the first GRID_FALLBACK_CAP members of the GRID_FALLBACK_RES
-    grid, row-major, in np.triu_indices order and blocks of at most GRID_BLOCK_POINTS."""
+    grid, row-major, in np.triu_indices order: each member against every later one."""
     chosen, k = [], 0
     for block in grid_blocks(p.box, GRID_FALLBACK_RES):
         chosen.append(block[_members(p, level, block)][: GRID_FALLBACK_CAP - k])
@@ -277,10 +268,8 @@ def _grid_pairs(p: Problem, level: float):
         if k == GRID_FALLBACK_CAP:
             break
     sel = np.concatenate(chosen)
-    npairs = k * (k - 1) // 2
-    for start in range(0, npairs, problem.GRID_BLOCK_POINTS):
-        ii, jj = _triu_pairs(k, start, min(start + problem.GRID_BLOCK_POINTS, npairs))
-        yield sel[ii], sel[jj]
+    for i in range(k - 1):
+        yield np.broadcast_to(sel[i], sel[i + 1 :].shape), sel[i + 1 :]
 
 
 def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> LevelsetReport:

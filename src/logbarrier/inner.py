@@ -56,19 +56,22 @@ def default_tolerance(mu: float, floor: float) -> float:
     return max(floor, 1e-2 * mu)
 
 
-def _newton_direction(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray) -> np.ndarray:
+def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):
+    """The shifted Newton step d at x and its slope gradient @ d; steepest descent
+    where the Hessian or d is not finite, the solve fails, or d does not descend."""
     h = barrier_hessian(p, x, mu)
-    if not np.all(np.isfinite(h)):
-        return -gradient
-    eigs = np.linalg.eigvalsh(h)
-    shift = 0.0 if eigs[0] >= EIG_FLOOR else EIG_FLOOR - eigs[0]
-    try:
-        d = np.linalg.solve(h + shift * np.eye(len(x)), -gradient)
-    except np.linalg.LinAlgError:
-        return -gradient
-    if not np.all(np.isfinite(d)) or float(d @ gradient) >= 0.0:
-        return -gradient
-    return d
+    if np.all(np.isfinite(h)):
+        eigs = np.linalg.eigvalsh(h)
+        shift = 0.0 if eigs[0] >= EIG_FLOOR else EIG_FLOOR - eigs[0]
+        try:
+            d = np.linalg.solve(h + shift * np.eye(len(x)), -gradient)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.all(np.isfinite(d)) and not (slope := float(gradient @ d)) >= 0.0:
+                return d, slope
+    with np.errstate(over="ignore"):  # |gradient|^2 may overflow to inf
+        return -gradient, float(gradient @ -gradient)
 
 
 def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
@@ -106,8 +109,7 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
             if k == MAX_ITERS:
                 return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
 
-            d = _newton_direction(p, x, mu, be.gradient)
-            slope = float(be.gradient @ d)
+            d, slope = _newton_step(p, x, mu, be.gradient)
             by_gradient = be.value + ARMIJO_C1 * slope == be.value
             t = 1.0
             while t >= MIN_STEP:

@@ -1,5 +1,6 @@
 """Fixed-mu inner minimization: descent, feasibility, termination statuses."""
 
+import math
 import warnings
 
 import numpy as np
@@ -153,9 +154,10 @@ def test_newton_direction_is_steepest_descent_where_the_hessian_overflows():
         warnings.simplefilter("error")  # no RuntimeWarning may escape
         gradient = barrier.barrier_eval(UNIT_BOX, x, 1.0).gradient
         assert not np.all(np.isfinite(barrier.barrier_hessian(UNIT_BOX, x, 1.0)))
-        d = inner._newton_direction(UNIT_BOX, x, 1.0, gradient)
+        d, slope = inner._newton_step(UNIT_BOX, x, 1.0, gradient)
     assert np.all(np.isfinite(gradient))
     assert np.array_equal(d, -gradient)
+    assert slope == -math.inf  # |gradient|^2 overflows, with no warning
 
 
 def _singular(a, b):
@@ -170,6 +172,6 @@ def _singular(a, b):
 def test_newton_direction_is_steepest_descent_where_the_solve_fails(monkeypatch, solve):
     x = np.array([0.3, 0.6])
     gradient = barrier.barrier_eval(UNIT_BOX, x, 1.0).gradient
-    assert not np.array_equal(inner._newton_direction(UNIT_BOX, x, 1.0, gradient), -gradient)
+    assert not np.array_equal(inner._newton_step(UNIT_BOX, x, 1.0, gradient)[0], -gradient)
     monkeypatch.setattr(inner.np.linalg, "solve", solve)
-    assert np.array_equal(inner._newton_direction(UNIT_BOX, x, 1.0, gradient), -gradient)
+    assert np.array_equal(inner._newton_step(UNIT_BOX, x, 1.0, gradient)[0], -gradient)
