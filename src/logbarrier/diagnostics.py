@@ -180,11 +180,20 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
     return d
 
 
+def _active_jet(g: expr.Expr, j: int, pts: np.ndarray, order: int) -> expr.Jet:
+    """The jet of constraint j + 1 at its active points; EvalError where a gradient
+    entry is not finite, since no norm or tangent space could be measured there."""
+    jet = expr.evaluate_dual(g, pts, order)
+    if not np.isfinite(jet.grad).all():
+        raise expr.EvalError(f"the gradient of constraint {j + 1} overflows on the boundary")
+    return jet
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Row norms; a finite row whose plain norm overflows is scaled by its largest entry first."""
     with np.errstate(over="ignore"):  # a norm above the float range stays inf
         norms = np.linalg.norm(v, axis=1)
-        big = np.isinf(norms) & np.isfinite(v).all(axis=1)
+        big = np.isinf(norms)
         if big.any():
             scale = np.abs(v[big]).max(axis=1, keepdims=True)
             norms[big] = scale[:, 0] * np.linalg.norm(v[big] / scale, axis=1)
@@ -198,11 +207,11 @@ def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyRepo
     NONDEGENERACY_DELTA at every sampled point where it is active;
     constraints never seen active report None.  Only gradients are taken,
     so a Hessian that is undefined on the boundary does not stop this
-    check.
+    check.  A gradient entry that overflows raises EvalError.
     """
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
-        jet = expr.evaluate_dual(g, pts, 1)
+        jet = _active_jet(g, j, pts, 1)
         count = jet.value.shape[0]
         low = float(_row_norms(jet.grad).min()) if count else None
         entries.append(
@@ -376,13 +385,14 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     complement of its gradient); for a convex feasible set described by
     g_j >= 0 the restriction should never be significantly positive.
     With one variable there is no tangent space and the report is vacuous.
+    A gradient entry that overflows raises EvalError.
     """
     if p.nvars == 1:
         entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
         return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
-        jet = expr.evaluate_dual(g, pts)
+        jet = _active_jet(g, j, pts, 2)
         norms = _row_norms(jet.grad)
         keep = norms >= 1e-12  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]

@@ -17,16 +17,17 @@ per steep linear objective over the unit disk: the gentler ones end
 their last stages short of their tolerance, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then five commands on variants of the unit-disk file:
+runs do not.  Then seven commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
-overflows; and solve on the disk written as 1e4*(1 - x1^2 - x2^2),
-which is not certified while 1000*(...) is.  That makes 67 commands.
-Each seed adds the commands of the benchmark's solve, probe2d and
-probe3d pools on the problem files benchmarks/instances.py generates
-for it, written to a temporary directory: 443 commands in all with
---seeds 1 2.  To see which commands a change moves, run the script
+overflows; solve on the disk written as 1e4*(1 - x1^2 - x2^2), which
+is not certified while 1000*(...) is; and nondegeneracy and curvature
+on the disk written as 1e308*(1 - x1^2 - x2^2), whose gradient entries
+overflow.  That makes 69 commands.  Each seed adds the commands of the
+benchmark's solve, probe2d and probe3d pools on the problem files
+benchmarks/instances.py generates for it, written to a temporary
+directory: 445 commands in all with --seeds 1 2.  To see which commands a change moves, run the script
 against the package sources of each tree and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
@@ -34,7 +35,8 @@ against the package sources of each tree and compare:
     diff before.txt after.txt
 
 The commands run in this process through logbarrier.cli.main; one that
-raises is digested with its exception in place of an exit code.  Pytest
+raises is digested with its exception in place of an exit code.  The
+builtins are the ones logbarrier.corpus.names() lists in the tree run.  Pytest
 does not collect this file.
 """
 
@@ -50,7 +52,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-BUILTINS = ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"]
 BUILTIN_COMMANDS = [
     ["solve"],
     ["solve", "--require-assumptions"],
@@ -88,6 +89,11 @@ VARIANTS = [
         {"objective": "(x1 - 1)^2 + (x2 - 1)^2", "constraints": ["1e4*(1 - x1^2 - x2^2)"]},
         [["solve"]],
     ),
+    (
+        "overflowing-constraint",
+        {"objective": "x1", "constraints": ["1e308*(1 - x1^2 - x2^2)"]},
+        [["diagnose", "--check", "nondegeneracy"], ["diagnose", "--check", "curvature"]],
+    ),
 ]
 
 
@@ -111,9 +117,10 @@ def main(argv=None) -> int:
     import run  # benchmarks/run.py: its workloads, and instances for their pools
     from test_expr import PARSE_ERRORS
 
+    from logbarrier import corpus
     from logbarrier.cli import main as cli_main
 
-    for name in BUILTINS:
+    for name in corpus.names():
         for command in BUILTIN_COMMANDS:
             argv = [command[0], "--builtin", name, *command[1:]]
             print(digest(cli_main, argv), " ".join(argv), flush=True)

@@ -150,6 +150,8 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
     records = _records(out.read_text())
     assert records[-1]["record"] == "nondegeneracy"
     assert records[-1]["passed"] is False
+    worst = min(e["min_gradient_norm"] for e in records[-1]["constraints"] if e["passed"] is False)
+    assert f"gradient norm {worst:.3e} below" in stderr
 
 
 @pytest.mark.parametrize(
@@ -404,6 +406,13 @@ def test_list_command(run_cli):
     by_name = {r["name"]: r for r in records}
     assert by_name["hyperbola"]["known_optimum"]["f"] == 2.0
     assert "known_optimum" not in by_name["cassini"]
+    for name, r in by_name.items():
+        known = corpus.builtin(name).known_optimum
+        if known is not None:
+            assert list(r["known_optimum"]) == ["x", "f", "provenance"]
+            assert r["known_optimum"]["x"] == list(known.x)
+            assert r["known_optimum"]["f"] == known.f
+            assert r["known_optimum"]["provenance"] == known.provenance
 
 
 def test_module_entry_point(run_cli):
@@ -919,6 +928,20 @@ def test_boundary_probes_of_a_steep_constraint_print_finite_norms(run_cli, tmp_p
     assert entry["passed"] is True
     assert entry["min_gradient_norm"] == pytest.approx(2e160, rel=1e-12)
     assert cur["constraints"][0]["max_tangential_curvature"] == pytest.approx(-2e160, rel=1e-12)
+
+
+@pytest.mark.parametrize("check", ["nondegeneracy", "curvature"])
+def test_boundary_probes_refuse_a_gradient_that_overflows(run_cli, tmp_path, check):
+    # on the unit circle grad g = -2e308 * x has entries of +-inf: no norm or
+    # tangent space can be measured there
+    path = _steep_disk(tmp_path, "x1", "1e308*(1 - x1^2 - x2^2)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(["diagnose", "--problem", path, "--check", check])
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "logbarrier: input error: the gradient of constraint 1 overflows on the boundary\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Package-level guards: no dataclasses, frozen records, a clean import,
 the functions the benchmark tracer wraps, no function nothing references,
-no default nothing overrides."""
+no default nothing overrides, and the README's library example as written."""
 
 import ast
 import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,3 +213,10 @@ def test_every_default_is_overridden_somewhere_in_the_package():
     # sets: make it a module constant instead.  The entry point's argv is
     # set from outside, by the command line
     assert _unpassed_defaults(SRC / "logbarrier") == ["cli.main.argv"]
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library") :]
+    (code,) = re.findall(r"```python\n(.*?)```", section[: section.index("\n## ", 1)], re.S)
+    exec(compile(code, "README.md", "exec"), {})
