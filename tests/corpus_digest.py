@@ -27,8 +27,9 @@ on the disk written as 1e308*(1 - x1^2 - x2^2), whose gradient entries
 overflow.  That makes 69 commands.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 445 commands in all with --seeds 1 2.  To see which commands a change moves, run the script
-against the package sources of each tree and compare:
+directory: 445 commands in all with --seeds 1 2.  To see which
+commands a change moves, run the script against the package sources of
+each tree and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt
@@ -36,8 +37,8 @@ against the package sources of each tree and compare:
 
 The commands run in this process through logbarrier.cli.main; one that
 raises is digested with its exception in place of an exit code.  The
-builtins are the ones logbarrier.corpus.names() lists in the tree run.  Pytest
-does not collect this file.
+builtins are the ones logbarrier.corpus.names() lists in the tree run.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
