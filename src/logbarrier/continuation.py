@@ -2,8 +2,9 @@
 
 Each stage minimizes the barrier at the current mu, warm-starting from the
 previous stage's solution.  As mu shrinks the iterates track the central
-path; multiplier estimates mu / g_j converge to KKT multipliers, so the
-final stage yields a certificate candidate directly.
+path toward a KKT point; each path point records the barrier's multiplier
+estimates mu / g_j.  The certificate judges the final iterate alone, with
+its own active set and multipliers.
 """
 
 from __future__ import annotations
@@ -79,10 +80,8 @@ def solve(
     stage calls solve_inner once, at most inner.MAX_ITERS Newton steps,
     with tolerance default_tolerance(mu, tol_floor), and is recorded with its
     honest status; the next stage starts where it ended.  No stage aborts
-    the run: the certificate alone judges the final iterate.
-    The final certificate uses activation cutoff sqrt(mu_last), with the
-    verdict tolerances of the certificate module, and zeroes multiplier
-    estimates outside the resulting active set.
+    the run: check_kkt alone judges the final iterate, and the last
+    stage's mu / g_j do not enter it.
     """
     if schedule is None:
         schedule = MuSchedule()
@@ -101,9 +100,4 @@ def solve(
             PathPoint(mu, result.x, be.multipliers, be.objective, result.grad_norm, result.status)
         )
         x = result.x
-
-    # mu, x and be are the last stage's
-    cutoff = math.sqrt(mu)
-    lam = np.where(be.constraint_values <= cutoff, be.multipliers, 0.0)
-    cert = check_kkt(p, x, lam, cutoff)
-    return SolveTrace(points=points, final_certificate=cert)
+    return SolveTrace(points=points, final_certificate=check_kkt(p, x))

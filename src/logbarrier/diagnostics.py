@@ -296,9 +296,10 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
     deterministic grid scan takes over.  No witness is only evidence of
     convexity, never proof; no pair at all reads empty_region.
 
-    Pairs are pushed and scanned in blocks of at most GRID_BLOCK_POINTS
-    points, so memory stays bounded; the first witness ends the probe, and
-    the block size changes no result.
+    Sampled pairs are pushed and scanned in blocks of at most
+    GRID_BLOCK_POINTS points, and the grid fallback's in one block per
+    member, at most GRID_FALLBACK_CAP - 1 pairs, so memory stays bounded;
+    the first witness ends the probe, and the block size changes no result.
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 50 * LEVELSET_PAIRS)

@@ -95,25 +95,26 @@ def test_solve_uncertified_exit(run_cli):
 
 def test_solve_certifies_a_steep_linear_objective(run_cli, tmp_path):
     # the last stages end no_progress above their gradient tolerance, and
-    # the certificate still accepts the final iterate
-    path = tmp_path / "steep.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": "steep",
-                "nvars": 2,
-                "objective": "50*x1",
-                "constraints": ["1 - x1^2 - x2^2"],
-                "box": [[-1.5, 1.5], [-1.5, 1.5]],
-                "interior_point": [0, 0],
-            }
+    # the certificate still accepts the final iterate; c*x1 has lam = c / 2
+    for objective, lam, tol in [("50*x1", 25.0, 1e-5), ("200*x1", 100.0, 1e-6)]:
+        path = tmp_path / "steep.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "steep",
+                    "nvars": 2,
+                    "objective": objective,
+                    "constraints": ["1 - x1^2 - x2^2"],
+                    "box": [[-1.5, 1.5], [-1.5, 1.5]],
+                    "interior_point": [0, 0],
+                }
+            )
         )
-    )
-    code, stdout, _ = run_cli(["solve", "--problem", path])
-    assert code == 0
-    cert = _records(stdout)[-1]
-    assert cert["verdict"] == "kkt_point"
-    assert abs(cert["multipliers"][0] - 25.0) <= 1e-5
+        code, stdout, _ = run_cli(["solve", "--problem", path])
+        assert code == 0, objective
+        cert = _records(stdout)[-1]
+        assert cert["verdict"] == "kkt_point", objective
+        assert abs(cert["multipliers"][0] - lam) <= tol, objective
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -124,7 +125,7 @@ def test_solve_prints_the_whole_path_off_the_default_schedule(run_cli, name):
     assert [r["record"] for r in records] == ["path_point"] * 18 + ["certificate"]
     verdict = records[-1]["verdict"]
     assert (code == 0) == (verdict != "not_certified"), (code, verdict, stderr)
-    if name in ("cassini", "epsbox"):
+    if name in ("cassini", "hyperbola", "epsbox", "disk"):
         assert code == 0
 
 
@@ -138,6 +139,30 @@ def test_solve_verified_assumptions(run_cli, tmp_path):
     cert = records[-1]
     assert cert["assumptions_verified"] is True
     assert "global minimizer" in cert["statement"]
+
+
+def test_the_global_claim_names_the_convexity_of_f_as_assumed(run_cli, tmp_path):
+    # x1 - x2^2 is not convex: the KKT point (-1, 0) has f = -1, while the
+    # minimum over the disk is -1.25 at (-0.5, +-sqrt(0.75))
+    path = tmp_path / "concave.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "concave",
+                "nvars": 2,
+                "objective": "x1 - x2^2",
+                "constraints": ["1 - x1^2 - x2^2"],
+                "box": [[-1.5, 1.5], [-1.5, 1.5]],
+                "interior_point": [0, 0],
+            }
+        )
+    )
+    code, stdout, _ = run_cli(["solve", "--problem", path, "--require-assumptions"])
+    assert code == 0
+    cert = _records(stdout)[-1]
+    assert (cert["verdict"], cert["assumptions_verified"]) == ("kkt_point", True)
+    assert abs(cert["objective"] + 1.0) <= 1e-6
+    assert "if f and the feasible set are convex, which is assumed, not checked" in cert["statement"]
 
 
 def test_solve_assumption_check_fails(run_cli, tmp_path):

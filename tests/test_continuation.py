@@ -134,6 +134,28 @@ def test_final_certificate_multipliers(traces):
     assert np.abs(lam[[1, 2]]).max() <= 1e-6
 
 
+def test_the_certificate_does_not_depend_on_how_g_is_scaled():
+    # the disk builtin with g scaled by 2^k, which scales g and grad g
+    # exactly: the path is the same and only the multipliers move, by 2^-k
+    certs = {}
+    for k in (-14, 0, 14):
+        p = problem.problem_from_dict(
+            {
+                "name": "disk-scaled",
+                "nvars": 2,
+                "objective": "(x1 - 1)^2 + (x2 - 1)^2",
+                "constraints": [f"{2.0**k!r}*(1 - x1^2 - x2^2)"],
+                "box": [[-1.5, 1.5], [-1.5, 1.5]],
+                "interior_point": [0, 0],
+            }
+        )
+        certs[k] = continuation.solve(p).final_certificate
+    for k, cert in certs.items():
+        assert cert.x.tolist() == certs[0].x.tolist(), k
+        assert (cert.active_set, cert.verdict) == ([1], Verdict.KKT_POINT), k
+        np.testing.assert_allclose(cert.multipliers, 2.0**-k * certs[0].multipliers, rtol=1e-12)
+
+
 def test_zero_objective_ends_unconstrained():
     p = problem.problem_from_dict(
         {
@@ -147,9 +169,13 @@ def test_zero_objective_ends_unconstrained():
     )
     trace = continuation.solve(p)
     cert = trace.final_certificate
-    assert cert.verdict is Verdict.UNCONSTRAINED_MINIMUM
+    # a KKT point with nothing active: the objective's gradient vanishes
+    assert (cert.verdict, cert.active_set, cert.multipliers.tolist()) == (
+        Verdict.KKT_POINT,
+        [],
+        [0.0],
+    )
     assert np.abs(cert.x).max() <= 1e-4
-    assert np.abs(cert.multipliers).max() <= 1e-6
 
 
 def test_solve_with_explicit_start(problems):
