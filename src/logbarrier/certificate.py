@@ -65,9 +65,8 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     gvals, grads = jet.value[1:], jet.grad[1:]
     active = gvals <= ACTIVE_DISTANCE * _row_norms(grads)
     lam = np.zeros(p.nconstraints)
-    if active.any():
-        # + 0.0 turns a -0.0 estimate into 0.0
-        lam[active] = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)[0] + 0.0
+    # + 0.0 turns a -0.0 estimate, as where grad f = 0 on the boundary, into 0.0
+    lam[active] = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)[0] + 0.0
 
     cert = KKTCertificate(
         x=x,

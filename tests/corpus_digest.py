@@ -30,9 +30,9 @@ overflow; solve on 1e-3*(x1 + x2), whose last iterate stops about
 point (-1, 0) is not the minimizer.  That makes 71 commands.  Each seed
 adds the commands of the benchmark's solve, probe2d and probe3d pools
 on the problem files benchmarks/instances.py generates for it, written
-to a temporary directory: 447 commands in all with --seeds 1 2.  To see which
-commands a change moves, run the script against the package sources of
-each tree and compare:
+to a temporary directory: 447 commands in all with --seeds 1 2.  To see
+which commands a change moves, run the script against the package
+sources of each tree and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt

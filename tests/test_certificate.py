@@ -83,13 +83,18 @@ def test_a_residual_alone_over_its_tolerance_is_named(name, x, lam):
 
 
 def test_a_flat_objective_inside_is_a_kkt_point_with_nothing_active():
-    cert = certificate.check_kkt(_over_the_disk("0"), np.array([0.2, 0.1]))
+    flat = _over_the_disk("0")
+    cert = certificate.check_kkt(flat, np.array([0.2, 0.1]))
     assert (cert.verdict, cert.active_set, cert.multipliers.tolist()) == (
         Verdict.KKT_POINT,
         [],
         [0.0],
     )
     assert "x is a KKT point" in certificate.global_optimality_statement(cert, True)
+    # on the boundary least squares gives lam = -0.0, which prints as 0.0
+    cert = certificate.check_kkt(flat, np.array([1.0, 0.0]))
+    assert (cert.verdict, cert.active_set) == (Verdict.KKT_POINT, [1])
+    assert cert.multipliers.tolist() == [0.0] and not np.signbit(cert.multipliers[0])
 
 
 def test_negative_multiplier_rejected():
