@@ -5,12 +5,13 @@ A point x is scored on four residuals: stationarity
 dual feasibility max_j max(0, -lambda_j), and primal feasibility
 max_j max(0, -g_j(x)).  The multipliers lambda are not an input: the
 certificate picks the active set and estimates them from x alone, so how
-x was reached and how each g_j is scaled do not enter.  For problems
-whose objective and feasible set are convex with a strictly feasible
-point, a KKT point is a global minimizer of a convex program in disguise,
-so a clean certificate upgrades to a global-optimality statement once a
-strictly feasible point and nonvanishing active gradients have been
-checked.  Convexity of f and of the set is assumed there, not checked.
+x was reached and how each g_j is scaled do not enter.
+
+The diagnostics probes check the paper's hypotheses for the barrier path;
+the certificate checks the global claim's own premise at x, a KKT point
+with finite multipliers, and refuses x where the active gradients vanish
+while grad f does not.  A certified x is a global minimizer if f and the
+feasible set are convex; that is assumed, not checked.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .diagnostics import _row_norms
+from .diagnostics import NONDEGENERACY_DELTA, _row_norms
 from .problem import Problem
 
 ACTIVE_DISTANCE = 1e-6  # in x's units: g_j <= this * |grad g_j| is active
@@ -46,6 +47,7 @@ class KKTCertificate(NamedTuple):
     primal_feasibility_violation: float
     active_set: list[int]  # 1-based, ascending: the g_j within ACTIVE_DISTANCE of their zero
     activation_tolerance: float  # ACTIVE_DISTANCE
+    least_active_singular_value: float | None  # of the active gradients; None if none is active
     verdict: Verdict
 
 
@@ -58,15 +60,20 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     solution of sum over active j of lambda_j grad g_j = grad f, and zero
     off the active set (Nocedal and Wright, Numerical Optimization, ch. 18).
     The verdict compares the residuals with STATIONARITY_TOL,
-    COMPLEMENTARITY_TOL, FEASIBILITY_TOL and DUAL_TOL.
+    COMPLEMENTARITY_TOL, FEASIBILITY_TOL and DUAL_TOL, and refuses x where
+    |grad f| > STATIONARITY_TOL while the least singular value of the active
+    gradients that least squares kept, so that a constraint written twice
+    counts once, is below NONDEGENERACY_DELTA: no finite multiplier exists.
     """
     x = np.array([float(v) for v in x])
     jet = expr.jets((p.objective, *p.constraints), x, 1)
     gvals, grads = jet.value[1:], jet.grad[1:]
-    active = gvals <= ACTIVE_DISTANCE * _row_norms(grads)
+    norms = _row_norms(jet.grad)
+    active = gvals <= ACTIVE_DISTANCE * norms[1:]
     lam = np.zeros(p.nconstraints)
+    solution, _, rank, singular = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)
     # + 0.0 turns a -0.0 estimate, as where grad f = 0 on the boundary, into 0.0
-    lam[active] = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)[0] + 0.0
+    lam[active] = solution + 0.0
 
     cert = KKTCertificate(
         x=x,
@@ -79,9 +86,10 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
         primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))) + 0.0,
         active_set=[int(j) + 1 for j in np.nonzero(active)[0]],
         activation_tolerance=ACTIVE_DISTANCE,
+        least_active_singular_value=float(singular[rank - 1]) if singular.size else None,
         verdict=Verdict.NOT_CERTIFIED,
     )
-    if all(value <= tol for _, value, tol in _scored(cert)):
+    if _residuals_pass(cert) and not (_vanishing(cert) and norms[0] > STATIONARITY_TOL):
         return cert._replace(verdict=Verdict.KKT_POINT)
     return cert
 
@@ -96,6 +104,16 @@ def _scored(cert: KKTCertificate) -> list[tuple[str, float, float]]:
     ]
 
 
+def _residuals_pass(cert: KKTCertificate) -> bool:
+    return all(value <= tol for _, value, tol in _scored(cert))
+
+
+def _vanishing(cert: KKTCertificate) -> bool:
+    """Some constraint is active at x and the active gradients vanish there."""
+    sigma = cert.least_active_singular_value
+    return sigma is not None and sigma < NONDEGENERACY_DELTA
+
+
 def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
     def ratio(item):
         _, value, tol = item
@@ -107,35 +125,30 @@ def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
     return name, value
 
 
-def global_optimality_statement(
-    cert: KKTCertificate,
-    assumptions_verified: bool,
-    unverified: str | None = None,
-) -> str:
+def global_optimality_statement(cert: KKTCertificate) -> str:
     """One-sentence conclusion to attach to a certificate.
 
-    A clean verdict plus verified regularity (strictly feasible point
-    exists, active constraint gradients do not vanish) yields a global
-    claim that states convexity of f and of the feasible set as assumed,
-    since no check tests either; a clean verdict without it stays a local
-    statement naming what was not verified; a failed verdict names the
-    worst residual.
+    A certified x gets the global claim, with convexity of f and of the
+    feasible set stated as assumed, since no check tests either.  A refused
+    x names the worst residual, or, where every residual passes, the
+    vanishing active gradients that leave no finite multiplier.
     """
-    if cert.verdict is Verdict.NOT_CERTIFIED:
-        name, value = _worst_residual(cert)
+    if cert.verdict is Verdict.KKT_POINT:
+        premise = "whose active constraint gradients do not vanish"
+        if _vanishing(cert):  # certified only because grad f vanishes as well
+            premise = "where grad f vanishes"
         return (
-            f"not certified: {name} residual {value:.6g} exceeds tolerance; "
-            "the candidate is not a certified stationary point"
+            f"x is a KKT point at the stated tolerances {premise}, so x is a global "
+            "minimizer if f and the feasible set are convex, which is assumed, not checked"
         )
-    if assumptions_verified:
+    if _residuals_pass(cert):
         return (
-            "x is a KKT point; a strictly feasible point was found and the active "
-            "constraint gradients were nonvanishing at the sampled boundary points, "
-            "so x is a global minimizer if f and the feasible set are convex, which "
-            "is assumed, not checked"
+            "not certified: the active constraint gradients vanish at x (least singular "
+            f"value {cert.least_active_singular_value:.6g} below {NONDEGENERACY_DELTA:g}) "
+            "while grad f does not, so no finite multiplier exists"
         )
-    missing = unverified or "strict feasibility and nondegeneracy of active constraint gradients"
+    name, value = _worst_residual(cert)
     return (
-        f"x is a KKT point at the stated tolerances, but {missing} "
-        "was not verified, so no global-optimality claim is made"
+        f"not certified: {name} residual {value:.6g} exceeds tolerance; "
+        "the candidate is not a certified stationary point"
     )

@@ -1,13 +1,14 @@
-"""Numerical checks for the hypotheses the certificates lean on.
+"""Numerical checks of the paper's hypotheses for the barrier path.
 
-The global-optimality story needs a strictly feasible point, nonvanishing
-gradients on the active boundary, and a convex feasible set.  None of these
-are taken on faith: slater_find scans a grid over the box for the
-deepest strictly feasible point, boundary_sample walks seeded rays from
-that point to the boundary, nondegeneracy_probe inspects the active
-gradients and tangential_curvature_probe the boundary curvature along
-tangent directions at the sampled points, levelset_convexity_probe hunts
-for midpoint convexity counterexamples of superlevel sets, and
+A strictly feasible point and nonvanishing gradients on the active
+boundary make the barrier path reach a KKT point; the certificate checks
+the global claim's own premise, finite multipliers, at its point.  Here
+slater_find scans a grid over the box for the deepest strictly feasible
+point, boundary_sample walks seeded rays from that point to the boundary,
+nondegeneracy_probe inspects the active gradients and
+tangential_curvature_probe the boundary curvature along tangent
+directions at the sampled points, levelset_convexity_probe hunts for
+midpoint convexity counterexamples of superlevel sets, and
 phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
 deterministic for a given seed.
 

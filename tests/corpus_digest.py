@@ -17,7 +17,7 @@ per steep linear objective over the unit disk: the gentler ones end
 their last stages short of their tolerance, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then nine commands on variants of the unit-disk file:
+runs do not.  Then twelve commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
@@ -25,12 +25,16 @@ overflows; solve on the disk written as 1e4*(1 - x1^2 - x2^2), whose
 certificate the scale of g must not move; nondegeneracy and curvature
 on the disk written as 1e308*(1 - x1^2 - x2^2), whose gradient entries
 overflow; solve on 1e-3*(x1 + x2), whose last iterate stops about
-1.4e-5 inside the disk, short of a certificate; and solve
+1.4e-5 inside the disk, short of a certificate; solve
 --require-assumptions on x1 - x2^2, which is not convex, so its KKT
-point (-1, 0) is not the minimizer.  That makes 71 commands.  Each seed
-adds the commands of the benchmark's solve, probe2d and probe3d pools
-on the problem files benchmarks/instances.py generates for it, written
-to a temporary directory: 447 commands in all with --seeds 1 2.  To see
+point (-1, 0) is not the minimizer; solve on the disk constraint written
+twice, whose active gradients have rank 1; and solve, with and without
+--require-assumptions, on x1 over the disk of radius sqrt(10) in the box
+[-1, 1]^2, whose minimizer no sampled boundary point comes near.  That
+makes 74 commands.  Each seed adds the commands of the benchmark's
+solve, probe2d and probe3d pools on the problem files
+benchmarks/instances.py generates for it, written to a temporary
+directory: 450 commands in all with --seeds 1 2.  To see
 which commands a change moves, run the script against the package
 sources of each tree and compare:
 
@@ -100,6 +104,16 @@ VARIANTS = [
     ),
     ("shallow", {"objective": "1e-3*(x1 + x2)"}, [["solve"]]),
     ("concave-objective", {"objective": "x1 - x2^2"}, [["solve", "--require-assumptions"]]),
+    (
+        "disk-twice",
+        {"objective": "(x1 - 1)^2 + (x2 - 1)^2", "constraints": ["1 - x1^2 - x2^2"] * 2},
+        [["solve"]],
+    ),
+    (
+        "wide",
+        {"objective": "x1", "constraints": ["10 - x1^2 - x2^2"], "box": [[-1, 1], [-1, 1]]},
+        [["solve"], ["solve", "--require-assumptions"]],
+    ),
 ]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logbarrier import certificate, cli, corpus, expr, problem
+from logbarrier import certificate, cli, corpus, diagnostics, expr, problem
 from logbarrier.certificate import Verdict
 
 
@@ -21,6 +21,7 @@ def _over_the_disk(objective, constraint="1 - x1^2 - x2^2"):
 
 
 HYPERBOLA = corpus.builtin("hyperbola").problem
+DEGENERATE_DISK = corpus.builtin("degenerate-disk").problem
 LINEAR_DISK = _over_the_disk("x1")
 STEEP_DISK = _over_the_disk("200*x1")
 
@@ -43,7 +44,7 @@ def test_stationarity_failure_named():
     # grad f = (1, 1) and grad g1 = (0.5, 2): the part of grad f off grad g1
     # has norm |1 * 2 - 1 * 0.5| / |(0.5, 2)| = 1.5 / sqrt(4.25)
     assert cert.stationarity_residual == pytest.approx(1.5 / np.sqrt(4.25), rel=1e-12)
-    statement = certificate.global_optimality_statement(cert, False)
+    statement = certificate.global_optimality_statement(cert)
     assert statement.startswith("not certified")
     assert "stationarity" in statement
 
@@ -78,7 +79,7 @@ def test_a_residual_alone_over_its_tolerance_is_named(name, x, lam):
     }
     assert [k for k, v in over.items() if v] == [name]
     assert cert.verdict is Verdict.NOT_CERTIFIED
-    statement = certificate.global_optimality_statement(cert, True)
+    statement = certificate.global_optimality_statement(cert)
     assert statement.startswith(f"not certified: {name} residual ")
 
 
@@ -90,7 +91,7 @@ def test_a_flat_objective_inside_is_a_kkt_point_with_nothing_active():
         [],
         [0.0],
     )
-    assert "x is a KKT point" in certificate.global_optimality_statement(cert, True)
+    assert "x is a KKT point" in certificate.global_optimality_statement(cert)
     # on the boundary least squares gives lam = -0.0, which prints as 0.0
     cert = certificate.check_kkt(flat, np.array([1.0, 0.0]))
     assert (cert.verdict, cert.active_set) == (Verdict.KKT_POINT, [1])
@@ -156,14 +157,29 @@ def test_active_set_empty_when_strictly_feasible(problems):
 
 def test_statement_branches():
     cert = certificate.check_kkt(HYPERBOLA, np.array([1.0, 1.0]))
-    verified = certificate.global_optimality_statement(cert, True)
-    assert "global minimizer" in verified
+    claim = certificate.global_optimality_statement(cert)
+    assert claim.startswith(
+        "x is a KKT point at the stated tolerances whose active constraint gradients do not vanish"
+    )
+    assert "global minimizer" in claim
     # nothing checks that f or the feasible set is convex: the claim must say so
-    assert "if f and the feasible set are convex, which is assumed, not checked" in verified
-    assert "verified" not in verified
-    cautious = certificate.global_optimality_statement(cert, False, unverified="nondegeneracy")
-    assert "nondegeneracy was not verified" in cautious
-    assert "no global-optimality claim" in cautious
+    assert "if f and the feasible set are convex, which is assumed, not checked" in claim
+    assert "verified" not in claim
+    # near the degenerate-disk limit, 1 - |x|^2 = 1e-6: every residual passes
+    # with lam about 1e11, yet grad g1 = 3e-12 * -2x vanishes while grad f does not
+    x = np.full(2, np.sqrt(0.5 - 5e-7))
+    cert = certificate.check_kkt(DEGENERATE_DISK, x)
+    assert all(value <= tol for _, value, tol in certificate._scored(cert))
+    refused = certificate.global_optimality_statement(cert)
+    assert cert.verdict is Verdict.NOT_CERTIFIED
+    assert refused.startswith("not certified: the active constraint gradients vanish at x")
+    assert "no finite multiplier exists" in refused
+    # where grad f vanishes as well, lam = 0 is finite and x is certified
+    cert = certificate.check_kkt(_over_the_disk("(x1 - x2)^2", "(1 - x1^2 - x2^2)^3"), x)
+    assert (cert.verdict, cert.active_set) == (Verdict.KKT_POINT, [1])
+    assert cert.least_active_singular_value < diagnostics.NONDEGENERACY_DELTA
+    claim = certificate.global_optimality_statement(cert)
+    assert claim.startswith("x is a KKT point at the stated tolerances where grad f vanishes")
 
 
 def test_record_keys(problems):
@@ -181,5 +197,6 @@ def test_record_keys(problems):
         "primal_feasibility_violation",
         "active_set",
         "activation_tolerance",
+        "least_active_singular_value",
         "verdict",
     ]

@@ -69,8 +69,9 @@ def test_solve_records(run_cli, tmp_path):
     cert = records[-1]
     assert cert["record"] == "certificate"
     assert cert["verdict"] == "kkt_point"
-    assert cert["assumptions_verified"] is False
-    assert "no global-optimality claim" in cert["statement"]
+    # the claim rests on the certificate alone, without --require-assumptions
+    assert cert["statement"].startswith("x is a KKT point at the stated tolerances")
+    assert "global minimizer" in cert["statement"]
     assert abs(cert["objective"] - 2.0) <= 1e-4
     mus = [r["mu"] for r in records[:-1]]
     assert mus[0] == 1.0
@@ -137,8 +138,28 @@ def test_solve_verified_assumptions(run_cli, tmp_path):
     assert records[0]["record"] == "slater"
     assert records[1]["record"] == "nondegeneracy"
     cert = records[-1]
-    assert cert["assumptions_verified"] is True
     assert "global minimizer" in cert["statement"]
+    # the flag gates the solve; the certificate and its statement do not depend on it
+    code, stdout, _ = run_cli(["solve", "--builtin", "disk"])
+    assert (code, _records(stdout)[-1]) == (0, cert)
+
+
+@pytest.mark.parametrize("mu_min", ["1e-8", "1e-12"])
+def test_a_degenerate_limit_is_refused_without_the_assumption_check(run_cli, mu_min):
+    # grad g = 0 at the cusped disk's limit while grad f is not, so no finite
+    # multiplier exists there, however small the residuals
+    code, stdout, stderr = run_cli(["solve", "--builtin", "degenerate-disk", "--mu-min", mu_min])
+    assert code == 3
+    records = _records(stdout)
+    assert [r["record"] for r in records if r["record"] != "path_point"] == ["certificate"]
+    cert = records[-1]
+    assert (cert["verdict"], cert["active_set"]) == ("not_certified", [1])
+    assert cert["least_active_singular_value"] < diagnostics.NONDEGENERACY_DELTA
+    assert stderr.startswith(
+        "logbarrier: final iterate not certified: not certified: "
+        "the active constraint gradients vanish at x"
+    )
+    assert "no finite multiplier exists" in stderr
 
 
 def test_the_global_claim_names_the_convexity_of_f_as_assumed(run_cli, tmp_path):
@@ -160,7 +181,7 @@ def test_the_global_claim_names_the_convexity_of_f_as_assumed(run_cli, tmp_path)
     code, stdout, _ = run_cli(["solve", "--problem", path, "--require-assumptions"])
     assert code == 0
     cert = _records(stdout)[-1]
-    assert (cert["verdict"], cert["assumptions_verified"]) == ("kkt_point", True)
+    assert cert["verdict"] == "kkt_point"
     assert abs(cert["objective"] + 1.0) <= 1e-6
     assert "if f and the feasible set are convex, which is assumed, not checked" in cert["statement"]
 
@@ -857,8 +878,8 @@ RECORD_KEYS = {
         "primal_feasibility_violation",
         "active_set",
         "activation_tolerance",
+        "least_active_singular_value",
         "verdict",
-        "assumptions_verified",
         "statement",
     ],
     "oracle": ["record", "x_best", "f_best", "grid_resolution", "polished"],
@@ -1019,9 +1040,10 @@ def test_solve_refuses_a_tolerance_that_never_binds(run_cli, tol):
     assert "input error: --tol must be finite" in stderr
 
 
-def test_an_active_constraint_no_boundary_point_reached_is_not_verified(run_cli, tmp_path):
+def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, tmp_path):
     # the disk of radius sqrt(10) holds the whole box, so no ray reaches its
-    # boundary, yet the minimizer (-sqrt(10), 0) lies on it
+    # boundary, yet the minimizer (-sqrt(10), 0) lies on it; the claim rests
+    # on grad g1 = (2 sqrt(10), 0) there, not on a sampled boundary point
     path = tmp_path / "wide.json"
     path.write_text(
         json.dumps(
@@ -1040,10 +1062,9 @@ def test_an_active_constraint_no_boundary_point_reached_is_not_verified(run_cli,
     nondegeneracy, cert = records[1], records[-1]
     assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, True)
     assert (cert["verdict"], cert["active_set"]) == ("kkt_point", [1])
-    assert cert["assumptions_verified"] is False
-    assert "global minimizer" not in cert["statement"]
-    assert "active constraint g1" in cert["statement"]
-    assert "no global-optimality claim" in cert["statement"]
+    assert abs(cert["x"][0] + np.sqrt(10.0)) <= 1e-6
+    assert abs(cert["least_active_singular_value"] - 2.0 * np.sqrt(10.0)) <= 1e-6
+    assert "global minimizer" in cert["statement"]
 
 
 def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logbarrier import barrier, cli, continuation, expr, inner, problem
+from logbarrier import barrier, cli, continuation, diagnostics, expr, inner, problem
 from logbarrier.certificate import Verdict
 from logbarrier.continuation import MuSchedule
 from logbarrier.diagnostics import SlaterUnverifiedError
@@ -98,7 +98,9 @@ def test_multiplier_estimates_settle(traces):
 def test_final_certificates(traces):
     for name, trace in traces.items():
         cert = trace.final_certificate
-        assert cert.verdict is Verdict.KKT_POINT, name
+        # grad g vanishes at the cusped disk's limit, so no finite multiplier exists
+        want = Verdict.NOT_CERTIFIED if name == "degenerate-disk" else Verdict.KKT_POINT
+        assert cert.verdict is want, name
         assert cert.stationarity_residual <= 1e-5
         assert cert.primal_feasibility_violation == 0.0
 
@@ -134,26 +136,59 @@ def test_final_certificate_multipliers(traces):
     assert np.abs(lam[[1, 2]]).max() <= 1e-6
 
 
+def _disk_with(*constraints):
+    return problem.problem_from_dict(
+        {
+            "name": "disk-variant",
+            "nvars": 2,
+            "objective": "(x1 - 1)^2 + (x2 - 1)^2",
+            "constraints": list(constraints),
+            "box": [[-1.5, 1.5], [-1.5, 1.5]],
+            "interior_point": [0, 0],
+        }
+    )
+
+
 def test_the_certificate_does_not_depend_on_how_g_is_scaled():
     # the disk builtin with g scaled by 2^k, which scales g and grad g
-    # exactly: the path is the same and only the multipliers move, by 2^-k
+    # exactly: the path is the same and only the multipliers move, by 2^-k,
+    # and the least singular value of the active gradients, by 2^k
     certs = {}
     for k in (-14, 0, 14):
-        p = problem.problem_from_dict(
-            {
-                "name": "disk-scaled",
-                "nvars": 2,
-                "objective": "(x1 - 1)^2 + (x2 - 1)^2",
-                "constraints": [f"{2.0**k!r}*(1 - x1^2 - x2^2)"],
-                "box": [[-1.5, 1.5], [-1.5, 1.5]],
-                "interior_point": [0, 0],
-            }
-        )
-        certs[k] = continuation.solve(p).final_certificate
+        certs[k] = continuation.solve(_disk_with(f"{2.0**k!r}*(1 - x1^2 - x2^2)")).final_certificate
     for k, cert in certs.items():
         assert cert.x.tolist() == certs[0].x.tolist(), k
         assert (cert.active_set, cert.verdict) == ([1], Verdict.KKT_POINT), k
         np.testing.assert_allclose(cert.multipliers, 2.0**-k * certs[0].multipliers, rtol=1e-12)
+        sigma = 2.0**k * certs[0].least_active_singular_value
+        assert cert.least_active_singular_value == pytest.approx(sigma, rel=1e-12), k
+
+
+@pytest.mark.parametrize("k", [-14, 0, 14])
+def test_the_cubed_disk_is_refused_at_every_scale(k):
+    # grad g = 3 h^2 grad h vanishes where h = 1 - |x|^2 does, however g is scaled
+    cert = continuation.solve(_disk_with(f"{2.0**k!r}*(1 - x1^2 - x2^2)^3")).final_certificate
+    assert (cert.active_set, cert.verdict) == ([1], Verdict.NOT_CERTIFIED)
+    assert cert.least_active_singular_value < diagnostics.NONDEGENERACY_DELTA
+
+
+@pytest.mark.parametrize(
+    "constraints, share, sigma",
+    [
+        # the same gradient twice: G_A^T G_A = 2 * 4, so sigma = sqrt(8)
+        (["1 - x1^2 - x2^2", "1 - x1^2 - x2^2"], [0.5, 0.5], np.sqrt(8.0)),
+        # g and 2g: sigma = |grad g| * |(1, 2)| = 2 sqrt(5)
+        (["1 - x1^2 - x2^2", "2*(1 - x1^2 - x2^2)"], [0.2, 0.4], np.sqrt(20.0)),
+    ],
+)
+def test_a_repeated_or_proportional_constraint_counts_once(constraints, share, sigma):
+    # rank-deficient active gradients: lstsq keeps one direction, its least
+    # kept singular value is far from zero, and lam is the minimum-norm split
+    # of the single disk's sqrt(2) - 1 (lam_1 + lam_2 = lam, or lam_1 + 2 lam_2)
+    cert = continuation.solve(_disk_with(*constraints)).final_certificate
+    assert (cert.active_set, cert.verdict) == ([1, 2], Verdict.KKT_POINT)
+    np.testing.assert_allclose(cert.multipliers, np.array(share) * (np.sqrt(2.0) - 1.0), rtol=1e-6)
+    assert cert.least_active_singular_value == pytest.approx(sigma, rel=1e-6)
 
 
 def test_zero_objective_ends_unconstrained():

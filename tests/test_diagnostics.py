@@ -322,17 +322,15 @@ def test_slater_plateau_keeps_the_first_grid_point():
 
 
 def test_block_size_does_not_change_results(monkeypatch, problems):
+    # the Slater grid scan and the rejection pairs are cut into blocks of
+    # GRID_BLOCK_POINTS points; the grid fallback's pairs are not (see
+    # test_grid_fallback_verdicts_and_pair_counts)
     levelset_cases = [
-        # (problem, level, pairs, seed)
-        (problems["cassini"], 5.0, 1000, 42),  # empty region
-        (problems["cassini"], 3.9999999, 1000, 42),  # the two foci only: a grid counterexample
-        (PLANE3, 0.0, 1000, 42),  # a plane: more members than GRID_FALLBACK_CAP
-        (POINT, 0.0, 1000, 42),  # one grid member, so no pair: empty region
-        # rejection: witnesses at pairs 12 and 42, past the first blocks of
-        # 3 pairs, and a convex set scanned to the end
-        (problems["cassini"], 1.5, 10000, 7),
-        (problems["cassini"], 1.5, 10000, 42),
-        (problems["epsbox"], 0.0, 10000, 42),
+        # (problem, level, seed): witnesses at pairs 12 and 42, past the
+        # first blocks of 3 pairs, and a convex set scanned to the end
+        (problems["cassini"], 1.5, 7),
+        (problems["cassini"], 1.5, 42),
+        (problems["epsbox"], 0.0, 42),
     ]
 
     def run_all():
@@ -340,19 +338,15 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
         for p, res in _slater_cases(problems):
             monkeypatch.setattr(diagnostics, "SLATER_GRID_RES", res)
             slater.append(diagnostics.slater_find(p))
-        for p, a, pairs, seed in levelset_cases:
-            monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", pairs)
+        for p, a, seed in levelset_cases:
             report = diagnostics.levelset_convexity_probe(p, a, seed=seed)
             levelsets.append(cli.record("levelset_convexity", report))
         return slater, levelsets
 
+    monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", 10000)
     want_slater, want_levelsets = run_all()
-    assert [r["method"] for r in want_levelsets] == ["grid"] * 4 + ["rejection"] * 3
+    assert [r["method"] for r in want_levelsets] == ["rejection"] * 3
     assert [(r["verdict"], r["pairs_checked"]) for r in want_levelsets] == [
-        ("empty_region", 0),
-        ("counterexample", want_levelsets[1]["pairs_checked"]),
-        ("convex_up_to_sampling", diagnostics.GRID_FALLBACK_CAP * 511 // 2),
-        ("empty_region", 0),
         ("counterexample", 12),
         ("counterexample", 42),
         ("convex_up_to_sampling", 10000),
@@ -363,6 +357,37 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
     for want, got in zip(want_slater, got_slater):
         assert np.array_equal(got.point, want.point) and got.margin == want.margin
         assert got.grid_resolution == want.grid_resolution
+
+
+def test_grid_fallback_verdicts_and_pair_counts(monkeypatch, problems):
+    # rejection finds at most one member in each case, so the probe scans
+    # the GRID_FALLBACK_RES grid for members, in blocks of GRID_BLOCK_POINTS
+    # points, and pairs each of the first GRID_FALLBACK_CAP members with the
+    # later ones, one block per member whatever GRID_BLOCK_POINTS is
+    cases = [
+        (problems["cassini"], 5.0),  # empty region
+        (problems["cassini"], 3.9999999),  # the two foci only: a grid counterexample
+        (PLANE3, 0.0),  # a plane: more members than GRID_FALLBACK_CAP
+        (POINT, 0.0),  # one grid member, so no pair: empty region
+    ]
+
+    def run_all():
+        return [
+            cli.record("levelset_convexity", diagnostics.levelset_convexity_probe(p, a, seed=42))
+            for p, a in cases
+        ]
+
+    monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", 1000)
+    want = run_all()
+    assert [r["method"] for r in want] == ["grid"] * 4
+    assert [(r["verdict"], r["pairs_checked"]) for r in want] == [
+        ("empty_region", 0),
+        ("counterexample", 1),
+        ("convex_up_to_sampling", diagnostics.GRID_FALLBACK_CAP * 511 // 2),
+        ("empty_region", 0),
+    ]
+    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)  # the member scan's blocks only
+    assert run_all() == want
 
 
 def test_slater_scan_memory_stays_bounded():
