@@ -34,9 +34,9 @@ twice, whose active gradients have rank 1; and solve, with and without
 makes 74 commands.  Each seed adds the commands of the benchmark's
 solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 450 commands in all with --seeds 1 2.  To see
-which commands a change moves, run the script against the package
-sources of each tree and compare:
+directory: 450 commands in all with --seeds 1 2.  To see which commands
+a change moves, run the script against the package sources of each tree
+and compare:
 
     python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 > before.txt
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt

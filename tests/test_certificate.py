@@ -138,7 +138,7 @@ def test_active_set_examples(problems):
     assert certificate.check_kkt(HYPERBOLA, [1.0, 1.0]).active_set == [1]
     assert certificate.check_kkt(problems["epsbox"], [0.0, 1.0]).active_set == [1, 4]
     got = certificate.check_kkt(problems["disk"], [0.0, 0.0])
-    assert got.active_set == []
+    assert (got.active_set, got.least_active_singular_value) == ([], None)
     assert got.activation_tolerance == certificate.ACTIVE_DISTANCE == 1e-6
 
 
