@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu0", type=float, default=1.0, help="initial barrier weight")
     sp.add_argument("--mu-factor", type=float, default=0.2, help="geometric decrease factor")
     sp.add_argument("--mu-min", type=float, default=1e-8, help="final barrier weight")
-    sp.add_argument("--tol", type=float, default=1e-8, help="inner gradient tolerance floor")
     sp.add_argument(
         "--require-assumptions",
         action="store_true",
@@ -222,8 +221,6 @@ def _run_solve(args) -> None:
         schedule = MuSchedule(mu0=args.mu0, factor=args.mu_factor, mu_min=args.mu_min)
     except ValueError as err:
         raise InputError(str(err)) from None
-    if not 0.0 <= args.tol < math.inf:  # max(floor, 1e-2 * mu) would drop a negative floor
-        raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
 
     records: list[dict] = []
     start = None
@@ -246,7 +243,7 @@ def _run_solve(args) -> None:
             )
 
     try:
-        trace = solve(p, schedule, x0=start, tol_floor=args.tol)
+        trace = solve(p, schedule, x0=start)
     except (InfeasibleStartError, SlaterUnverifiedError) as err:
         raise NegativeResult(f"solve failed: {err}") from None
 

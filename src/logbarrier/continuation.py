@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import KKTCertificate, check_kkt
 from .diagnostics import slater_find
-from .inner import InnerStatus, default_tolerance, solve_inner
+from .inner import InnerStatus, solve_inner
 from .problem import Problem
 
 
@@ -65,12 +65,7 @@ class SolveTrace(NamedTuple):
     final_certificate: KKTCertificate
 
 
-def solve(
-    p: Problem,
-    schedule: MuSchedule | None = None,
-    x0=None,
-    tol_floor: float = 1e-8,
-) -> SolveTrace:
+def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace:
     """Run the full continuation and certify the final iterate.
 
     The start is x0, else the problem's interior point, else a grid search
@@ -78,7 +73,8 @@ def solve(
     InfeasibleStartError when the start is not strictly interior, and
     EvalError where f or some g_j is undefined at it.  Each
     stage calls solve_inner once, at most inner.MAX_ITERS Newton steps,
-    with tolerance default_tolerance(mu, tol_floor), and is recorded with its
+    with gradient-norm target 1e-2 * mu, so a late stage usually ends at
+    the float floor of phi (status NO_PROGRESS).  It is recorded with its
     honest status; the next stage starts where it ended.  No stage aborts
     the run: check_kkt alone judges the final iterate, and the last
     stage's mu / g_j do not enter it.
@@ -94,7 +90,7 @@ def solve(
 
     points: list[PathPoint] = []
     for mu in schedule.weights():
-        result = solve_inner(p, mu, x, default_tolerance(mu, tol_floor))
+        result = solve_inner(p, mu, x, 1e-2 * mu)
         be = result.evaluation
         points.append(
             PathPoint(mu, result.x, be.multipliers, be.objective, result.grad_norm, result.status)

@@ -5,10 +5,9 @@ barrier Hessian safely positive definite (steepest descent where the
 Hessian cannot be used).  Backtracking line search keeps every iterate
 strictly interior: a step is halved while it lands outside the interior
 (where the barrier reports +inf) and then further until the Armijo decrease
-test holds.  Below the float floor of phi, where the decrease Armijo asks
-of a full step rounds away, candidates are judged by the gradient norm
-instead (Boyd & Vandenberghe, Convex Optimization, 9.5.1).  A solve takes
-at most MAX_ITERS Newton steps.
+test holds.  A solve ends at the float floor of phi, where even the full
+step's predicted decrease rounds away (Boyd & Vandenberghe, Convex
+Optimization, 9.5.1), and takes at most MAX_ITERS Newton steps.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class InnerStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     LINE_SEARCH_STALL = "line_search_stall"
-    NO_PROGRESS = "no_progress"  # the accepted step left x bit-identical
+    NO_PROGRESS = "no_progress"  # the Newton decrease rounds away against phi
 
 
 class InnerResult(NamedTuple):
@@ -46,14 +45,6 @@ class InnerResult(NamedTuple):
     iterations: int
     status: InnerStatus
     evaluation: BarrierEvaluation  # at x
-
-
-def default_tolerance(mu: float, floor: float) -> float:
-    """Gradient-norm target at weight mu: max(floor, 1e-2 * mu).
-
-    Continuation's stages use it with their tolerance floor.
-    """
-    return max(floor, 1e-2 * mu)
 
 
 def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):
@@ -78,18 +69,15 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
     """Minimize the barrier at fixed mu from a strictly interior start.
 
     Stops at the first iterate whose gradient norm is at most tol, or after
-    MAX_ITERS Newton steps (read at each call) with status MAX_ITERS.  An
-    accepted step that leaves x bit-identical counts as an iteration but
-    makes no new iterate: the solve ends there with status NO_PROGRESS.
+    MAX_ITERS Newton steps (read at each call) with status MAX_ITERS.  A
+    Newton step whose predicted decrease rounds away against phi,
+    be.value + slope == be.value, counts as an iteration and ends the solve
+    with status NO_PROGRESS: no step from x can then be ranked by phi.
     Raises EvalError at an iterate whose barrier gradient norm overflows.
 
     A candidate must lower phi: the Armijo test alone would accept an
     equal value once the decrease it asks for at a backtracked step rounds
-    away.  When be.value + ARMIJO_C1 * slope == be.value, the Armijo test
-    cannot rank steps at all, so a candidate is accepted when it is
-    interior and |grad phi(cand)| <= (1 - ARMIJO_C1 * t) * |grad phi(x)|;
-    its evaluation serves the next iteration.  The result carries the
-    evaluation at its x.
+    away.  The result carries the evaluation at its x.
     """
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
@@ -110,29 +98,16 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
                 return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
 
             d, slope = _newton_step(p, x, mu, be.gradient)
-            by_gradient = be.value + ARMIJO_C1 * slope == be.value
+            if be.value + slope == be.value:
+                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
             t = 1.0
             while t >= MIN_STEP:
                 cand = x + t * d
-                if by_gradient:
-                    try:
-                        trial = barrier_eval(p, cand, mu)
-                        accept = trial.interior and (
-                            np.linalg.norm(trial.gradient) <= (1 - ARMIJO_C1 * t) * grad_norm
-                        )
-                    except EvalError:  # off the domain of f or some g_j
-                        accept = False
-                else:
-                    value = barrier_value(p, cand, mu)
-                    accept = value < be.value and value <= be.value + ARMIJO_C1 * t * slope
-                if accept:
+                value = barrier_value(p, cand, mu)
+                if value < be.value and value <= be.value + ARMIJO_C1 * t * slope:
                     break
                 t *= 0.5
             else:
                 return InnerResult(x, grad_norm, k, InnerStatus.LINE_SEARCH_STALL, be)
-
-            if np.array_equal(cand, x):
-                # every later iteration would repeat this one bit for bit
-                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
             x = cand
-            be = trial if by_gradient else barrier_eval(p, x, mu)
+            be = barrier_eval(p, x, mu)

@@ -5,16 +5,19 @@ Usage, from the repository root:
     python3 tests/corpus_digest.py [--src DIR] [--seeds 1 2]
 
 Each output line is the sha256 of one command's exit code, stdout and
-stderr, then the command.  The commands are the 35 builtin ones: solve,
+stderr, then the command.  The commands are the 45 builtin ones: solve,
 solve --require-assumptions, diagnose with each of the two standard check
-lists, oracle --res 201, solve --mu-min 1e-12 and diagnose --check
-phiconvexity:1e308 (whose barrier Hessians overflow), on each builtin.
-Then contour and oracle on disk at --res 1000000000000000, a grid no
-memory holds.  Then one solve per malformed objective, the texts of
-test_expr.PARSE_ERRORS, each in a 2-variable problem file that is valid
-apart from it: these compare the parser's error output.  Then one solve
-per steep linear objective over the unit disk: the gentler ones end
-their last stages short of their tolerance, and past about 1.3e154 the
+lists, oracle --res 201, solve --mu-min 1e-12, diagnose --check
+phiconvexity:1e308 (whose barrier Hessians overflow), and solve
+--mu-factor 0.9 and 0.001 (175 close weights, some of whose late stages
+stall above their target, and 3 far-apart ones, whose last stage ends
+at the float floor of phi above it), on each builtin.  Then contour and oracle on disk at
+--res 1000000000000000, a grid no memory holds.  Then one solve per
+malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
+2-variable problem file that is valid apart from it: these compare the
+parser's error output.  Then one solve per steep linear objective over
+the unit disk: the gentler ones end their last stages at the float floor
+of phi, above their gradient-norm target, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
 runs do not.  Then twelve commands on variants of the unit-disk file:
@@ -31,10 +34,10 @@ point (-1, 0) is not the minimizer; solve on the disk constraint written
 twice, whose active gradients have rank 1; and solve, with and without
 --require-assumptions, on x1 over the disk of radius sqrt(10) in the box
 [-1, 1]^2, whose minimizer no sampled boundary point comes near.  That
-makes 74 commands.  Each seed adds the commands of the benchmark's
+makes 84 commands.  Each seed adds the commands of the benchmark's
 solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 450 commands in all with --seeds 1 2.  To see which commands
+directory: 460 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -68,6 +71,8 @@ BUILTIN_COMMANDS = [
     ["oracle", "--res", "201"],
     ["solve", "--mu-min", "1e-12"],
     ["diagnose", "--check", "phiconvexity:1e308"],
+    ["solve", "--mu-factor", "0.9"],
+    ["solve", "--mu-factor", "0.001"],
 ]
 HUGE_GRIDS = [
     [command, "--builtin", "disk", "--res", "1000000000000000"] for command in ("contour", "oracle")

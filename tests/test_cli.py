@@ -1033,13 +1033,6 @@ def test_handlers_raise_and_only_main_maps_exit_codes():
     assert callers == {"main"}
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_solve_refuses_a_tolerance_that_never_binds(run_cli, tol):
-    code, stdout, stderr = run_cli(["solve", "--builtin", "disk", "--tol", tol])
-    assert (code, stdout) == (2, "")
-    assert "input error: --tol must be finite" in stderr
-
-
 def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, tmp_path):
     # the disk of radius sqrt(10) holds the whole box, so no ray reaches its
     # boundary, yet the minimizer (-sqrt(10), 0) lies on it; the claim rests

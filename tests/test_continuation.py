@@ -67,20 +67,30 @@ def test_path_invariants(problems, traces):
             assert np.abs(pt.multipliers * gvals - pt.mu).max() <= 1e-12 * pt.mu
 
 
+def _at_float_floor(p, x, mu) -> bool:
+    """Whether the Newton step's predicted decrease at x rounds away against phi."""
+    be = barrier.barrier_eval(p, x, mu)
+    _, slope = inner._newton_step(p, x, mu, be.gradient)
+    return be.value + slope == be.value
+
+
+def _ends_honestly(p, pt) -> bool:
+    """A stage ends within its tolerance, or no_progress at the float floor."""
+    if pt.status is InnerStatus.CONVERGED:
+        return pt.grad_norm <= 1e-2 * pt.mu
+    return pt.status is InnerStatus.NO_PROGRESS and _at_float_floor(p, pt.x, pt.mu)
+
+
 def test_path_gradient_norms_are_honest(problems, traces):
-    # the reported norm must be the actual barrier gradient norm at (x, mu),
-    # within stage tolerance when converged; on the default schedule a stage
-    # that stops short of its tolerance ends no_progress
+    # the reported norm must be the actual barrier gradient norm at (x, mu);
+    # on the default schedule every stage ends within its tolerance or at
+    # the float floor of phi, recomputed at its x
     for name, trace in traces.items():
         p = problems[name]
         for pt in trace.points:
             be = barrier.barrier_eval(p, pt.x, pt.mu)
             assert float(np.linalg.norm(be.gradient)) == pt.grad_norm
-            tol = max(1e-8, 1e-2 * pt.mu)
-            if pt.status is InnerStatus.CONVERGED:
-                assert pt.grad_norm <= tol
-            else:
-                assert pt.status is InnerStatus.NO_PROGRESS, (name, pt.mu)
+            assert _ends_honestly(p, pt), (name, pt.mu, pt.status)
 
 
 def test_multiplier_estimates_settle(traces):
@@ -265,9 +275,10 @@ def test_stuck_stages_are_recorded(monkeypatch, problems):
 
 def test_one_stage_per_weight_on_the_path(problems):
     # one stage per weight, each on the path with its status
-    trace = continuation.solve(problems["disk"], MuSchedule(1.0, 0.2, 1e-6))
+    p = problems["disk"]
+    trace = continuation.solve(p, MuSchedule(1.0, 0.2, 1e-6))
     assert [pt.mu for pt in trace.points] == MuSchedule(1.0, 0.2, 1e-6).weights()
-    assert all(pt.status is InnerStatus.CONVERGED for pt in trace.points)
+    assert all(_ends_honestly(p, pt) for pt in trace.points)
 
 
 @pytest.mark.parametrize("name", ["cassini", "hyperbola"])
@@ -277,13 +288,13 @@ def test_float_floor_stage_ends_without_spinning(monkeypatch, problems, name):
     seen = _stage_results(monkeypatch)
     trace = continuation.solve(problems[name])
     assert sum(r.iterations for r in seen) < 100
-    assert seen[-1].status is InnerStatus.CONVERGED
+    assert seen[-1].status is InnerStatus.NO_PROGRESS
     assert trace.final_certificate.verdict is Verdict.KKT_POINT
 
 
 # instance 25 of the benchmark's seed-2 solve pool: its last stage cycled
 # between two iterates with bit-equal barrier values, which the Armijo test
-# accepts, for 5000 iterations; judged by the gradient norm it ends in a few
+# accepts, for 5000 iterations; ended at the float floor of phi it stops in a few
 HYPERBOLA_006 = {
     "name": "hyperbola-006",
     "nvars": 2,

