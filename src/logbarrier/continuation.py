@@ -71,13 +71,12 @@ def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace
     The start is x0, else the problem's interior point, else a grid search
     for a strictly feasible point; the first stage's solve_inner raises
     InfeasibleStartError when the start is not strictly interior, and
-    EvalError where f or some g_j is undefined at it.  Each
-    stage calls solve_inner once, at most inner.MAX_ITERS Newton steps,
-    with gradient-norm target 1e-2 * mu, so a late stage usually ends at
-    the float floor of phi (status NO_PROGRESS).  It is recorded with its
-    honest status; the next stage starts where it ended.  No stage aborts
-    the run: check_kkt alone judges the final iterate, and the last
-    stage's mu / g_j do not enter it.
+    EvalError where f or some g_j is undefined at it.  Each stage
+    calls solve_inner once, which owns the stopping rule; a late stage
+    usually ends at the float floor of phi (status NO_PROGRESS).  Each
+    is recorded with its status, and the next starts where it ended.  No
+    stage aborts the run: check_kkt alone judges the final iterate, and
+    the last stage's mu / g_j do not enter it.
     """
     if schedule is None:
         schedule = MuSchedule()
@@ -90,7 +89,7 @@ def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace
 
     points: list[PathPoint] = []
     for mu in schedule.weights():
-        result = solve_inner(p, mu, x, 1e-2 * mu)
+        result = solve_inner(p, mu, x)
         be = result.evaluation
         points.append(
             PathPoint(mu, result.x, be.multipliers, be.objective, result.grad_norm, result.status)

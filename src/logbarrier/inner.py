@@ -5,9 +5,10 @@ barrier Hessian safely positive definite (steepest descent where the
 Hessian cannot be used).  Backtracking line search keeps every iterate
 strictly interior: a step is halved while it lands outside the interior
 (where the barrier reports +inf) and then further until the Armijo decrease
-test holds.  A solve ends at the float floor of phi, where even the full
-step's predicted decrease rounds away (Boyd & Vandenberghe, Convex
-Optimization, 9.5.1), and takes at most MAX_ITERS Newton steps.
+test holds.  A solve ends once its gradient norm is at most STAGE_TARGET * mu,
+at the float floor of phi, where the decrease a step predicts rounds away
+(Boyd & Vandenberghe, Convex Optimization, 9.5), or after MAX_ITERS Newton
+steps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-16
 EIG_FLOOR = 1e-8
 MAX_ITERS = 5000
+STAGE_TARGET = 1e-2  # a stage's gradient-norm target, relative to mu
 
 
 class InfeasibleStartError(Exception):
@@ -35,8 +37,7 @@ class InfeasibleStartError(Exception):
 class InnerStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
-    LINE_SEARCH_STALL = "line_search_stall"
-    NO_PROGRESS = "no_progress"  # the Newton decrease rounds away against phi
+    NO_PROGRESS = "no_progress"  # no step length down to MIN_STEP lowers phi
 
 
 class InnerResult(NamedTuple):
@@ -65,19 +66,17 @@ def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):
         return -gradient, float(gradient @ -gradient)
 
 
-def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
+def solve_inner(p: Problem, mu: float, x_start) -> InnerResult:
     """Minimize the barrier at fixed mu from a strictly interior start.
 
-    Stops at the first iterate whose gradient norm is at most tol, or after
-    MAX_ITERS Newton steps (read at each call) with status MAX_ITERS.  A
-    Newton step whose predicted decrease rounds away against phi,
-    be.value + slope == be.value, counts as an iteration and ends the solve
-    with status NO_PROGRESS: no step from x can then be ranked by phi.
-    Raises EvalError at an iterate whose barrier gradient norm overflows.
-
-    A candidate must lower phi: the Armijo test alone would accept an
-    equal value once the decrease it asks for at a backtracked step rounds
-    away.  The result carries the evaluation at its x.
+    Stops at the first iterate whose gradient norm is at most
+    STAGE_TARGET * mu, or after MAX_ITERS Newton steps (both read at each
+    call).  The search halves t from 1 while t >= MIN_STEP and the
+    decrease t * slope still shows against phi, and a candidate must
+    lower phi; a search that runs out counts as an iteration and ends the
+    solve NO_PROGRESS at x, phi's float floor.  Raises EvalError at an
+    iterate whose barrier gradient norm overflows.  The result carries
+    the evaluation at its x.
     """
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
@@ -92,22 +91,20 @@ def solve_inner(p: Problem, mu: float, x_start, tol: float) -> InnerResult:
             grad_norm = float(np.linalg.norm(be.gradient))
             if not math.isfinite(grad_norm):
                 raise EvalError(f"the barrier gradient's norm overflows at mu = {mu}")
-            if grad_norm <= tol:
+            if grad_norm <= STAGE_TARGET * mu:
                 return InnerResult(x, grad_norm, k, InnerStatus.CONVERGED, be)
             if k == MAX_ITERS:
                 return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
 
             d, slope = _newton_step(p, x, mu, be.gradient)
-            if be.value + slope == be.value:
-                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
             t = 1.0
-            while t >= MIN_STEP:
+            while t >= MIN_STEP and be.value + t * slope < be.value:
                 cand = x + t * d
                 value = barrier_value(p, cand, mu)
                 if value < be.value and value <= be.value + ARMIJO_C1 * t * slope:
                     break
                 t *= 0.5
             else:
-                return InnerResult(x, grad_norm, k, InnerStatus.LINE_SEARCH_STALL, be)
+                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
             x = cand
             be = barrier_eval(p, x, mu)

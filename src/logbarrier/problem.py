@@ -135,6 +135,7 @@ def evaluate_constraints(p: Problem, x) -> np.ndarray:
     return values
 
 
+_KEYS = ("name", "nvars", "objective", "constraints", "box", "interior_point", "params")
 _PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -157,13 +158,17 @@ def problem_from_dict(data: dict) -> Problem:
     each name is bound as a constant, so with a = -1, a^2 is 1.  A param
     with an integer value may also serve as an exponent.  Box bounds,
     interior_point coordinates, param values and box widths hi - lo must
-    be finite numbers; a string or a bool is none.
+    be finite numbers; a string or a bool is none.  Any other key is
+    refused, so a misspelled optional key is not silently dropped.
     """
     if not isinstance(data, dict):
         raise ProblemError("problem data must be a JSON object")
     for key in ("name", "nvars", "objective", "constraints", "box"):
         if key not in data:
             raise ProblemError(f"missing required key {key!r}")
+    for key in data:
+        if key not in _KEYS:
+            raise ProblemError(f"unknown key {key!r} (known: {', '.join(_KEYS)})")
 
     name = data["name"]
     if not isinstance(name, str) or not name:

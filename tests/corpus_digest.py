@@ -10,8 +10,8 @@ solve --require-assumptions, diagnose with each of the two standard check
 lists, oracle --res 201, solve --mu-min 1e-12, diagnose --check
 phiconvexity:1e308 (whose barrier Hessians overflow), and solve
 --mu-factor 0.9 and 0.001 (175 close weights, some of whose late stages
-stall above their target, and 3 far-apart ones, whose last stage ends
-at the float floor of phi above it), on each builtin.  Then contour and oracle on disk at
+end at the float floor of phi above their target, and 3 far-apart ones,
+whose last stage ends there too), on each builtin.  Then contour and oracle on disk at
 --res 1000000000000000, a grid no memory holds.  Then one solve per
 malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
 2-variable problem file that is valid apart from it: these compare the
@@ -33,11 +33,12 @@ overflow; solve on 1e-3*(x1 + x2), whose last iterate stops about
 point (-1, 0) is not the minimizer; solve on the disk constraint written
 twice, whose active gradients have rank 1; and solve, with and without
 --require-assumptions, on x1 over the disk of radius sqrt(10) in the box
-[-1, 1]^2, whose minimizer no sampled boundary point comes near.  That
-makes 84 commands.  Each seed adds the commands of the benchmark's
-solve, probe2d and probe3d pools on the problem files
-benchmarks/instances.py generates for it, written to a temporary
-directory: 460 commands in all with --seeds 1 2.  To see which commands
+[-1, 1]^2, whose minimizer no sampled boundary point comes near; and
+solve on a file whose interior_point is misspelled, which the loader
+refuses.  That makes 85 commands, which commands() yields.  Each seed
+adds the commands of the benchmark's solve, probe2d and probe3d pools
+on the problem files benchmarks/instances.py generates for it, written
+to a temporary directory: 461 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -119,6 +120,11 @@ VARIANTS = [
         {"objective": "x1", "constraints": ["10 - x1^2 - x2^2"], "box": [[-1, 1], [-1, 1]]},
         [["solve"], ["solve", "--require-assumptions"]],
     ),
+    (
+        "misspelled-key",
+        {"objective": "x1", "interior_point": None, "interior_pont": [0.5, 0]},
+        [["solve"]],
+    ),
 ]
 
 
@@ -133,48 +139,57 @@ def digest(main, argv: list[str]) -> str:
     return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
 
 
+def commands(tmp: Path, seeds=()):
+    """(label, argv) of every command in order, with the problem files they read written to tmp."""
+    from test_expr import PARSE_ERRORS
+
+    from logbarrier import corpus
+
+    for name in corpus.names():
+        for command in BUILTIN_COMMANDS:
+            argv = [command[0], "--builtin", name, *command[1:]]
+            yield " ".join(argv), argv
+    for argv in HUGE_GRIDS:
+        yield " ".join(argv), argv
+    objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]
+    objectives += [(f"steep-{k}", text) for k, text in enumerate(STEEP_OBJECTIVES)]
+    for stem, objective in objectives:
+        path = tmp / f"{stem}.json"
+        path.write_text(json.dumps({**UNIT_DISK, "objective": objective}))
+        label = f"objective {ascii(objective)}: solve --problem {path.name}"
+        yield label, ["solve", "--problem", str(path)]
+    for stem, keys, variant_commands in VARIANTS:
+        path = tmp / f"{stem}.json"
+        path.write_text(json.dumps({**UNIT_DISK, **keys}))
+        for command in variant_commands:
+            argv = [command[0], "--problem", str(path), *command[1:]]
+            yield " ".join(argv).replace(str(path), path.name), argv
+    for seed in seeds:
+        import run  # its workloads, and instances for their pools
+
+        for workload_name in ("solve", "probe2d", "probe3d"):
+            workload = run.WORKLOADS[workload_name]
+            insts = run.instances.generate(seed, workload.families, workload.per_family)
+            paths = run.instances.write(insts, tmp / f"{workload_name}-s{seed}")
+            for inst, path in zip(insts, paths):
+                for argv in workload.argvs(path, with_oracle=False):
+                    label = " ".join(argv).replace(str(path), f"{inst.name}.json")
+                    yield f"seed {seed}: {label}", argv
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package sources")
     parser.add_argument("--seeds", type=int, nargs="*", default=[], help="benchmark pool seeds")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src), str(ROOT / "benchmarks")]
-    import run  # benchmarks/run.py: its workloads, and instances for their pools
-    from test_expr import PARSE_ERRORS
+    import run  # noqa: F401  benchmarks/run.py pins BLAS to one thread before numpy loads
 
-    from logbarrier import corpus
     from logbarrier.cli import main as cli_main
 
-    for name in corpus.names():
-        for command in BUILTIN_COMMANDS:
-            argv = [command[0], "--builtin", name, *command[1:]]
-            print(digest(cli_main, argv), " ".join(argv), flush=True)
-    for argv in HUGE_GRIDS:
-        print(digest(cli_main, argv), " ".join(argv), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]
-        objectives += [(f"steep-{k}", text) for k, text in enumerate(STEEP_OBJECTIVES)]
-        for stem, objective in objectives:
-            path = Path(tmp) / f"{stem}.json"
-            path.write_text(json.dumps({**UNIT_DISK, "objective": objective}))
-            label = f"objective {ascii(objective)}: solve --problem {path.name}"
-            print(digest(cli_main, ["solve", "--problem", str(path)]), label, flush=True)
-        for stem, keys, commands in VARIANTS:
-            path = Path(tmp) / f"{stem}.json"
-            path.write_text(json.dumps({**UNIT_DISK, **keys}))
-            for command in commands:
-                argv = [command[0], "--problem", str(path), *command[1:]]
-                label = " ".join(argv).replace(str(path), path.name)
-                print(digest(cli_main, argv), label, flush=True)
-        for seed in args.seeds:
-            for workload_name in ("solve", "probe2d", "probe3d"):
-                workload = run.WORKLOADS[workload_name]
-                insts = run.instances.generate(seed, workload.families, workload.per_family)
-                paths = run.instances.write(insts, Path(tmp) / f"{workload_name}-s{seed}")
-                for inst, path in zip(insts, paths):
-                    for argv in workload.argvs(path, with_oracle=False):
-                        label = " ".join(argv).replace(str(path), f"{inst.name}.json")
-                        print(digest(cli_main, argv), f"seed {seed}:", label, flush=True)
+        for label, command in commands(Path(tmp), args.seeds):
+            print(digest(cli_main, command), label, flush=True)
     return 0
 
 

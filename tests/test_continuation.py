@@ -1,5 +1,7 @@
 """Continuation over decreasing mu: schedules, path invariants, accumulation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -68,16 +70,23 @@ def test_path_invariants(problems, traces):
 
 
 def _at_float_floor(p, x, mu) -> bool:
-    """Whether the Newton step's predicted decrease at x rounds away against phi."""
+    """Whether no trial t = 1, 1/2, ... of the search at x, with t >= MIN_STEP
+    and a decrease t * slope that shows against phi, passes its tests."""
     be = barrier.barrier_eval(p, x, mu)
-    _, slope = inner._newton_step(p, x, mu, be.gradient)
-    return be.value + slope == be.value
+    d, slope = inner._newton_step(p, x, mu, be.gradient)
+    t = 1.0
+    while t >= inner.MIN_STEP and be.value + t * slope < be.value:
+        value = barrier.barrier_value(p, x + t * d, mu)
+        if value < be.value and value <= be.value + inner.ARMIJO_C1 * t * slope:
+            return False
+        t *= 0.5
+    return True
 
 
 def _ends_honestly(p, pt) -> bool:
-    """A stage ends within its tolerance, or no_progress at the float floor."""
+    """A stage ends within its target, or no_progress at the float floor."""
     if pt.status is InnerStatus.CONVERGED:
-        return pt.grad_norm <= 1e-2 * pt.mu
+        return pt.grad_norm <= inner.STAGE_TARGET * pt.mu
     return pt.status is InnerStatus.NO_PROGRESS and _at_float_floor(p, pt.x, pt.mu)
 
 
@@ -262,6 +271,19 @@ def _stage_results(monkeypatch) -> list:
     return seen
 
 
+def _counting(monkeypatch) -> Counter:
+    """The barrier_hessian and barrier_value calls inner makes from now on."""
+    counts = Counter()
+    for name in ("barrier_hessian", "barrier_value"):
+
+        def counting(*args, name=name, function=getattr(inner, name)):
+            counts[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(inner, name, counting)
+    return counts
+
+
 def test_stuck_stages_are_recorded(monkeypatch, problems):
     # a hard iteration cap leaves every stage far from tolerance; each is
     # recorded with its status and the certificate alone judges the run
@@ -315,12 +337,47 @@ def test_two_point_cycle_ends_below_the_float_floor(monkeypatch):
     assert abs(trace.final_certificate.objective - 2.6872945658995477) <= 1e-6
 
 
-@pytest.mark.parametrize("name", ["cassini", "hyperbola", "epsbox", "disk", "degenerate-disk"])
+# (Newton steps, barrier_value trials) of each builtin's default-schedule solve
+BUILTIN_CEILINGS = {
+    "cassini": (75, 134),
+    "hyperbola": (71, 111),
+    "epsbox": (76, 150),
+    "disk": (71, 98),
+    "degenerate-disk": (71, 94),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_CEILINGS)
 def test_builtin_newton_iterations(monkeypatch, problems, name):
-    # deterministic counters: 76, 71, 76, 71 and 71 Newton iterations
+    # deterministic counters, each Newton step forming one barrier Hessian
     seen = _stage_results(monkeypatch)
+    counts = _counting(monkeypatch)
     continuation.solve(problems[name])
-    assert sum(r.iterations for r in seen) <= 76
+    steps = sum(r.iterations for r in seen)
+    assert steps <= BUILTIN_CEILINGS[name][0]
+    assert counts["barrier_hessian"] == steps
+    assert counts["barrier_value"] <= BUILTIN_CEILINGS[name][1]
+
+
+@pytest.mark.parametrize(
+    "name, schedule, trials",
+    [
+        ("cassini", MuSchedule(1.0, 0.9, 1e-8), 518),
+        ("hyperbola", MuSchedule(1.0, 0.9, 1e-8), 490),
+        ("cassini", MuSchedule(1.0, 0.2, 1e-12), 190),
+    ],
+    ids=["cassini-factor-0.9", "hyperbola-factor-0.9", "cassini-mu-min-1e-12"],
+)
+def test_off_default_stages_end_honestly(monkeypatch, problems, name, schedule, trials):
+    # close weights and a low mu_min end late stages at phi's float floor
+    # above their target; a search that ran 54 trials there and formed a
+    # Hessian it did not count read 780, 806 and 242 trials
+    seen = _stage_results(monkeypatch)
+    counts = _counting(monkeypatch)
+    trace = continuation.solve(problems[name], schedule)
+    assert counts["barrier_hessian"] == sum(r.iterations for r in seen)
+    assert counts["barrier_value"] <= trials
+    assert all(_ends_honestly(problems[name], pt) for pt in trace.points)
 
 
 def test_records_shape(traces):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logbarrier import expr, problem
+from logbarrier import cli, expr, problem
 from logbarrier.problem import ProblemError
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
@@ -142,6 +142,19 @@ def test_missing_key():
     del d["box"]
     with pytest.raises(ProblemError, match="box"):
         problem.problem_from_dict(d)
+
+
+def test_unknown_key_is_refused(tmp_path, capsys):
+    # a misspelled interior_point used to be dropped, and solve then started
+    # from the Slater grid point and exited 0 on a different path
+    d = {key: value for key, value in BASE.items() if key != "interior_point"}
+    d["interior_pont"] = [0.5, 0]
+    with pytest.raises(ProblemError, match="unknown key 'interior_pont'"):
+        problem.problem_from_dict(d)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["solve", "--problem", str(path)]) == 2
+    assert "unknown key 'interior_pont'" in capsys.readouterr().err
 
 
 def test_load_round_trip(tmp_path):
