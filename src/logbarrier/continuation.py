@@ -1,10 +1,11 @@
 """Continuation along a decreasing barrier weight schedule.
 
 Each stage minimizes the barrier at the current mu, warm-starting from the
-previous stage's solution.  As mu shrinks the iterates track the central
-path toward a KKT point; each path point records the barrier's multiplier
-estimates mu / g_j.  The certificate judges the final iterate alone, with
-its own active set and multipliers.
+previous stage's solution, and is recorded as the path point inner returns.
+As mu shrinks the iterates track the central path toward a KKT point; each
+path point records the barrier's multiplier estimates mu / g_j.  The
+certificate judges the final iterate alone, with its own active set and
+multipliers.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .certificate import KKTCertificate, check_kkt
 from .diagnostics import slater_find
-from .inner import InnerStatus, solve_inner
+from .inner import PathPoint, solve_inner
 from .problem import Problem
 
 
@@ -51,15 +50,6 @@ class MuSchedule:
         return out
 
 
-class PathPoint(NamedTuple):
-    mu: float
-    x: np.ndarray
-    multipliers: np.ndarray
-    objective: float
-    grad_norm: float
-    status: InnerStatus
-
-
 class SolveTrace(NamedTuple):
     points: list[PathPoint]
     final_certificate: KKTCertificate
@@ -71,28 +61,19 @@ def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace
     The start is x0, else the problem's interior point, else a grid search
     for a strictly feasible point; the first stage's solve_inner raises
     InfeasibleStartError when the start is not strictly interior, and
-    EvalError where f or some g_j is undefined at it.  Each stage
-    calls solve_inner once, which owns the stopping rule; a late stage
-    usually ends at the float floor of phi (status NO_PROGRESS).  Each
-    is recorded with its status, and the next starts where it ended.  No
-    stage aborts the run: check_kkt alone judges the final iterate, and
-    the last stage's mu / g_j do not enter it.
+    EvalError where f or some g_j is undefined at it.  Each stage is one
+    solve_inner call, which owns the stopping rule and returns the stage's
+    path point (a late stage usually ends NO_PROGRESS at phi's float floor);
+    the next starts at its x.  No stage aborts the run: check_kkt alone
+    judges the final iterate, and the last stage's mu / g_j do not enter it.
     """
     if schedule is None:
         schedule = MuSchedule()
-    if x0 is not None:
-        x = np.array([float(v) for v in x0])
-    elif p.interior_point is not None:
-        x = p.interior_point.copy()
-    else:
-        x = slater_find(p).point
-
+    x = x0
+    if x is None:
+        x = p.interior_point if p.interior_point is not None else slater_find(p).point
     points: list[PathPoint] = []
     for mu in schedule.weights():
-        result = solve_inner(p, mu, x)
-        be = result.evaluation
-        points.append(
-            PathPoint(mu, result.x, be.multipliers, be.objective, result.grad_norm, result.status)
-        )
-        x = result.x
+        points.append(solve_inner(p, mu, x))
+        x = points[-1].x
     return SolveTrace(points=points, final_certificate=check_kkt(p, x))

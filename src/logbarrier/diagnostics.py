@@ -92,8 +92,7 @@ class LevelsetWitness(NamedTuple):
 
 
 class LevelsetReport(NamedTuple):
-    scope: list[int]  # 1-based constraint indices probed: all of them
-    levels: np.ndarray  # the level, once per constraint
+    level: float  # the set probed is {x : g_j(x) >= level for every j}
     verdict: str  # "counterexample", "convex_up_to_sampling", "empty_region"
     pairs_checked: int
     method: str  # "rejection" or "grid"
@@ -313,8 +312,6 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
     else:
         # rejection found at most one member: the set is thin in the box
         method, pairs = "grid", _grid_pairs(p, level)
-    scope = list(range(1, p.nconstraints + 1))
-    levels = np.full(p.nconstraints, float(level))
     checked = 0
     for xs, ys in pairs:
         mids = 0.5 * (xs + ys)
@@ -334,11 +331,11 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
                 g_mid=gm[i].copy(),
                 violated=[int(j) + 1 for j in np.nonzero(below[i])[0]],
             )
-            return LevelsetReport(scope, levels, "counterexample", checked + i + 1, method, witness)
+            return LevelsetReport(float(level), "counterexample", checked + i + 1, method, witness)
         checked += xs.shape[0]
         del xs, ys, mids, gm, below, flagged  # freed before the next block is drawn
     verdict = "convex_up_to_sampling" if checked else "empty_region"
-    return LevelsetReport(scope, levels, verdict, checked, method, None)
+    return LevelsetReport(float(level), verdict, checked, method, None)
 
 
 def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityReport:

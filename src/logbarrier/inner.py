@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierEvaluation, barrier_eval, barrier_hessian, barrier_value
+from .barrier import barrier_eval, barrier_hessian, barrier_value
 from .expr import EvalError
 from .problem import Problem
 
@@ -40,12 +40,15 @@ class InnerStatus(str, Enum):
     NO_PROGRESS = "no_progress"  # no step length down to MIN_STEP lowers phi
 
 
-class InnerResult(NamedTuple):
+class PathPoint(NamedTuple):
+    mu: float
     x: np.ndarray
+    multipliers: np.ndarray  # mu / g_j at x
+    objective: float
     grad_norm: float
-    iterations: int
     status: InnerStatus
-    evaluation: BarrierEvaluation  # at x
+    iterations: int  # Newton steps, each forming one barrier Hessian
+    trials: int  # barrier values the line searches computed
 
 
 def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):
@@ -66,8 +69,8 @@ def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):
         return -gradient, float(gradient @ -gradient)
 
 
-def solve_inner(p: Problem, mu: float, x_start) -> InnerResult:
-    """Minimize the barrier at fixed mu from a strictly interior start.
+def solve_inner(p: Problem, mu: float, x_start) -> PathPoint:
+    """Minimize the barrier at fixed mu from a copy of a strictly interior start.
 
     Stops at the first iterate whose gradient norm is at most
     STAGE_TARGET * mu, or after MAX_ITERS Newton steps (both read at each
@@ -75,8 +78,8 @@ def solve_inner(p: Problem, mu: float, x_start) -> InnerResult:
     decrease t * slope still shows against phi, and a candidate must
     lower phi; a search that runs out counts as an iteration and ends the
     solve NO_PROGRESS at x, phi's float floor.  Raises EvalError at an
-    iterate whose barrier gradient norm overflows.  The result carries
-    the evaluation at its x.
+    iterate whose barrier gradient norm overflows.  The path point holds
+    mu / g_j and f at its x, and the solve's Newton steps and trials.
     """
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
@@ -85,6 +88,7 @@ def solve_inner(p: Problem, mu: float, x_start) -> InnerResult:
             f"start is not strictly interior (min g = {be.constraint_values.min()})"
         )
 
+    trials = 0
     # a dot product of huge vectors reads inf, which the norm check and the step tests handle
     with np.errstate(over="ignore"):
         for k in range(MAX_ITERS + 1):
@@ -92,19 +96,24 @@ def solve_inner(p: Problem, mu: float, x_start) -> InnerResult:
             if not math.isfinite(grad_norm):
                 raise EvalError(f"the barrier gradient's norm overflows at mu = {mu}")
             if grad_norm <= STAGE_TARGET * mu:
-                return InnerResult(x, grad_norm, k, InnerStatus.CONVERGED, be)
+                status = InnerStatus.CONVERGED
+                break
             if k == MAX_ITERS:
-                return InnerResult(x, grad_norm, k, InnerStatus.MAX_ITERS, be)
+                status = InnerStatus.MAX_ITERS
+                break
 
             d, slope = _newton_step(p, x, mu, be.gradient)
             t = 1.0
             while t >= MIN_STEP and be.value + t * slope < be.value:
                 cand = x + t * d
                 value = barrier_value(p, cand, mu)
+                trials += 1
                 if value < be.value and value <= be.value + ARMIJO_C1 * t * slope:
                     break
                 t *= 0.5
             else:
-                return InnerResult(x, grad_norm, k + 1, InnerStatus.NO_PROGRESS, be)
+                status, k = InnerStatus.NO_PROGRESS, k + 1
+                break
             x = cand
             be = barrier_eval(p, x, mu)
+    return PathPoint(mu, x, be.multipliers, be.objective, grad_norm, status, k, trials)

@@ -46,6 +46,19 @@ and compare:
     python3 tests/corpus_digest.py --seeds 1 2 > after.txt
     diff before.txt after.txt
 
+--outputs FILE also writes, for each command, one JSON line with its
+label, exit code, stdout and stderr: the text its digest hashes.  To see
+which fields a change moves, write both trees' outputs and compare them:
+
+    python3 tests/corpus_digest.py --src OTHER/src --seeds 1 2 --outputs before.jsonl
+    python3 tests/corpus_digest.py --seeds 1 2 --outputs after.jsonl
+    python3 tests/corpus_digest.py --compare before.jsonl after.jsonl
+
+--compare runs no command.  For each command whose outputs differ it
+prints whether the exit code or stderr differs and, record by record,
+the kinds and field names whose values differ; then it counts the
+commands that differ in each way.  It exits 1 when some command differs.
+
 The commands run in this process through logbarrier.cli.main; one that
 raises is digested with its exception in place of an exit code.  The
 builtins are the ones logbarrier.corpus.names() lists in the tree run.
@@ -61,6 +74,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,7 +142,9 @@ VARIANTS = [
 ]
 
 
-def digest(main, argv: list[str]) -> str:
+def outcome(main, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of one command; one that raises has None
+    for its exit code and its exception at the end of its stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -136,7 +152,7 @@ def digest(main, argv: list[str]) -> str:
         except Exception as exc:  # a traceback is one more outcome to compare
             code = None
             err.write(f"raised {exc!r}")
-    return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
 def commands(tmp: Path, seeds=()):
@@ -177,19 +193,105 @@ def commands(tmp: Path, seeds=()):
                     yield f"seed {seed}: {label}", argv
 
 
+def run_commands(cli_main, tmp: Path, seeds=(), outputs=None) -> None:
+    """Print the digest and label of each command; with outputs, a file
+    open for writing, also write there the JSON line its digest hashes."""
+    for label, argv in commands(tmp, seeds):
+        code, stdout, stderr = outcome(cli_main, argv)
+        if outputs is not None:
+            line = {"label": label, "code": code, "stdout": stdout, "stderr": stderr}
+            outputs.write(json.dumps(line) + "\n")
+        digest = hashlib.sha256(f"{code}\n{stdout}\n{stderr}".encode()).hexdigest()
+        print(digest, label, flush=True)
+
+
+def _records(stdout: str):
+    """The JSON records a stdout holds, one a line, or None where it holds something else."""
+    try:
+        records = [json.loads(line) for line in stdout.splitlines()]
+    except json.JSONDecodeError:
+        return None
+    return records if all(isinstance(r, dict) and "record" in r for r in records) else None
+
+
+def stdout_differences(before: str, after: str) -> str:
+    """Each record kind whose field values differ between two stdouts, with
+    those fields, in order; the kinds in order where records differ in kind."""
+    old, new = _records(before), _records(after)
+    if old is None or new is None:
+        return "stdout (not records)"
+    kinds = [", ".join(r["record"] for r in records) for records in (old, new)]
+    if kinds[0] != kinds[1]:
+        return f"records {kinds[0]} -> {kinds[1]}"
+    fields: dict[str, list[str]] = {}
+    for a, b in zip(old, new):
+        for key in {**a, **b}:  # a's keys, then b's new ones
+            if key not in a or key not in b or json.dumps(a[key]) != json.dumps(b[key]):
+                names = fields.setdefault(a["record"], [])
+                if key not in names:
+                    names.append(key)
+    notes = [f"{kind}: {', '.join(names)}" for kind, names in fields.items()]
+    return "; ".join(notes) or "stdout (same fields and values)"
+
+
+def compare(before_path: Path, after_path: Path) -> int:
+    """Print what differs for each command whose outputs differ between two
+    --outputs files, then how many commands differ in each way.  Returns 1
+    when some command differs, else 0."""
+    before, after = (
+        {line["label"]: line for line in map(json.loads, path.read_text().splitlines())}
+        for path in (before_path, after_path)
+    )
+    labels = {**before, **after}  # before's labels, then after's new ones
+    tally: Counter[str] = Counter()
+    differ = 0
+    for label in labels:
+        if label not in before or label not in after:
+            notes = [f"only in {before_path if label in before else after_path}"]
+        else:
+            a, b = before[label], after[label]
+            notes = [f"exit code {a['code']} -> {b['code']}"] if a["code"] != b["code"] else []
+            notes += ["stderr"] if a["stderr"] != b["stderr"] else []
+            if a["stdout"] != b["stdout"]:
+                notes.append(stdout_differences(a["stdout"], b["stdout"]))
+        if notes:
+            differ += 1
+            tally.update(notes)
+            print(f"{label}: {'; '.join(notes)}")
+    print(f"{differ} of {len(labels)} commands differ")
+    for note, count in tally.most_common():
+        print(f"{count:7d}  {note}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package sources")
     parser.add_argument("--seeds", type=int, nargs="*", default=[], help="benchmark pool seeds")
+    parser.add_argument(
+        "--outputs",
+        type=Path,
+        metavar="FILE",
+        help="also write each command's label, exit code, stdout and stderr to FILE",
+    )
+    parser.add_argument(
+        "--compare",
+        type=Path,
+        nargs=2,
+        metavar=("BEFORE", "AFTER"),
+        help="run nothing; list what differs between two --outputs files",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     sys.path[:0] = [str(args.src), str(ROOT / "benchmarks")]
     import run  # noqa: F401  benchmarks/run.py pins BLAS to one thread before numpy loads
 
     from logbarrier.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        for label, command in commands(Path(tmp), args.seeds):
-            print(digest(cli_main, command), label, flush=True)
+        with open(args.outputs, "w") if args.outputs else contextlib.nullcontext() as outputs:
+            run_commands(cli_main, Path(tmp), args.seeds, outputs)
     return 0
 
 

@@ -845,7 +845,7 @@ def emitted(run_cli):
 
 
 WITNESS = ("witness", ["x", "y", "midpoint", "g_x", "g_y", "g_mid", "violated"])
-LEVELSET = ["record", "scope", "levels", "verdict", "pairs_checked", "method"]
+LEVELSET = ["record", "level", "verdict", "pairs_checked", "method"]
 RECORD_KEYS = {
     "slater": ["record", "point", "margin", "grid_resolution", "passed"],
     "nondegeneracy": [
@@ -866,7 +866,17 @@ RECORD_KEYS = {
     "levelset_convexity": LEVELSET,
     "levelset_convexity+witness": [*LEVELSET, WITNESS],
     "phi_convexity": ["record", "mu", "samples", "min_eigenvalue", "witness"],
-    "path_point": ["record", "mu", "x", "multipliers", "objective", "grad_norm", "status"],
+    "path_point": [
+        "record",
+        "mu",
+        "x",
+        "multipliers",
+        "objective",
+        "grad_norm",
+        "status",
+        "iterations",
+        "trials",
+    ],
     "certificate": [
         "record",
         "x",
@@ -889,6 +899,40 @@ RECORD_KEYS = {
 @pytest.mark.parametrize("kind", sorted(RECORD_KEYS))
 def test_record_schema(emitted, kind):
     assert _key_tree(emitted[kind]) == RECORD_KEYS[kind]
+
+
+def _flat_keys(tree):
+    for item in tree:
+        if isinstance(item, tuple):
+            yield item[0]
+            yield from _flat_keys(item[1])
+        else:
+            yield item
+
+
+def _readme_record_examples():
+    """(kind, text) of each {"record": ...} example in README's code blocks;
+    an example runs on to the next one or to the end of its block."""
+    text = (SRC.parent / "README.md").read_text()
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S):
+        for example in re.split(r'^(?=\{"record")', block, flags=re.M)[1:]:
+            yield re.match(r'\{"record": "(\w+)"', example)[1], example
+
+
+def test_readme_record_examples_quote_printed_keys():
+    # every key a README example quotes, at any depth, is one the CLI prints for its kind
+    kinds = set()
+    for kind, example in _readme_record_examples():
+        kinds.add(kind)
+        printed = {
+            key
+            for name, tree in RECORD_KEYS.items()
+            if name.split("+")[0] == kind
+            for key in _flat_keys(tree)
+        }
+        quoted = set(re.findall(r'"(\w+)":', example))
+        assert quoted <= printed, (kind, sorted(quoted - printed))
+    assert kinds == {"slater", "nondegeneracy", "path_point", "certificate", "levelset_convexity"}
 
 
 @pytest.mark.parametrize(

@@ -258,19 +258,6 @@ def test_no_interior_anywhere():
         continuation.solve(p)
 
 
-def _stage_results(monkeypatch) -> list:
-    """The InnerResult of every stage continuation.solve runs from now on, in order."""
-    seen = []
-    solve_inner = continuation.solve_inner
-
-    def recording(*args):
-        seen.append(solve_inner(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(continuation, "solve_inner", recording)
-    return seen
-
-
 def _counting(monkeypatch) -> Counter:
     """The barrier_hessian and barrier_value calls inner makes from now on."""
     counts = Counter()
@@ -288,10 +275,9 @@ def test_stuck_stages_are_recorded(monkeypatch, problems):
     # a hard iteration cap leaves every stage far from tolerance; each is
     # recorded with its status and the certificate alone judges the run
     monkeypatch.setattr(inner, "MAX_ITERS", 0)
-    seen = _stage_results(monkeypatch)
     trace = continuation.solve(problems["cassini"])
-    assert [(r.iterations, r.status) for r in seen] == [(0, InnerStatus.MAX_ITERS)] * 12
-    assert [pt.status for pt in trace.points] == [InnerStatus.MAX_ITERS] * 12
+    stages = [(pt.iterations, pt.trials, pt.status) for pt in trace.points]
+    assert stages == [(0, 0, InnerStatus.MAX_ITERS)] * 12
     assert trace.final_certificate.verdict is Verdict.NOT_CERTIFIED
 
 
@@ -304,13 +290,12 @@ def test_one_stage_per_weight_on_the_path(problems):
 
 
 @pytest.mark.parametrize("name", ["cassini", "hyperbola"])
-def test_float_floor_stage_ends_without_spinning(monkeypatch, problems, name):
+def test_float_floor_stage_ends_without_spinning(problems, name):
     # the last stage reaches the float floor of phi; it used to repeat a
     # step there until max_iters, 5068 and 5074 iterations in all
-    seen = _stage_results(monkeypatch)
     trace = continuation.solve(problems[name])
-    assert sum(r.iterations for r in seen) < 100
-    assert seen[-1].status is InnerStatus.NO_PROGRESS
+    assert sum(pt.iterations for pt in trace.points) < 100
+    assert trace.points[-1].status is InnerStatus.NO_PROGRESS
     assert trace.final_certificate.verdict is Verdict.KKT_POINT
 
 
@@ -327,12 +312,11 @@ HYPERBOLA_006 = {
 }
 
 
-def test_two_point_cycle_ends_below_the_float_floor(monkeypatch):
-    seen = _stage_results(monkeypatch)
+def test_two_point_cycle_ends_below_the_float_floor():
     trace = continuation.solve(problem.problem_from_dict(HYPERBOLA_006))
-    assert sum(r.iterations for r in seen) < 100
-    assert all(r.status is not InnerStatus.MAX_ITERS for r in seen)
-    assert seen[-1].status is InnerStatus.NO_PROGRESS
+    assert sum(pt.iterations for pt in trace.points) < 100
+    assert all(pt.status is not InnerStatus.MAX_ITERS for pt in trace.points)
+    assert trace.points[-1].status is InnerStatus.NO_PROGRESS
     assert trace.final_certificate.verdict is Verdict.KKT_POINT
     assert abs(trace.final_certificate.objective - 2.6872945658995477) <= 1e-6
 
@@ -349,14 +333,15 @@ BUILTIN_CEILINGS = {
 
 @pytest.mark.parametrize("name", BUILTIN_CEILINGS)
 def test_builtin_newton_iterations(monkeypatch, problems, name):
-    # deterministic counters, each Newton step forming one barrier Hessian
-    seen = _stage_results(monkeypatch)
+    # deterministic counters, each Newton step forming one barrier Hessian;
+    # the path records them, and counted calls check the records
     counts = _counting(monkeypatch)
-    continuation.solve(problems[name])
-    steps = sum(r.iterations for r in seen)
+    trace = continuation.solve(problems[name])
+    steps = sum(pt.iterations for pt in trace.points)
+    trials = sum(pt.trials for pt in trace.points)
     assert steps <= BUILTIN_CEILINGS[name][0]
-    assert counts["barrier_hessian"] == steps
-    assert counts["barrier_value"] <= BUILTIN_CEILINGS[name][1]
+    assert trials <= BUILTIN_CEILINGS[name][1]
+    assert (counts["barrier_hessian"], counts["barrier_value"]) == (steps, trials)
 
 
 @pytest.mark.parametrize(
@@ -372,10 +357,10 @@ def test_off_default_stages_end_honestly(monkeypatch, problems, name, schedule, 
     # close weights and a low mu_min end late stages at phi's float floor
     # above their target; a search that ran 54 trials there and formed a
     # Hessian it did not count read 780, 806 and 242 trials
-    seen = _stage_results(monkeypatch)
     counts = _counting(monkeypatch)
     trace = continuation.solve(problems[name], schedule)
-    assert counts["barrier_hessian"] == sum(r.iterations for r in seen)
+    assert counts["barrier_hessian"] == sum(pt.iterations for pt in trace.points)
+    assert counts["barrier_value"] == sum(pt.trials for pt in trace.points)
     assert counts["barrier_value"] <= trials
     assert all(_ends_honestly(problems[name], pt) for pt in trace.points)
 
@@ -387,6 +372,16 @@ def test_records_shape(traces):
     assert [r["record"] for r in records[:-1]] == ["path_point"] * (len(records) - 1)
     assert records[-1]["record"] == "certificate"
     pt = records[0]
-    assert set(pt) == {"record", "mu", "x", "multipliers", "objective", "grad_norm", "status"}
+    assert set(pt) == {
+        "record",
+        "mu",
+        "x",
+        "multipliers",
+        "objective",
+        "grad_norm",
+        "status",
+        "iterations",
+        "trials",
+    }
     assert pt["mu"] == 1.0
     assert pt["status"] in {s.value for s in InnerStatus}

@@ -24,7 +24,6 @@ SRC = ROOT / "src"
 RECORDS = [
     "barrier.BarrierEvaluation",
     "certificate.KKTCertificate",
-    "continuation.PathPoint",
     "continuation.SolveTrace",
     "corpus.KnownOptimum",
     "corpus.CorpusEntry",
@@ -39,7 +38,7 @@ RECORDS = [
     "diagnostics.CurvatureReport",
     "expr.Expr",
     "expr.Jet",
-    "inner.InnerResult",
+    "inner.PathPoint",
     "oracle.OracleResult",
     "problem.Problem",
 ]
