@@ -4,10 +4,12 @@ For a problem with constraints g_j(x) >= 0 and weight mu > 0 the barrier is
 
     phi(x) = f(x) - mu * sum_j ln(g_j(x))
 
-defined on the strict interior {x : all g_j(x) > 0} and +inf elsewhere.
+defined on the strict interior {x : all g_j(x) > 0} and +inf elsewhere,
+whether or not the g_j are concave.  One helper reads f and every g_j in
+one stacked jet and refuses a point off that domain; barrier_value turns
+the refusal into +inf, while barrier_eval and barrier_hessian raise it.
 The gradient identity grad phi = grad f - sum_j (mu / g_j) grad g_j makes
 mu / g_j(x) the natural multiplier estimate attached to each evaluation.
-Each function here reads f and every g_j in one stacked jet.
 """
 
 from __future__ import annotations
@@ -22,26 +24,32 @@ from .problem import Problem
 
 
 class InfeasiblePointError(Exception):
-    """Raised when a barrier Hessian is requested outside the strict interior."""
+    """The barrier was asked for at a point off the strict interior."""
 
 
 class BarrierEvaluation(NamedTuple):
-    value: float  # +inf outside the strict interior
+    value: float
     constraint_values: np.ndarray
-    gradient: np.ndarray | None  # None outside the strict interior
-    multipliers: np.ndarray | None  # mu / g_j, None outside the strict interior
-    objective: float | None  # f(x), None outside the strict interior
-
-    @property
-    def interior(self) -> bool:
-        return self.gradient is not None
+    gradient: np.ndarray
+    multipliers: np.ndarray  # mu / g_j
+    objective: float  # f(x)
 
 
-def _check_mu(mu: float) -> float:
+def _jet(p: Problem, x, mu: float, order: int):
+    """mu as a float and the stacked jet of (f, g_1, ..., g_m) at x to order.
+
+    Raises ValueError unless mu > 0, EvalError where f or some g_j is
+    undefined, and InfeasiblePointError unless every g_j > 0 (at every
+    point, for a batch).
+    """
     mu = float(mu)
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return mu
+    jet = expr.jets((p.objective, *p.constraints), x, order)
+    g = jet.value[1:]
+    if not np.all(g > 0.0):
+        raise InfeasiblePointError(f"point is not strictly interior (min g = {g.min()})")
+    return mu, jet
 
 
 def _phi(f: float, gvals: np.ndarray, mu: float) -> float:
@@ -49,36 +57,27 @@ def _phi(f: float, gvals: np.ndarray, mu: float) -> float:
 
 
 def barrier_value(p: Problem, x, mu: float) -> float:
-    """Barrier value at one point only; +inf outside the strict interior.
+    """Barrier value at one point only; +inf off the barrier's domain.
 
-    Cheap path for line searches: no derivatives, and ln is never reached
-    for a nonpositive constraint value.  A point where f or some g_j is
-    undefined (EvalError) lies outside the barrier's domain too.
+    Cheap path for line searches: no derivatives.  A point where f or some
+    g_j is undefined (EvalError) lies off the domain too.
     """
-    mu = _check_mu(mu)
     if np.ndim(x) != 1:
         raise ValueError("barrier_value takes one point")
     try:
-        values = expr.jets((p.objective, *p.constraints), x, 0).value
-    except expr.EvalError:
+        mu, jet = _jet(p, x, mu, 0)
+    except (InfeasiblePointError, expr.EvalError):
         return math.inf
-    return math.inf if np.any(values[1:] <= 0.0) else _phi(values[0], values[1:], mu)
+    return _phi(jet.value[0], jet.value[1:], mu)
 
 
 def barrier_eval(p: Problem, x, mu: float) -> BarrierEvaluation:
-    """Value, gradient, multiplier estimates and objective value at one point.
-
-    Outside the strict interior the value is +inf and gradient, multipliers
-    and objective are None; no logarithm of a nonpositive value is ever taken.
-    """
-    mu = _check_mu(mu)
+    """Value, gradient, multiplier estimates and objective value at one
+    strictly interior point; raises InfeasiblePointError anywhere else."""
     if np.ndim(x) != 1:
         raise ValueError("barrier_eval takes one point")
-    jet = expr.jets((p.objective, *p.constraints), x, 1)
+    mu, jet = _jet(p, x, mu, 1)
     f, g = jet.value[0], jet.value[1:]
-    if np.any(g <= 0.0):
-        return BarrierEvaluation(math.inf, g, None, None, None)
-
     multipliers = mu / g
     gradient = jet.grad[0] - jet.grad[1:].T @ multipliers
     return BarrierEvaluation(_phi(f, g, mu), g, gradient, multipliers, f)
@@ -93,13 +92,8 @@ def barrier_hessian(p: Problem, x, mu: float) -> np.ndarray:
     the outer product keeps a g_j above about 1e154, whose square
     overflows, finite.  Raises InfeasiblePointError off the strict interior.
     """
-    mu = _check_mu(mu)
-    jet = expr.jets((p.objective, *p.constraints), x, 2)
+    mu, jet = _jet(p, x, mu, 2)
     h, g = jet.hess[0], jet.value[1:]
-    if np.any(g <= 0.0):
-        raise InfeasiblePointError(
-            f"barrier Hessian requested outside the strict interior (min g = {g.min()})"
-        )
     with np.errstate(over="ignore", invalid="ignore"):  # callers handle an h that is not finite
         w = jet.grad[1:] / g[..., None]  # row j is grad g_j / g_j
         terms = mu * (w[..., :, None] * w[..., None, :]) - (mu / g)[..., None, None] * jet.hess[1:]

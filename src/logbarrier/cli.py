@@ -10,9 +10,9 @@ record() writes each result record from its NamedTuple's fields.
 Handlers return nothing and raise on failure; main() alone turns an
 exception into an exit code.  Exit 0: success (or a met expectation).
 Exit 2, printed as "input error": a usage error, InputError (a flag value
-or check list the command refuses), ProblemError (problem data, or oracle
-limits), EvalError (an expression undefined where the command evaluates
-it) and OutputError (an --out that cannot be written).  Exit 3:
+or check list the command refuses), ProblemError (problem data, or grid
+and oracle limits), EvalError (an expression undefined where the command
+evaluates it) and OutputError (an --out that cannot be written).  Exit 3:
 NegativeResult, an honest negative (not certified, an assumption or
 probe failed, an expectation did not hold, no feasible grid point).
 """
@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from . import corpus, problem
+from .barrier import InfeasiblePointError
 from .certificate import Verdict, global_optimality_statement
 from .continuation import MuSchedule, solve
 from .diagnostics import (
@@ -42,7 +43,6 @@ from .diagnostics import (
     tangential_curvature_probe,
 )
 from .expr import EvalError, scan_values
-from .inner import InfeasibleStartError
 from .oracle import OracleError, grid_minimize
 from .problem import Problem, ProblemError
 
@@ -244,7 +244,7 @@ def _run_solve(args) -> None:
 
     try:
         trace = solve(p, schedule, x0=start)
-    except (InfeasibleStartError, SlaterUnverifiedError) as err:
+    except (InfeasiblePointError, SlaterUnverifiedError) as err:
         raise NegativeResult(f"solve failed: {err}") from None
 
     records.extend(record("path_point", pt) for pt in trace.points)
@@ -290,7 +290,7 @@ def _run_diagnose(args) -> None:
 
     records: list[dict] = []
     all_passed = True
-    slater = None  # the first slater_find outcome: its report, or its error message
+    slater = None  # the first slater_find outcome: its report, or the error it raised
     sample = None  # the boundary walk both boundary probes read
     for name, value in checks:
         try:
@@ -299,9 +299,9 @@ def _run_diagnose(args) -> None:
                     try:
                         slater = slater_find(p)
                     except SlaterUnverifiedError as err:
-                        slater = str(err)
-                if isinstance(slater, str):
-                    raise SlaterUnverifiedError(slater)
+                        slater = err
+                if isinstance(slater, SlaterUnverifiedError):
+                    raise slater
             if name in ("nondegeneracy", "curvature") and sample is None:
                 sample = boundary_sample(p, slater.point, seed=args.seed)
             if name == "slater":

@@ -59,9 +59,9 @@ def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace
     """Run the full continuation and certify the final iterate.
 
     The start is x0, else the problem's interior point, else a grid search
-    for a strictly feasible point; the first stage's solve_inner raises
-    InfeasibleStartError when the start is not strictly interior, and
-    EvalError where f or some g_j is undefined at it.  Each stage is one
+    for a strictly feasible point; the first stage's barrier evaluation
+    raises InfeasiblePointError when the start is not strictly interior,
+    and EvalError where f or some g_j is undefined at it.  Each stage is one
     solve_inner call, which owns the stopping rule and returns the stage's
     path point (a late stage usually ends NO_PROGRESS at phi's float floor);
     the next starts at its x.  No stage aborts the run: check_kkt alone

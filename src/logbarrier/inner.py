@@ -30,10 +30,6 @@ MAX_ITERS = 5000
 STAGE_TARGET = 1e-2  # a stage's gradient-norm target, relative to mu
 
 
-class InfeasibleStartError(Exception):
-    """Starting point is not strictly interior."""
-
-
 class InnerStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
@@ -77,17 +73,14 @@ def solve_inner(p: Problem, mu: float, x_start) -> PathPoint:
     call).  The search halves t from 1 while t >= MIN_STEP and the
     decrease t * slope still shows against phi, and a candidate must
     lower phi; a search that runs out counts as an iteration and ends the
-    solve NO_PROGRESS at x, phi's float floor.  Raises EvalError at an
-    iterate whose barrier gradient norm overflows.  The path point holds
-    mu / g_j and f at its x, and the solve's Newton steps and trials.
+    solve NO_PROGRESS at x, phi's float floor.  The start's barrier_eval
+    raises InfeasiblePointError off the strict interior, and EvalError
+    where f or some g_j is undefined; EvalError too at an iterate whose
+    barrier gradient norm overflows.  The path point holds mu / g_j and f
+    at its x, and the solve's Newton steps and trials.
     """
     x = np.array([float(v) for v in x_start])
     be = barrier_eval(p, x, mu)
-    if not be.interior:
-        raise InfeasibleStartError(
-            f"start is not strictly interior (min g = {be.constraint_values.min()})"
-        )
-
     trials = 0
     # a dot product of huge vectors reads inf, which the norm check and the step tests handle
     with np.errstate(over="ignore"):

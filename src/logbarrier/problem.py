@@ -21,6 +21,8 @@ from .expr import Expr
 # of page faults, as glibc returned the walker's temporaries to the system
 GRID_BLOCK_POINTS = 1 << 14
 MAX_RESOLUTION = 1 << 20  # points per axis, so that an axis takes at most 8 MiB
+# points per grid: a scan of 1e8 points takes seconds, the 101^6 Slater grid hours
+MAX_GRID_POINTS = 1 << 27
 
 
 class ProblemError(Exception):
@@ -48,13 +50,17 @@ def grid_blocks(box: np.ndarray, res: int):
     Each block is a (k, n) array of at most GRID_BLOCK_POINTS points; a
     consumer that keeps a point copies it, so that the block can be freed.
     Raises ProblemError, before any axis is allocated, for res above
-    MAX_RESOLUTION.
+    MAX_RESOLUTION or a grid of more than MAX_GRID_POINTS points.
     """
     if res > MAX_RESOLUTION:
         raise ProblemError(f"grid resolution must be at most {MAX_RESOLUTION}, got {res}")
-    axes = [np.linspace(lo, hi, res) for lo, hi in box]
-    n = len(axes)
+    n = len(box)
     total = res**n
+    if total > MAX_GRID_POINTS:
+        raise ProblemError(
+            f"a grid of {res}^{n} = {total} points exceeds the budget of {MAX_GRID_POINTS}"
+        )
+    axes = [np.linspace(lo, hi, res) for lo, hi in box]
     for start in range(0, total, GRID_BLOCK_POINTS):
         stop = min(start + GRID_BLOCK_POINTS, total)
         first = start // res

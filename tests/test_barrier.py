@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from logbarrier import barrier, expr, problem
+from logbarrier import barrier, corpus, expr, problem
 from logbarrier.barrier import InfeasiblePointError
 
 DISK_CENTER = {
@@ -47,19 +47,34 @@ def test_value_definition(problems):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_value_outside_interior(problems):
-    disk = problems["disk"]
-    assert barrier.barrier_value(disk, np.array([1.0, 0.0]), 1.0) == math.inf
-    assert barrier.barrier_value(disk, np.array([2.0, 0.0]), 1.0) == math.inf
+# per builtin, a point where the least g_j is exactly 0 and one where it is negative
+EDGE_POINTS = {
+    "cassini": ([0.0, 1.0], [2.0, 0.0]),
+    "hyperbola": ([1.0, 1.0], [0.5, 0.5]),
+    "epsbox": ([0.5, 0.0], [0.5, -0.5]),
+    "disk": ([1.0, 0.0], [1.5, 0.0]),
+    "degenerate-disk": ([1.0, 0.0], [1.5, 0.0]),
+}
 
 
-def test_eval_outside_interior(problems):
-    be = barrier.barrier_eval(problems["disk"], np.array([1.0, 0.0]), 1.0)
-    assert not be.interior
-    assert be.value == math.inf
-    assert be.gradient is None
-    assert be.multipliers is None
-    assert be.constraint_values.shape == (1,)
+@pytest.mark.parametrize("name", corpus.names())
+def test_the_barrier_is_defined_on_the_strict_interior_alone(problems, name):
+    p = problems[name]
+    boundary, exterior = map(np.array, EDGE_POINTS[name])
+    assert problem.evaluate_constraints(p, boundary).min() == 0.0
+    assert problem.evaluate_constraints(p, exterior).min() < 0.0
+    for x in (boundary, exterior, np.array([p.interior_point, exterior])):
+        if x.ndim == 1:
+            assert barrier.barrier_value(p, x, 1.0) == math.inf
+            with pytest.raises(InfeasiblePointError, match="min g"):
+                barrier.barrier_eval(p, x, 1.0)
+        with pytest.raises(InfeasiblePointError, match="min g"):
+            barrier.barrier_hessian(p, x, 1.0)
+    # every g_j > 0 at the interior point, and ln of a negative number there
+    undefined = p._replace(objective=expr.parse("ln(x1 - 100)", p.nvars))
+    assert barrier.barrier_value(undefined, p.interior_point, 1.0) == math.inf
+    with pytest.raises(expr.EvalError):
+        barrier.barrier_eval(undefined, p.interior_point, 1.0)
 
 
 def test_multiplier_estimates(problems):
@@ -132,11 +147,6 @@ def test_hessian_indefinite_sample(problems):
     h = barrier.barrier_hessian(problems["epsbox"], np.array([0.5, 0.3]), 1.0)
     eigs = np.linalg.eigvalsh(h)
     assert eigs[0] < 0.0
-
-
-def test_hessian_outside_interior(problems):
-    with pytest.raises(InfeasiblePointError, match="min g"):
-        barrier.barrier_hessian(problems["disk"], np.array([1.0, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("fn", [barrier.barrier_value, barrier.barrier_eval])

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -255,6 +256,29 @@ def test_input_errors_exit_2(run_cli, argv):
     code, _, stderr = run_cli(argv)
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["diagnose", "--check", "slater"]])
+def test_a_grid_over_the_point_budget_is_refused_at_once(run_cli, tmp_path, argv):
+    # without interior_point both commands scan 101^6 points for one, hours of work
+    path = tmp_path / "ball6.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "ball6",
+                "nvars": 6,
+                "objective": "x1",
+                "constraints": [" - ".join(["1"] + [f"x{i}^2" for i in range(1, 7)])],
+                "box": [[-1.5, 1.5]] * 6,
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli([argv[0], "--problem", path, *argv[1:]])
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("logbarrier: input error:")
+    assert f"101^6 = {101**6} points" in stderr
 
 
 @pytest.mark.parametrize("command", ["contour", "oracle"])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from logbarrier import barrier, cli, continuation, diagnostics, expr, inner, problem
+from logbarrier.barrier import InfeasiblePointError
 from logbarrier.certificate import Verdict
 from logbarrier.continuation import MuSchedule
 from logbarrier.diagnostics import SlaterUnverifiedError
-from logbarrier.inner import InfeasibleStartError, InnerStatus
+from logbarrier.inner import InnerStatus
 
 
 def test_schedule_weights():
@@ -240,7 +241,7 @@ def test_solve_with_explicit_start(problems):
 
 
 def test_infeasible_start_rejected(problems):
-    with pytest.raises(InfeasibleStartError, match="strictly interior"):
+    with pytest.raises(InfeasiblePointError, match="strictly interior"):
         continuation.solve(problems["disk"], x0=np.array([5.0, 0.0]))
 
 

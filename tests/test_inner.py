@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import minimize
 
 from logbarrier import barrier, expr, inner, problem
-from logbarrier.inner import InfeasibleStartError, InnerStatus
+from logbarrier.barrier import InfeasiblePointError
+from logbarrier.inner import InnerStatus
 
 DISK_FLAT = problem.problem_from_dict(
     {
@@ -102,10 +103,10 @@ def test_newton_agrees_with_nelder_mead(monkeypatch, problems):
 
 
 def test_infeasible_start(problems):
-    with pytest.raises(InfeasibleStartError, match="strictly interior"):
+    with pytest.raises(InfeasiblePointError, match="strictly interior"):
         inner.solve_inner(problems["disk"], 1.0, np.array([2.0, 0.0]))
     # boundary is not interior either
-    with pytest.raises(InfeasibleStartError):
+    with pytest.raises(InfeasiblePointError):
         inner.solve_inner(problems["disk"], 1.0, np.array([1.0, 0.0]))
 
 
