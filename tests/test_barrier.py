@@ -63,13 +63,14 @@ def test_the_barrier_is_defined_on_the_strict_interior_alone(problems, name):
     boundary, exterior = map(np.array, EDGE_POINTS[name])
     assert problem.evaluate_constraints(p, boundary).min() == 0.0
     assert problem.evaluate_constraints(p, exterior).min() < 0.0
-    for x in (boundary, exterior, np.array([p.interior_point, exterior])):
-        if x.ndim == 1:
-            assert barrier.barrier_value(p, x, 1.0) == math.inf
-            with pytest.raises(InfeasiblePointError, match="min g"):
-                barrier.barrier_eval(p, x, 1.0)
+    for x in (boundary, exterior):
+        assert barrier.barrier_value(p, x, 1.0) == math.inf
+        with pytest.raises(InfeasiblePointError, match="min g"):
+            barrier.barrier_eval(p, x, 1.0)
         with pytest.raises(InfeasiblePointError, match="min g"):
             barrier.barrier_hessian(p, x, 1.0)
+    with pytest.raises(InfeasiblePointError, match="min g"):  # one exterior point in a batch
+        barrier.barrier_hessian(p, np.array([p.interior_point, exterior]), 1.0)
     # every g_j > 0 at the interior point, and ln of a negative number there
     undefined = p._replace(objective=expr.parse("ln(x1 - 100)", p.nvars))
     assert barrier.barrier_value(undefined, p.interior_point, 1.0) == math.inf
