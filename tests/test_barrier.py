@@ -47,6 +47,18 @@ def test_value_definition(problems):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_value_outside_interior(problems):
+    disk = problems["disk"]
+    assert barrier.barrier_value(disk, np.array([1.0, 0.0]), 1.0) == math.inf
+    assert barrier.barrier_value(disk, np.array([2.0, 0.0]), 1.0) == math.inf
+
+
+def test_eval_outside_interior(problems):
+    # off the strict interior there is no gradient to return, so the evaluation refuses
+    with pytest.raises(InfeasiblePointError, match="min g"):
+        barrier.barrier_eval(problems["disk"], np.array([1.0, 0.0]), 1.0)
+
+
 # per builtin, a point where the least g_j is exactly 0 and one where it is negative
 EDGE_POINTS = {
     "cassini": ([0.0, 1.0], [2.0, 0.0]),
@@ -148,6 +160,11 @@ def test_hessian_indefinite_sample(problems):
     h = barrier.barrier_hessian(problems["epsbox"], np.array([0.5, 0.3]), 1.0)
     eigs = np.linalg.eigvalsh(h)
     assert eigs[0] < 0.0
+
+
+def test_hessian_outside_interior(problems):
+    with pytest.raises(InfeasiblePointError, match="min g"):
+        barrier.barrier_hessian(problems["disk"], np.array([1.0, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("fn", [barrier.barrier_value, barrier.barrier_eval])
