@@ -25,7 +25,7 @@ from . import expr
 from .diagnostics import NONDEGENERACY_DELTA, _row_norms
 from .problem import Problem
 
-ACTIVE_DISTANCE = 1e-6  # in x's units: g_j <= this * |grad g_j| is active
+ACTIVE_DISTANCE = 1e-6  # in box widths: g_j <= this * w * |grad g_j| is active
 STATIONARITY_TOL = 1e-5
 COMPLEMENTARITY_TOL = 1e-5
 FEASIBILITY_TOL = 1e-8
@@ -45,8 +45,8 @@ class KKTCertificate(NamedTuple):
     complementarity_residual: float
     dual_feasibility_violation: float
     primal_feasibility_violation: float
-    active_set: list[int]  # 1-based, ascending: the g_j within ACTIVE_DISTANCE of their zero
-    activation_tolerance: float  # ACTIVE_DISTANCE
+    active_set: list[int]  # 1-based, ascending: the g_j within activation_tolerance of their zero
+    activation_tolerance: float  # ACTIVE_DISTANCE * w, w the box's largest width
     least_active_singular_value: float | None  # of the active gradients; None if none is active
     verdict: Verdict
 
@@ -54,10 +54,10 @@ class KKTCertificate(NamedTuple):
 def check_kkt(p: Problem, x) -> KKTCertificate:
     """Score the point x against the KKT residuals.
 
-    A g_j with g_j(x) <= ACTIVE_DISTANCE * |grad g_j(x)| is active: to
-    first order x lies within ACTIVE_DISTANCE of its zero set, which does
-    not move when g_j is scaled.  The multipliers are the least-squares
-    solution of sum over active j of lambda_j grad g_j = grad f, and zero
+    A g_j with g_j(x) <= ACTIVE_DISTANCE * w * |grad g_j(x)|, w the box's
+    largest width, is active: to first order x lies within that distance of
+    its zero set, whatever the scale of g_j or of x.  The multipliers solve
+    sum over active j of lambda_j grad g_j = grad f by least squares, zero
     off the active set (Nocedal and Wright, Numerical Optimization, ch. 18).
     The verdict compares the residuals with STATIONARITY_TOL,
     COMPLEMENTARITY_TOL, FEASIBILITY_TOL and DUAL_TOL, and refuses x where
@@ -69,7 +69,8 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     jet = expr.jets((p.objective, *p.constraints), x, 1)
     gvals, grads = jet.value[1:], jet.grad[1:]
     norms = _row_norms(jet.grad)
-    active = gvals <= ACTIVE_DISTANCE * norms[1:]
+    distance = ACTIVE_DISTANCE * float(np.max(p.box[:, 1] - p.box[:, 0]))
+    active = gvals <= distance * norms[1:]
     lam = np.zeros(p.nconstraints)
     solution, _, rank, singular = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)
     # + 0.0 turns a -0.0 estimate, as where grad f = 0 on the boundary, into 0.0
@@ -85,7 +86,7 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
         dual_feasibility_violation=float(np.max(np.maximum(0.0, -lam))) + 0.0,
         primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))) + 0.0,
         active_set=[int(j) + 1 for j in np.nonzero(active)[0]],
-        activation_tolerance=ACTIVE_DISTANCE,
+        activation_tolerance=distance,
         least_active_singular_value=float(singular[rank - 1]) if singular.size else None,
         verdict=Verdict.NOT_CERTIFIED,
     )

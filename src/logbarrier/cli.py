@@ -57,6 +57,8 @@ CHECK_KINDS = {
     "levelset": "levelset_convexity",
     "phiconvexity": "phi_convexity",
 }
+CONVEXITY_CHECKS = ("curvature", "levelset", "phiconvexity")  # the checks --expect judges
+ASSUMPTIONS = "slater,nondegeneracy"  # the checks solve --require-assumptions runs
 
 
 class InputError(Exception):
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force grid minimization")
     _add_common(sp, seed=False)
-    sp.add_argument("--res", type=int, default=2001, help="grid resolution per axis")
+    sp.add_argument("--res", type=int, help="grid points per axis (default 2001, 512 in 3-D)")
     sp.add_argument("--polish", type=_count, default=50, help="polish sweeps along rays; 0 skips")
 
     sp = sub.add_parser("list", help="list builtin problems")
@@ -225,22 +227,11 @@ def _run_solve(args) -> None:
     records: list[dict] = []
     start = None
     if args.require_assumptions:
-        try:
-            slater = slater_find(p)
-        except SlaterUnverifiedError as err:
-            raise NegativeResult(f"assumption check failed (slater): {err}") from None
-        records.append(record("slater", slater))
-        if p.interior_point is None:
-            start = slater.point  # the point solve would search for again
-        ndg = nondegeneracy_probe(p, boundary_sample(p, slater.point, seed=args.seed))
-        records.append(record("nondegeneracy", ndg))
-        if not ndg.passed:
-            worst = min(e.min_gradient_norm for e in ndg.constraints if e.passed is False)
+        records, failed, slater = _diagnose(p, _parse_checks(ASSUMPTIONS), args.seed, None)
+        if failed:
             _emit(records, args.out)
-            raise NegativeResult(
-                "assumption check failed (nondegeneracy): active constraint gradient "
-                f"norm {worst:.3e} below {ndg.delta:.1e} at sampled boundary points"
-            )
+            raise NegativeResult(f"assumption checks failed: {', '.join(failed)}")
+        start = slater.point if p.interior_point is None else None  # solve would search again
 
     try:
         trace = solve(p, schedule, x0=start)
@@ -281,17 +272,11 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
     return checks
 
 
-def _run_diagnose(args) -> None:
-    p = _load_problem(args)
-    checks = _parse_checks(args.check)
-    convexity = ("curvature", "levelset", "phiconvexity")  # the checks --expect judges
-    if args.expect and not any(name in convexity for name, _ in checks):
-        raise InputError("--expect needs a curvature, levelset or phiconvexity check")
-
+def _diagnose(p: Problem, checks, seed: int, expect: str | None):
+    """Run the checks; return their records, the names that failed and the Slater outcome."""
     records: list[dict] = []
-    all_passed = True
-    slater = None  # the first slater_find outcome: its report, or the error it raised
-    sample = None  # the boundary walk both boundary probes read
+    failed: list[str] = []
+    slater = sample = None  # slater_find's report or error, and one boundary walk, serve all
     for name, value in checks:
         try:
             if name in ("slater", "nondegeneracy", "curvature"):
@@ -303,7 +288,7 @@ def _run_diagnose(args) -> None:
                 if isinstance(slater, SlaterUnverifiedError):
                     raise slater
             if name in ("nondegeneracy", "curvature") and sample is None:
-                sample = boundary_sample(p, slater.point, seed=args.seed)
+                sample = boundary_sample(p, slater.point, seed=seed)
             if name == "slater":
                 report, passed = slater, True
             elif name == "nondegeneracy":
@@ -318,23 +303,32 @@ def _run_diagnose(args) -> None:
                 )
                 convex = not nonconvex
             elif name == "levelset":
-                report = levelset_convexity_probe(p, value, seed=args.seed)
+                report = levelset_convexity_probe(p, value, seed=seed)
                 nonconvex = report.verdict == "counterexample"
                 convex = report.verdict == "convex_up_to_sampling"
             else:
-                report = phi_convexity_probe(p, value, seed=args.seed)
+                report = phi_convexity_probe(p, value, seed=seed)
                 nonconvex = report.min_eigenvalue < 0.0
                 convex = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
-            if name in convexity:  # --expect nonconvex and indefinite are synonyms
-                passed = {None: True, "pass": convex}.get(args.expect, nonconvex)
+            if name in CONVEXITY_CHECKS:  # --expect nonconvex and indefinite are synonyms
+                passed = {None: True, "pass": convex}.get(expect, nonconvex)
             records.append(record(CHECK_KINDS[name], report))
         except DiagnosticsError as err:
             records.append({"record": CHECK_KINDS[name], "passed": False, "error": str(err)})
             passed = False
-        all_passed = all_passed and passed
+        if not passed:
+            failed.append(name)
+    return records, failed, slater
 
+
+def _run_diagnose(args) -> None:
+    p = _load_problem(args)
+    checks = _parse_checks(args.check)
+    if args.expect and not any(name in CONVEXITY_CHECKS for name, _ in checks):
+        raise InputError("--expect needs a curvature, levelset or phiconvexity check")
+    records, failed, _ = _diagnose(p, checks, args.seed, args.expect)
     _emit(records, args.out)
-    if not all_passed:
+    if failed:
         raise NegativeResult("one or more checks failed (see report records)")
 
 

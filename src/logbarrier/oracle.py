@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import expr
+from . import expr, problem
 from .problem import Problem, ProblemError, bisect, box_exit, evaluate_constraints, grid_blocks
 
 MAX_ORACLE_VARS = 3
+DEFAULT_RESOLUTION = 2001  # points per axis, where problem.MAX_GRID_POINTS allows
 MIN_RESOLUTION = 11
 RADIUS_BISECT_ITERS = 60
 SEARCH_POINTS = 33  # candidates per round of a 1-D search
@@ -110,9 +111,10 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
     return x, fx
 
 
-def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleResult:
+def grid_minimize(p: Problem, res: int | None = None, polish_steps: int = 50) -> OracleResult:
     """Minimize by dense feasible grid search over the box, then polish.
 
+    res None is DEFAULT_RESOLUTION, or the most the grid budget allows: 512 in 3-D.
     Deterministic: ties on the grid go to the lexicographically smallest
     point.  Grid points where f or some g_j overflows are left out.  The
     polish runs at most polish_steps sweeps, and only when some grid point
@@ -122,6 +124,9 @@ def grid_minimize(p: Problem, res: int = 101, polish_steps: int = 50) -> OracleR
     """
     if p.nvars > MAX_ORACLE_VARS:
         raise ProblemError(f"oracle supports up to {MAX_ORACLE_VARS} variables, got {p.nvars}")
+    if res is None:  # in integers: the float cube root of 2^27 is below 512
+        fits = range(DEFAULT_RESOLUTION, 0, -1)
+        res = next(r for r in fits if r**p.nvars <= problem.MAX_GRID_POINTS)
     if res < MIN_RESOLUTION:
         raise ProblemError(f"oracle resolution must be at least {MIN_RESOLUTION}")
 

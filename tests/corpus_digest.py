@@ -20,7 +20,7 @@ the unit disk: the gentler ones end their last stages at the float floor
 of phi, above their gradient-norm target, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then twelve commands on variants of the unit-disk file:
+runs do not.  Then thirteen commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
@@ -31,14 +31,17 @@ overflow; solve on 1e-3*(x1 + x2), whose last iterate stops about
 1.4e-5 inside the disk, short of a certificate; solve
 --require-assumptions on x1 - x2^2, which is not convex, so its KKT
 point (-1, 0) is not the minimizer; solve on the disk constraint written
-twice, whose active gradients have rank 1; and solve, with and without
+twice, whose active gradients have rank 1; solve, with and without
 --require-assumptions, on x1 over the disk of radius sqrt(10) in the box
 [-1, 1]^2, whose minimizer no sampled boundary point comes near; and
-solve on a file whose interior_point is misspelled, which the loader
-refuses.  That makes 85 commands, which commands() yields.  Each seed
-adds the commands of the benchmark's solve, probe2d and probe3d pools
-on the problem files benchmarks/instances.py generates for it, written
-to a temporary directory: 461 commands in all with --seeds 1 2.  To see which commands
+solve --require-assumptions on the one point where -x1^2 - x2^2 >= 0,
+which holds on no grid point strictly, so the gate prints the failed
+slater and nondegeneracy records.  Then solve on a file whose
+interior_point is misspelled, which the loader refuses.  That makes 86
+commands, which commands() yields.  Each seed adds the commands of the
+benchmark's solve, probe2d and probe3d pools on the problem files
+benchmarks/instances.py generates for it, written to a temporary
+directory: 462 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -133,6 +136,11 @@ VARIANTS = [
         "wide",
         {"objective": "x1", "constraints": ["10 - x1^2 - x2^2"], "box": [[-1, 1], [-1, 1]]},
         [["solve"], ["solve", "--require-assumptions"]],
+    ),
+    (
+        "point",
+        {"objective": "x1", "constraints": ["-x1^2 - x2^2"], "interior_point": None},
+        [["solve", "--require-assumptions"]],
     ),
     (
         "misspelled-key",

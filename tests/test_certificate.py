@@ -1,9 +1,13 @@
 """KKT residual scoring, verdicts, and the optimality statement."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from logbarrier import certificate, cli, corpus, diagnostics, expr, problem
+from logbarrier import certificate, cli, continuation, corpus, diagnostics, expr, problem
 from logbarrier.certificate import Verdict
 
 
@@ -20,6 +24,7 @@ def _over_the_disk(objective, constraint="1 - x1^2 - x2^2"):
     )
 
 
+DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 HYPERBOLA = corpus.builtin("hyperbola").problem
 DEGENERATE_DISK = corpus.builtin("degenerate-disk").problem
 LINEAR_DISK = _over_the_disk("x1")
@@ -126,12 +131,34 @@ def test_check_is_pure(problems):
 
 
 def test_activation_tolerance_controls_active_set():
-    # g_j <= ACTIVE_DISTANCE * |grad g_j| is a distance in x's units: 1e-3
-    # from the circle is inactive and 1e-7 active, whatever g's scale
+    # g_j <= ACTIVE_DISTANCE * w * |grad g_j| is a distance of 3e-6 in the
+    # box of width 3: 1e-3 from the circle is inactive and 1e-7 active,
+    # whatever g's scale
     for constraint in ["1 - x1^2 - x2^2", "1e4*(1 - x1^2 - x2^2)"]:
         p = _over_the_disk("(x1 - 1)^2 + (x2 - 1)^2", constraint)
         assert certificate.check_kkt(p, np.array([0.999, 0.0])).active_set == [], constraint
         assert certificate.check_kkt(p, np.array([1.0 - 1e-7, 0.0])).active_set == [1], constraint
+
+
+@pytest.mark.parametrize("k", [-10, 0, 10])
+@pytest.mark.parametrize("name", corpus.names())
+def test_verdict_and_limit_do_not_depend_on_the_units_of_x(traces, name, k):
+    # the builtin written in y = x / 2^k: each x_i becomes 2^k * x_i, and the
+    # box and interior point are divided by 2^k, which a power of two does exactly
+    a = 2.0**k
+    data = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+
+    def scaled(text):
+        return re.sub(r"\bx(\d+)\b", rf"({a!r}*x\1)", text)
+
+    data["objective"] = scaled(data["objective"])
+    data["constraints"] = [scaled(g) for g in data["constraints"]]
+    data["box"] = (np.array(data["box"]) / a).tolist()
+    data["interior_point"] = (np.array(data["interior_point"]) / a).tolist()
+    got = continuation.solve(problem.problem_from_dict(data)).final_certificate
+    want = traces[name].final_certificate
+    assert got.verdict == want.verdict
+    assert np.array_equal(got.x * a, want.x), (got.x * a, want.x)
 
 
 def test_active_set_examples(problems):
@@ -139,18 +166,20 @@ def test_active_set_examples(problems):
     assert certificate.check_kkt(problems["epsbox"], [0.0, 1.0]).active_set == [1, 4]
     got = certificate.check_kkt(problems["disk"], [0.0, 0.0])
     assert (got.active_set, got.least_active_singular_value) == ([], None)
-    assert got.activation_tolerance == certificate.ACTIVE_DISTANCE == 1e-6
+    # the activity distance is ACTIVE_DISTANCE times the box's largest width, 3 for the disk
+    assert got.activation_tolerance == certificate.ACTIVE_DISTANCE * 3.0 == 3e-6
 
 
 def test_active_set_empty_when_strictly_feasible(problems):
-    # a point where every g_j exceeds ACTIVE_DISTANCE * |grad g_j| lies
-    # farther than that from each zero set, to first order
+    # a point where every g_j exceeds ACTIVE_DISTANCE * w * |grad g_j|, w the
+    # box's largest width, lies farther than that from each zero set, to first order
     rng = np.random.default_rng(12)
     for p in problems.values():
         pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(40, p.nvars))
+        distance = certificate.ACTIVE_DISTANCE * np.max(p.box[:, 1] - p.box[:, 0])
         for x in pts:
             jet = expr.jets(p.constraints, x, 1)
-            margin = jet.value - certificate.ACTIVE_DISTANCE * np.linalg.norm(jet.grad, axis=1)
+            margin = jet.value - distance * np.linalg.norm(jet.grad, axis=1)
             if np.all(margin > 0.0):
                 assert certificate.check_kkt(p, x).active_set == []
 

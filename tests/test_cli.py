@@ -188,27 +188,61 @@ def test_the_global_claim_names_the_convexity_of_f_as_assumed(run_cli, tmp_path)
 
 
 def test_solve_assumption_check_fails(run_cli, tmp_path):
+    # a failed assumption prints the records diagnose prints, and its message names the check
     out = tmp_path / "trace.jsonl"
-    code, _, stderr = run_cli(
+    code, stdout, stderr = run_cli(
         ["solve", "--builtin", "degenerate-disk", "--require-assumptions", "--out", out]
     )
-    assert code == 3
-    assert "nondegeneracy" in stderr
+    assert (code, stdout) == (3, "")
+    assert stderr == "logbarrier: assumption checks failed: nondegeneracy\n"
+    argv = ["diagnose", "--builtin", "degenerate-disk", "--check", "slater,nondegeneracy"]
+    assert run_cli(argv)[:2] == (3, out.read_text())
     records = _records(out.read_text())
-    assert records[-1]["record"] == "nondegeneracy"
-    assert records[-1]["passed"] is False
-    worst = min(e["min_gradient_norm"] for e in records[-1]["constraints"] if e["passed"] is False)
-    assert f"gradient norm {worst:.3e} below" in stderr
+    assert [(r["record"], r["passed"]) for r in records] == [
+        ("slater", True),
+        ("nondegeneracy", False),
+    ]
 
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--require-assumptions"], "assumption check failed (slater): "), ([], "solve failed: ")],
+    [
+        pytest.param(
+            ["--require-assumptions"],
+            "assumption checks failed: slater, nondegeneracy\n",
+            id="require-assumptions",
+        ),
+        ([], "solve failed: "),
+    ],
 )
 def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, message):
     code, stdout, stderr = run_cli(["solve", "--problem", void_file, *flags])
-    assert (code, stdout) == (3, "")
+    # with the flag, the Slater search's error is each check's record, as diagnose prints it
+    argv = ["diagnose", "--problem", void_file, "--check", "slater,nondegeneracy"]
+    diagnosed = run_cli(argv)
+    assert (code, stdout) == (3, diagnosed[1] if flags else "")
+    assert diagnosed[0] == 3 and '"error": "no strictly feasible point' in diagnosed[1]
     assert stderr.startswith(f"logbarrier: {message}")
+
+
+@pytest.mark.parametrize("seed", ["42", "7"])
+@pytest.mark.parametrize("name", [*corpus.names(), "void"])
+def test_require_assumptions_prints_the_diagnose_records(run_cli, void_file, name, seed):
+    # one check runner: solve's gate prints diagnose's slater and nondegeneracy
+    # records, all of its output on failure and the records before the path on success
+    source = ["--problem", void_file] if name == "void" else ["--builtin", name]
+    source += ["--seed", seed]
+    code, stdout, stderr = run_cli(["solve", *source, "--require-assumptions"])
+    checked, diagnosed, _ = run_cli(["diagnose", *source, "--check", "slater,nondegeneracy"])
+    lines = stdout.splitlines(keepends=True)
+    path = next((k for k, line in enumerate(lines) if '"path_point"' in line), len(lines))
+    assert "".join(lines[:path]) == diagnosed
+    if checked == 0:
+        assert 0 < path < len(lines)
+    else:
+        failed = [r["record"] for r in _records(diagnosed) if not r["passed"]]
+        assert (code, path) == (3, len(lines))
+        assert stderr == f"logbarrier: assumption checks failed: {', '.join(failed)}\n"
 
 
 def test_readme_solve_section_names_every_solve_option():
@@ -443,6 +477,17 @@ def test_oracle_command(run_cli, tmp_path):
     assert record["grid_resolution"] == 101
     assert record["polished"] is True
     assert abs(record["f_best"] - 0.1715728752538097) <= 1e-6
+
+
+def test_oracle_default_resolution_fits_the_grid_budget(run_cli, monkeypatch, ball3_file):
+    # a 3-D file needs no --res: the default is the finest grid within the
+    # budget, here 30 points per axis in a budget of 30^3
+    monkeypatch.setattr(problem, "MAX_GRID_POINTS", 30**3)
+    code, stdout, stderr = run_cli(["oracle", "--problem", ball3_file, "--polish", "0"])
+    assert (code, stderr) == (0, "")
+    (record,) = _records(stdout)
+    assert record["grid_resolution"] == 30
+    assert record["f_best"] < 0.0
 
 
 def test_oracle_no_feasible_point(run_cli, tmp_path):

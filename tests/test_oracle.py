@@ -52,6 +52,24 @@ def test_disk_targets_reach_the_nearest_boundary_point(constraint, a):
     assert abs(r.f_best - (np.hypot(*a) - 1.0) ** 2) <= 1e-9
 
 
+@pytest.mark.parametrize("nvars, res", [(1, 2001), (2, 2001), (3, 512)])
+def test_default_resolution_is_the_finest_the_grid_budget_allows(nvars, res):
+    # 2001^3 points are over the budget of 2^27, and 512^3 = 2^27 is not
+    names = [f"x{i + 1}" for i in range(nvars)]
+    p = problem.problem_from_dict(
+        {
+            "name": f"ball{nvars}",
+            "nvars": nvars,
+            "objective": " + ".join(names),
+            "constraints": ["1 - " + " - ".join(f"{v}^2" for v in names)],
+            "box": [[-1.5, 1.5]] * nvars,
+        }
+    )
+    r = oracle.grid_minimize(p)
+    assert r.grid_resolution == res
+    assert abs(r.f_best + np.sqrt(nvars)) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "objective, constraint, f_star",
     [
