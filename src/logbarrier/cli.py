@@ -58,7 +58,7 @@ CHECK_KINDS = {
     "phiconvexity": "phi_convexity",
 }
 CONVEXITY_CHECKS = ("curvature", "levelset", "phiconvexity")  # the checks --expect judges
-ASSUMPTIONS = "slater,nondegeneracy"  # the checks solve --require-assumptions runs
+ASSUMPTIONS = "slater,nondegeneracy,curvature"  # the checks solve --require-assumptions runs
 
 
 class InputError(Exception):
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--require-assumptions",
         action="store_true",
-        help="verify strict feasibility and nondegeneracy before solving; fail otherwise",
+        help="verify strict feasibility, nondegeneracy and boundary curvature before solving",
     )
 
     sp = sub.add_parser("diagnose", help="run hypothesis probes")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--expect",
-        choices=["nonconvex", "indefinite", "pass"],
+        choices=["nonconvex", "pass"],
         help="turn curvature, levelset and phiconvexity findings into pass/fail expectations",
     )
 
@@ -227,7 +227,7 @@ def _run_solve(args) -> None:
     records: list[dict] = []
     start = None
     if args.require_assumptions:
-        records, failed, slater = _diagnose(p, _parse_checks(ASSUMPTIONS), args.seed, None)
+        records, failed, slater = _diagnose(p, _parse_checks(ASSUMPTIONS), args.seed, "pass")
         if failed:
             _emit(records, args.out)
             raise NegativeResult(f"assumption checks failed: {', '.join(failed)}")
@@ -308,10 +308,10 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
                 convex = report.verdict == "convex_up_to_sampling"
             else:
                 report = phi_convexity_probe(p, value, seed=seed)
-                nonconvex = report.min_eigenvalue < 0.0
                 convex = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
-            if name in CONVEXITY_CHECKS:  # --expect nonconvex and indefinite are synonyms
-                passed = {None: True, "pass": convex}.get(expect, nonconvex)
+                nonconvex = not convex
+            if name in CONVEXITY_CHECKS:
+                passed = {None: True, "pass": convex, "nonconvex": nonconvex}[expect]
             records.append(record(CHECK_KINDS[name], report))
         except DiagnosticsError as err:
             records.append({"record": CHECK_KINDS[name], "passed": False, "error": str(err)})

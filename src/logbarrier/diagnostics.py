@@ -25,12 +25,10 @@ import numpy as np
 
 from . import expr, problem
 from .barrier import barrier_hessian
-from .problem import Problem, bisect, box_exit, evaluate_constraints, grid_blocks, sample_box
+from .problem import Problem, evaluate_constraints, grid_blocks, sample_box, walk_rays
 
-BISECT_ITERS = 60
 SLATER_GRID_RES = 101
 BOUNDARY_RAYS = 256
-ACTIVATION_TOL = 1e-6  # a sampled boundary point where g_j <= this is active for g_j
 NONDEGENERACY_DELTA = 1e-6  # the least active gradient norm that passes
 LEVELSET_PAIRS = 10000
 PHI_SAMPLES = 1000
@@ -61,8 +59,8 @@ class SlaterReport(NamedTuple):
 class BoundarySample(NamedTuple):
     rays: int
     points: np.ndarray  # (M, n) boundary points, M <= rays
-    residuals: np.ndarray  # (M,) |min_j g_j| at each point
-    active: list[np.ndarray]  # per constraint: the points where it is active
+    residuals: np.ndarray  # (M,) min_j g_j at each point, >= 0
+    active: list[np.ndarray]  # per constraint: the points where it is the least g_j
 
 
 class NondegeneracyEntry(NamedTuple):
@@ -76,7 +74,7 @@ class NondegeneracyReport(NamedTuple):
     delta: float
     rays: int
     boundary_points: int
-    max_boundary_residual: float  # worst |min_j g_j| over accepted boundary points
+    max_boundary_residual: float  # largest min_j g_j over the boundary points
     constraints: list[NondegeneracyEntry]
     passed: bool  # no constraint failed
 
@@ -143,32 +141,22 @@ def slater_find(p: Problem) -> SlaterReport:
 def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySample:
     """Walk BOUNDARY_RAYS seeded random rays from a strict interior point x0 to the boundary.
 
-    Rays that leave the box while still strictly feasible are dropped.  For
-    the rest, bisection pins the crossing of min_j g_j down to a residual
-    around machine scale.  The points where g_j <= ACTIVATION_TOL are kept
-    per constraint; each probe that reads the sample takes the derivatives
-    it needs there.
+    Rays that leave the box while still strictly feasible are dropped.  On
+    the rest, bisection on min_j g_j >= 0 pins the crossing down to a
+    residual around machine scale, and its inside end is the boundary
+    point.  There a constraint is active where it is the least g_j: the
+    one the ray crossed, whatever the scale of each g_j.  The points are
+    kept per active constraint; each probe that reads the sample takes the
+    derivatives it needs there.
     """
     directions = _random_directions(np.random.default_rng(seed), BOUNDARY_RAYS, p.nvars)
-    t_exit = box_exit(p.box, x0, directions)
-    valid = np.isfinite(t_exit) & (t_exit > 0)
-    dirs, exits = directions[valid], t_exit[valid]
-
-    def g_at(ts: np.ndarray) -> np.ndarray:
-        return evaluate_constraints(p, x0[None, :] + ts[:, None] * dirs)
-
-    crossing = g_at(exits).min(axis=1) <= 1e-12
-    dirs, exits = dirs[crossing], exits[crossing]
-    lo, hi = bisect(
-        lambda t: g_at(t).min(axis=1) > 0.0, np.zeros(dirs.shape[0]), exits, BISECT_ITERS
-    )
-    g_lo, g_hi = g_at(lo), g_at(hi)
-    h_lo, h_hi = np.abs(g_lo.min(axis=1)), np.abs(g_hi.min(axis=1))
-    nearer = h_lo <= h_hi
-    points = x0[None, :] + np.where(nearer, lo, hi)[:, None] * dirs
-    gvals = np.where(nearer[:, None], g_lo, g_hi)
-    residuals = np.minimum(h_lo, h_hi)
-    active = [points[gvals[:, j] <= ACTIVATION_TOL] for j in range(p.nconstraints)]
+    t_in, t_exit = walk_rays(p, x0, directions, 0.0, problem.BISECT_ITERS)
+    g_exit = evaluate_constraints(p, x0 + t_exit[:, None] * directions).min(axis=1)
+    crossing = (t_exit > 0) & (g_exit <= 1e-12)
+    points = x0 + t_in[crossing, None] * directions[crossing]
+    g = evaluate_constraints(p, points)
+    residuals = g.min(axis=1)
+    active = [points[g[:, j] == residuals] for j in range(p.nconstraints)]
     return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 
 
@@ -246,11 +234,7 @@ def _push_alternate(p: Problem, level: float, rows: np.ndarray, start: int, rng)
     near = (np.arange(2 * start, 2 * start + rows.shape[0]) // 2) % 2 == 1
     dirs = _random_directions(rng, rows.shape[0], p.nvars)[near]
     pts = rows[near]
-    t_exit = box_exit(p.box, pts, dirs)
-    t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
-    t_in, _ = bisect(
-        lambda t: _members(p, level, pts + t[:, None] * dirs), np.zeros(len(pts)), t_exit, 40
-    )
+    t_in, _ = walk_rays(p, pts, dirs, level, 40)
     rows[near] = pts + t_in[:, None] * dirs
 
 

@@ -18,12 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr, problem
-from .problem import Problem, ProblemError, bisect, box_exit, evaluate_constraints, grid_blocks
+from .problem import Problem, ProblemError, evaluate_constraints, grid_blocks, walk_rays
 
 MAX_ORACLE_VARS = 3
 DEFAULT_RESOLUTION = 2001  # points per axis, where problem.MAX_GRID_POINTS allows
 MIN_RESOLUTION = 11
-RADIUS_BISECT_ITERS = 60
 SEARCH_POINTS = 33  # candidates per round of a 1-D search
 SEARCH_ROUNDS = 10  # each round narrows the interval 16-fold around the best point so far
 
@@ -42,17 +41,13 @@ class OracleResult(NamedTuple):
 def _radius(p: Problem, c: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Length t of each ray c + t * d, one per row of dirs, to the boundary.
 
-    Bisection judges points as the grid scan does (where some g_j
+    The walk judges points as the grid scan does (where some g_j
     overflows, a point is infeasible) and keeps c + t * d feasible.  A ray
     still feasible where it leaves the box gets the box exit.
     """
-    t_exit = box_exit(p.box, c, dirs)
-
-    def inside(ts: np.ndarray) -> np.ndarray:
-        return evaluate_constraints(p, c + ts[:, None] * dirs).min(axis=1) >= 0.0
-
-    t_in, _ = bisect(inside, np.zeros(dirs.shape[0]), t_exit, RADIUS_BISECT_ITERS)
-    return np.where(inside(t_exit), t_exit, t_in)
+    t_in, t_exit = walk_rays(p, c, dirs, 0.0, problem.BISECT_ITERS)
+    feasible = evaluate_constraints(p, c + t_exit[:, None] * dirs).min(axis=1) >= 0.0
+    return np.where(feasible, t_exit, t_in)
 
 
 def _least(p: Problem, pts: np.ndarray, feasible: np.ndarray) -> tuple[int, float]:

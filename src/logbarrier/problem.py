@@ -23,6 +23,7 @@ GRID_BLOCK_POINTS = 1 << 14
 MAX_RESOLUTION = 1 << 20  # points per axis, so that an axis takes at most 8 MiB
 # points per grid: a scan of 1e8 points takes seconds, the 101^6 Slater grid hours
 MAX_GRID_POINTS = 1 << 27
+BISECT_ITERS = 60  # halvings of a ray's bracket, down to about machine precision
 
 
 class ProblemError(Exception):
@@ -89,23 +90,28 @@ def box_exit(box: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return t_exit
 
 
-def bisect(inside, t_in: np.ndarray, t_out: np.ndarray, iters: int):
-    """Halve each bracket between t_in and t_out iters times.
+def walk_rays(p: Problem, x: np.ndarray, dirs: np.ndarray, level: float, iters: int):
+    """Bisect each ray x + t * d, t between 0 and its box exit, on min_j g_j >= level.
 
-    inside maps an array of t to a bool array; where it holds at the
-    midpoint, the midpoint becomes t_in, else t_out.  So inside stays true
-    at t_in if it was at the start.  Either end may be the larger.  Stops
-    early once a halving would move no end: inside is a function of t, so
-    no later halving would either.  Returns the final (t_in, t_out).
+    dirs is (k, n); x is one start point, shape (n,), or one per ray, (k, n),
+    and should lie in the set.  A ray that leaves the box at once, or never,
+    gets the bracket [0, 0].  Each halving keeps the midpoint as t_in where
+    min_j g_j >= level holds there (a point where some g_j overflows does
+    not), else as the outer end; it stops early once a halving would move
+    no end, since no later one would.  Returns (t_in, t_exit): the last t
+    seen inside, and the box exit each ray was bracketed by.
     """
+    t_exit = box_exit(p.box, x, dirs)
+    t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
+    t_in, t_out = np.zeros(dirs.shape[0]), t_exit
     for _ in range(iters):
         mid = 0.5 * (t_in + t_out)
-        ok = inside(mid)
+        ok = evaluate_constraints(p, x + mid[:, None] * dirs).min(axis=1) >= level
         if np.array_equal(mid, np.where(ok, t_in, t_out)):
             break
         t_in = np.where(ok, mid, t_in)
         t_out = np.where(ok, t_out, mid)
-    return t_in, t_out
+    return t_in, t_exit
 
 
 def sample_box(rng: np.random.Generator, box: np.ndarray, keep, need: int, batch: int, cap: int):

@@ -20,7 +20,7 @@ the unit disk: the gentler ones end their last stages at the float floor
 of phi, above their gradient-norm target, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then thirteen commands on variants of the unit-disk file:
+runs do not.  Then fifteen commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
@@ -36,12 +36,16 @@ twice, whose active gradients have rank 1; solve, with and without
 [-1, 1]^2, whose minimizer no sampled boundary point comes near; and
 solve --require-assumptions on the one point where -x1^2 - x2^2 >= 0,
 which holds on no grid point strictly, so the gate prints the failed
-slater and nondegeneracy records.  Then solve on a file whose
-interior_point is misspelled, which the loader refuses.  That makes 86
-commands, which commands() yields.  Each seed adds the commands of the
+slater, nondegeneracy and curvature records; diagnose --check
+nondegeneracy on the unit disk beside 1e-7*(2 - x1), a constraint that
+is small on the whole box but active nowhere on its boundary; and solve
+--require-assumptions on the annulus 1 <= x1^2 + x2^2 <= 4, whose inner
+circle bends away from the set, so the gate's curvature check fails.
+Then solve on a file whose interior_point is misspelled, which the
+loader refuses.  That makes 88 commands, which commands() yields.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 462 commands in all with --seeds 1 2.  To see which commands
+directory: 464 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -140,6 +144,21 @@ VARIANTS = [
     (
         "point",
         {"objective": "x1", "constraints": ["-x1^2 - x2^2"], "interior_point": None},
+        [["solve", "--require-assumptions"]],
+    ),
+    (
+        "tiny-constraint",
+        {"objective": "x1", "constraints": ["1 - x1^2 - x2^2", "1e-7*(2 - x1)"]},
+        [["diagnose", "--check", "nondegeneracy"]],
+    ),
+    (
+        "annulus",
+        {
+            "objective": "x1",
+            "constraints": ["4 - x1^2 - x2^2", "x1^2 + x2^2 - 1"],
+            "box": [[-2.5, 2.5], [-2.5, 2.5]],
+            "interior_point": [1.5, 0],
+        },
         [["solve", "--require-assumptions"]],
     ),
     (

@@ -21,6 +21,16 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "logbarrier" / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+STRIP = {
+    "name": "strip",
+    "nvars": 2,
+    "objective": "x1",
+    "constraints": ["1 - 0.6*x1 - 0.8*x2", "1 + 0.6*x1 + 0.8*x2"],
+    "box": [[-2, 2], [-2, 2]],
+    "interior_point": [0, 0],
+}
+
+
 def _records(text):
     return [json.loads(line) for line in text.splitlines() if line]
 
@@ -195,12 +205,13 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
     )
     assert (code, stdout) == (3, "")
     assert stderr == "logbarrier: assumption checks failed: nondegeneracy\n"
-    argv = ["diagnose", "--builtin", "degenerate-disk", "--check", "slater,nondegeneracy"]
+    argv = ["diagnose", "--builtin", "degenerate-disk", "--check", cli.ASSUMPTIONS]
     assert run_cli(argv)[:2] == (3, out.read_text())
     records = _records(out.read_text())
-    assert [(r["record"], r["passed"]) for r in records] == [
+    assert [(r["record"], r.get("passed")) for r in records] == [
         ("slater", True),
         ("nondegeneracy", False),
+        ("tangential_curvature", None),
     ]
 
 
@@ -209,7 +220,7 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
     [
         pytest.param(
             ["--require-assumptions"],
-            "assumption checks failed: slater, nondegeneracy\n",
+            "assumption checks failed: slater, nondegeneracy, curvature\n",
             id="require-assumptions",
         ),
         ([], "solve failed: "),
@@ -218,29 +229,41 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
 def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, message):
     code, stdout, stderr = run_cli(["solve", "--problem", void_file, *flags])
     # with the flag, the Slater search's error is each check's record, as diagnose prints it
-    argv = ["diagnose", "--problem", void_file, "--check", "slater,nondegeneracy"]
+    argv = ["diagnose", "--problem", void_file, "--check", "slater,nondegeneracy,curvature"]
     diagnosed = run_cli(argv)
     assert (code, stdout) == (3, diagnosed[1] if flags else "")
     assert diagnosed[0] == 3 and '"error": "no strictly feasible point' in diagnosed[1]
     assert stderr.startswith(f"logbarrier: {message}")
 
 
+def _passed(rec):
+    """Whether a check's record passed; a curvature report passes when no
+    sampled curvature exceeds the tolerance, as under --expect pass."""
+    if rec["record"] != "tangential_curvature" or "error" in rec:
+        return rec["passed"]
+    tops = [e["max_tangential_curvature"] for e in rec["constraints"]]
+    return all(top is None or top <= cli.CURVATURE_PASS_TOL for top in tops)
+
+
 @pytest.mark.parametrize("seed", ["42", "7"])
 @pytest.mark.parametrize("name", [*corpus.names(), "void"])
 def test_require_assumptions_prints_the_diagnose_records(run_cli, void_file, name, seed):
-    # one check runner: solve's gate prints diagnose's slater and nondegeneracy
-    # records, all of its output on failure and the records before the path on success
+    # one check runner: solve's gate prints diagnose's slater, nondegeneracy and
+    # curvature records, all of its output on failure and the records before the
+    # path on success; a curvature above 1e-6 fails it, as --expect pass does
     source = ["--problem", void_file] if name == "void" else ["--builtin", name]
     source += ["--seed", seed]
     code, stdout, stderr = run_cli(["solve", *source, "--require-assumptions"])
-    checked, diagnosed, _ = run_cli(["diagnose", *source, "--check", "slater,nondegeneracy"])
+    checks = ["--check", "slater,nondegeneracy,curvature", "--expect", "pass"]
+    checked, diagnosed, _ = run_cli(["diagnose", *source, *checks])
     lines = stdout.splitlines(keepends=True)
     path = next((k for k, line in enumerate(lines) if '"path_point"' in line), len(lines))
     assert "".join(lines[:path]) == diagnosed
     if checked == 0:
         assert 0 < path < len(lines)
     else:
-        failed = [r["record"] for r in _records(diagnosed) if not r["passed"]]
+        names = {kind: name for name, kind in cli.CHECK_KINDS.items()}
+        failed = [names[r["record"]] for r in _records(diagnosed) if not _passed(r)]
         assert (code, path) == (3, len(lines))
         assert stderr == f"logbarrier: assumption checks failed: {', '.join(failed)}\n"
 
@@ -360,8 +383,8 @@ def test_diagnose_prints_the_slater_report(run_cli, name):
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "indefinite"], 0),
-        (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "indefinite"], 3),
+        (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "nonconvex"], 0),
+        (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "nonconvex"], 3),
         (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "nonconvex"], 0),
         (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "pass"], 3),
         (["diagnose", "--builtin", "cassini", "--check", "levelset:0", "--expect", "pass"], 0),
@@ -369,15 +392,24 @@ def test_diagnose_prints_the_slater_report(run_cli, name):
         (["diagnose", "--builtin", "disk", "--check", "phiconvexity:1", "--expect", "pass"], 0),
         (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "pass"], 3),
         (["diagnose", "--builtin", "disk", "--check", "curvature", "--expect", "pass"], 0),
-        # nonconvex and indefinite are one expectation on every convexity check
+        # nonconvex is the complement of pass on every convexity check
         (["diagnose", "--builtin", "disk", "--check", "curvature", "--expect", "nonconvex"], 3),
-        (["diagnose", "--builtin", "disk", "--check", "levelset:0", "--expect", "indefinite"], 3),
-        (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "indefinite"], 0),
+        (["diagnose", "--builtin", "disk", "--check", "levelset:0", "--expect", "nonconvex"], 3),
+        (["diagnose", "--builtin", "cassini", "--check", "levelset:1.5", "--expect", "nonconvex"], 0),
         # an expectation no check in the list can test is a usage error
         (["diagnose", "--builtin", "disk", "--check", "slater", "--expect", "nonconvex"], 2),
+        # the strip's barrier is convex, and its least sampled eigenvalue rounds to -2.9e-11
+        (["diagnose", "--problem", "strip", "--check", "phiconvexity:1", "--expect", "pass"], 0),
+        (["diagnose", "--problem", "strip", "--check", "phiconvexity:1", "--expect", "nonconvex"], 3),
+        # one spelling per expectation: indefinite is no choice
+        (["diagnose", "--builtin", "epsbox", "--check", "phiconvexity:1", "--expect", "indefinite"], 2),
     ],
 )
-def test_diagnose_expectations(run_cli, argv, want):
+def test_diagnose_expectations(run_cli, tmp_path, argv, want):
+    if "strip" in argv:
+        path = tmp_path / "strip.json"
+        path.write_text(json.dumps(STRIP))
+        argv = [str(path) if a == "strip" else a for a in argv]
     code, _, _ = run_cli(argv)
     assert code == want
 
@@ -402,6 +434,10 @@ def test_curvature_expectation_fails_where_the_boundary_bends_outward(run_cli, t
     (report,) = _records(stdout)
     assert [e["max_tangential_curvature"] > 0 for e in report["constraints"]] == [False, True]
     assert code == 3
+    # solve's gate runs the same check with the same expectation
+    code, stdout, stderr = run_cli(["solve", "--problem", path, "--require-assumptions"])
+    assert (code, stderr) == (3, "logbarrier: assumption checks failed: curvature\n")
+    assert _records(stdout)[-1] == report
 
 
 def test_curvature_expectation_holds_where_the_set_is_nonconvex(run_cli, tmp_path):
@@ -785,12 +821,11 @@ def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
     assert abs(cert["x"][0] - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize(
-    "argv", [["diagnose", "--check", "nondegeneracy"], ["solve", "--require-assumptions"]]
-)
+@pytest.mark.parametrize("argv", [["diagnose", "--check", "nondegeneracy"]])
 def test_nondegeneracy_check_needs_gradients_only(run_cli, tmp_path, argv):
     # near x1 = 1 the zero term's Hessian overflows while its value and
-    # gradient stay finite; only the curvature probe needs that Hessian
+    # gradient stay finite; only the curvature probe needs that Hessian,
+    # and solve's gate runs it
     path = tmp_path / "hessian-overflow.json"
     path.write_text(
         json.dumps(
@@ -808,9 +843,10 @@ def test_nondegeneracy_check_needs_gradients_only(run_cli, tmp_path, argv):
     (ndg,) = [r for r in _records(stdout) if r["record"] == "nondegeneracy"]
     assert ndg["passed"] is True
     assert ndg["boundary_points"] == 256
-    code, _, stderr = run_cli(["diagnose", "--check", "curvature", "--problem", path])
-    assert code == 2
-    assert "outside the domain" in stderr
+    for command in (["diagnose", "--check", "curvature"], ["solve", "--require-assumptions"]):
+        code, _, stderr = run_cli([*command, "--problem", path])
+        assert code == 2
+        assert "outside the domain" in stderr
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape
@@ -1175,13 +1211,13 @@ def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, 
 
 def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):
     calls = []
-    box_exit = diagnostics.box_exit
+    walk_rays = diagnostics.walk_rays
 
     def counting(*args):
         calls.append(args)
-        return box_exit(*args)
+        return walk_rays(*args)
 
-    monkeypatch.setattr(diagnostics, "box_exit", counting)
+    monkeypatch.setattr(diagnostics, "walk_rays", counting)
     checks = "nondegeneracy,curvature"
     code, stdout, _ = run_cli(["diagnose", "--builtin", "disk", "--check", checks])
     assert code == 0

@@ -183,30 +183,50 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
 
 @pytest.mark.parametrize("name", ["disk", "hyperbola", "wide"])
 def test_boundary_sample_evaluates_each_bisection_end_once(monkeypatch, problems, name):
-    # outside the bisection: once at the box exits and once at each end; the chosen
-    # points read their end's values, also where no ray reaches the boundary
+    # outside the walk: once at the box exits, the walk's outer ends, and once
+    # at the chosen points, its inside ends, also where no ray reaches the boundary
     p = problem.problem_from_dict(WIDE) if name == "wide" else problems[name]
     x0 = diagnostics.slater_find(p).point
-    calls, bisecting = [], []
-    evaluate, bisect = diagnostics.evaluate_constraints, diagnostics.bisect
+    calls = []
+    evaluate = diagnostics.evaluate_constraints
 
     def counting(p, x):
-        if not bisecting:
-            calls.append(np.shape(x))
+        calls.append(np.shape(x))
         return evaluate(p, x)
 
-    def marked(*args):
-        bisecting.append(True)
-        try:
-            return bisect(*args)
-        finally:
-            bisecting.pop()
-
     monkeypatch.setattr(diagnostics, "evaluate_constraints", counting)
-    monkeypatch.setattr(diagnostics, "bisect", marked)
     sample = diagnostics.boundary_sample(p, x0)
-    assert len(calls) == 3
-    assert calls[1] == calls[2] == sample.points.shape
+    assert calls == [(diagnostics.BOUNDARY_RAYS, p.nvars), sample.points.shape]
+
+
+def _disk_beside(constraints):
+    return problem.problem_from_dict(
+        {
+            "name": "scaled",
+            "nvars": 2,
+            "objective": "x1",
+            "constraints": constraints,
+            "box": [[-1.5, 1.5], [-1.5, 1.5]],
+            "interior_point": [0, 0],
+        }
+    )
+
+
+def _ndg(p):
+    report = diagnostics.nondegeneracy_probe(p, diagnostics.boundary_sample(p, p.interior_point))
+    return report.passed, [e.samples for e in report.constraints]
+
+
+def test_boundary_activity_does_not_depend_on_the_scale_of_a_constraint():
+    # a constant factor on g_j moves neither K nor the constraint each ray
+    # crosses: c*(2 - x1) is never active beside the unit disk, whatever c
+    assert _ndg(_disk_beside(["1 - x1^2 - x2^2", "2 - x1"])) == (True, [256, 0])
+    for c in ("1e-7", "1e7"):
+        assert _ndg(_disk_beside(["1 - x1^2 - x2^2", f"{c}*(2 - x1)"])) == (True, [256, 0]), c
+    # the verdict of the disk written c*(1 - x1^2 - x2^2) still depends on c
+    # through the absolute NONDEGENERACY_DELTA; its samples do not
+    for c in ("1e-7", "1e160"):
+        assert _ndg(_disk_beside([f"{c}*(1 - x1^2 - x2^2)"]))[1] == [256], c
 
 
 @pytest.mark.parametrize("level", [2.95, 2.5, 1.5, 4.0])
@@ -455,7 +475,7 @@ def _boundary_reference(p, sample):
     out = []
     for x, gx in zip(sample.points, problem.evaluate_constraints(p, sample.points)):
         for j, g in enumerate(p.constraints):
-            if gx[j] > diagnostics.ACTIVATION_TOL:
+            if gx[j] > gx.min():  # active: the least g_j, the one the ray crossed
                 continue
             jet = expr.evaluate_dual(g, x)
             norm = float(np.linalg.norm(jet.grad))
@@ -472,6 +492,9 @@ def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     p = problems[name]
     sample = _sample(p)
     assert (sample.rays, len(sample.active)) == (256, p.nconstraints)
+    # each point lies inside K, at the walk's inside end
+    least = problem.evaluate_constraints(p, sample.points).min(axis=1)
+    assert np.array_equal(sample.residuals, least) and (least >= 0.0).all()
     ref = _boundary_reference(p, sample)
     ndg = diagnostics.nondegeneracy_probe(p, sample)
     cur = diagnostics.tangential_curvature_probe(p, sample)

@@ -232,44 +232,72 @@ def test_box_exit_matches_a_loop_over_the_rays():
     assert np.array_equal(got, [_exit_by_loop(box, starts[3], d) for d in dirs])
 
 
-def test_bisect_matches_the_scalar_loop_with_the_inside_end_at_hi():
-    roots = np.array([0.3, 1.0 / 3.0, 0.999, 1e-9, 0.0])
-    t_in, t_out = problem.bisect(lambda t: (t - roots) ** 3 >= 0.0, np.ones(5), np.zeros(5), 60)
-    for k, root in enumerate(roots):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (mid - root) ** 3 >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        assert (t_in[k], t_out[k]) == (hi, lo)
-    # zero halvings leave the bracket as given
-    t_in, t_out = problem.bisect(lambda t: t > 0, np.ones(2), np.zeros(2), 0)
-    assert np.array_equal(t_in, [1.0, 1.0]) and np.array_equal(t_out, [0.0, 0.0])
+def _walk_by_loop(p, x, d, level, iters):
+    """One ray's (t_in, t_out) after iters halvings of [0, its box exit] on min_j g_j >= level."""
+    t_exit = _exit_by_loop(p.box, x, d)
+    lo, hi = 0.0, t_exit if 0.0 < t_exit < np.inf else 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if problem.evaluate_constraints(p, (x + mid * d)[None, :]).min() >= level:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
-def test_bisect_stops_once_a_halving_moves_no_end():
-    # row 0 is inside at its initial t_out: the last halving that counts
-    # moves t_in onto t_out, which a stop at "every midpoint equals an end"
-    # skips once row 1, one ulp wide from the start, cannot move
+def test_walk_rays_matches_the_scalar_loop():
+    # the circle of radius sqrt(5) holds the box's axes but not its corners
+    p = problem.problem_from_dict(_variant(constraints=["5 - x1^2 - x2^2", "x1 + 0.5"]))
+    dirs = np.array(
+        [
+            [1.0, 0.0],  # still inside where it leaves the box
+            [-1.0, 0.0],  # crosses x1 = -0.5
+            [0.6, -0.8],  # crosses the circle
+            [0.0, 1e-300],  # leaves the box at t = 1.5e300, inside
+            [0.0, 0.0],  # never leaves: the bracket is [0, 0]
+            [1.0, 0.0],  # starts on the face x1 = 2, pointing out: [0, 0]
+            [-0.6, -0.8],
+        ]
+    )
+    starts = np.array(
+        [[0.0, 0.0], [0.2, 0.1], [0.1, -0.2], [0.0, 0.5], [0.1, 0.1], [2.0, 0.0], [-0.2, 0.0]]
+    )
+    for level in (0.0, 0.25):
+        for x in (starts, np.zeros(2)):  # one start per ray, and one for every ray
+            t_in, t_exit = problem.walk_rays(p, x, dirs, level, 60)
+            xs = np.broadcast_to(x, dirs.shape)
+            want = [_walk_by_loop(p, xk, d, level, 60) for xk, d in zip(xs, dirs)]
+            assert list(t_in) == [lo for lo, _ in want]
+            exits = [_exit_by_loop(p.box, xk, d) for xk, d in zip(xs, dirs)]
+            assert list(t_exit) == [t if 0.0 < t < np.inf else 0.0 for t in exits]
+        assert t_in[0] == t_exit[0] == 2.0 and t_in[4] == t_exit[4] == 0.0
+        # from the origin, row 1 crosses x1 + 0.5 = level
+        assert (t_in[1], t_exit[1]) == (pytest.approx(0.5 - level), 2.0)
+    # zero halvings leave every t_in at 0
+    t_in, t_exit = problem.walk_rays(p, starts, dirs, 0.0, 0)
+    assert not t_in.any() and t_exit[0] == 2.0
+
+
+def test_walk_rays_stops_once_a_halving_moves_no_end(monkeypatch):
+    # row 0 is inside at its box exit: the last halving that counts moves
+    # t_in onto the exit, which a stop at "every midpoint equals an end"
+    # skips once row 1, whose bracket is one subnormal wide, cannot move
+    p = problem.problem_from_dict(_variant(constraints=["3 - x2"], box=[[-1, 5e-324], [-1, 1]]))
     calls = []
+    evaluate = problem.evaluate_constraints
 
-    def inside(t):
-        calls.append(t)
-        return t <= [1.0, 0.3]
+    def counting(p, x):
+        calls.append(x)
+        return evaluate(p, x)
 
-    starts = [(0.0, 1.0), (0.3, np.nextafter(0.3, 1.0))]
-    t_in, t_out = problem.bisect(inside, *np.array(starts).T, 60)
-    want = []
-    for root, (lo, hi) in zip((1.0, 0.3), starts):
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if mid <= root else (lo, mid)
-        want.append((lo, hi))
-    assert list(zip(t_in, t_out)) == want
-    assert want[0] == (1.0, 1.0)
+    dirs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(problem, "evaluate_constraints", counting)
+    t_in, t_exit = problem.walk_rays(p, np.zeros(2), dirs, 0.0, 60)
     assert len(calls) < 60
+    monkeypatch.undo()
+    want = [_walk_by_loop(p, np.zeros(2), d, 0.0, 60) for d in dirs]
+    assert list(zip(t_in, t_exit)) == [(1.0, 1.0), (0.0, 5e-324)]
+    assert [lo for lo, _ in want] == [1.0, 0.0]
 
 
 def test_sample_box_keeps_the_accepted_rows_of_one_large_draw():
