@@ -45,10 +45,6 @@ class SlaterUnverifiedError(DiagnosticsError):
     """No strictly feasible point was found in the box window."""
 
 
-class NoFeasibleSamplesError(DiagnosticsError):
-    """Rejection sampling produced no strictly feasible points."""
-
-
 class SlaterReport(NamedTuple):
     point: np.ndarray
     margin: float  # min_j g_j at the point, always > 0
@@ -141,21 +137,22 @@ def slater_find(p: Problem) -> SlaterReport:
 def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySample:
     """Walk BOUNDARY_RAYS seeded random rays from a strict interior point x0 to the boundary.
 
-    Rays that leave the box while still strictly feasible are dropped.  On
-    the rest, bisection on min_j g_j >= 0 pins the crossing down to a
-    residual around machine scale, and its inside end is the boundary
-    point.  There a constraint is active where it is the least g_j: the
+    The walk on min_j g_j >= 0 pins each ray's crossing down to a residual
+    around machine scale, and its inside end is the boundary point.  A ray
+    still feasible where it leaves the box ends there, and is kept only
+    where its residual is at most 1e-12, so that its exit lies on the
+    boundary.  There a constraint is active where it is the least g_j: the
     one the ray crossed, whatever the scale of each g_j.  The points are
     kept per active constraint; each probe that reads the sample takes the
     derivatives it needs there.
     """
     directions = _random_directions(np.random.default_rng(seed), BOUNDARY_RAYS, p.nvars)
-    t_in, t_exit = walk_rays(p, x0, directions, 0.0, problem.BISECT_ITERS)
-    g_exit = evaluate_constraints(p, x0 + t_exit[:, None] * directions).min(axis=1)
-    crossing = (t_exit > 0) & (g_exit <= 1e-12)
-    points = x0 + t_in[crossing, None] * directions[crossing]
+    t_in, t_exit = walk_rays(p, x0, directions, 0.0)
+    points = x0 + t_in[:, None] * directions
     g = evaluate_constraints(p, points)
     residuals = g.min(axis=1)
+    keep = (t_exit > 0) & ((t_in < t_exit) | (residuals <= 1e-12))
+    points, g, residuals = points[keep], g[keep], residuals[keep]
     active = [points[g[:, j] == residuals] for j in range(p.nconstraints)]
     return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 
@@ -327,9 +324,9 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
 
     Reports the smallest eigenvalue seen and where; a clearly negative
     value exhibits nonconvexity of the barrier at this mu.  Raises
-    NoFeasibleSamplesError when rejection sampling finds no strictly
-    feasible points, and DiagnosticsError when some sampled Hessian is not
-    finite (its terms overflow at a huge mu).
+    DiagnosticsError when rejection sampling finds no strictly feasible
+    points, or when some sampled Hessian is not finite (its terms overflow
+    at a huge mu).
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 200 * PHI_SAMPLES)
@@ -342,7 +339,7 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
         cap=cap,
     )
     if pts.shape[0] == 0:
-        raise NoFeasibleSamplesError(f"no strictly feasible samples in {drawn} draws over the box")
+        raise DiagnosticsError(f"no strictly feasible samples in {drawn} draws over the box")
 
     hessians = barrier_hessian(p, pts, mu)
     bad = np.count_nonzero(~np.isfinite(hessians).all(axis=(1, 2)))

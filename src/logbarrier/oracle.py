@@ -4,11 +4,13 @@ grid_minimize brute-forces small problems on a dense grid, then polishes
 the best feasible point by a search along rays from the grid's deepest
 point c, the one of largest min_j g_j.  A point is written
 x = c + s * R(u) * u with s in [0, 1], where R(u) is the distance from c
-to the boundary along u, found by bisection on the sign of min_j g_j.  The
-polish needs no constraint gradient, so a boundary where one vanishes does
-not stall it.  The oracle exists to catch the fast paths lying, so it
-shares no machinery with the barrier code beyond expression evaluation and
-the problem's helpers.
+to the boundary along u: problem.walk_rays bisects on the sign of
+min_j g_j, where a point at which some g_j overflows is infeasible as in
+the grid scan, and a ray still feasible where it leaves the box gets the
+box exit.  The polish needs no constraint gradient, so a boundary where
+one vanishes does not stall it.  The oracle exists to catch the fast
+paths lying, so it shares no machinery with the barrier code beyond
+expression evaluation and the problem's helpers.
 """
 
 from __future__ import annotations
@@ -36,18 +38,6 @@ class OracleResult(NamedTuple):
     f_best: float
     grid_resolution: int
     polished: bool
-
-
-def _radius(p: Problem, c: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Length t of each ray c + t * d, one per row of dirs, to the boundary.
-
-    The walk judges points as the grid scan does (where some g_j
-    overflows, a point is infeasible) and keeps c + t * d feasible.  A ray
-    still feasible where it leaves the box gets the box exit.
-    """
-    t_in, t_exit = walk_rays(p, c, dirs, 0.0, problem.BISECT_ITERS)
-    feasible = evaluate_constraints(p, c + t_exit[:, None] * dirs).min(axis=1) >= 0.0
-    return np.where(feasible, t_exit, t_in)
 
 
 def _least(p: Problem, pts: np.ndarray, feasible: np.ndarray) -> tuple[int, float]:
@@ -83,13 +73,13 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
 
     def on_turned_rays(alphas: np.ndarray) -> np.ndarray:  # u turned toward v by each angle
         dirs = np.cos(alphas)[:, None] * u + np.sin(alphas)[:, None] * v
-        return c + (s * _radius(p, c, dirs))[:, None] * dirs
+        return c + (s * walk_rays(p, c, dirs, 0.0)[0])[:, None] * dirs
 
     r = float(np.linalg.norm(x - c))
     d = x - c if r > 0.0 else -expr.jets([p.objective], x, 1).grad[0]  # at c, no turn moves x
     n = float(np.linalg.norm(d))
     u = d / n if 0.0 < n < np.inf else np.eye(p.nvars)[0]
-    radius = _radius(p, c, u[None, :])[0]
+    radius = walk_rays(p, c, u[None, :], 0.0)[0][0]
     s = r / radius if r > 0.0 else 0.0
     for _ in range(sweeps):
         f_start = fx
@@ -102,7 +92,7 @@ def _polish(p: Problem, c: np.ndarray, x: np.ndarray, fx: float, sweeps: int):
             u = np.cos(alpha) * u + np.sin(alpha) * v
         if f_start - fx <= 1e-13 * (1.0 + abs(fx)):
             break
-        radius = _radius(p, c, u[None, :])[0]
+        radius = walk_rays(p, c, u[None, :], 0.0)[0][0]
     return x, fx
 
 

@@ -90,20 +90,25 @@ def box_exit(box: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return t_exit
 
 
-def walk_rays(p: Problem, x: np.ndarray, dirs: np.ndarray, level: float, iters: int):
+def walk_rays(
+    p: Problem, x: np.ndarray, dirs: np.ndarray, level: float, iters: int = BISECT_ITERS
+):
     """Bisect each ray x + t * d, t between 0 and its box exit, on min_j g_j >= level.
 
     dirs is (k, n); x is one start point, shape (n,), or one per ray, (k, n),
     and should lie in the set.  A ray that leaves the box at once, or never,
-    gets the bracket [0, 0].  Each halving keeps the midpoint as t_in where
-    min_j g_j >= level holds there (a point where some g_j overflows does
-    not), else as the outer end; it stops early once a halving would move
-    no end, since no later one would.  Returns (t_in, t_exit): the last t
-    seen inside, and the box exit each ray was bracketed by.
+    gets the bracket [0, 0].  A point is inside where min_j g_j >= level
+    holds there (a point where some g_j overflows is not).  A ray inside at
+    its box exit ends there; every other ray's bracket is halved, keeping
+    the midpoint as t_in where it is inside, else as the outer end, and the
+    walk stops early once a halving would move no end, since no later one
+    would.  Returns (t_in, t_exit): the last t seen inside, and the box
+    exit each ray was bracketed by.
     """
     t_exit = box_exit(p.box, x, dirs)
     t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
-    t_in, t_out = np.zeros(dirs.shape[0]), t_exit
+    inside = evaluate_constraints(p, x + t_exit[:, None] * dirs).min(axis=1) >= level
+    t_in, t_out = np.where(inside, t_exit, 0.0), t_exit
     for _ in range(iters):
         mid = 0.5 * (t_in + t_out)
         ok = evaluate_constraints(p, x + mid[:, None] * dirs).min(axis=1) >= level

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from logbarrier import barrier, cli, diagnostics, expr, problem
-from logbarrier.diagnostics import NoFeasibleSamplesError, SlaterUnverifiedError
+from logbarrier.diagnostics import DiagnosticsError, SlaterUnverifiedError
 
 VOID = problem.problem_from_dict(
     {
@@ -183,8 +183,8 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
 
 @pytest.mark.parametrize("name", ["disk", "hyperbola", "wide"])
 def test_boundary_sample_evaluates_each_bisection_end_once(monkeypatch, problems, name):
-    # outside the walk: once at the box exits, the walk's outer ends, and once
-    # at the chosen points, its inside ends, also where no ray reaches the boundary
+    # outside the walk: once at its inside ends, which are the boundary points
+    # and, where a ray is still inside at its box exit, that exit
     p = problem.problem_from_dict(WIDE) if name == "wide" else problems[name]
     x0 = diagnostics.slater_find(p).point
     calls = []
@@ -195,8 +195,17 @@ def test_boundary_sample_evaluates_each_bisection_end_once(monkeypatch, problems
         return evaluate(p, x)
 
     monkeypatch.setattr(diagnostics, "evaluate_constraints", counting)
-    sample = diagnostics.boundary_sample(p, x0)
-    assert calls == [(diagnostics.BOUNDARY_RAYS, p.nvars), sample.points.shape]
+    diagnostics.boundary_sample(p, x0)
+    assert calls == [(diagnostics.BOUNDARY_RAYS, p.nvars)]
+
+
+def test_boundary_points_on_the_box_faces_lie_on_the_boundary(problems):
+    # epsbox's set is its box window: every ray is inside at its box exit
+    # and ends exactly there, not one halving's roundoff short of it
+    p = problems["epsbox"]
+    sample = diagnostics.boundary_sample(p, diagnostics.slater_find(p).point)
+    assert sample.points.shape[0] > 0
+    assert sample.residuals.max() < 1e-16
 
 
 def _disk_beside(constraints):
@@ -291,7 +300,7 @@ def test_phi_convexity_positive(problems, name):
 
 
 def test_phi_convexity_needs_samples():
-    with pytest.raises(NoFeasibleSamplesError, match="no strictly feasible samples"):
+    with pytest.raises(DiagnosticsError, match="no strictly feasible samples"):
         diagnostics.phi_convexity_probe(VOID, mu=1.0)
 
 

@@ -233,12 +233,19 @@ def test_box_exit_matches_a_loop_over_the_rays():
 
 
 def _walk_by_loop(p, x, d, level, iters):
-    """One ray's (t_in, t_out) after iters halvings of [0, its box exit] on min_j g_j >= level."""
+    """One ray's (t_in, t_out): its box exit where min_j g_j >= level holds there,
+    else after iters halvings of [0, its box exit] on min_j g_j >= level."""
+
+    def inside(t):
+        return problem.evaluate_constraints(p, (x + t * d)[None, :]).min() >= level
+
     t_exit = _exit_by_loop(p.box, x, d)
     lo, hi = 0.0, t_exit if 0.0 < t_exit < np.inf else 0.0
+    if inside(hi):
+        return hi, hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if problem.evaluate_constraints(p, (x + mid * d)[None, :]).min() >= level:
+        if inside(mid):
             lo = mid
         else:
             hi = mid
@@ -264,25 +271,29 @@ def test_walk_rays_matches_the_scalar_loop():
     )
     for level in (0.0, 0.25):
         for x in (starts, np.zeros(2)):  # one start per ray, and one for every ray
-            t_in, t_exit = problem.walk_rays(p, x, dirs, level, 60)
+            t_in, t_exit = problem.walk_rays(p, x, dirs, level)
             xs = np.broadcast_to(x, dirs.shape)
-            want = [_walk_by_loop(p, xk, d, level, 60) for xk, d in zip(xs, dirs)]
+            want = [_walk_by_loop(p, xk, d, level, problem.BISECT_ITERS) for xk, d in zip(xs, dirs)]
             assert list(t_in) == [lo for lo, _ in want]
             exits = [_exit_by_loop(p.box, xk, d) for xk, d in zip(xs, dirs)]
             assert list(t_exit) == [t if 0.0 < t < np.inf else 0.0 for t in exits]
-        assert t_in[0] == t_exit[0] == 2.0 and t_in[4] == t_exit[4] == 0.0
+            # rows 0 and 3 are inside where they leave the box: they end there
+            assert t_in[0] == t_exit[0] == 2.0 and t_in[3] == t_exit[3] > 1e300
+            assert t_in[4] == t_exit[4] == 0.0
         # from the origin, row 1 crosses x1 + 0.5 = level
         assert (t_in[1], t_exit[1]) == (pytest.approx(0.5 - level), 2.0)
-    # zero halvings leave every t_in at 0
+    # zero halvings leave t_in at 0 on every ray but those inside at their exits
     t_in, t_exit = problem.walk_rays(p, starts, dirs, 0.0, 0)
-    assert not t_in.any() and t_exit[0] == 2.0
+    assert np.array_equal(t_in != 0.0, [True, False, False, True, False, False, False])
+    assert t_in[0] == t_exit[0] == 2.0
 
 
 def test_walk_rays_stops_once_a_halving_moves_no_end(monkeypatch):
-    # row 0 is inside at its box exit: the last halving that counts moves
-    # t_in onto the exit, which a stop at "every midpoint equals an end"
-    # skips once row 1, whose bracket is one subnormal wide, cannot move
-    p = problem.problem_from_dict(_variant(constraints=["3 - x2"], box=[[-1, 5e-324], [-1, 1]]))
+    # row 0 crosses x1 = 0.5, and after 54 halvings its bracket is two
+    # adjacent floats, so the next midpoint moves no end and the walk stops
+    # there; row 1 is inside at its box exit, so every point of it the walk
+    # evaluates is that exit: it takes no halving
+    p = problem.problem_from_dict(_variant(constraints=["0.5 - x1", "3 - x2"]))
     calls = []
     evaluate = problem.evaluate_constraints
 
@@ -290,14 +301,45 @@ def test_walk_rays_stops_once_a_halving_moves_no_end(monkeypatch):
         calls.append(x)
         return evaluate(p, x)
 
-    dirs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
     monkeypatch.setattr(problem, "evaluate_constraints", counting)
-    t_in, t_exit = problem.walk_rays(p, np.zeros(2), dirs, 0.0, 60)
-    assert len(calls) < 60
+    t_in, t_exit = problem.walk_rays(p, np.zeros(2), dirs, 0.0)
     monkeypatch.undo()
-    want = [_walk_by_loop(p, np.zeros(2), d, 0.0, 60) for d in dirs]
-    assert list(zip(t_in, t_exit)) == [(1.0, 1.0), (0.0, 5e-324)]
-    assert [lo for lo, _ in want] == [1.0, 0.0]
+    assert len(calls) == 1 + 55 < 1 + problem.BISECT_ITERS
+    assert all(np.array_equal(x[1], [0.0, 2.0]) for x in calls)
+    assert list(zip(t_in, t_exit)) == [(0.5, 2.0), (2.0, 2.0)]
+    want = [_walk_by_loop(p, np.zeros(2), d, 0.0, problem.BISECT_ITERS) for d in dirs]
+    assert want == [(0.5, np.nextafter(0.5, 1.0)), (2.0, 2.0)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.1, 3.0),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.tuples(*[st.floats(0.05, 4.0)] * 4),
+    st.floats(-0.5, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_walk_rays_ends_inside_and_at_the_exits_that_are(r, centre, widths, frac, seed):
+    # a disk around a point of a random box, walked from its centre at a
+    # level the centre meets; the axis rays leave the box straight through a face
+    a, b = centre
+    p = problem.problem_from_dict(
+        _variant(
+            constraints=["r2 - (x1 - a)^2 - (x2 - b)^2"],
+            box=[[a - widths[0], a + widths[1]], [b - widths[2], b + widths[3]]],
+            interior_point=None,
+            params={"r2": r * r, "a": a, "b": b},
+        )
+    )
+    level = frac * r * r
+    dirs = np.vstack([np.eye(2), -np.eye(2), np.random.default_rng(seed).standard_normal((12, 2))])
+    x = np.array([a, b])
+    t_in, t_exit = problem.walk_rays(p, x, dirs, level)
+    assert (t_in <= t_exit).all()
+    assert (problem.evaluate_constraints(p, x + t_in[:, None] * dirs).min(axis=1) >= level).all()
+    at_exit = problem.evaluate_constraints(p, x + t_exit[:, None] * dirs).min(axis=1) >= level
+    assert np.array_equal(t_in == t_exit, at_exit)
 
 
 def test_sample_box_keeps_the_accepted_rows_of_one_large_draw():
