@@ -10,12 +10,17 @@ x was reached and how each g_j is scaled do not enter.
 The diagnostics probes check the paper's hypotheses for the barrier path;
 the certificate checks the global claim's own premise at x, a KKT point
 with finite multipliers, and refuses x where the active gradients vanish
-while grad f does not.  A certified x is a global minimizer if f and the
-feasible set are convex; that is assumed, not checked.
+while grad f does not.  The certificate states its verdict in one
+sentence.  A certified x gets the global claim: x is a global minimizer
+if f and the feasible set are convex, and that convexity is stated as
+assumed, since no check tests it.  A refused x names its worst residual,
+or, where every residual passes, the vanishing active gradients that
+leave no finite multiplier.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -49,10 +54,11 @@ class KKTCertificate(NamedTuple):
     activation_tolerance: float  # ACTIVE_DISTANCE * w, w the box's largest width
     least_active_singular_value: float | None  # of the active gradients; None if none is active
     verdict: Verdict
+    statement: str  # the verdict in one sentence: the claim, or why it is refused
 
 
 def check_kkt(p: Problem, x) -> KKTCertificate:
-    """Score the point x against the KKT residuals.
+    """Score the point x against the KKT residuals, and state the verdict.
 
     A g_j with g_j(x) <= ACTIVE_DISTANCE * w * |grad g_j(x)|, w the box's
     largest width, is active: to first order x lies within that distance of
@@ -64,6 +70,11 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     |grad f| > STATIONARITY_TOL while the least singular value of the active
     gradients that least squares kept, so that a constraint written twice
     counts once, is below NONDEGENERACY_DELTA: no finite multiplier exists.
+    The statement of a refused x names the residual with the largest ratio
+    to its tolerance (a tolerance of 0 counting as inf, the first in table
+    order on a tie), or else those vanishing gradients.  That of a certified
+    x says whether the active gradients do not vanish or grad f vanishes
+    with them.
     """
     x = np.array([float(v) for v in x])
     jet = expr.jets((p.objective, *p.constraints), x, 1)
@@ -76,80 +87,54 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     # + 0.0 turns a -0.0 estimate, as where grad f = 0 on the boundary, into 0.0
     lam[active] = solution + 0.0
 
-    cert = KKTCertificate(
-        x=x,
-        multipliers=lam,
-        objective=jet.value[0],
-        stationarity_residual=float(np.linalg.norm(jet.grad[0] - grads.T @ lam)),
-        complementarity_residual=float(np.max(np.abs(lam * gvals))),
-        # + 0.0 turns the -0.0 of a zero multiplier or constraint value into 0.0
-        dual_feasibility_violation=float(np.max(np.maximum(0.0, -lam))) + 0.0,
-        primal_feasibility_violation=float(np.max(np.maximum(0.0, -gvals))) + 0.0,
-        active_set=[int(j) + 1 for j in np.nonzero(active)[0]],
-        activation_tolerance=distance,
-        least_active_singular_value=float(singular[rank - 1]) if singular.size else None,
-        verdict=Verdict.NOT_CERTIFIED,
-    )
-    if _residuals_pass(cert) and not (_vanishing(cert) and norms[0] > STATIONARITY_TOL):
-        return cert._replace(verdict=Verdict.KKT_POINT)
-    return cert
-
-
-def _scored(cert: KKTCertificate) -> list[tuple[str, float, float]]:
-    """(name, residual, tolerance) of the four residuals the verdict and the statement read."""
-    return [
-        ("stationarity", cert.stationarity_residual, STATIONARITY_TOL),
-        ("complementarity", cert.complementarity_residual, COMPLEMENTARITY_TOL),
-        ("primal feasibility", cert.primal_feasibility_violation, FEASIBILITY_TOL),
-        ("dual feasibility", cert.dual_feasibility_violation, DUAL_TOL),
+    sigma = float(singular[rank - 1]) if singular.size else None
+    # + 0.0 turns the -0.0 of a zero multiplier or constraint value into 0.0
+    dual = float(np.max(np.maximum(0.0, -lam))) + 0.0
+    primal = float(np.max(np.maximum(0.0, -gvals))) + 0.0
+    stationarity = float(np.linalg.norm(jet.grad[0] - grads.T @ lam))
+    complementarity = float(np.max(np.abs(lam * gvals)))
+    scored = [  # (name, residual, tolerance); a new residual is one more row
+        ("stationarity", stationarity, STATIONARITY_TOL),
+        ("complementarity", complementarity, COMPLEMENTARITY_TOL),
+        ("primal feasibility", primal, FEASIBILITY_TOL),
+        ("dual feasibility", dual, DUAL_TOL),
     ]
-
-
-def _residuals_pass(cert: KKTCertificate) -> bool:
-    return all(value <= tol for _, value, tol in _scored(cert))
-
-
-def _vanishing(cert: KKTCertificate) -> bool:
-    """Some constraint is active at x and the active gradients vanish there."""
-    sigma = cert.least_active_singular_value
-    return sigma is not None and sigma < NONDEGENERACY_DELTA
-
-
-def _worst_residual(cert: KKTCertificate) -> tuple[str, float]:
-    def ratio(item):
-        _, value, tol = item
-        if tol > 0.0:
-            return value / tol
-        return float("inf") if value > 0.0 else 0.0
-
-    name, value, _ = max(_scored(cert), key=ratio)
-    return name, value
-
-
-def global_optimality_statement(cert: KKTCertificate) -> str:
-    """One-sentence conclusion to attach to a certificate.
-
-    A certified x gets the global claim, with convexity of f and of the
-    feasible set stated as assumed, since no check tests either.  A refused
-    x names the worst residual, or, where every residual passes, the
-    vanishing active gradients that leave no finite multiplier.
-    """
-    if cert.verdict is Verdict.KKT_POINT:
+    failing = [row for row in scored if not row[1] <= row[2]]  # a NaN residual fails
+    vanishing = sigma is not None and sigma < NONDEGENERACY_DELTA
+    verdict = Verdict.NOT_CERTIFIED
+    if failing:
+        # the worst: the first of the largest value / tol, a tol of 0 counting as inf
+        name, value, _ = max(failing, key=lambda row: row[1] / row[2] if row[2] > 0.0 else math.inf)
+        statement = (
+            f"not certified: {name} residual {value:.6g} exceeds tolerance; "
+            "the candidate is not a certified stationary point"
+        )
+    elif vanishing and norms[0] > STATIONARITY_TOL:
+        statement = (
+            "not certified: the active constraint gradients vanish at x (least singular "
+            f"value {sigma:.6g} below {NONDEGENERACY_DELTA:g}) "
+            "while grad f does not, so no finite multiplier exists"
+        )
+    else:
+        verdict = Verdict.KKT_POINT
         premise = "whose active constraint gradients do not vanish"
-        if _vanishing(cert):  # certified only because grad f vanishes as well
+        if vanishing:  # certified only because grad f vanishes as well
             premise = "where grad f vanishes"
-        return (
+        statement = (
             f"x is a KKT point at the stated tolerances {premise}, so x is a global "
             "minimizer if f and the feasible set are convex, which is assumed, not checked"
         )
-    if _residuals_pass(cert):
-        return (
-            "not certified: the active constraint gradients vanish at x (least singular "
-            f"value {cert.least_active_singular_value:.6g} below {NONDEGENERACY_DELTA:g}) "
-            "while grad f does not, so no finite multiplier exists"
-        )
-    name, value = _worst_residual(cert)
-    return (
-        f"not certified: {name} residual {value:.6g} exceeds tolerance; "
-        "the candidate is not a certified stationary point"
+    return KKTCertificate(
+        x=x,
+        multipliers=lam,
+        objective=jet.value[0],
+        stationarity_residual=stationarity,
+        complementarity_residual=complementarity,
+        dual_feasibility_violation=dual,
+        primal_feasibility_violation=primal,
+        active_set=[int(j) + 1 for j in np.nonzero(active)[0]],
+        activation_tolerance=distance,
+        least_active_singular_value=sigma,
+        verdict=verdict,
+        statement=statement,
     )

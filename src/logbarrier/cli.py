@@ -30,7 +30,7 @@ import numpy as np
 
 from . import corpus, problem
 from .barrier import InfeasiblePointError
-from .certificate import Verdict, global_optimality_statement
+from .certificate import Verdict
 from .continuation import MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
@@ -85,14 +85,14 @@ def _plain(value):
     return value
 
 
-def record(kind: str, result, **extra) -> dict:
-    """The JSON record of a result NamedTuple: {"record": kind, **fields, **extra}.
+def record(kind: str, result) -> dict:
+    """The JSON record of a result NamedTuple: {"record": kind, **fields}.
 
     Every result record the CLI prints is written here, so a field's place
     in its NamedTuple is its key's place in the record.  A witness that is
     None (a level-set probe that found no counterexample) is left out.
     """
-    rec = {"record": kind, **_plain(result), **extra}
+    rec = {"record": kind, **_plain(result)}
     if "witness" in rec and rec["witness"] is None:
         del rec["witness"]
     return rec
@@ -240,11 +240,10 @@ def _run_solve(args) -> None:
 
     records.extend(record("path_point", pt) for pt in trace.points)
     cert = trace.final_certificate
-    statement = global_optimality_statement(cert)
-    records.append(record("certificate", cert, statement=statement))
+    records.append(record("certificate", cert))
     _emit(records, args.out)
     if cert.verdict is Verdict.NOT_CERTIFIED:
-        raise NegativeResult(f"final iterate not certified: {statement}")
+        raise NegativeResult(f"final iterate not certified: {cert.statement}")
 
 
 def _parse_checks(text: str) -> list[tuple[str, float | None]]:

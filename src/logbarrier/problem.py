@@ -110,7 +110,7 @@ def walk_rays(
     inside = evaluate_constraints(p, x + t_exit[:, None] * dirs).min(axis=1) >= level
     t_in, t_out = np.where(inside, t_exit, 0.0), t_exit
     for _ in range(iters):
-        mid = 0.5 * (t_in + t_out)
+        mid = 0.5 * t_in + 0.5 * t_out  # halves first, so the sum stays in range
         ok = evaluate_constraints(p, x + mid[:, None] * dirs).min(axis=1) >= level
         if np.array_equal(mid, np.where(ok, t_in, t_out)):
             break

@@ -70,6 +70,18 @@ def ball3_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("name", corpus.names())
+def test_solve_prints_the_records_of_the_library_results(run_cli, traces, name):
+    # the CLI adds nothing to a record: solve's stdout is cli.record of each
+    # path point and of the final certificate that continuation.solve returns
+    trace = traces[name]
+    want = [cli.record("path_point", pt) for pt in trace.points]
+    want.append(cli.record("certificate", trace.final_certificate))
+    code, stdout, _ = run_cli(["solve", "--builtin", name])
+    assert code == (3 if name == "degenerate-disk" else 0)
+    assert stdout == "".join(json.dumps(r) + "\n" for r in want)
+
+
 def test_solve_records(run_cli, tmp_path):
     out = tmp_path / "trace.jsonl"
     code, stdout, stderr = run_cli(["solve", "--builtin", "hyperbola", "--out", out])

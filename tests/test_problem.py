@@ -312,6 +312,22 @@ def test_walk_rays_stops_once_a_halving_moves_no_end(monkeypatch):
     assert want == [(0.5, np.nextafter(0.5, 1.0)), (2.0, 2.0)]
 
 
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape
+def test_walk_rays_bisects_a_bracket_whose_ends_sum_past_the_float_range():
+    # the ray from (1, 0) along x1 leaves the box at 1.7e308 and crosses
+    # 1e308 - x1 = 0 at t = 1e308 - 1, which rounds to 1e308; its first
+    # midpoint 8.5e307 is inside, and 8.5e307 + 1.7e308 passes the float range
+    p = problem.problem_from_dict(
+        _variant(
+            constraints=["1e308 - x1", "1 - x2^2"],
+            box=[[0, 1.7e308], [-2, 2]],
+            interior_point=[1, 0],
+        )
+    )
+    t_in, t_exit = problem.walk_rays(p, p.interior_point, np.array([[1.0, 0.0]]), 0.0)
+    assert (t_in[0], t_exit[0]) == (1e308, 1.7e308)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     st.floats(0.1, 3.0),
