@@ -46,18 +46,17 @@ from .expr import EvalError, scan_values
 from .oracle import OracleError, grid_minimize
 from .problem import Problem, ProblemError
 
-CURVATURE_PASS_TOL = 1e-6
-PHI_CONVEX_PASS_TOL = -1e-8
-
-# the record kind each --check name writes, for its report and its error alike
-CHECK_KINDS = {
-    "slater": "slater",
-    "nondegeneracy": "nondegeneracy",
-    "curvature": "tangential_curvature",
-    "levelset": "levelset_convexity",
-    "phiconvexity": "phi_convexity",
+# each --check name: the record kind its report and its error write, whether
+# a value follows the name (levelset:A), and whether --expect judges its verdict
+CHECKS = {
+    "slater": ("slater", False, False),
+    "nondegeneracy": ("nondegeneracy", False, False),
+    "curvature": ("tangential_curvature", False, True),
+    "levelset": ("levelset_convexity", True, True),
+    "phiconvexity": ("phi_convexity", True, True),
 }
-CONVEXITY_CHECKS = ("curvature", "levelset", "phiconvexity")  # the checks --expect judges
+# the verdict each --expect value needs; an empty_region meets neither
+EXPECTED = {"pass": "convex_up_to_sampling", "nonconvex": "counterexample"}
 ASSUMPTIONS = "slater,nondegeneracy,curvature"  # the checks solve --require-assumptions runs
 
 
@@ -89,13 +88,10 @@ def record(kind: str, result) -> dict:
     """The JSON record of a result NamedTuple: {"record": kind, **fields}.
 
     Every result record the CLI prints is written here, so a field's place
-    in its NamedTuple is its key's place in the record.  A witness that is
-    None (a level-set probe that found no counterexample) is left out.
+    in its NamedTuple is its key's place in the record, and a field that is
+    None (a level-set probe's witness where it found no counterexample) is null.
     """
-    rec = {"record": kind, **_plain(result)}
-    if "witness" in rec and rec["witness"] is None:
-        del rec["witness"]
-    return rec
+    return {"record": kind, **_plain(result)}
 
 
 class OutputError(Exception):
@@ -198,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--expect",
         choices=["nonconvex", "pass"],
-        help="turn curvature, levelset and phiconvexity findings into pass/fail expectations",
+        help="turn curvature, levelset and phiconvexity verdicts into pass/fail expectations",
     )
 
     sp = sub.add_parser("contour", help="grid CSV of one constraint over the box")
@@ -252,11 +248,11 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
         token = token.strip()
         if not token:
             raise InputError("empty check name")
-        if token in ("slater", "nondegeneracy", "curvature"):
-            checks.append((token, None))
-            continue
         name, sep, value = token.partition(":")
-        if name in ("levelset", "phiconvexity") and sep:
+        if name not in CHECKS or bool(sep) != CHECKS[name][1]:
+            raise InputError(f"unknown check {token!r}")
+        number = None
+        if sep:
             try:
                 number = float(value)
             except ValueError:
@@ -265,9 +261,7 @@ def _parse_checks(text: str) -> list[tuple[str, float | None]]:
                 raise InputError(f"check {token!r} needs a finite value")
             if name == "phiconvexity" and number <= 0:
                 raise InputError("phiconvexity needs mu > 0")
-            checks.append((name, number))
-            continue
-        raise InputError(f"unknown check {token!r}")
+        checks.append((name, number))
     return checks
 
 
@@ -277,6 +271,7 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
     failed: list[str] = []
     slater = sample = None  # slater_find's report or error, and one boundary walk, serve all
     for name, value in checks:
+        kind, _, judged = CHECKS[name]
         try:
             if name in ("slater", "nondegeneracy", "curvature"):
                 if slater is None:
@@ -289,31 +284,22 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
             if name in ("nondegeneracy", "curvature") and sample is None:
                 sample = boundary_sample(p, slater.point, seed=seed)
             if name == "slater":
-                report, passed = slater, True
+                report = slater
             elif name == "nondegeneracy":
                 report = nondegeneracy_probe(p, sample)
-                passed = report.passed
             elif name == "curvature":
                 report = tangential_curvature_probe(p, sample)
-                nonconvex = any(
-                    e.max_tangential_curvature is not None
-                    and e.max_tangential_curvature > CURVATURE_PASS_TOL
-                    for e in report.constraints
-                )
-                convex = not nonconvex
             elif name == "levelset":
                 report = levelset_convexity_probe(p, value, seed=seed)
-                nonconvex = report.verdict == "counterexample"
-                convex = report.verdict == "convex_up_to_sampling"
             else:
                 report = phi_convexity_probe(p, value, seed=seed)
-                convex = report.min_eigenvalue >= PHI_CONVEX_PASS_TOL
-                nonconvex = not convex
-            if name in CONVEXITY_CHECKS:
-                passed = {None: True, "pass": convex, "nonconvex": nonconvex}[expect]
-            records.append(record(CHECK_KINDS[name], report))
+            if judged:
+                passed = expect is None or report.verdict == EXPECTED[expect]
+            else:
+                passed = report.passed
+            records.append(record(kind, report))
         except DiagnosticsError as err:
-            records.append({"record": CHECK_KINDS[name], "passed": False, "error": str(err)})
+            records.append({"record": kind, "passed": False, "error": str(err)})
             passed = False
         if not passed:
             failed.append(name)
@@ -323,7 +309,7 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
 def _run_diagnose(args) -> None:
     p = _load_problem(args)
     checks = _parse_checks(args.check)
-    if args.expect and not any(name in CONVEXITY_CHECKS for name, _ in checks):
+    if args.expect and not any(CHECKS[name][2] for name, _ in checks):
         raise InputError("--expect needs a curvature, levelset or phiconvexity check")
     records, failed, _ = _diagnose(p, checks, args.seed, args.expect)
     _emit(records, args.out)

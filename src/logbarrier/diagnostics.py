@@ -10,7 +10,10 @@ tangential_curvature_probe the boundary curvature along tangent
 directions at the sampled points, levelset_convexity_probe hunts for
 midpoint convexity counterexamples of superlevel sets, and
 phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
-deterministic for a given seed.
+deterministic for a given seed.  The three convexity probes each state a
+verdict: "counterexample" where the sample shows nonconvexity, else
+"convex_up_to_sampling", or, for a level set no pair was drawn from,
+"empty_region".
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -35,6 +38,8 @@ PHI_SAMPLES = 1000
 GRID_FALLBACK_RES = 201
 GRID_FALLBACK_CAP = 512
 MIDPOINT_GUARD = 1e-10
+CURVATURE_PASS_TOL = 1e-6  # the largest tangential curvature that reads convex
+PHI_CONVEX_PASS_TOL = -1e-8  # the least phi eigenvalue that reads convex
 
 
 class DiagnosticsError(Exception):
@@ -98,11 +103,13 @@ class PhiConvexityReport(NamedTuple):
     samples: int
     min_eigenvalue: float
     witness: np.ndarray  # point attaining the minimum eigenvalue
+    verdict: str  # "counterexample" below PHI_CONVEX_PASS_TOL, else "convex_up_to_sampling"
 
 
 class CurvatureEntry(NamedTuple):
     constraint: int  # 1-based
     samples: int
+    unmeasured: int  # active points where the Hessian could not be taken
     max_tangential_curvature: float | None
 
 
@@ -110,6 +117,7 @@ class CurvatureReport(NamedTuple):
     boundary_points: int
     vacuous: bool  # one variable only, no tangent directions exist
     constraints: list[CurvatureEntry]
+    verdict: str  # "counterexample" above CURVATURE_PASS_TOL, else "convex_up_to_sampling"
 
 
 def slater_find(p: Problem) -> SlaterReport:
@@ -172,6 +180,23 @@ def _active_jet(g: expr.Expr, j: int, pts: np.ndarray, order: int) -> expr.Jet:
     if not np.isfinite(jet.grad).all():
         raise expr.EvalError(f"the gradient of constraint {j + 1} overflows on the boundary")
     return jet
+
+
+def _active_hessians(g: expr.Expr, j: int, pts: np.ndarray) -> expr.Jet:
+    """The order-2 jet of constraint j + 1 at its active points, NaN in the Hessian
+    of a point where it cannot be taken.  One batched walk serves unless it fails;
+    then the gradients are taken in one walk and the Hessians one point at a time."""
+    try:
+        return _active_jet(g, j, pts, 2)
+    except expr.EvalError:
+        jet = _active_jet(g, j, pts, 1)  # a gradient that overflows still raises
+    hess = np.full((pts.shape[0], pts.shape[1], pts.shape[1]), np.nan)
+    for k, pt in enumerate(pts):
+        try:
+            hess[k] = expr.evaluate_dual(g, pt, 2).hess
+        except expr.EvalError:
+            pass  # its row stays NaN: the point is unmeasured
+    return jet._replace(hess=hess)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -322,8 +347,9 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
 def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityReport:
     """Sample the barrier Hessian at PHI_SAMPLES strictly interior points in the box.
 
-    Reports the smallest eigenvalue seen and where; a clearly negative
-    value exhibits nonconvexity of the barrier at this mu.  Raises
+    Reports the smallest eigenvalue seen and where; a value below
+    PHI_CONVEX_PASS_TOL exhibits nonconvexity of the barrier at this mu,
+    and the verdict reads "counterexample".  Raises
     DiagnosticsError when rejection sampling finds no strictly feasible
     points, or when some sampled Hessian is not finite (its terms overflow
     at a huge mu).
@@ -354,6 +380,7 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
         samples=int(pts.shape[0]),
         min_eigenvalue=float(lowest[i]),
         witness=pts[i].copy(),
+        verdict="convex_up_to_sampling" if lowest[i] >= PHI_CONVEX_PASS_TOL else "counterexample",
     )
 
 
@@ -363,25 +390,29 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     At each sampled boundary point and active constraint the Hessian is
     restricted to the tangent space of that constraint (orthogonal
     complement of its gradient); for a convex feasible set described by
-    g_j >= 0 the restriction should never be significantly positive.
-    With one variable there is no tangent space and the report is vacuous.
-    A gradient entry that overflows raises EvalError.
+    g_j >= 0 the restriction should never be significantly positive: the
+    verdict reads "counterexample" where some curvature exceeds
+    CURVATURE_PASS_TOL.  With one variable there is no tangent space and
+    the report is vacuous.  A point where the Hessian cannot be taken (its
+    walk fails or an entry overflows) is skipped and counted as unmeasured;
+    a gradient entry that overflows raises EvalError.
     """
     if p.nvars == 1:
-        entries = [CurvatureEntry(j + 1, 0, None) for j in range(p.nconstraints)]
-        return CurvatureReport(boundary_points=0, vacuous=True, constraints=entries)
+        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(p.nconstraints)]
+        return CurvatureReport(0, True, entries, "convex_up_to_sampling")
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
-        jet = _active_jet(g, j, pts, 2)
+        jet = _active_hessians(g, j, pts)
         norms = _row_norms(jet.grad)
-        keep = norms >= 1e-12  # a degenerate gradient has no tangent space
+        measured = np.isfinite(jet.hess).all(axis=(1, 2))
+        keep = measured & (norms >= 1e-12)  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]
         _, _, vh = np.linalg.svd(units[:, None, :])
         basis = vh[:, 1:]
         restricted = basis @ jet.hess[keep] @ basis.transpose(0, 2, 1)
         tops = np.linalg.eigvalsh(restricted)[:, -1]
         top = float(tops.max()) if tops.size else None
-        entries.append(CurvatureEntry(j + 1, int(tops.size), top))
-    return CurvatureReport(
-        boundary_points=int(sample.points.shape[0]), vacuous=False, constraints=entries
-    )
+        entries.append(CurvatureEntry(j + 1, tops.size, int(np.count_nonzero(~measured)), top))
+    bent = any(e.max_tangential_curvature > CURVATURE_PASS_TOL for e in entries if e.samples)
+    verdict = "counterexample" if bent else "convex_up_to_sampling"
+    return CurvatureReport(int(sample.points.shape[0]), False, entries, verdict)

@@ -20,7 +20,7 @@ the unit disk: the gentler ones end their last stages at the float floor
 of phi, above their gradient-norm target, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then fifteen commands on variants of the unit-disk file:
+runs do not.  Then sixteen commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
@@ -40,12 +40,15 @@ slater, nondegeneracy and curvature records; diagnose --check
 nondegeneracy on the unit disk beside 1e-7*(2 - x1), a constraint that
 is small on the whole box but active nowhere on its boundary; and solve
 --require-assumptions on the annulus 1 <= x1^2 + x2^2 <= 4, whose inner
-circle bends away from the set, so the gate's curvature check fails.
+circle bends away from the set, so the gate's curvature check fails;
+and solve --require-assumptions on the disk plus
+0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
+sampled boundary point, which the curvature check counts as unmeasured.
 Then solve on a file whose interior_point is misspelled, which the
-loader refuses.  That makes 88 commands, which commands() yields.  Each seed adds the commands of the
+loader refuses.  That makes 89 commands, which commands() yields.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 464 commands in all with --seeds 1 2.  To see which commands
+directory: 465 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -158,6 +161,16 @@ VARIANTS = [
             "constraints": ["4 - x1^2 - x2^2", "x1^2 + x2^2 - 1"],
             "box": [[-2.5, 2.5], [-2.5, 2.5]],
             "interior_point": [1.5, 0],
+        },
+        [["solve", "--require-assumptions"]],
+    ),
+    (
+        "hessian-overflow",
+        {
+            "objective": "x1 + x2",
+            "constraints": ["1 - x1^2 - x2^2 + 0*exp(exp(10*(x1 - 1) + 6.551))"],
+            "box": [[-1, 1], [-1, 1]],
+            "interior_point": None,
         },
         [["solve", "--require-assumptions"]],
     ),

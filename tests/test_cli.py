@@ -249,12 +249,11 @@ def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, mess
 
 
 def _passed(rec):
-    """Whether a check's record passed; a curvature report passes when no
-    sampled curvature exceeds the tolerance, as under --expect pass."""
-    if rec["record"] != "tangential_curvature" or "error" in rec:
-        return rec["passed"]
-    tops = [e["max_tangential_curvature"] for e in rec["constraints"]]
-    return all(top is None or top <= cli.CURVATURE_PASS_TOL for top in tops)
+    """Whether a check's record passed under --expect pass: a report with a
+    verdict passes where it reads convex_up_to_sampling, the rest where passed."""
+    if "verdict" in rec:
+        return rec["verdict"] == "convex_up_to_sampling"
+    return rec["passed"]
 
 
 @pytest.mark.parametrize("seed", ["42", "7"])
@@ -274,7 +273,7 @@ def test_require_assumptions_prints_the_diagnose_records(run_cli, void_file, nam
     if checked == 0:
         assert 0 < path < len(lines)
     else:
-        names = {kind: name for name, kind in cli.CHECK_KINDS.items()}
+        names = {kind: name for name, (kind, _, _) in cli.CHECKS.items()}
         failed = [names[r["record"]] for r in _records(diagnosed) if not _passed(r)]
         assert (code, path) == (3, len(lines))
         assert stderr == f"logbarrier: assumption checks failed: {', '.join(failed)}\n"
@@ -295,6 +294,30 @@ def test_readme_solve_section_names_every_solve_option():
     }
     assert options - named == set(), "solve options the README does not name"
     assert named - options == set(), "README flags the solve parser does not accept"
+
+
+def test_readme_diagnose_section_names_every_check_and_verdict():
+    # a new --check row or verdict lands documented
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**`diagnose`**") : readme.index("**`contour`**")]
+    names = [f"`{name}" for name in cli.CHECKS]
+    verdicts = [f"`{verdict}`" for verdict in (*cli.EXPECTED.values(), "empty_region")]
+    assert [word for word in names + verdicts if word not in section] == []
+
+
+@pytest.mark.parametrize("check", ["curvature", "levelset:0", "levelset:1.5", "phiconvexity:1"])
+@pytest.mark.parametrize("name", corpus.names())
+def test_the_verdict_decides_the_exit(run_cli, name, check):
+    # --expect pass holds exactly where the printed verdict is convex_up_to_sampling,
+    # and --expect nonconvex exactly where it is counterexample
+    printed = []
+    for expect, verdict in [("pass", "convex_up_to_sampling"), ("nonconvex", "counterexample")]:
+        argv = ["diagnose", "--builtin", name, "--check", check, "--expect", expect]
+        code, stdout, _ = run_cli(argv)
+        (rec,) = _records(stdout)
+        assert code == (0 if rec["verdict"] == verdict else 3), (expect, rec["verdict"])
+        printed.append(rec)
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize(
@@ -496,7 +519,7 @@ def test_a_failing_probe_writes_the_record_kind_of_its_report(run_cli, void_file
     assert code == 0
     passing = [r["record"] for r in _records(stdout)]
     assert [r["record"] for r in failing] == passing
-    assert passing == [cli.CHECK_KINDS[c.partition(":")[0]] for c in checks.split(",")]
+    assert passing == [cli.CHECKS[c.partition(":")[0]][0] for c in checks.split(",")]
 
 
 def test_contour_grid(run_cli, tmp_path):
@@ -836,8 +859,9 @@ def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
 @pytest.mark.parametrize("argv", [["diagnose", "--check", "nondegeneracy"]])
 def test_nondegeneracy_check_needs_gradients_only(run_cli, tmp_path, argv):
     # near x1 = 1 the zero term's Hessian overflows while its value and
-    # gradient stay finite; only the curvature probe needs that Hessian,
-    # and solve's gate runs it
+    # gradient stay finite; only the curvature probe needs that Hessian, and
+    # it skips and counts the one boundary point where it cannot be taken,
+    # so solve's gate passes
     path = tmp_path / "hessian-overflow.json"
     path.write_text(
         json.dumps(
@@ -855,10 +879,18 @@ def test_nondegeneracy_check_needs_gradients_only(run_cli, tmp_path, argv):
     (ndg,) = [r for r in _records(stdout) if r["record"] == "nondegeneracy"]
     assert ndg["passed"] is True
     assert ndg["boundary_points"] == 256
-    for command in (["diagnose", "--check", "curvature"], ["solve", "--require-assumptions"]):
-        code, _, stderr = run_cli([*command, "--problem", path])
-        assert code == 2
-        assert "outside the domain" in stderr
+    code, stdout, stderr = run_cli(["diagnose", "--check", "curvature", "--problem", path])
+    assert (code, stderr) == (0, "")
+    (cur,) = _records(stdout)
+    (entry,) = cur["constraints"]
+    assert (entry["samples"], entry["unmeasured"]) == (255, 1)
+    assert cur["verdict"] == "convex_up_to_sampling"
+    code, stdout, stderr = run_cli(["solve", "--require-assumptions", "--problem", path])
+    assert (code, stderr) == (0, "")
+    records = _records(stdout)
+    assert records[2] == cur
+    assert records[-1]["verdict"] == "kkt_point"
+    assert records[-1]["x"] == pytest.approx([-0.5**0.5] * 2, abs=1e-6)
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape
@@ -942,7 +974,8 @@ def _key_tree(rec):
 
 @pytest.fixture(scope="module")
 def emitted(run_cli):
-    # one record of each kind, keyed by kind; the level-set record twice
+    # every record printed, by kind; the level-set probe finds a counterexample
+    # at 1.5 and none at 0, where its witness is null
     argvs = [
         ["solve", "--builtin", "disk"],
         ["oracle", "--builtin", "disk", "--res", "11"],
@@ -954,15 +987,10 @@ def emitted(run_cli):
         code, stdout, _ = run_cli(argv)
         assert code == 0
         for rec in _records(stdout):
-            kind = rec["record"]
-            if kind == "levelset_convexity" and "witness" in rec:
-                kind = "levelset_convexity+witness"
-            out.setdefault(kind, rec)
+            out.setdefault(rec["record"], []).append(rec)
     return out
 
 
-WITNESS = ("witness", ["x", "y", "midpoint", "g_x", "g_y", "g_mid", "violated"])
-LEVELSET = ["record", "level", "verdict", "pairs_checked", "method"]
 RECORD_KEYS = {
     "slater": ["record", "point", "margin", "grid_resolution", "passed"],
     "nondegeneracy": [
@@ -978,11 +1006,18 @@ RECORD_KEYS = {
         "record",
         "boundary_points",
         "vacuous",
-        ("constraints", ["constraint", "samples", "max_tangential_curvature"]),
+        ("constraints", ["constraint", "samples", "unmeasured", "max_tangential_curvature"]),
+        "verdict",
     ],
-    "levelset_convexity": LEVELSET,
-    "levelset_convexity+witness": [*LEVELSET, WITNESS],
-    "phi_convexity": ["record", "mu", "samples", "min_eigenvalue", "witness"],
+    "levelset_convexity": [
+        "record",
+        "level",
+        "verdict",
+        "pairs_checked",
+        "method",
+        ("witness", ["x", "y", "midpoint", "g_x", "g_y", "g_mid", "violated"]),
+    ],
+    "phi_convexity": ["record", "mu", "samples", "min_eigenvalue", "witness", "verdict"],
     "path_point": [
         "record",
         "mu",
@@ -1015,7 +1050,11 @@ RECORD_KEYS = {
 
 @pytest.mark.parametrize("kind", sorted(RECORD_KEYS))
 def test_record_schema(emitted, kind):
-    assert _key_tree(emitted[kind]) == RECORD_KEYS[kind]
+    # every record of a kind prints the same keys, a null value with none
+    # below it, and some record has a value under each nested key
+    keys = [item[0] if isinstance(item, tuple) else item for item in RECORD_KEYS[kind]]
+    assert [list(rec) for rec in emitted[kind]] == [keys] * len(emitted[kind])
+    assert RECORD_KEYS[kind] in [_key_tree(rec) for rec in emitted[kind]]
 
 
 def _flat_keys(tree):
@@ -1041,12 +1080,7 @@ def test_readme_record_examples_quote_printed_keys():
     kinds = set()
     for kind, example in _readme_record_examples():
         kinds.add(kind)
-        printed = {
-            key
-            for name, tree in RECORD_KEYS.items()
-            if name.split("+")[0] == kind
-            for key in _flat_keys(tree)
-        }
+        printed = set(_flat_keys(RECORD_KEYS[kind]))
         quoted = set(re.findall(r'"(\w+)":', example))
         assert quoted <= printed, (kind, sorted(quoted - printed))
     assert kinds == {"slater", "nondegeneracy", "path_point", "certificate", "levelset_convexity"}

@@ -178,7 +178,8 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
     assert ndg.constraints == [diagnostics.NondegeneracyEntry(1, 0, None, None)]
     assert ndg.passed is True
     cur = diagnostics.tangential_curvature_probe(p, sample)
-    assert cur == diagnostics.CurvatureReport(0, False, [diagnostics.CurvatureEntry(1, 0, None)])
+    entry = diagnostics.CurvatureEntry(1, 0, 0, None)
+    assert cur == diagnostics.CurvatureReport(0, False, [entry], "convex_up_to_sampling")
 
 
 @pytest.mark.parametrize("name", ["disk", "hyperbola", "wide"])
@@ -336,6 +337,38 @@ def test_curvature_vacuous_in_one_variable():
     (entry,) = r.constraints
     assert entry.samples == 0
     assert entry.max_tangential_curvature is None
+
+
+def test_curvature_skips_and_counts_the_points_without_a_hessian(monkeypatch, problems):
+    # near x1 = 1 the zero term's Hessian is undefined (0 * inf) while its
+    # value and gradient stay finite: one of the 256 points has no Hessian
+    p = problem.problem_from_dict(
+        {
+            "name": "hessian-overflow",
+            "nvars": 2,
+            "objective": "x1 + x2",
+            "constraints": ["1 - x1^2 - x2^2 + 0*exp(exp(10*(x1 - 1) + 6.551))"],
+            "box": [[-1, 1], [-1, 1]],
+        }
+    )
+    walks = []
+    evaluate_dual = expr.evaluate_dual
+
+    def counting(g, x, order):
+        walks.append((np.ndim(x), order))
+        return evaluate_dual(g, x, order)
+
+    monkeypatch.setattr(expr, "evaluate_dual", counting)
+    r = diagnostics.tangential_curvature_probe(p, _sample(p))
+    (entry,) = r.constraints
+    assert (entry.samples, entry.unmeasured) == (255, 1)
+    assert abs(entry.max_tangential_curvature + 2.0) <= 1e-6
+    assert r.verdict == "convex_up_to_sampling"
+    # the batched walk fails, so the gradients take one walk and the Hessians one a point
+    assert walks == [(2, 2), (2, 1)] + [(1, 2)] * 256
+    walks.clear()
+    r = diagnostics.tangential_curvature_probe(problems["disk"], _sample(problems["disk"]))
+    assert (r.constraints[0].unmeasured, walks) == (0, [(2, 2)])
 
 
 def _slater_cases(problems):
