@@ -15,7 +15,7 @@ mu / g_j(x) the natural multiplier estimate attached to each evaluation.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,12 +27,10 @@ class InfeasiblePointError(Exception):
     """The barrier was asked for at a point off the strict interior."""
 
 
-class BarrierEvaluation(NamedTuple):
-    value: float
-    constraint_values: np.ndarray
-    gradient: np.ndarray
-    multipliers: np.ndarray  # mu / g_j
-    objective: float  # f(x)
+# multipliers are mu / g_j; objective is f(x)
+BarrierEvaluation = namedtuple(
+    "BarrierEvaluation", "value constraint_values gradient multipliers objective"
+)
 
 
 def _jet(p: Problem, x, mu: float, order: int):

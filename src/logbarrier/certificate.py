@@ -21,8 +21,8 @@ leave no finite multiplier.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,19 +42,16 @@ class Verdict(str, Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-class KKTCertificate(NamedTuple):
-    x: np.ndarray
-    multipliers: np.ndarray
-    objective: float
-    stationarity_residual: float
-    complementarity_residual: float
-    dual_feasibility_violation: float
-    primal_feasibility_violation: float
-    active_set: list[int]  # 1-based, ascending: the g_j within activation_tolerance of their zero
-    activation_tolerance: float  # ACTIVE_DISTANCE * w, w the box's largest width
-    least_active_singular_value: float | None  # of the active gradients; None if none is active
-    verdict: Verdict
-    statement: str  # the verdict in one sentence: the claim, or why it is refused
+# active_set: 1-based, ascending: the g_j within activation_tolerance of their zero
+# activation_tolerance: ACTIVE_DISTANCE * w, w the box's largest width
+# least_active_singular_value: of the active gradients; None if none is active
+# verdict: a Verdict; statement: the verdict in one sentence, the claim or why it is refused
+KKTCertificate = namedtuple(
+    "KKTCertificate",
+    "x multipliers objective stationarity_residual complementarity_residual"
+    " dual_feasibility_violation primal_feasibility_violation active_set"
+    " activation_tolerance least_active_singular_value verdict statement",
+)
 
 
 def check_kkt(p: Problem, x) -> KKTCertificate:
@@ -82,7 +79,7 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     norms = _row_norms(jet.grad)
     distance = ACTIVE_DISTANCE * float(np.max(p.box[:, 1] - p.box[:, 0]))
     active = gvals <= distance * norms[1:]
-    lam = np.zeros(p.nconstraints)
+    lam = np.zeros(len(p.constraints))
     solution, _, rank, singular = np.linalg.lstsq(grads[active].T, jet.grad[0], rcond=None)
     # + 0.0 turns a -0.0 estimate, as where grad f = 0 on the boundary, into 0.0
     lam[active] = solution + 0.0

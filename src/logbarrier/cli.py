@@ -5,7 +5,7 @@ Commands: solve (continuation run, trace + certificate), diagnose
 elsewhere), oracle (grid minimization), list (builtin problems).  All
 structured output is line-delimited JSON records sharing one schema, so a
 single reader parses traces, certificates and diagnostic reports alike;
-record() writes each result record from its NamedTuple's fields.
+record() writes each result record from its namedtuple's fields.
 
 Handlers return nothing and raise on failure; main() alone turns an
 exception into an exit code.  Exit 0: success (or a met expectation).
@@ -73,7 +73,7 @@ def _fail(message: str) -> None:
 
 
 def _plain(value):
-    """A result field as JSON data: a NamedTuple becomes a dict in field
+    """A result field as JSON data: a namedtuple becomes a dict in field
     order, an array or list a list; numbers, str-Enums and None stay."""
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: _plain(v) for name, v in zip(value._fields, value)}
@@ -85,10 +85,10 @@ def _plain(value):
 
 
 def record(kind: str, result) -> dict:
-    """The JSON record of a result NamedTuple: {"record": kind, **fields}.
+    """The JSON record of a result namedtuple: {"record": kind, **fields}.
 
     Every result record the CLI prints is written here, so a field's place
-    in its NamedTuple is its key's place in the record, and a field that is
+    in its namedtuple is its key's place in the record, and a field that is
     None (a level-set probe's witness where it found no counterexample) is null.
     """
     return {"record": kind, **_plain(result)}
@@ -323,7 +323,7 @@ def _run_contour(args) -> None:
         raise InputError(f"contour needs a 2-variable problem, got {p.nvars}")
     if args.res < 2:
         raise InputError(f"resolution must be at least 2, got {args.res}")
-    if not 1 <= args.constraint <= p.nconstraints:
+    if not 1 <= args.constraint <= len(p.constraints):
         raise InputError(f"constraint index {args.constraint} out of range")
     tokens = [tok.strip() for tok in args.levels.split(",") if tok.strip()]
     try:
@@ -371,11 +371,10 @@ def _run_list(args) -> None:
             "record": "problem",
             "name": name,
             "nvars": entry.problem.nvars,
-            "constraints": entry.problem.nconstraints,
+            "constraints": len(entry.problem.constraints),
             "provenance": entry.provenance,
+            "known_optimum": _plain(entry.known_optimum),
         }
-        if entry.known_optimum is not None:
-            rec["known_optimum"] = _plain(entry.known_optimum)
         records.append(rec)
     _emit(records, args.out)
 

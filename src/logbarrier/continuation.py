@@ -11,9 +11,9 @@ multipliers.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .certificate import KKTCertificate, check_kkt
+from .certificate import check_kkt
 from .diagnostics import slater_find
 from .inner import PathPoint, solve_inner
 from .problem import Problem
@@ -50,9 +50,8 @@ class MuSchedule:
         return out
 
 
-class SolveTrace(NamedTuple):
-    points: list[PathPoint]
-    final_certificate: KKTCertificate
+# points: a PathPoint per stage; final_certificate: a KKTCertificate
+SolveTrace = namedtuple("SolveTrace", "points final_certificate")
 
 
 def solve(p: Problem, schedule: MuSchedule | None = None, x0=None) -> SolveTrace:

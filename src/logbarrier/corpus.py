@@ -15,24 +15,17 @@ module adds what the files do not carry: provenance and known optima.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
-from .problem import Problem, ProblemError, load
+from .problem import ProblemError, load
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
-class KnownOptimum(NamedTuple):
-    x: tuple[float, ...]
-    f: float
-    provenance: str
-
-
-class CorpusEntry(NamedTuple):
-    problem: Problem
-    provenance: str
-    known_optimum: KnownOptimum | None
+# x is a tuple of floats; a builtin's known_optimum is a KnownOptimum or None
+KnownOptimum = namedtuple("KnownOptimum", "x f provenance")
+CorpusEntry = namedtuple("CorpusEntry", "problem provenance known_optimum")
 
 
 # the builtins, in the order names() lists them

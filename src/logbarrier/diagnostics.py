@@ -22,7 +22,7 @@ evaluable there (corpus problems are).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -50,74 +50,48 @@ class SlaterUnverifiedError(DiagnosticsError):
     """No strictly feasible point was found in the box window."""
 
 
-class SlaterReport(NamedTuple):
-    point: np.ndarray
-    margin: float  # min_j g_j at the point, always > 0
-    grid_resolution: int
-    passed: bool = True  # a point was found; the search raises otherwise
+# margin: min_j g_j at the point, always > 0
+# passed: a point was found; the search raises otherwise
+SlaterReport = namedtuple("SlaterReport", "point margin grid_resolution passed", defaults=(True,))
 
+# points: (M, n) boundary points, M <= rays; residuals: (M,) min_j g_j at each
+# point, >= 0; active: per constraint, the points where it is the least g_j
+BoundarySample = namedtuple("BoundarySample", "rays points residuals active")
 
-class BoundarySample(NamedTuple):
-    rays: int
-    points: np.ndarray  # (M, n) boundary points, M <= rays
-    residuals: np.ndarray  # (M,) min_j g_j at each point, >= 0
-    active: list[np.ndarray]  # per constraint: the points where it is the least g_j
+# constraint: 1-based; min_gradient_norm and passed: None when the
+# constraint was never active
+NondegeneracyEntry = namedtuple("NondegeneracyEntry", "constraint samples min_gradient_norm passed")
 
+# max_boundary_residual: largest min_j g_j over the boundary points
+# constraints: a NondegeneracyEntry each; passed: no constraint failed
+NondegeneracyReport = namedtuple(
+    "NondegeneracyReport",
+    "delta rays boundary_points max_boundary_residual constraints passed",
+)
 
-class NondegeneracyEntry(NamedTuple):
-    constraint: int  # 1-based
-    samples: int
-    min_gradient_norm: float | None  # None when the constraint was never active
-    passed: bool | None
+# g_x: every constraint's value at x, and g_y, g_mid at y and the midpoint
+# violated: 1-based constraint indices failing at the midpoint
+LevelsetWitness = namedtuple("LevelsetWitness", "x y midpoint g_x g_y g_mid violated")
 
+# level: the set probed is {x : g_j(x) >= level for every j}
+# verdict: "counterexample", "convex_up_to_sampling", "empty_region"
+# method: "rejection" or "grid"; witness: a LevelsetWitness or None
+LevelsetReport = namedtuple("LevelsetReport", "level verdict pairs_checked method witness")
 
-class NondegeneracyReport(NamedTuple):
-    delta: float
-    rays: int
-    boundary_points: int
-    max_boundary_residual: float  # largest min_j g_j over the boundary points
-    constraints: list[NondegeneracyEntry]
-    passed: bool  # no constraint failed
+# witness: point attaining the minimum eigenvalue
+# verdict: "counterexample" below PHI_CONVEX_PASS_TOL, else "convex_up_to_sampling"
+PhiConvexityReport = namedtuple("PhiConvexityReport", "mu samples min_eigenvalue witness verdict")
 
+# constraint: 1-based; unmeasured: active points where the Hessian could not
+# be taken; max_tangential_curvature: None when no point was measured
+CurvatureEntry = namedtuple(
+    "CurvatureEntry", "constraint samples unmeasured max_tangential_curvature"
+)
 
-class LevelsetWitness(NamedTuple):
-    x: np.ndarray
-    y: np.ndarray
-    midpoint: np.ndarray
-    g_x: np.ndarray  # every constraint's value at x
-    g_y: np.ndarray
-    g_mid: np.ndarray
-    violated: list[int]  # 1-based constraint indices failing at the midpoint
-
-
-class LevelsetReport(NamedTuple):
-    level: float  # the set probed is {x : g_j(x) >= level for every j}
-    verdict: str  # "counterexample", "convex_up_to_sampling", "empty_region"
-    pairs_checked: int
-    method: str  # "rejection" or "grid"
-    witness: LevelsetWitness | None
-
-
-class PhiConvexityReport(NamedTuple):
-    mu: float
-    samples: int
-    min_eigenvalue: float
-    witness: np.ndarray  # point attaining the minimum eigenvalue
-    verdict: str  # "counterexample" below PHI_CONVEX_PASS_TOL, else "convex_up_to_sampling"
-
-
-class CurvatureEntry(NamedTuple):
-    constraint: int  # 1-based
-    samples: int
-    unmeasured: int  # active points where the Hessian could not be taken
-    max_tangential_curvature: float | None
-
-
-class CurvatureReport(NamedTuple):
-    boundary_points: int
-    vacuous: bool  # one variable only, no tangent directions exist
-    constraints: list[CurvatureEntry]
-    verdict: str  # "counterexample" above CURVATURE_PASS_TOL, else "convex_up_to_sampling"
+# vacuous: one variable only, no tangent directions exist
+# constraints: a CurvatureEntry each
+# verdict: "counterexample" above CURVATURE_PASS_TOL, else "convex_up_to_sampling"
+CurvatureReport = namedtuple("CurvatureReport", "boundary_points vacuous constraints verdict")
 
 
 def slater_find(p: Problem) -> SlaterReport:
@@ -161,7 +135,7 @@ def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySampl
     residuals = g.min(axis=1)
     keep = (t_exit > 0) & ((t_in < t_exit) | (residuals <= 1e-12))
     points, g, residuals = points[keep], g[keep], residuals[keep]
-    active = [points[g[:, j] == residuals] for j in range(p.nconstraints)]
+    active = [points[g[:, j] == residuals] for j in range(len(p.constraints))]
     return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 
 
@@ -398,7 +372,7 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     a gradient entry that overflows raises EvalError.
     """
     if p.nvars == 1:
-        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(p.nconstraints)]
+        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(p.constraints))]
         return CurvatureReport(0, True, entries, "convex_up_to_sampling")
     entries = []
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):

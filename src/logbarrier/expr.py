@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -43,19 +43,15 @@ class EvalError(Exception):
     pass
 
 
-class Expr(NamedTuple):
-    """A parsed expression over a fixed number of variables.
-
-    root is a tree of tagged tuples: ("const", v) with a float v, ("var", i)
-    with a 0-based i (written 1-based as x1, x2, ... in text), ("neg", a),
-    ("ln", a), ("exp", a), ("add", lhs, rhs), ("sub", lhs, rhs),
-    ("mul", lhs, rhs), ("div", lhs, rhs) and ("pow", base, n) with an int n.
-    Tuples give trees equality, hashing and immutability; the tag tells
-    ln from exp and add from sub.
-    """
-
-    root: tuple
-    nvars: int
+# A parsed expression over a fixed number of variables.
+#
+# root is a tree of tagged tuples: ("const", v) with a float v, ("var", i)
+# with a 0-based i (written 1-based as x1, x2, ... in text), ("neg", a),
+# ("ln", a), ("exp", a), ("add", lhs, rhs), ("sub", lhs, rhs),
+# ("mul", lhs, rhs), ("div", lhs, rhs) and ("pow", base, n) with an int n.
+# Tuples give trees equality, hashing and immutability; the tag tells
+# ln from exp and add from sub.
+Expr = namedtuple("Expr", "root nvars")
 
 
 # Every non-space character starts a match, so one scan covers the text
@@ -186,31 +182,22 @@ def parse(text: str, nvars: int, params: dict | None = None) -> Expr:
     return Expr(root, nvars)
 
 
-class Jet(NamedTuple):
-    """Value, gradient and Hessian of m expressions, the expression axis first.
-
-    At one point: shapes (m,), (m, n) and (m, n, n); over a batch of N
-    points: (m, N), (m, N, n) and (m, N, n, n).  Derivatives above the order
-    asked for are None.  evaluate_dual's jet has no expression axis.
-    """
-
-    value: float | np.ndarray
-    grad: np.ndarray | None
-    hess: np.ndarray | None
+# Value, gradient and Hessian of m expressions, the expression axis first.
+#
+# At one point: shapes (m,), (m, n) and (m, n, n); over a batch of N
+# points: (m, N), (m, N, n) and (m, N, n, n).  Derivatives above the order
+# asked for are None.  evaluate_dual's jet has no expression axis.
+Jet = namedtuple("Jet", "value grad hess")
 
 
-class _At(NamedTuple):
-    """Where a walk is taken: per-variable values and the seed derivatives.
-
-    Derivative arrays put the variable axes first and the point axis last,
-    so one formula serves a point (no point axis) and a batch (an axis of
-    length N, or of length 1 where the derivative is the same everywhere).
-    """
-
-    xs: list  # np.float64 per variable, or an (N,) array per variable
-    units: list  # gradient of each variable; None at order 0
-    zero_grad: np.ndarray | None
-    zero_hess: np.ndarray | None
+# Where a walk is taken: per-variable values and the seed derivatives.
+#
+# Derivative arrays put the variable axes first and the point axis last,
+# so one formula serves a point (no point axis) and a batch (an axis of
+# length N, or of length 1 where the derivative is the same everywhere).
+# xs holds an np.float64 per variable, or an (N,) array per variable;
+# units the gradient of each variable, None at order 0.
+_At = namedtuple("_At", "xs units zero_grad zero_hess")
 
 
 def _outer(a, b):

@@ -14,8 +14,8 @@ steps.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +36,10 @@ class InnerStatus(str, Enum):
     NO_PROGRESS = "no_progress"  # no step length down to MIN_STEP lowers phi
 
 
-class PathPoint(NamedTuple):
-    mu: float
-    x: np.ndarray
-    multipliers: np.ndarray  # mu / g_j at x
-    objective: float
-    grad_norm: float
-    status: InnerStatus
-    iterations: int  # Newton steps, each forming one barrier Hessian
-    trials: int  # barrier values the line searches computed
+# multipliers: mu / g_j at x; status: an InnerStatus
+# iterations: Newton steps, each forming one barrier Hessian
+# trials: barrier values the line searches computed
+PathPoint = namedtuple("PathPoint", "mu x multipliers objective grad_norm status iterations trials")
 
 
 def _newton_step(p: Problem, x: np.ndarray, mu: float, gradient: np.ndarray):

@@ -15,7 +15,7 @@ expression evaluation and the problem's helpers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,11 +33,7 @@ class OracleError(Exception):
     """No grid point is feasible."""
 
 
-class OracleResult(NamedTuple):
-    x_best: np.ndarray
-    f_best: float
-    grid_resolution: int
-    polished: bool
+OracleResult = namedtuple("OracleResult", "x_best f_best grid_resolution polished")
 
 
 def _least(p: Problem, pts: np.ndarray, feasible: np.ndarray) -> tuple[int, float]:

@@ -10,12 +10,11 @@ import json
 import math
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
 from . import expr
-from .expr import Expr
 
 # 128 KiB per coordinate column: at 1 << 16 points each evaluation cost hundreds
 # of page faults, as glibc returned the walker's temporaries to the system
@@ -30,19 +29,10 @@ class ProblemError(Exception):
     pass
 
 
-class Problem(NamedTuple):
-    """A validated problem; problem_from_dict is the one place that builds it."""
-
-    name: str
-    nvars: int
-    objective: Expr
-    constraints: tuple[Expr, ...]
-    box: np.ndarray  # shape (nvars, 2), columns lo, hi
-    interior_point: np.ndarray | None
-
-    @property
-    def nconstraints(self) -> int:
-        return len(self.constraints)
+# A validated problem; problem_from_dict is the one place that builds it.
+# objective is an Expr and constraints a tuple of Exprs; box has shape
+# (nvars, 2), columns lo, hi; interior_point is an array or None.
+Problem = namedtuple("Problem", "name nvars objective constraints box interior_point")
 
 
 def grid_blocks(box: np.ndarray, res: int):

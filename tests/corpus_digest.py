@@ -12,7 +12,8 @@ phiconvexity:1e308 (whose barrier Hessians overflow), and solve
 --mu-factor 0.9 and 0.001 (175 close weights, some of whose late stages
 end at the float floor of phi above their target, and 3 far-apart ones,
 whose last stage ends there too), on each builtin.  Then contour and oracle on disk at
---res 1000000000000000, a grid no memory holds.  Then one solve per
+--res 1000000000000000, a grid no memory holds.  Then list, the one
+command that prints the builtins' known optima.  Then one solve per
 malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
 2-variable problem file that is valid apart from it: these compare the
 parser's error output.  Then one solve per steep linear objective over
@@ -45,10 +46,10 @@ and solve --require-assumptions on the disk plus
 0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
 sampled boundary point, which the curvature check counts as unmeasured.
 Then solve on a file whose interior_point is misspelled, which the
-loader refuses.  That makes 89 commands, which commands() yields.  Each seed adds the commands of the
+loader refuses.  That makes 90 commands, which commands() yields.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 465 commands in all with --seeds 1 2.  To see which commands
+directory: 466 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -207,6 +208,7 @@ def commands(tmp: Path, seeds=()):
             yield " ".join(argv), argv
     for argv in HUGE_GRIDS:
         yield " ".join(argv), argv
+    yield "list", ["list"]
     objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]
     objectives += [(f"steep-{k}", text) for k, text in enumerate(STEEP_OBJECTIVES)]
     for stem, objective in objectives:

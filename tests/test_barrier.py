@@ -255,7 +255,7 @@ def test_each_barrier_call_walks_f_and_every_g_once(monkeypatch, problems):
         for fn, x in calls:
             walks.clear()
             fn(p, x, 0.3)
-            assert walks == [1 + p.nconstraints], (p.name, fn.__name__, x.shape)
+            assert walks == [1 + len(p.constraints)], (p.name, fn.__name__, x.shape)
 
 
 def _eval_from_separate_walks(p, x, mu):

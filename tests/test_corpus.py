@@ -44,7 +44,7 @@ def test_data_files_match_builtins():
 
 
 def test_constraint_counts():
-    counts = {name: corpus.builtin(name).problem.nconstraints for name in corpus.names()}
+    counts = {name: len(corpus.builtin(name).problem.constraints) for name in corpus.names()}
     assert counts == {
         "cassini": 1,
         "hyperbola": 5,

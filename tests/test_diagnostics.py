@@ -533,7 +533,7 @@ def _boundary_reference(p, sample):
 def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     p = problems[name]
     sample = _sample(p)
-    assert (sample.rays, len(sample.active)) == (256, p.nconstraints)
+    assert (sample.rays, len(sample.active)) == (256, len(p.constraints))
     # each point lies inside K, at the walk's inside end
     least = problem.evaluate_constraints(p, sample.points).min(axis=1)
     assert np.array_equal(sample.residuals, least) and (least >= 0.0).all()
@@ -542,7 +542,7 @@ def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     cur = diagnostics.tangential_curvature_probe(p, sample)
     # row norms of a stacked array may round differently from a vector's norm
     eps = np.finfo(float).eps
-    for j in range(p.nconstraints):
+    for j in range(len(p.constraints)):
         norms = [norm for k, norm, _ in ref if k == j]
         tops = [top for k, _, top in ref if k == j and top is not None]
         assert ndg.constraints[j].samples == len(norms)

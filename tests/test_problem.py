@@ -34,7 +34,7 @@ def test_from_dict_fields():
     p = problem.problem_from_dict(BASE)
     assert p.name == "unit"
     assert p.nvars == 2
-    assert p.nconstraints == 1
+    assert len(p.constraints) == 1
     assert p.box.shape == (2, 2)
     assert np.array_equal(p.interior_point, [0.0, 0.0])
 
@@ -395,10 +395,10 @@ def test_evaluate_constraints_one_point_or_a_batch(problems):
     for p in problems.values():
         pts = rng.uniform(p.box[:, 0], p.box[:, 1], size=(9, p.nvars))
         batch = problem.evaluate_constraints(p, pts)
-        assert batch.shape == (9, p.nconstraints)
+        assert batch.shape == (9, len(p.constraints))
         for x, row in zip(pts, batch):
             one = problem.evaluate_constraints(p, x)
-            assert one.shape == (p.nconstraints,)
+            assert one.shape == (len(p.constraints),)
             assert np.array_equal(one, row)
             assert np.array_equal(one, [expr.evaluate(g, x) for g in p.constraints])
 
