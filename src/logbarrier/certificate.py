@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 import numpy as np
 
@@ -37,15 +36,11 @@ FEASIBILITY_TOL = 1e-8
 DUAL_TOL = 0.0
 
 
-class Verdict(str, Enum):
-    KKT_POINT = "kkt_point"
-    NOT_CERTIFIED = "not_certified"
-
-
 # active_set: 1-based, ascending: the g_j within activation_tolerance of their zero
 # activation_tolerance: ACTIVE_DISTANCE * w, w the box's largest width
 # least_active_singular_value: of the active gradients; None if none is active
-# verdict: a Verdict; statement: the verdict in one sentence, the claim or why it is refused
+# verdict: "kkt_point" or "not_certified"
+# statement: the verdict in one sentence, the claim or why it is refused
 KKTCertificate = namedtuple(
     "KKTCertificate",
     "x multipliers objective stationarity_residual complementarity_residual"
@@ -98,7 +93,7 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
     ]
     failing = [row for row in scored if not row[1] <= row[2]]  # a NaN residual fails
     vanishing = sigma is not None and sigma < NONDEGENERACY_DELTA
-    verdict = Verdict.NOT_CERTIFIED
+    verdict = "not_certified"
     if failing:
         # the worst: the first of the largest value / tol, a tol of 0 counting as inf
         name, value, _ = max(failing, key=lambda row: row[1] / row[2] if row[2] > 0.0 else math.inf)
@@ -113,7 +108,7 @@ def check_kkt(p: Problem, x) -> KKTCertificate:
             "while grad f does not, so no finite multiplier exists"
         )
     else:
-        verdict = Verdict.KKT_POINT
+        verdict = "kkt_point"
         premise = "whose active constraint gradients do not vanish"
         if vanishing:  # certified only because grad f vanishes as well
             premise = "where grad f vanishes"

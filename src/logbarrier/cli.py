@@ -5,14 +5,14 @@ Commands: solve (continuation run, trace + certificate), diagnose
 elsewhere), oracle (grid minimization), list (builtin problems).  All
 structured output is line-delimited JSON records sharing one schema, so a
 single reader parses traces, certificates and diagnostic reports alike;
-record() writes each result record from its namedtuple's fields.
+record() writes each record from a result namedtuple's fields.
 
 Handlers return nothing and raise on failure; main() alone turns an
 exception into an exit code.  Exit 0: success (or a met expectation).
 Exit 2, printed as "input error": a usage error, InputError (a flag value
-or check list the command refuses), ProblemError (problem data, or grid
-and oracle limits), EvalError (an expression undefined where the command
-evaluates it) and OutputError (an --out that cannot be written).  Exit 3:
+or check list the command refuses, among them an --out that cannot be
+written), ProblemError (problem data, or grid and oracle limits) and
+EvalError (an expression undefined where the command evaluates it).  Exit 3:
 NegativeResult, an honest negative (not certified, an assumption or
 probe failed, an expectation did not hold, no feasible grid point).
 """
@@ -30,7 +30,6 @@ import numpy as np
 
 from . import corpus, problem
 from .barrier import InfeasiblePointError
-from .certificate import Verdict
 from .continuation import MuSchedule, solve
 from .diagnostics import (
     DiagnosticsError,
@@ -74,7 +73,7 @@ def _fail(message: str) -> None:
 
 def _plain(value):
     """A result field as JSON data: a namedtuple becomes a dict in field
-    order, an array or list a list; numbers, str-Enums and None stay."""
+    order, an array or list a list; numbers, strings, str-Enums and None stay."""
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: _plain(v) for name, v in zip(value._fields, value)}
     if isinstance(value, np.ndarray):
@@ -87,19 +86,17 @@ def _plain(value):
 def record(kind: str, result) -> dict:
     """The JSON record of a result namedtuple: {"record": kind, **fields}.
 
-    Every result record the CLI prints is written here, so a field's place
+    Every record of a result namedtuple is written here, so a field's place
     in its namedtuple is its key's place in the record, and a field that is
     None (a level-set probe's witness where it found no counterexample) is null.
+    Two records have no namedtuple and are built by hand: list's problem
+    record, and the error record of a check that raised.
     """
     return {"record": kind, **_plain(result)}
 
 
-class OutputError(Exception):
-    """The --out file cannot be written."""
-
-
 def _check_out(out: str) -> None:
-    """Raise OutputError now if out cannot be opened for writing.
+    """Raise InputError now if out cannot be opened for writing.
 
     Creates and truncates nothing; _write still reports what changes
     between this check and the write.
@@ -115,7 +112,7 @@ def _check_out(out: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise OutputError(f"cannot write {out}: {os.strerror(code)}")
+    raise InputError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _write(chunks, out: str | None) -> None:
@@ -129,7 +126,7 @@ def _write(chunks, out: str | None) -> None:
             for chunk in chunks:
                 fh.write(chunk)
     except OSError as err:
-        raise OutputError(f"cannot write {out}: {err.strerror or err}") from None
+        raise InputError(f"cannot write {out}: {err.strerror or err}") from None
 
 
 def _emit(records: list[dict], out: str | None) -> None:
@@ -238,7 +235,7 @@ def _run_solve(args) -> None:
     cert = trace.final_certificate
     records.append(record("certificate", cert))
     _emit(records, args.out)
-    if cert.verdict is Verdict.NOT_CERTIFIED:
+    if cert.verdict == "not_certified":
         raise NegativeResult(f"final iterate not certified: {cert.statement}")
 
 
@@ -398,10 +395,10 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         _HANDLERS[args.command](args)
-    # a refused flag value, bad problem data, an expression undefined where a
-    # command must evaluate it, or an --out path that is a directory or lies
-    # in a missing or unwritable one
-    except (InputError, ProblemError, EvalError, OutputError) as err:
+    # a refused flag value (an --out path that is a directory or lies in a
+    # missing or unwritable one among them), bad problem data, or an
+    # expression undefined where a command must evaluate it
+    except (InputError, ProblemError, EvalError) as err:
         _fail(f"input error: {err}")
         return 2
     except NegativeResult as err:

@@ -28,69 +28,65 @@ KnownOptimum = namedtuple("KnownOptimum", "x f provenance")
 CorpusEntry = namedtuple("CorpusEntry", "problem provenance known_optimum")
 
 
-# the builtins, in the order names() lists them
-_PROVENANCE = {
-    "cassini": (
-        "region bounded by a Cassini oval (squared-distance product to (-1,0) and (1,0) "
-        "capped at 4); the region is convex although its defining function is not concave; "
-        "linear objective chosen for testing"
-    ),
-    "hyperbola": (
-        "region above the hyperbola x1*x2 = 1 in the positive quadrant, compactified with "
-        "explicit bound constraints x_i <= 10; all constraints log-concave"
-    ),
-    "epsbox": (
-        "unit box with a ratio constraint x1/(eps + x2^2) >= 0; with a linear objective and "
-        "small eps the log-barrier is indefinite at interior points"
-    ),
-    "disk": "unit disk with concave constraint; nearest-point objective; convex control case",
-    "degenerate-disk": (
-        "unit disk with the constraint cubed: same feasible set as disk, but the constraint "
-        "gradient vanishes on the boundary (nondegeneracy failure control)"
-    ),
-}
-
 # 1/sqrt(2) and 3 - 2*sqrt(2), frozen to their float64 values
 _DISK_XSTAR = (0.7071067811865476, 0.7071067811865476)
 _DISK_FSTAR = 0.1715728752538097
 
-_KNOWN: dict[str, KnownOptimum | None] = {
-    "cassini": None,
-    "hyperbola": KnownOptimum(
-        x=(1.0, 1.0),
-        f=2.0,
-        provenance="analytic: symmetric tangency of x1 + x2 = c with x1*x2 = 1",
+# name: (provenance, known optimum), in the order names() lists them
+_BUILTINS: dict[str, tuple[str, KnownOptimum | None]] = {
+    "cassini": (
+        "region bounded by a Cassini oval (squared-distance product to (-1,0) and (1,0) "
+        "capped at 4); the region is convex although its defining function is not concave; "
+        "linear objective chosen for testing",
+        None,
     ),
-    "epsbox": KnownOptimum(
-        x=(0.0, 1.0),
-        f=-1.0,
-        provenance="analytic: x1 - x2 minimized at the corner x1 = 0, x2 = b",
+    "hyperbola": (
+        "region above the hyperbola x1*x2 = 1 in the positive quadrant, compactified with "
+        "explicit bound constraints x_i <= 10; all constraints log-concave",
+        KnownOptimum(
+            x=(1.0, 1.0),
+            f=2.0,
+            provenance="analytic: symmetric tangency of x1 + x2 = c with x1*x2 = 1",
+        ),
     ),
-    "disk": KnownOptimum(
-        x=_DISK_XSTAR,
-        f=_DISK_FSTAR,
-        provenance="analytic: nearest point of the unit disk to (1,1), f = 3 - 2*sqrt(2)",
+    "epsbox": (
+        "unit box with a ratio constraint x1/(eps + x2^2) >= 0; with a linear objective and "
+        "small eps the log-barrier is indefinite at interior points",
+        KnownOptimum(
+            x=(0.0, 1.0),
+            f=-1.0,
+            provenance="analytic: x1 - x2 minimized at the corner x1 = 0, x2 = b",
+        ),
     ),
-    "degenerate-disk": KnownOptimum(
-        x=_DISK_XSTAR,
-        f=_DISK_FSTAR,
-        provenance="same feasible set and objective as disk",
+    "disk": (
+        "unit disk with concave constraint; nearest-point objective; convex control case",
+        KnownOptimum(
+            x=_DISK_XSTAR,
+            f=_DISK_FSTAR,
+            provenance="analytic: nearest point of the unit disk to (1,1), f = 3 - 2*sqrt(2)",
+        ),
+    ),
+    "degenerate-disk": (
+        "unit disk with the constraint cubed: same feasible set as disk, but the constraint "
+        "gradient vanishes on the boundary (nondegeneracy failure control)",
+        KnownOptimum(
+            x=_DISK_XSTAR,
+            f=_DISK_FSTAR,
+            provenance="same feasible set and objective as disk",
+        ),
     ),
 }
 
 
 def names() -> list[str]:
-    return list(_PROVENANCE)
+    return list(_BUILTINS)
 
 
 def builtin(name: str) -> CorpusEntry:
     """Look up a built-in problem by name."""
-    if name not in _PROVENANCE:
+    if name not in _BUILTINS:
         known = ", ".join(names())
         raise ProblemError(f"unknown builtin problem {name!r} (choose from: {known})")
-    return CorpusEntry(
-        problem=load(DATA_DIR / f"{name}.json"),
-        provenance=_PROVENANCE[name],
-        known_optimum=_KNOWN[name],
-    )
+    provenance, known_optimum = _BUILTINS[name]
+    return CorpusEntry(load(DATA_DIR / f"{name}.json"), provenance, known_optimum)
 

@@ -12,8 +12,8 @@ midpoint convexity counterexamples of superlevel sets, and
 phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
 deterministic for a given seed.  The three convexity probes each state a
 verdict: "counterexample" where the sample shows nonconvexity, else
-"convex_up_to_sampling", or, for a level set no pair was drawn from,
-"empty_region".
+"convex_up_to_sampling", or, for a level set no pair was drawn from or a
+boundary with no point whose curvature could be measured, "empty_region".
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -90,7 +90,8 @@ CurvatureEntry = namedtuple(
 
 # vacuous: one variable only, no tangent directions exist
 # constraints: a CurvatureEntry each
-# verdict: "counterexample" above CURVATURE_PASS_TOL, else "convex_up_to_sampling"
+# verdict: "counterexample" above CURVATURE_PASS_TOL, "empty_region" where no
+# active point was measured, else "convex_up_to_sampling"
 CurvatureReport = namedtuple("CurvatureReport", "boundary_points vacuous constraints verdict")
 
 
@@ -369,16 +370,19 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     CURVATURE_PASS_TOL.  With one variable there is no tangent space and
     the report is vacuous.  A point where the Hessian cannot be taken (its
     walk fails or an entry overflows) is skipped and counted as unmeasured;
-    a gradient entry that overflows raises EvalError.
+    where no active point is measured, as where the walk found no boundary,
+    the verdict reads "empty_region".  A gradient entry that overflows
+    raises EvalError.
     """
     if p.nvars == 1:
         entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(p.constraints))]
         return CurvatureReport(0, True, entries, "convex_up_to_sampling")
-    entries = []
+    entries, measured_points = [], 0
     for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
         jet = _active_hessians(g, j, pts)
         norms = _row_norms(jet.grad)
         measured = np.isfinite(jet.hess).all(axis=(1, 2))
+        measured_points += int(np.count_nonzero(measured))
         keep = measured & (norms >= 1e-12)  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]
         _, _, vh = np.linalg.svd(units[:, None, :])
@@ -389,4 +393,6 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
         entries.append(CurvatureEntry(j + 1, tops.size, int(np.count_nonzero(~measured)), top))
     bent = any(e.max_tangential_curvature > CURVATURE_PASS_TOL for e in entries if e.samples)
     verdict = "counterexample" if bent else "convex_up_to_sampling"
+    if not measured_points:
+        verdict = "empty_region"
     return CurvatureReport(int(sample.points.shape[0]), False, entries, verdict)

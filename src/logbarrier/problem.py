@@ -64,22 +64,6 @@ def grid_blocks(box: np.ndarray, res: int):
         yield block[start - first * res : stop - first * res]
 
 
-def box_exit(box: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Length t at which each ray x + t * d leaves the box, +inf if it never does.
-
-    dirs is (k, n); x is one start point, shape (n,), or one per ray, (k, n).
-    A ray that starts on a face and points out of the box leaves at t = 0.
-    """
-    x = np.broadcast_to(x, dirs.shape)
-    t_exit = np.full(dirs.shape[0], np.inf)
-    for i, (lo, hi) in enumerate(box):
-        d = dirs[:, i]
-        pos, neg = d > 0, d < 0
-        t_exit[pos] = np.minimum(t_exit[pos], (hi - x[pos, i]) / d[pos])
-        t_exit[neg] = np.minimum(t_exit[neg], (lo - x[neg, i]) / d[neg])
-    return t_exit
-
-
 def walk_rays(
     p: Problem, x: np.ndarray, dirs: np.ndarray, level: float, iters: int = BISECT_ITERS
 ):
@@ -95,7 +79,13 @@ def walk_rays(
     would.  Returns (t_in, t_exit): the last t seen inside, and the box
     exit each ray was bracketed by.
     """
-    t_exit = box_exit(p.box, x, dirs)
+    starts = np.broadcast_to(x, dirs.shape)
+    t_exit = np.full(dirs.shape[0], np.inf)  # where each ray leaves the box, +inf if never
+    for i, (lo, hi) in enumerate(p.box):
+        d = dirs[:, i]
+        pos, neg = d > 0, d < 0
+        t_exit[pos] = np.minimum(t_exit[pos], (hi - starts[pos, i]) / d[pos])
+        t_exit[neg] = np.minimum(t_exit[neg], (lo - starts[neg, i]) / d[neg])
     t_exit = np.where(np.isfinite(t_exit) & (t_exit > 0), t_exit, 0.0)
     inside = evaluate_constraints(p, x + t_exit[:, None] * dirs).min(axis=1) >= level
     t_in, t_out = np.where(inside, t_exit, 0.0), t_exit

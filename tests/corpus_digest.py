@@ -33,8 +33,10 @@ overflow; solve on 1e-3*(x1 + x2), whose last iterate stops about
 --require-assumptions on x1 - x2^2, which is not convex, so its KKT
 point (-1, 0) is not the minimizer; solve on the disk constraint written
 twice, whose active gradients have rank 1; solve, with and without
---require-assumptions, on x1 over the disk of radius sqrt(10) in the box
-[-1, 1]^2, whose minimizer no sampled boundary point comes near; and
+--require-assumptions, and diagnose --check nondegeneracy,curvature, on
+x1 over the disk of radius sqrt(10) in the box [-1, 1]^2, whose
+minimizer no sampled boundary point comes near and whose curvature check
+measures no boundary point, so the gate fails it; and
 solve --require-assumptions on the one point where -x1^2 - x2^2 >= 0,
 which holds on no grid point strictly, so the gate prints the failed
 slater, nondegeneracy and curvature records; diagnose --check
@@ -46,10 +48,10 @@ and solve --require-assumptions on the disk plus
 0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
 sampled boundary point, which the curvature check counts as unmeasured.
 Then solve on a file whose interior_point is misspelled, which the
-loader refuses.  That makes 90 commands, which commands() yields.  Each seed adds the commands of the
+loader refuses.  That makes 91 commands, which commands() yields.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 466 commands in all with --seeds 1 2.  To see which commands
+directory: 467 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -143,7 +145,11 @@ VARIANTS = [
     (
         "wide",
         {"objective": "x1", "constraints": ["10 - x1^2 - x2^2"], "box": [[-1, 1], [-1, 1]]},
-        [["solve"], ["solve", "--require-assumptions"]],
+        [
+            ["solve"],
+            ["solve", "--require-assumptions"],
+            ["diagnose", "--check", "nondegeneracy,curvature"],
+        ],
     ),
     (
         "point",

@@ -1254,15 +1254,21 @@ def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, 
             }
         )
     )
-    code, stdout, _ = run_cli(["solve", "--problem", path, "--require-assumptions"])
+    code, stdout, _ = run_cli(["solve", "--problem", path])
     assert code == 0
-    records = _records(stdout)
-    nondegeneracy, cert = records[1], records[-1]
-    assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, True)
+    cert = _records(stdout)[-1]
     assert (cert["verdict"], cert["active_set"]) == ("kkt_point", [1])
     assert abs(cert["x"][0] + np.sqrt(10.0)) <= 1e-6
     assert abs(cert["least_active_singular_value"] - 2.0 * np.sqrt(10.0)) <= 1e-6
     assert "global minimizer" in cert["statement"]
+    # the gate's curvature check measured no boundary point, so it fails
+    # rather than passing on no evidence; nondegeneracy alone still passes
+    code, stdout, stderr = run_cli(["solve", "--problem", path, "--require-assumptions"])
+    assert code == 3
+    assert stderr == "logbarrier: assumption checks failed: curvature\n"
+    _, nondegeneracy, curvature = _records(stdout)
+    assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, True)
+    assert (curvature["boundary_points"], curvature["verdict"]) == (0, "empty_region")
 
 
 def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):

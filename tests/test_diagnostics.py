@@ -177,9 +177,10 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
     assert (ndg.rays, ndg.boundary_points, ndg.max_boundary_residual) == (256, 0, 0.0)
     assert ndg.constraints == [diagnostics.NondegeneracyEntry(1, 0, None, None)]
     assert ndg.passed is True
+    # the curvature probe measured nothing, and its verdict says so
     cur = diagnostics.tangential_curvature_probe(p, sample)
     entry = diagnostics.CurvatureEntry(1, 0, 0, None)
-    assert cur == diagnostics.CurvatureReport(0, False, [entry], "convex_up_to_sampling")
+    assert cur == diagnostics.CurvatureReport(0, False, [entry], "empty_region")
 
 
 @pytest.mark.parametrize("name", ["disk", "hyperbola", "wide"])
@@ -337,6 +338,23 @@ def test_curvature_vacuous_in_one_variable():
     (entry,) = r.constraints
     assert entry.samples == 0
     assert entry.max_tangential_curvature is None
+
+
+def test_curvature_reads_empty_region_where_no_hessian_can_be_taken(monkeypatch, problems):
+    # every boundary point of the disk is sampled, but none is measured
+    p = problems["disk"]
+    sample = _sample(p)
+    evaluate_dual = expr.evaluate_dual
+
+    def no_hessian(g, x, order):
+        if order == 2:
+            raise expr.EvalError("no Hessian here")
+        return evaluate_dual(g, x, order)
+
+    monkeypatch.setattr(expr, "evaluate_dual", no_hessian)
+    r = diagnostics.tangential_curvature_probe(p, sample)
+    entry = diagnostics.CurvatureEntry(1, 0, 256, None)
+    assert r == diagnostics.CurvatureReport(256, False, [entry], "empty_region")
 
 
 def test_curvature_skips_and_counts_the_points_without_a_hessian(monkeypatch, problems):

@@ -202,8 +202,12 @@ def _exit_by_loop(box, x, d):
     return t
 
 
-def test_box_exit_matches_a_loop_over_the_rays():
-    box = np.array([[-1.0, 2.0], [0.5, 0.75], [-3.0, -2.0]])
+def test_walk_rays_exits_match_a_loop_over_the_rays():
+    # g = 1 holds everywhere, so each ray that leaves the box ends at its exit
+    box = [[-1.0, 2.0], [0.5, 0.75], [-3.0, -2.0]]
+    p = problem.problem_from_dict(
+        _variant(nvars=3, objective="x1", constraints=["1"], box=box, interior_point=None)
+    )
     dirs = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -224,12 +228,14 @@ def test_box_exit_matches_a_loop_over_the_rays():
             [0.0, 0.6, -2.5],
         ]
     )
-    got = problem.box_exit(box, starts, dirs)
-    assert np.array_equal(got, [_exit_by_loop(box, x, d) for x, d in zip(starts, dirs)])
-    assert got[0] == got[1] == 0.0 and got[4] == np.inf
-    # one start for every ray
-    got = problem.box_exit(box, starts[3], dirs)
-    assert np.array_equal(got, [_exit_by_loop(box, starts[3], d) for d in dirs])
+    for x in (starts, starts[3]):  # one start per ray, and one for every ray
+        t_in, t_exit = problem.walk_rays(p, x, dirs, 0.0)
+        exits = [_exit_by_loop(p.box, xk, d) for xk, d in zip(np.broadcast_to(x, dirs.shape), dirs)]
+        assert list(t_exit) == [t if 0.0 < t < np.inf else 0.0 for t in exits]
+        assert np.array_equal(t_in, t_exit)
+    # rows 0 and 1 leave at once and row 4 never: their brackets are [0, 0]
+    _, t_exit = problem.walk_rays(p, starts, dirs, 0.0)
+    assert t_exit[0] == t_exit[1] == t_exit[4] == 0.0 and t_exit[5] == (0.75 - 0.6) / 1e-300
 
 
 def _walk_by_loop(p, x, d, level, iters):
