@@ -283,9 +283,9 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
             if name == "slater":
                 report = slater
             elif name == "nondegeneracy":
-                report = nondegeneracy_probe(p, sample)
+                report = nondegeneracy_probe(sample)
             elif name == "curvature":
-                report = tangential_curvature_probe(p, sample)
+                report = tangential_curvature_probe(sample)
             elif name == "levelset":
                 report = levelset_convexity_probe(p, value, seed=seed)
             else:

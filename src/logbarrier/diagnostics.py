@@ -55,7 +55,8 @@ class SlaterUnverifiedError(DiagnosticsError):
 SlaterReport = namedtuple("SlaterReport", "point margin grid_resolution passed", defaults=(True,))
 
 # points: (M, n) boundary points, M <= rays; residuals: (M,) min_j g_j at each
-# point, >= 0; active: per constraint, the points where it is the least g_j
+# point, >= 0; active: per constraint, the order-2 expr.Jet at the points where
+# it is the least g_j, NaN in the Hessian of a point where it cannot be taken
 BoundarySample = namedtuple("BoundarySample", "rays points residuals active")
 
 # constraint: 1-based; min_gradient_norm and passed: None when the
@@ -125,18 +126,20 @@ def boundary_sample(p: Problem, x0: np.ndarray, seed: int = 42) -> BoundarySampl
     still feasible where it leaves the box ends there, and is kept only
     where its residual is at most 1e-12, so that its exit lies on the
     boundary.  There a constraint is active where it is the least g_j: the
-    one the ray crossed, whatever the scale of each g_j.  The points are
-    kept per active constraint; each probe that reads the sample takes the
-    derivatives it needs there.
+    one the ray crossed, whatever the scale of each g_j.  Each constraint's
+    jet is taken once at its active points, and both boundary probes read
+    it.  A gradient entry that overflows raises EvalError.
     """
     directions = _random_directions(np.random.default_rng(seed), BOUNDARY_RAYS, p.nvars)
     t_in, t_exit = walk_rays(p, x0, directions, 0.0)
     points = x0 + t_in[:, None] * directions
-    g = evaluate_constraints(p, points)
-    residuals = g.min(axis=1)
+    values = evaluate_constraints(p, points)
+    residuals = values.min(axis=1)
     keep = (t_exit > 0) & ((t_in < t_exit) | (residuals <= 1e-12))
-    points, g, residuals = points[keep], g[keep], residuals[keep]
-    active = [points[g[:, j] == residuals] for j in range(len(p.constraints))]
+    points, values, residuals = points[keep], values[keep], residuals[keep]
+    active = [
+        _active_jet(g, j, points[values[:, j] == residuals]) for j, g in enumerate(p.constraints)
+    ]
     return BoundarySample(BOUNDARY_RAYS, points, residuals, active)
 
 
@@ -148,30 +151,26 @@ def _random_directions(rng: np.random.Generator, rays: int, n: int) -> np.ndarra
     return d
 
 
-def _active_jet(g: expr.Expr, j: int, pts: np.ndarray, order: int) -> expr.Jet:
-    """The jet of constraint j + 1 at its active points; EvalError where a gradient
-    entry is not finite, since no norm or tangent space could be measured there."""
-    jet = expr.evaluate_dual(g, pts, order)
+def _active_jet(g: expr.Expr, j: int, pts: np.ndarray) -> expr.Jet:
+    """The order-2 jet of constraint j + 1 at its active points, NaN in the Hessian
+    of a point where it cannot be taken.  One batched walk serves unless it fails;
+    then the gradients are taken in one walk and the Hessians one point at a time.
+    EvalError where a gradient entry is not finite, since no norm or tangent space
+    could be measured there."""
+    try:
+        jet = expr.evaluate_dual(g, pts, 2)
+    except expr.EvalError:
+        jet = expr.evaluate_dual(g, pts, 1)
+        hess = np.full((pts.shape[0], pts.shape[1], pts.shape[1]), np.nan)
+        for k, pt in enumerate(pts):
+            try:
+                hess[k] = expr.evaluate_dual(g, pt, 2).hess
+            except expr.EvalError:
+                pass  # its row stays NaN: the point is unmeasured
+        jet = jet._replace(hess=hess)
     if not np.isfinite(jet.grad).all():
         raise expr.EvalError(f"the gradient of constraint {j + 1} overflows on the boundary")
     return jet
-
-
-def _active_hessians(g: expr.Expr, j: int, pts: np.ndarray) -> expr.Jet:
-    """The order-2 jet of constraint j + 1 at its active points, NaN in the Hessian
-    of a point where it cannot be taken.  One batched walk serves unless it fails;
-    then the gradients are taken in one walk and the Hessians one point at a time."""
-    try:
-        return _active_jet(g, j, pts, 2)
-    except expr.EvalError:
-        jet = _active_jet(g, j, pts, 1)  # a gradient that overflows still raises
-    hess = np.full((pts.shape[0], pts.shape[1], pts.shape[1]), np.nan)
-    for k, pt in enumerate(pts):
-        try:
-            hess[k] = expr.evaluate_dual(g, pt, 2).hess
-        except expr.EvalError:
-            pass  # its row stays NaN: the point is unmeasured
-    return jet._replace(hess=hess)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -185,18 +184,15 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def nondegeneracy_probe(p: Problem, sample: BoundarySample) -> NondegeneracyReport:
+def nondegeneracy_probe(sample: BoundarySample) -> NondegeneracyReport:
     """Check that active constraint gradients stay away from zero.
 
     A constraint passes when its gradient norm is at least
     NONDEGENERACY_DELTA at every sampled point where it is active;
-    constraints never seen active report None.  Only gradients are taken,
-    so a Hessian that is undefined on the boundary does not stop this
-    check.  A gradient entry that overflows raises EvalError.
+    constraints never seen active report None.
     """
     entries = []
-    for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
-        jet = _active_jet(g, j, pts, 1)
+    for j, jet in enumerate(sample.active):
         count = jet.value.shape[0]
         low = float(_row_norms(jet.grad).min()) if count else None
         entries.append(
@@ -359,7 +355,7 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
     )
 
 
-def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureReport:
+def tangential_curvature_probe(sample: BoundarySample) -> CurvatureReport:
     """Largest curvature of active constraints along boundary tangents.
 
     At each sampled boundary point and active constraint the Hessian is
@@ -371,15 +367,13 @@ def tangential_curvature_probe(p: Problem, sample: BoundarySample) -> CurvatureR
     the report is vacuous.  A point where the Hessian cannot be taken (its
     walk fails or an entry overflows) is skipped and counted as unmeasured;
     where no active point is measured, as where the walk found no boundary,
-    the verdict reads "empty_region".  A gradient entry that overflows
-    raises EvalError.
+    the verdict reads "empty_region".
     """
-    if p.nvars == 1:
-        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(p.constraints))]
+    if sample.points.shape[1] == 1:
+        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(sample.active))]
         return CurvatureReport(0, True, entries, "convex_up_to_sampling")
     entries, measured_points = [], 0
-    for j, (g, pts) in enumerate(zip(p.constraints, sample.active)):
-        jet = _active_hessians(g, j, pts)
+    for j, jet in enumerate(sample.active):
         norms = _row_norms(jet.grad)
         measured = np.isfinite(jet.hess).all(axis=(1, 2))
         measured_points += int(np.count_nonzero(measured))

@@ -117,7 +117,7 @@ def _sample(p, **kwargs):
 
 
 def test_nondegeneracy_disk(problems):
-    r = diagnostics.nondegeneracy_probe(problems["disk"], _sample(problems["disk"]))
+    r = diagnostics.nondegeneracy_probe(_sample(problems["disk"]))
     assert r.passed is True
     assert r.boundary_points == 256
     assert r.max_boundary_residual <= 1e-8
@@ -127,7 +127,7 @@ def test_nondegeneracy_disk(problems):
 
 
 def test_nondegeneracy_unreached_constraints(problems):
-    r = diagnostics.nondegeneracy_probe(problems["hyperbola"], _sample(problems["hyperbola"]))
+    r = diagnostics.nondegeneracy_probe(_sample(problems["hyperbola"]))
     assert r.passed is True
     by_constraint = {e.constraint: e for e in r.constraints}
     assert sorted(by_constraint) == [1, 2, 3, 4, 5]
@@ -145,7 +145,7 @@ def test_nondegeneracy_unreached_constraints(problems):
 
 def test_nondegeneracy_detects_vanishing_gradient(problems):
     p = problems["degenerate-disk"]
-    r = diagnostics.nondegeneracy_probe(p, _sample(p))
+    r = diagnostics.nondegeneracy_probe(_sample(p))
     assert r.passed is False
     (entry,) = r.constraints
     assert entry.passed is False
@@ -154,16 +154,16 @@ def test_nondegeneracy_detects_vanishing_gradient(problems):
 
 def test_nondegeneracy_deterministic(problems):
     p = problems["cassini"]
-    a = diagnostics.nondegeneracy_probe(p, _sample(p, seed=42))
-    b = diagnostics.nondegeneracy_probe(p, _sample(p, seed=42))
+    a = diagnostics.nondegeneracy_probe(_sample(p, seed=42))
+    b = diagnostics.nondegeneracy_probe(_sample(p, seed=42))
     assert cli.record("nondegeneracy", a) == cli.record("nondegeneracy", b)
-    c = diagnostics.nondegeneracy_probe(p, _sample(p, seed=7))
+    c = diagnostics.nondegeneracy_probe(_sample(p, seed=7))
     assert c.passed is True
 
 
 def test_nondegeneracy_accepts_explicit_center(problems):
     p = problems["disk"]
-    r = diagnostics.nondegeneracy_probe(p, diagnostics.boundary_sample(p, np.array([0.1, -0.2])))
+    r = diagnostics.nondegeneracy_probe(diagnostics.boundary_sample(p, np.array([0.1, -0.2])))
     assert r.passed is True
 
 
@@ -173,12 +173,12 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
     p = problem.problem_from_dict(WIDE)
     sample = _sample(p)
     assert sample.points.shape == (0, 2)
-    ndg = diagnostics.nondegeneracy_probe(p, sample)
+    ndg = diagnostics.nondegeneracy_probe(sample)
     assert (ndg.rays, ndg.boundary_points, ndg.max_boundary_residual) == (256, 0, 0.0)
     assert ndg.constraints == [diagnostics.NondegeneracyEntry(1, 0, None, None)]
     assert ndg.passed is True
     # the curvature probe measured nothing, and its verdict says so
-    cur = diagnostics.tangential_curvature_probe(p, sample)
+    cur = diagnostics.tangential_curvature_probe(sample)
     entry = diagnostics.CurvatureEntry(1, 0, 0, None)
     assert cur == diagnostics.CurvatureReport(0, False, [entry], "empty_region")
 
@@ -224,7 +224,7 @@ def _disk_beside(constraints):
 
 
 def _ndg(p):
-    report = diagnostics.nondegeneracy_probe(p, diagnostics.boundary_sample(p, p.interior_point))
+    report = diagnostics.nondegeneracy_probe(diagnostics.boundary_sample(p, p.interior_point))
     return report.passed, [e.samples for e in report.constraints]
 
 
@@ -307,7 +307,7 @@ def test_phi_convexity_needs_samples():
 
 
 def test_curvature_disk(problems):
-    r = diagnostics.tangential_curvature_probe(problems["disk"], _sample(problems["disk"]))
+    r = diagnostics.tangential_curvature_probe(_sample(problems["disk"]))
     assert r.vacuous is False
     (entry,) = r.constraints
     assert entry.samples == 256
@@ -316,7 +316,7 @@ def test_curvature_disk(problems):
 
 def test_curvature_convex_boundaries(problems):
     for name in ("cassini", "hyperbola"):
-        r = diagnostics.tangential_curvature_probe(problems[name], _sample(problems[name]))
+        r = diagnostics.tangential_curvature_probe(_sample(problems[name]))
         for entry in r.constraints:
             if entry.samples > 0:
                 assert entry.max_tangential_curvature <= 1e-6
@@ -333,17 +333,37 @@ def test_curvature_vacuous_in_one_variable():
             "interior_point": [0],
         }
     )
-    r = diagnostics.tangential_curvature_probe(p, _sample(p))
+    r = diagnostics.tangential_curvature_probe(_sample(p))
     assert r.vacuous is True
     (entry,) = r.constraints
     assert entry.samples == 0
     assert entry.max_tangential_curvature is None
 
 
+@pytest.mark.parametrize("name", ["disk", "hyperbola", "cassini"])
+def test_boundary_probes_read_one_walk_per_constraint(monkeypatch, problems, name):
+    # the sample takes each constraint's jet at its active points in one
+    # batched order-2 walk; both probes read it and walk nothing more
+    p = problems[name]
+    walks = []
+    evaluate_dual = expr.evaluate_dual
+
+    def counting(g, x, order):
+        walks.append((g, np.shape(x), order))
+        return evaluate_dual(g, x, order)
+
+    monkeypatch.setattr(expr, "evaluate_dual", counting)
+    sample = _sample(p)
+    diagnostics.nondegeneracy_probe(sample)
+    diagnostics.tangential_curvature_probe(sample)
+    counts = [jet.value.shape[0] for jet in sample.active]
+    assert sum(counts) == sample.points.shape[0] > 0
+    assert walks == [(g, (k, p.nvars), 2) for g, k in zip(p.constraints, counts)]
+
+
 def test_curvature_reads_empty_region_where_no_hessian_can_be_taken(monkeypatch, problems):
     # every boundary point of the disk is sampled, but none is measured
     p = problems["disk"]
-    sample = _sample(p)
     evaluate_dual = expr.evaluate_dual
 
     def no_hessian(g, x, order):
@@ -352,7 +372,7 @@ def test_curvature_reads_empty_region_where_no_hessian_can_be_taken(monkeypatch,
         return evaluate_dual(g, x, order)
 
     monkeypatch.setattr(expr, "evaluate_dual", no_hessian)
-    r = diagnostics.tangential_curvature_probe(p, sample)
+    r = diagnostics.tangential_curvature_probe(_sample(p))
     entry = diagnostics.CurvatureEntry(1, 0, 256, None)
     assert r == diagnostics.CurvatureReport(256, False, [entry], "empty_region")
 
@@ -377,7 +397,7 @@ def test_curvature_skips_and_counts_the_points_without_a_hessian(monkeypatch, pr
         return evaluate_dual(g, x, order)
 
     monkeypatch.setattr(expr, "evaluate_dual", counting)
-    r = diagnostics.tangential_curvature_probe(p, _sample(p))
+    r = diagnostics.tangential_curvature_probe(_sample(p))
     (entry,) = r.constraints
     assert (entry.samples, entry.unmeasured) == (255, 1)
     assert abs(entry.max_tangential_curvature + 2.0) <= 1e-6
@@ -385,7 +405,7 @@ def test_curvature_skips_and_counts_the_points_without_a_hessian(monkeypatch, pr
     # the batched walk fails, so the gradients take one walk and the Hessians one a point
     assert walks == [(2, 2), (2, 1)] + [(1, 2)] * 256
     walks.clear()
-    r = diagnostics.tangential_curvature_probe(problems["disk"], _sample(problems["disk"]))
+    r = diagnostics.tangential_curvature_probe(_sample(problems["disk"]))
     assert (r.constraints[0].unmeasured, walks) == (0, [(2, 2)])
 
 
@@ -556,8 +576,8 @@ def test_batched_boundary_probes_match_a_point_by_point_loop(problems, name):
     least = problem.evaluate_constraints(p, sample.points).min(axis=1)
     assert np.array_equal(sample.residuals, least) and (least >= 0.0).all()
     ref = _boundary_reference(p, sample)
-    ndg = diagnostics.nondegeneracy_probe(p, sample)
-    cur = diagnostics.tangential_curvature_probe(p, sample)
+    ndg = diagnostics.nondegeneracy_probe(sample)
+    cur = diagnostics.tangential_curvature_probe(sample)
     # row norms of a stacked array may round differently from a vector's norm
     eps = np.finfo(float).eps
     for j in range(len(p.constraints)):

@@ -1,6 +1,7 @@
 """Package-level guards: no dataclasses, frozen records, a clean import,
 the functions the benchmark tracer wraps, no function nothing references,
-no default nothing overrides, and the README's library example as written."""
+no default nothing overrides, no parameter its function never reads, and
+the README's library example as written."""
 
 import ast
 import dataclasses
@@ -231,6 +232,37 @@ def test_every_default_is_overridden_somewhere_in_the_package():
     # sets: make it a module constant instead.  The entry point's argv is
     # set from outside, by the command line
     assert _unpassed_defaults(SRC / "logbarrier") == ["cli.main.argv"]
+
+
+def _unread_parameters(package: Path) -> list[str]:
+    """module.function.parameter for each parameter, self aside, that its function's body never names.
+
+    Every function counts: module-level, nested, methods and lambdas.  A
+    nested function's body is part of its enclosing function's.
+    """
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            name = getattr(fn, "name", "<lambda>")
+            out += [
+                f"{path.stem}.{name}.{a.arg}"
+                for a in params
+                if a.arg != "self" and a.arg not in named
+            ]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an input every caller must
+    # supply for nothing, like a probe that keeps a problem it no longer walks
+    assert _unread_parameters(SRC / "logbarrier") == []
 
 
 def test_readme_library_example_runs_as_written():
