@@ -13,7 +13,7 @@ phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
 deterministic for a given seed.  The three convexity probes each state a
 verdict: "counterexample" where the sample shows nonconvexity, else
 "convex_up_to_sampling", or, for a level set no pair was drawn from or a
-boundary with no point whose curvature could be measured, "empty_region".
+boundary where no tangential curvature could be measured, "empty_region".
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -64,7 +64,8 @@ BoundarySample = namedtuple("BoundarySample", "rays points residuals active")
 NondegeneracyEntry = namedtuple("NondegeneracyEntry", "constraint samples min_gradient_norm passed")
 
 # max_boundary_residual: largest min_j g_j over the boundary points
-# constraints: a NondegeneracyEntry each; passed: no constraint failed
+# constraints: a NondegeneracyEntry each; passed: some constraint was sampled
+# active and none failed
 NondegeneracyReport = namedtuple(
     "NondegeneracyReport",
     "delta rays boundary_points max_boundary_residual constraints passed",
@@ -92,7 +93,7 @@ CurvatureEntry = namedtuple(
 # vacuous: one variable only, no tangent directions exist
 # constraints: a CurvatureEntry each
 # verdict: "counterexample" above CURVATURE_PASS_TOL, "empty_region" where no
-# active point was measured, else "convex_up_to_sampling"
+# entry has a sample, else "convex_up_to_sampling"
 CurvatureReport = namedtuple("CurvatureReport", "boundary_points vacuous constraints verdict")
 
 
@@ -189,7 +190,9 @@ def nondegeneracy_probe(sample: BoundarySample) -> NondegeneracyReport:
 
     A constraint passes when its gradient norm is at least
     NONDEGENERACY_DELTA at every sampled point where it is active;
-    constraints never seen active report None.
+    constraints never seen active report None.  The report passes only
+    where some constraint was sampled active and none failed: a sample with
+    no boundary point is no evidence.
     """
     entries = []
     for j, jet in enumerate(sample.active):
@@ -209,7 +212,8 @@ def nondegeneracy_probe(sample: BoundarySample) -> NondegeneracyReport:
         boundary_points=int(sample.points.shape[0]),
         max_boundary_residual=float(sample.residuals.max()) if sample.residuals.size else 0.0,
         constraints=entries,
-        passed=all(e.passed is not False for e in entries),
+        passed=any(e.passed is not None for e in entries)
+        and all(e.passed is not False for e in entries),
     )
 
 
@@ -366,17 +370,16 @@ def tangential_curvature_probe(sample: BoundarySample) -> CurvatureReport:
     CURVATURE_PASS_TOL.  With one variable there is no tangent space and
     the report is vacuous.  A point where the Hessian cannot be taken (its
     walk fails or an entry overflows) is skipped and counted as unmeasured;
-    where no active point is measured, as where the walk found no boundary,
-    the verdict reads "empty_region".
+    where no entry has a sample, as where the walk found no boundary or no
+    measured point has a tangent space, the verdict reads "empty_region".
     """
     if sample.points.shape[1] == 1:
         entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(sample.active))]
         return CurvatureReport(0, True, entries, "convex_up_to_sampling")
-    entries, measured_points = [], 0
+    entries = []
     for j, jet in enumerate(sample.active):
         norms = _row_norms(jet.grad)
         measured = np.isfinite(jet.hess).all(axis=(1, 2))
-        measured_points += int(np.count_nonzero(measured))
         keep = measured & (norms >= 1e-12)  # a degenerate gradient has no tangent space
         units = jet.grad[keep] / norms[keep, None]
         _, _, vh = np.linalg.svd(units[:, None, :])
@@ -387,6 +390,6 @@ def tangential_curvature_probe(sample: BoundarySample) -> CurvatureReport:
         entries.append(CurvatureEntry(j + 1, tops.size, int(np.count_nonzero(~measured)), top))
     bent = any(e.max_tangential_curvature > CURVATURE_PASS_TOL for e in entries if e.samples)
     verdict = "counterexample" if bent else "convex_up_to_sampling"
-    if not measured_points:
+    if not any(e.samples for e in entries):
         verdict = "empty_region"
     return CurvatureReport(int(sample.points.shape[0]), False, entries, verdict)

@@ -12,7 +12,9 @@ phiconvexity:1e308 (whose barrier Hessians overflow), and solve
 --mu-factor 0.9 and 0.001 (175 close weights, some of whose late stages
 end at the float floor of phi above their target, and 3 far-apart ones,
 whose last stage ends there too), on each builtin.  Then contour and oracle on disk at
---res 1000000000000000, a grid no memory holds.  Then list, the one
+--res 1000000000000000, a grid no memory holds.  Then diagnose --check
+curvature --expect pass on degenerate-disk, whose boundary points have
+no tangent space, so the check has no evidence.  Then list, the one
 command that prints the builtins' known optima.  Then one solve per
 malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
 2-variable problem file that is valid apart from it: these compare the
@@ -35,8 +37,8 @@ point (-1, 0) is not the minimizer; solve on the disk constraint written
 twice, whose active gradients have rank 1; solve, with and without
 --require-assumptions, and diagnose --check nondegeneracy,curvature, on
 x1 over the disk of radius sqrt(10) in the box [-1, 1]^2, whose
-minimizer no sampled boundary point comes near and whose curvature check
-measures no boundary point, so the gate fails it; and
+minimizer no sampled boundary point comes near and whose boundary checks
+sample no boundary point, so the gate fails both; and
 solve --require-assumptions on the one point where -x1^2 - x2^2 >= 0,
 which holds on no grid point strictly, so the gate prints the failed
 slater, nondegeneracy and curvature records; diagnose --check
@@ -48,10 +50,10 @@ and solve --require-assumptions on the disk plus
 0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
 sampled boundary point, which the curvature check counts as unmeasured.
 Then solve on a file whose interior_point is misspelled, which the
-loader refuses.  That makes 91 commands, which commands() yields.  Each seed adds the commands of the
+loader refuses.  That makes 92 commands, which commands() yields.  Each seed adds the commands of the
 benchmark's solve, probe2d and probe3d pools on the problem files
 benchmarks/instances.py generates for it, written to a temporary
-directory: 467 commands in all with --seeds 1 2.  To see which commands
+directory: 468 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -104,6 +106,10 @@ BUILTIN_COMMANDS = [
 ]
 HUGE_GRIDS = [
     [command, "--builtin", "disk", "--res", "1000000000000000"] for command in ("contour", "oracle")
+]
+# no boundary point of the degenerate disk has a tangent space, so no curvature is sampled
+NO_TANGENT_SPACE = [
+    "diagnose", "--builtin", "degenerate-disk", "--check", "curvature", "--expect", "pass"
 ]
 UNIT_DISK = {  # every objective below is solved over this set
     "name": "unit-disk",
@@ -212,7 +218,7 @@ def commands(tmp: Path, seeds=()):
         for command in BUILTIN_COMMANDS:
             argv = [command[0], "--builtin", name, *command[1:]]
             yield " ".join(argv), argv
-    for argv in HUGE_GRIDS:
+    for argv in [*HUGE_GRIDS, NO_TANGENT_SPACE]:
         yield " ".join(argv), argv
     yield "list", ["list"]
     objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]

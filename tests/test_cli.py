@@ -216,7 +216,7 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
         ["solve", "--builtin", "degenerate-disk", "--require-assumptions", "--out", out]
     )
     assert (code, stdout) == (3, "")
-    assert stderr == "logbarrier: assumption checks failed: nondegeneracy\n"
+    assert stderr == "logbarrier: assumption checks failed: nondegeneracy, curvature\n"
     argv = ["diagnose", "--builtin", "degenerate-disk", "--check", cli.ASSUMPTIONS]
     assert run_cli(argv)[:2] == (3, out.read_text())
     records = _records(out.read_text())
@@ -225,6 +225,10 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
         ("nondegeneracy", False),
         ("tangential_curvature", None),
     ]
+    # no boundary point has a tangent space, so no curvature was sampled
+    assert records[2]["verdict"] == "empty_region"
+    argv = ["diagnose", "--builtin", "degenerate-disk", "--check", "curvature", "--expect", "pass"]
+    assert run_cli(argv)[0] == 3
 
 
 @pytest.mark.parametrize(
@@ -1261,14 +1265,16 @@ def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, 
     assert abs(cert["x"][0] + np.sqrt(10.0)) <= 1e-6
     assert abs(cert["least_active_singular_value"] - 2.0 * np.sqrt(10.0)) <= 1e-6
     assert "global minimizer" in cert["statement"]
-    # the gate's curvature check measured no boundary point, so it fails
-    # rather than passing on no evidence; nondegeneracy alone still passes
+    # the gate's boundary checks sampled no boundary point, so both fail
+    # rather than passing on no evidence
     code, stdout, stderr = run_cli(["solve", "--problem", path, "--require-assumptions"])
     assert code == 3
-    assert stderr == "logbarrier: assumption checks failed: curvature\n"
+    assert stderr == "logbarrier: assumption checks failed: nondegeneracy, curvature\n"
     _, nondegeneracy, curvature = _records(stdout)
-    assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, True)
+    assert (nondegeneracy["boundary_points"], nondegeneracy["passed"]) == (0, False)
     assert (curvature["boundary_points"], curvature["verdict"]) == (0, "empty_region")
+    code, stdout, _ = run_cli(["diagnose", "--problem", path, "--check", "nondegeneracy"])
+    assert (code, _records(stdout)) == (3, [nondegeneracy])
 
 
 def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):

@@ -18,7 +18,7 @@ def test_every_digest_command_exits_without_raising(tmp_path, capsys):
     corpus_digest.run_commands(cli.main, tmp_path, outputs=outputs)
     printed = capsys.readouterr().out.splitlines()
     lines = [json.loads(line) for line in outputs.getvalue().splitlines()]
-    assert len(lines) == len(printed) == 91
+    assert len(lines) == len(printed) == 92
     for line, digest_line in zip(lines, printed):
         assert line["code"] in (0, 2, 3), line["label"]
         text = f"{line['code']}\n{line['stdout']}\n{line['stderr']}"

@@ -152,6 +152,13 @@ def test_nondegeneracy_detects_vanishing_gradient(problems):
     assert entry.min_gradient_norm <= 1e-4
 
 
+def test_curvature_reads_empty_region_where_no_point_has_a_tangent_space(problems):
+    # every boundary point is measured, but its gradient vanishes there
+    r = diagnostics.tangential_curvature_probe(_sample(problems["degenerate-disk"]))
+    assert r.constraints == [diagnostics.CurvatureEntry(1, 0, 0, None)]
+    assert (r.boundary_points, r.verdict) == (256, "empty_region")
+
+
 def test_nondegeneracy_deterministic(problems):
     p = problems["cassini"]
     a = diagnostics.nondegeneracy_probe(_sample(p, seed=42))
@@ -176,8 +183,8 @@ def test_boundary_probes_on_a_set_no_ray_reaches():
     ndg = diagnostics.nondegeneracy_probe(sample)
     assert (ndg.rays, ndg.boundary_points, ndg.max_boundary_residual) == (256, 0, 0.0)
     assert ndg.constraints == [diagnostics.NondegeneracyEntry(1, 0, None, None)]
-    assert ndg.passed is True
-    # the curvature probe measured nothing, and its verdict says so
+    # neither probe has evidence, and both say so
+    assert ndg.passed is False
     cur = diagnostics.tangential_curvature_probe(sample)
     entry = diagnostics.CurvatureEntry(1, 0, 0, None)
     assert cur == diagnostics.CurvatureReport(0, False, [entry], "empty_region")
