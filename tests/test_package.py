@@ -237,25 +237,20 @@ def test_every_default_is_overridden_somewhere_in_the_package():
 def _unread_parameters(package: Path) -> list[str]:
     """module.function.parameter for each parameter, self aside, that its function's body never names.
 
-    Every function counts: module-level, nested, methods and lambdas.  A
+    Every function counts: module-level, nested, methods and lambdas; a
     nested function's body is part of its enclosing function's.
     """
     out = []
     for path in sorted(package.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                 continue
-            args = fn.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
             body = fn.body if isinstance(fn.body, list) else [fn.body]
             named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             name = getattr(fn, "name", "<lambda>")
-            out += [
-                f"{path.stem}.{name}.{a.arg}"
-                for a in params
-                if a.arg != "self" and a.arg not in named
-            ]
+            out += [f"{path.stem}.{name}.{p.arg}" for p in params if p.arg not in named | {"self"}]
     return out
 
 
