@@ -90,10 +90,10 @@ CurvatureEntry = namedtuple(
     "CurvatureEntry", "constraint samples unmeasured max_tangential_curvature"
 )
 
-# vacuous: one variable only, no tangent directions exist
+# vacuous: one variable only, no tangent directions exist, so no entry has a sample
 # constraints: a CurvatureEntry each
 # verdict: "counterexample" above CURVATURE_PASS_TOL, "empty_region" where no
-# entry has a sample, else "convex_up_to_sampling"
+# entry of a report that is not vacuous has a sample, else "convex_up_to_sampling"
 CurvatureReport = namedtuple("CurvatureReport", "boundary_points vacuous constraints verdict")
 
 
@@ -175,14 +175,9 @@ def _active_jet(g: expr.Expr, j: int, pts: np.ndarray) -> expr.Jet:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Row norms; a finite row whose plain norm overflows is scaled by its largest entry first."""
-    with np.errstate(over="ignore"):  # a norm above the float range stays inf
-        norms = np.linalg.norm(v, axis=1)
-        big = np.isinf(norms)
-        if big.any():
-            scale = np.abs(v[big]).max(axis=1, keepdims=True)
-            norms[big] = scale[:, 0] * np.linalg.norm(v[big] / scale, axis=1)
-    return norms
+    """Row norms by hypot, which squares nothing: a finite row's norm overflows
+    only where it lies above the float range itself."""
+    return np.hypot.reduce(v, axis=1, initial=0.0)
 
 
 def nondegeneracy_probe(sample: BoundarySample) -> NondegeneracyReport:
@@ -367,15 +362,13 @@ def tangential_curvature_probe(sample: BoundarySample) -> CurvatureReport:
     complement of its gradient); for a convex feasible set described by
     g_j >= 0 the restriction should never be significantly positive: the
     verdict reads "counterexample" where some curvature exceeds
-    CURVATURE_PASS_TOL.  With one variable there is no tangent space and
+    CURVATURE_PASS_TOL.  With one variable no point has a tangent space and
     the report is vacuous.  A point where the Hessian cannot be taken (its
     walk fails or an entry overflows) is skipped and counted as unmeasured;
-    where no entry has a sample, as where the walk found no boundary or no
-    measured point has a tangent space, the verdict reads "empty_region".
+    where no entry of a report that is not vacuous has a sample, as where the
+    walk found no boundary or no measured point has a tangent space, the verdict
+    reads "empty_region".
     """
-    if sample.points.shape[1] == 1:
-        entries = [CurvatureEntry(j + 1, 0, 0, None) for j in range(len(sample.active))]
-        return CurvatureReport(0, True, entries, "convex_up_to_sampling")
     entries = []
     for j, jet in enumerate(sample.active):
         norms = _row_norms(jet.grad)
@@ -385,11 +378,12 @@ def tangential_curvature_probe(sample: BoundarySample) -> CurvatureReport:
         _, _, vh = np.linalg.svd(units[:, None, :])
         basis = vh[:, 1:]
         restricted = basis @ jet.hess[keep] @ basis.transpose(0, 2, 1)
-        tops = np.linalg.eigvalsh(restricted)[:, -1]
+        tops = np.linalg.eigvalsh(restricted)[:, -1:]  # (k, 0) where no tangent exists
         top = float(tops.max()) if tops.size else None
         entries.append(CurvatureEntry(j + 1, tops.size, int(np.count_nonzero(~measured)), top))
     bent = any(e.max_tangential_curvature > CURVATURE_PASS_TOL for e in entries if e.samples)
     verdict = "counterexample" if bent else "convex_up_to_sampling"
-    if not any(e.samples for e in entries):
+    vacuous = sample.points.shape[1] == 1
+    if not vacuous and not any(e.samples for e in entries):
         verdict = "empty_region"
-    return CurvatureReport(int(sample.points.shape[0]), False, entries, verdict)
+    return CurvatureReport(int(sample.points.shape[0]), vacuous, entries, verdict)

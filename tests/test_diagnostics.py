@@ -2,7 +2,9 @@
 
 import gc
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -340,11 +342,47 @@ def test_curvature_vacuous_in_one_variable():
             "interior_point": [0],
         }
     )
-    r = diagnostics.tangential_curvature_probe(_sample(p))
+    sample = _sample(p)
+    r = diagnostics.tangential_curvature_probe(sample)
     assert r.vacuous is True
+    assert r.verdict == "convex_up_to_sampling"
+    # the vacuous report counts the boundary points the nondegeneracy check reads
+    assert r.boundary_points == diagnostics.nondegeneracy_probe(sample).boundary_points == 256
     (entry,) = r.constraints
-    assert entry.samples == 0
+    assert (entry.samples, entry.unmeasured) == (0, 0)
     assert entry.max_tangential_curvature is None
+
+
+def test_curvature_vacuous_in_one_variable_counts_the_points_without_a_hessian():
+    # near x1 = 1 the zero term's Hessian overflows; each ray to x1 = 1 ends there
+    p = problem.problem_from_dict(
+        {
+            "name": "segment-overflow",
+            "nvars": 1,
+            "objective": "x1",
+            "constraints": ["1 - x1^2 + 0*exp(exp(10*(x1 - 1) + 6.551))"],
+            "box": [[-1, 1]],
+        }
+    )
+    sample = _sample(p)
+    r = diagnostics.tangential_curvature_probe(sample)
+    (entry,) = r.constraints
+    assert (r.vacuous, r.verdict, r.boundary_points) == (True, "convex_up_to_sampling", 256)
+    assert entry.samples == 0
+    assert entry.unmeasured == np.count_nonzero(sample.points[:, 0] == 1.0) > 0
+
+
+def test_row_norms_square_nothing():
+    # within an ulp of the plain norm, and finite where the squares overflow
+    rows = np.random.default_rng(0).standard_normal((1000, 3))
+    plain = np.linalg.norm(rows, axis=1)
+    assert np.all(np.abs(diagnostics._row_norms(rows) - plain) <= np.spacing(plain))
+    big = np.array([[3 * 2.0**800, 4 * 2.0**800], [1e308, 1e308], [0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = diagnostics._row_norms(big)
+    assert norms.tolist() == [5 * 2.0**800, math.sqrt(2) * 1e308, 0.0]
+    assert diagnostics._row_norms(np.zeros((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["disk", "hyperbola", "cassini"])
