@@ -49,11 +49,15 @@ circle bends away from the set, so the gate's curvature check fails;
 and solve --require-assumptions on the disk plus
 0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
 sampled boundary point, which the curvature check counts as unmeasured.
-Then solve on a file whose interior_point is misspelled, which the
-loader refuses.  That makes 92 commands, which commands() yields.  Each seed adds the commands of the
-benchmark's solve, probe2d and probe3d pools on the problem files
-benchmarks/instances.py generates for it, written to a temporary
-directory: 468 commands in all with --seeds 1 2.  To see which commands
+Then diagnose --check nondegeneracy,curvature on two one-variable files,
+whose curvature reports are vacuous but count the sample's points: x1
+over 1 - x1^2 on [-2, 2], and over the segment with the same zero term
+on [-1, 1], whose Hessian cannot be taken at the points x1 = 1.  Then
+solve on a file whose interior_point is misspelled, which the loader
+refuses.  That makes 94 commands, which commands() yields.  Each seed
+adds the commands of the benchmark's solve, probe2d and probe3d pools on
+the problem files benchmarks/instances.py generates for it, written to a
+temporary directory: 470 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -72,7 +76,10 @@ which fields a change moves, write both trees' outputs and compare them:
 --compare runs no command.  For each command whose outputs differ it
 prints whether the exit code or stderr differs and, record by record,
 the kinds and field names whose values differ; then it counts the
-commands that differ in each way.  It exits 1 when some command differs.
+commands that differ in each way.  Last, one line per kind and field
+that moved gives its largest float move over all commands in ulps, or
+"not floats" where anything but a float moved (a count, a string, a
+missing key).  It exits 1 when some command differs.
 
 The commands run in this process through logbarrier.cli.main; one that
 raises is digested with its exception in place of an exit code.  The
@@ -87,6 +94,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import struct
 import sys
 import tempfile
 from collections import Counter
@@ -188,6 +197,28 @@ VARIANTS = [
         [["solve", "--require-assumptions"]],
     ),
     (
+        "segment",
+        {
+            "nvars": 1,
+            "objective": "x1",
+            "constraints": ["1 - x1^2"],
+            "box": [[-2, 2]],
+            "interior_point": [0],
+        },
+        [["diagnose", "--check", "nondegeneracy,curvature"]],
+    ),
+    (
+        "segment-overflow",
+        {
+            "nvars": 1,
+            "objective": "x1",
+            "constraints": ["1 - x1^2 + 0*exp(exp(10*(x1 - 1) + 6.551))"],
+            "box": [[-1, 1]],
+            "interior_point": None,
+        },
+        [["diagnose", "--check", "nondegeneracy,curvature"]],
+    ),
+    (
         "misspelled-key",
         {"objective": "x1", "interior_point": None, "interior_pont": [0.5, 0]},
         [["solve"]],
@@ -268,9 +299,31 @@ def _records(stdout: str):
     return records if all(isinstance(r, dict) and "record" in r for r in records) else None
 
 
-def stdout_differences(before: str, after: str) -> str:
+def _ordered(x: float) -> int:
+    """x's place among the floats: adjacent floats are adjacent integers, and -0.0 is 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ulps(a, b) -> float:
+    """The largest move in ulps among the floats of two JSON values of one
+    shape, or inf where something other than a float moved."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max(map(_ulps, a, b), default=0)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_ulps(a[k], b[k]) for k in a), default=0)
+    if json.dumps(a) == json.dumps(b):
+        return 0
+    if type(a) is type(b) is float and not (math.isnan(a) or math.isnan(b)):
+        return abs(_ordered(a) - _ordered(b))
+    return math.inf
+
+
+def stdout_differences(before: str, after: str, moves: dict) -> str:
     """Each record kind whose field values differ between two stdouts, with
-    those fields, in order; the kinds in order where records differ in kind."""
+    those fields, in order; the kinds in order where records differ in kind.
+    Raises moves[kind, field] to each such field's largest move in ulps (inf
+    where not only floats moved)."""
     old, new = _records(before), _records(after)
     if old is None or new is None:
         return "stdout (not records)"
@@ -284,20 +337,24 @@ def stdout_differences(before: str, after: str) -> str:
                 names = fields.setdefault(a["record"], [])
                 if key not in names:
                     names.append(key)
+                move = _ulps(a[key], b[key]) if key in a and key in b else math.inf
+                moves[a["record"], key] = max(moves.get((a["record"], key), 0), move)
     notes = [f"{kind}: {', '.join(names)}" for kind, names in fields.items()]
     return "; ".join(notes) or "stdout (same fields and values)"
 
 
 def compare(before_path: Path, after_path: Path) -> int:
     """Print what differs for each command whose outputs differ between two
-    --outputs files, then how many commands differ in each way.  Returns 1
-    when some command differs, else 0."""
+    --outputs files, then how many commands differ in each way, then the
+    largest move of each field that moved.  Returns 1 when some command
+    differs, else 0."""
     before, after = (
         {line["label"]: line for line in map(json.loads, path.read_text().splitlines())}
         for path in (before_path, after_path)
     )
     labels = {**before, **after}  # before's labels, then after's new ones
     tally: Counter[str] = Counter()
+    moves: dict[tuple[str, str], float] = {}
     differ = 0
     for label in labels:
         if label not in before or label not in after:
@@ -307,7 +364,7 @@ def compare(before_path: Path, after_path: Path) -> int:
             notes = [f"exit code {a['code']} -> {b['code']}"] if a["code"] != b["code"] else []
             notes += ["stderr"] if a["stderr"] != b["stderr"] else []
             if a["stdout"] != b["stdout"]:
-                notes.append(stdout_differences(a["stdout"], b["stdout"]))
+                notes.append(stdout_differences(a["stdout"], b["stdout"], moves))
         if notes:
             differ += 1
             tally.update(notes)
@@ -315,6 +372,9 @@ def compare(before_path: Path, after_path: Path) -> int:
     print(f"{differ} of {len(labels)} commands differ")
     for note, count in tally.most_common():
         print(f"{count:7d}  {note}")
+    for (kind, field), move in moves.items():
+        size = "not floats" if move == math.inf else f"largest move {move} ulp{'s' * (move != 1)}"
+        print(f"{kind}: {field}: {size}")
     return 1 if differ else 0
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import json
 import os
 import re
@@ -645,9 +646,10 @@ def _nested_file(tmp_path, objective: str, terms: int):
     "objective, terms, message",
     [
         ("(" * 200 + "x1" + ")" * 200, 0, "cannot parse objective: expression nested too deeply"),
+        ("(" * 400 + "x1" + ")" * 400, 0, "cannot parse objective: expression nested too deeply"),
         ("x1", 1000, "expression nested too deeply to evaluate"),
     ],
-    ids=["200-parentheses", "1000-terms"],
+    ids=["200-parentheses", "400-parentheses", "1000-terms"],
 )
 @pytest.mark.parametrize("argv", NESTED_COMMANDS, ids=["solve", "slater"])
 def test_a_deeply_nested_expression_is_an_input_error(
@@ -656,6 +658,14 @@ def test_a_deeply_nested_expression_is_an_input_error(
     code, stdout, stderr = run_cli([*argv, "--problem", _nested_file(tmp_path, objective, terms)])
     assert (code, stdout) == (2, "")
     assert stderr.startswith(f"logbarrier: input error: {message}")
+
+
+def test_a_deeply_nested_objective_is_an_input_error(run_cli, tmp_path):
+    # the parser loops over the 3000 terms; the walker that evaluates them recurses
+    objective = " + ".join(["x1"] * 3000)
+    code, stdout, stderr = run_cli(["solve", "--problem", _nested_file(tmp_path, objective, 0)])
+    assert (code, stdout) == (2, "")
+    assert stderr == "logbarrier: input error: expression nested too deeply to evaluate\n"
 
 
 @pytest.mark.parametrize("argv", NESTED_COMMANDS, ids=["solve", "slater"])
@@ -813,7 +823,15 @@ UNWRITABLE_OUT_WORK = {
 }
 
 
-@pytest.mark.parametrize("target", ["dir", "missing-parent"])
+# --out target -> the path written and the error _check_out reports for it
+UNWRITABLE_OUT = {
+    "dir": ("", errno.EISDIR),
+    "missing-parent": ("missing/out.jsonl", errno.ENOENT),
+    "file-parent": ("file/out.jsonl", errno.ENOTDIR),
+}
+
+
+@pytest.mark.parametrize("target", UNWRITABLE_OUT)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -829,13 +847,29 @@ def test_unwritable_out_is_an_input_error(monkeypatch, run_cli, tmp_path, argv, 
 
     # the first function each command does its work through
     monkeypatch.setattr(cli, UNWRITABLE_OUT_WORK[argv[0]], work)
-    out = tmp_path if target == "dir" else tmp_path / "missing" / "out.jsonl"
+    (tmp_path / "file").write_text("")  # a regular file where a directory should be
+    name, error = UNWRITABLE_OUT[target]
+    out = tmp_path / name
     code, stdout, stderr = run_cli([*argv, "--out", out])
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith(f"logbarrier: input error: cannot write {out}: ")
-    assert "Traceback" not in stderr
-    assert not (tmp_path / "missing").exists()
+    assert stderr == f"logbarrier: input error: cannot write {out}: {os.strerror(error)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_out_that_fails_to_open_after_the_check_is_an_input_error(monkeypatch, run_cli, tmp_path):
+    # the check passes, and the open itself fails, as on a full disk
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "out.jsonl"
+    argv = ["diagnose", "--builtin", "disk", "--check", "slater", "--out", out]
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"logbarrier: input error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
 
 
 def test_solve_steps_back_from_an_undefined_objective(run_cli, tmp_path):
