@@ -28,7 +28,14 @@ import numpy as np
 
 from . import expr, problem
 from .barrier import barrier_hessian
-from .problem import Problem, evaluate_constraints, grid_blocks, sample_box, walk_rays
+from .problem import (
+    Problem,
+    evaluate_constraints,
+    grid_blocks,
+    keep_first,
+    uniform_batches,
+    walk_rays,
+)
 
 SLATER_GRID_RES = 101
 BOUNDARY_RAYS = 256
@@ -36,7 +43,6 @@ NONDEGENERACY_DELTA = 1e-6  # the least active gradient norm that passes
 LEVELSET_PAIRS = 10000
 PHI_SAMPLES = 1000
 GRID_FALLBACK_RES = 201
-GRID_FALLBACK_CAP = 512
 MIDPOINT_GUARD = 1e-10
 CURVATURE_PASS_TOL = 1e-6  # the largest tangential curvature that reads convex
 PHI_CONVEX_PASS_TOL = -1e-8  # the least phi eigenvalue that reads convex
@@ -212,10 +218,6 @@ def nondegeneracy_probe(sample: BoundarySample) -> NondegeneracyReport:
     )
 
 
-def _members(p: Problem, level: float, pts: np.ndarray) -> np.ndarray:
-    return np.all(evaluate_constraints(p, pts) >= level, axis=1)
-
-
 def _push_alternate(p: Problem, level: float, rows: np.ndarray, start: int, rng) -> None:
     """Push both ends of every other pair of rows, the pairs from start on, in place.
 
@@ -230,31 +232,18 @@ def _push_alternate(p: Problem, level: float, rows: np.ndarray, start: int, rng)
     rows[near] = pts + t_in[:, None] * dirs
 
 
-def _rejection_pairs(p: Problem, level: float, rows: np.ndarray, rng):
+def _member_pairs(p: Problem, level: float, rows: np.ndarray, rng):
     """Yield consecutive rows as pairs (xs, ys) in the fewest equal blocks of at most
-    GRID_BLOCK_POINTS rows; every other pair is pushed to the boundary."""
+    GRID_BLOCK_POINTS rows; every other pair is pushed to the boundary.  Fewer
+    than two rows yield nothing."""
     npairs = rows.shape[0] // 2
-    nblocks = -(-npairs // max(1, problem.GRID_BLOCK_POINTS // 2))
-    size = -(-npairs // nblocks)
+    nblocks = max(1, -(-npairs // max(1, problem.GRID_BLOCK_POINTS // 2)))
+    size = max(1, -(-npairs // nblocks))
     for start in range(0, npairs, size):
         block = rows[2 * start : 2 * min(start + size, npairs)]
         # a function, so that its arrays are freed before the next block is drawn
         _push_alternate(p, level, block, start, rng)
         yield block[0::2], block[1::2]
-
-
-def _grid_pairs(p: Problem, level: float):
-    """Yield the pairs among the first GRID_FALLBACK_CAP members of the GRID_FALLBACK_RES
-    grid, row-major, in np.triu_indices order: each member against every later one."""
-    chosen, k = [], 0
-    for block in grid_blocks(p.box, GRID_FALLBACK_RES):
-        chosen.append(block[_members(p, level, block)][: GRID_FALLBACK_CAP - k])
-        k += chosen[-1].shape[0]
-        if k == GRID_FALLBACK_CAP:
-            break
-    sel = np.concatenate(chosen)
-    for i in range(k - 1):
-        yield np.broadcast_to(sel[i], sel[i + 1 :].shape), sel[i + 1 :]
 
 
 def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> LevelsetReport:
@@ -268,28 +257,31 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
     never delivers.  A midpoint where some constraint value drops below the
     level by more than a small guard (1e-10, absorbing roundoff near the
     level) is a witness that the set is not convex.  When rejection
-    sampling finds too few members (a thin or lower-dimensional set), a
-    deterministic grid scan takes over.  No witness is only evidence of
-    convexity, never proof; no pair at all reads empty_region.
+    sampling finds too few members (a thin or lower-dimensional set), the
+    members are the first ones of a GRID_FALLBACK_RES grid scan, paired and
+    pushed the same way.  No witness is only evidence of convexity, never
+    proof; no pair at all reads empty_region.
 
-    Sampled pairs are pushed and scanned in blocks of at most
-    GRID_BLOCK_POINTS points, and the grid fallback's in one block per
-    member, at most GRID_FALLBACK_CAP - 1 pairs, so memory stays bounded;
-    the first witness ends the probe, and the block size changes no result.
+    Pairs are pushed and scanned in blocks of at most GRID_BLOCK_POINTS
+    points, so memory stays bounded; the first witness ends the probe, and
+    the block size changes no result.
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 50 * LEVELSET_PAIRS)
+
+    def members(pts):
+        return np.all(evaluate_constraints(p, pts) >= level, axis=1)
+
+    method = "rejection"
     # the batch size fixes where the draws stop, and so the directions after them
-    rows, _ = sample_box(
-        rng, p.box, lambda pts: _members(p, level, pts), 2 * LEVELSET_PAIRS, batch=8192, cap=cap
-    )
-    if rows.shape[0] >= 2:
-        method, pairs = "rejection", _rejection_pairs(p, level, rows, rng)
-    else:
+    rows, _ = keep_first(uniform_batches(rng, p.box, 8192, cap), members, 2 * LEVELSET_PAIRS)
+    if rows.shape[0] < 2:
         # rejection found at most one member: the set is thin in the box
-        method, pairs = "grid", _grid_pairs(p, level)
+        del rows  # frees its buffer before the scan fills another
+        method = "grid"
+        rows, _ = keep_first(grid_blocks(p.box, GRID_FALLBACK_RES), members, 2 * LEVELSET_PAIRS)
     checked = 0
-    for xs, ys in pairs:
+    for xs, ys in _member_pairs(p, level, rows, rng):
         mids = 0.5 * (xs + ys)
         gm = evaluate_constraints(p, mids)
         # a midpoint where some g_j overflows reads -inf throughout: its
@@ -326,13 +318,10 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 200 * PHI_SAMPLES)
-    pts, drawn = sample_box(
-        rng,
-        p.box,
+    pts, drawn = keep_first(
+        uniform_batches(rng, p.box, 4096, cap),
         lambda draw: np.all(evaluate_constraints(p, draw) > 0.0, axis=1),
         PHI_SAMPLES,
-        batch=4096,
-        cap=cap,
     )
     if pts.shape[0] == 0:
         raise DiagnosticsError(f"no strictly feasible samples in {drawn} draws over the box")

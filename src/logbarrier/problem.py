@@ -56,12 +56,14 @@ def grid_blocks(box: np.ndarray, res: int):
         stop = min(start + GRID_BLOCK_POINTS, total)
         first = start // res
         rows = np.arange(first, (stop - 1) // res + 1)
-        block = np.empty((rows.size * res, n))
-        block[:, -1] = np.tile(axes[-1], rows.size)
+        span = slice(start - first * res, stop - first * res)  # the block within its rows
+        block = np.empty((stop - start, n))
+        # a block within one row slices the axis, so a one-variable grid copies no more
+        block[:, -1] = (axes[-1] if rows.size == 1 else np.tile(axes[-1], rows.size))[span]
         for k in range(n - 2, -1, -1):
             rows, i = np.divmod(rows, res)
-            block[:, k] = np.repeat(axes[k][i], res)
-        yield block[start - first * res : stop - first * res]
+            block[:, k] = np.repeat(axes[k][i], res)[span]
+        yield block
 
 
 def walk_rays(
@@ -99,23 +101,31 @@ def walk_rays(
     return t_in, t_exit
 
 
-def sample_box(rng: np.random.Generator, box: np.ndarray, keep, need: int, batch: int, cap: int):
-    """Rejection-sample the box in uniform batches of `batch` points.
+def uniform_batches(rng: np.random.Generator, box: np.ndarray, batch: int, cap: int):
+    """Yield uniform draws over the box, (batch, n) each, until cap points were drawn."""
+    for _ in range(0, cap, batch):
+        yield rng.uniform(box[:, 0], box[:, 1], size=(batch, box.shape[0]))
 
-    keep maps a (batch, n) draw to a bool mask.  Draws stop once `need`
-    points were kept or `cap` points drawn; both must be positive.  Returns
-    the first `need` kept points in draw order, as a (k, n) array with
-    k <= need, and the number of points drawn.
+
+def keep_first(blocks, keep, need: int):
+    """The first `need` rows that keep accepts from a nonempty stream of (k, n) blocks.
+
+    keep maps a block to a bool mask.  The stream is read no further once
+    `need` rows were kept, so a random stream draws no more.  Returns the
+    kept rows in stream order, as a (k, n) array with k <= need, and the
+    number of rows read.
     """
-    out = np.empty((need, box.shape[0]))  # filled in place: no second copy of the kept rows
-    count, drawn = 0, 0
-    while count < need and drawn < cap:
-        draw = rng.uniform(box[:, 0], box[:, 1], size=(batch, box.shape[0]))
-        drawn += batch
-        rows = draw[keep(draw)][: need - count]
+    out, count, read = None, 0, 0
+    for block in blocks:
+        if out is None:  # filled in place: no second copy of the kept rows
+            out = np.empty((need, block.shape[1]))
+        rows = block[keep(block)][: need - count]
         out[count : count + rows.shape[0]] = rows
         count += rows.shape[0]
-    return out[:count], drawn
+        read += block.shape[0]
+        if count == need:
+            break
+    return out[:count], read
 
 
 def evaluate_constraints(p: Problem, x) -> np.ndarray:

@@ -14,8 +14,12 @@ end at the float floor of phi above their target, and 3 far-apart ones,
 whose last stage ends there too), on each builtin.  Then contour and oracle on disk at
 --res 1000000000000000, a grid no memory holds.  Then diagnose --check
 curvature --expect pass on degenerate-disk, whose boundary points have
-no tangent space, so the check has no evidence.  Then list, the one
-command that prints the builtins' known optima.  Then one solve per
+no tangent space, so the check has no evidence.  Then diagnose --check
+levelset:4,levelset:3.9999999 on cassini, whose level sets there are
+its two foci and two disks of radius about 1.6e-4 around them, which no
+random draw hits, so the level-set probe pairs the members of its grid
+scan.  Then list, the one command
+that prints the builtins' known optima.  Then one solve per
 malformed objective, the texts of test_expr.PARSE_ERRORS, each in a
 2-variable problem file that is valid apart from it: these compare the
 parser's error output.  Then one solve per steep linear objective over
@@ -52,12 +56,14 @@ sampled boundary point, which the curvature check counts as unmeasured.
 Then diagnose --check nondegeneracy,curvature on two one-variable files,
 whose curvature reports are vacuous but count the sample's points: x1
 over 1 - x1^2 on [-2, 2], and over the segment with the same zero term
-on [-1, 1], whose Hessian cannot be taken at the points x1 = 1.  Then
-solve on a file whose interior_point is misspelled, which the loader
-refuses.  That makes 94 commands, which commands() yields.  Each seed
+on [-1, 1], whose Hessian cannot be taken at the points x1 = 1.  Then diagnose
+--check levelset:0 on the plane -x3^2 >= 0 in the box [-2, 2]^3, a set
+no random draw hits, whose grid scan finds more members than the probe
+pairs.  Then solve on a file whose interior_point is misspelled, which
+the loader refuses.  That makes 96 commands, which commands() yields.  Each seed
 adds the commands of the benchmark's solve, probe2d and probe3d pools on
 the problem files benchmarks/instances.py generates for it, written to a
-temporary directory: 470 commands in all with --seeds 1 2.  To see which commands
+temporary directory: 472 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -120,6 +126,8 @@ HUGE_GRIDS = [
 NO_TANGENT_SPACE = [
     "diagnose", "--builtin", "degenerate-disk", "--check", "curvature", "--expect", "pass"
 ]
+# cassini's level set at 4 is its two foci: only the level-set probe's grid scan finds members
+FOCI = ["diagnose", "--builtin", "cassini", "--check", "levelset:4,levelset:3.9999999"]
 UNIT_DISK = {  # every objective below is solved over this set
     "name": "unit-disk",
     "nvars": 2,
@@ -219,6 +227,17 @@ VARIANTS = [
         [["diagnose", "--check", "nondegeneracy,curvature"]],
     ),
     (
+        "plane",
+        {
+            "nvars": 3,
+            "objective": "x1",
+            "constraints": ["-x3^2"],
+            "box": [[-2, 2]] * 3,
+            "interior_point": None,
+        },
+        [["diagnose", "--check", "levelset:0"]],
+    ),
+    (
         "misspelled-key",
         {"objective": "x1", "interior_point": None, "interior_pont": [0.5, 0]},
         [["solve"]],
@@ -249,7 +268,7 @@ def commands(tmp: Path, seeds=()):
         for command in BUILTIN_COMMANDS:
             argv = [command[0], "--builtin", name, *command[1:]]
             yield " ".join(argv), argv
-    for argv in [*HUGE_GRIDS, NO_TANGENT_SPACE]:
+    for argv in [*HUGE_GRIDS, NO_TANGENT_SPACE, FOCI]:
         yield " ".join(argv), argv
     yield "list", ["list"]
     objectives = [(f"malformed-{k}", text) for k, (text, _, _) in enumerate(PARSE_ERRORS)]

@@ -828,6 +828,7 @@ UNWRITABLE_OUT = {
     "dir": ("", errno.EISDIR),
     "missing-parent": ("missing/out.jsonl", errno.ENOENT),
     "file-parent": ("file/out.jsonl", errno.ENOTDIR),
+    "denied": ("out.jsonl", errno.EACCES),  # os.access refuses every write
 }
 
 
@@ -849,6 +850,8 @@ def test_unwritable_out_is_an_input_error(monkeypatch, run_cli, tmp_path, argv, 
     monkeypatch.setattr(cli, UNWRITABLE_OUT_WORK[argv[0]], work)
     (tmp_path / "file").write_text("")  # a regular file where a directory should be
     name, error = UNWRITABLE_OUT[target]
+    if error == errno.EACCES:  # root may write anywhere, so the refusal is simulated
+        monkeypatch.setattr(os, "access", lambda path, mode: not mode & os.W_OK)
     out = tmp_path / name
     code, stdout, stderr = run_cli([*argv, "--out", out])
     assert code == 2

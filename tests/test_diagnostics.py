@@ -466,8 +466,8 @@ def test_slater_plateau_keeps_the_first_grid_point():
 
 
 def test_block_size_does_not_change_results(monkeypatch, problems):
-    # the Slater grid scan and the rejection pairs are cut into blocks of
-    # GRID_BLOCK_POINTS points; the grid fallback's pairs are not (see
+    # the Slater grid scan and the level-set pairs are cut into blocks of
+    # GRID_BLOCK_POINTS points (the grid fallback's: see
     # test_grid_fallback_verdicts_and_pair_counts)
     levelset_cases = [
         # (problem, level, seed): witnesses at pairs 12 and 42, past the
@@ -505,13 +505,14 @@ def test_block_size_does_not_change_results(monkeypatch, problems):
 
 def test_grid_fallback_verdicts_and_pair_counts(monkeypatch, problems):
     # rejection finds at most one member in each case, so the probe scans
-    # the GRID_FALLBACK_RES grid for members, in blocks of GRID_BLOCK_POINTS
-    # points, and pairs each of the first GRID_FALLBACK_CAP members with the
-    # later ones, one block per member whatever GRID_BLOCK_POINTS is
+    # the GRID_FALLBACK_RES grid for its first 2 * LEVELSET_PAIRS members,
+    # in blocks of GRID_BLOCK_POINTS points, and pairs and pushes them like
+    # sampled ones, in blocks of GRID_BLOCK_POINTS points too
     cases = [
         (problems["cassini"], 5.0),  # empty region
         (problems["cassini"], 3.9999999),  # the two foci only: a grid counterexample
-        (PLANE3, 0.0),  # a plane: more members than GRID_FALLBACK_CAP
+        (problems["cassini"], 4.0),
+        (PLANE3, 0.0),  # a plane: more members than 2 * LEVELSET_PAIRS
         (POINT, 0.0),  # one grid member, so no pair: empty region
     ]
 
@@ -523,14 +524,15 @@ def test_grid_fallback_verdicts_and_pair_counts(monkeypatch, problems):
 
     monkeypatch.setattr(diagnostics, "LEVELSET_PAIRS", 1000)
     want = run_all()
-    assert [r["method"] for r in want] == ["grid"] * 4
+    assert [r["method"] for r in want] == ["grid"] * 5
     assert [(r["verdict"], r["pairs_checked"]) for r in want] == [
         ("empty_region", 0),
         ("counterexample", 1),
-        ("convex_up_to_sampling", diagnostics.GRID_FALLBACK_CAP * 511 // 2),
+        ("counterexample", 1),
+        ("convex_up_to_sampling", 1000),
         ("empty_region", 0),
     ]
-    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)  # the member scan's blocks only
+    monkeypatch.setattr(problem, "GRID_BLOCK_POINTS", 7)
     assert run_all() == want
 
 
@@ -558,10 +560,11 @@ def _traced_peak(fn):
 
 
 def test_levelset_grid_fallback_memory_stays_bounded():
-    # all 130816 pairs at once took 14.4 MiB, blocks of 16384 pairs 2.5 MiB;
-    # one member against the later ones at a time takes 1.4 MiB
+    # all 130816 pairs of 512 members at once took 14.4 MiB; 20000 members
+    # paired in blocks take 1.4 MiB, and 1.8 MiB while the rejection
+    # sampler's buffer of 20000 rows was still held
     report = diagnostics.levelset_convexity_probe(PLANE3, 0.0)
-    assert (report.method, report.pairs_checked) == ("grid", 130816)
+    assert (report.method, report.pairs_checked) == ("grid", 10000)
     assert _traced_peak(lambda: diagnostics.levelset_convexity_probe(PLANE3, 0.0)) < 2 * 2**20
 
 

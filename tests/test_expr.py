@@ -297,10 +297,18 @@ def test_jet_shapes_and_orders():
                 assert [None if a is None else a[k].tobytes() for a in stacked] == [
                     None if a is None else np.asarray(a).tobytes() for a in one
                 ]
-    with pytest.raises(ValueError):
-        expr.evaluate_dual(e, pts, 3)
-    with pytest.raises(ValueError):
-        expr.evaluate(e, [1.0, 2.0, 3.0])
+    for refused in (
+        lambda: expr.evaluate_dual(e, pts, 3),
+        lambda: expr.evaluate(e, [1.0, 2.0, 3.0]),
+        lambda: expr.evaluate(e, pts),
+        lambda: expr.evaluate_many(e, pts[0]),
+        lambda: expr.scan_values([e], pts[0]),
+        lambda: expr.parse("1", 0),
+    ):
+        with pytest.raises(ValueError):
+            refused()
+    with pytest.raises(TypeError, match="not an expression node"):
+        expr.jets([expr.Expr(("sqrt", ("var", 0)), 2)], pts[0])
 
 
 @pytest.mark.parametrize(
