@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -162,6 +163,7 @@ def _add_common(sub, seed: bool):
     sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
+@functools.cache  # one parser per process: each build is a reference cycle of ~260 objects
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logbarrier",
@@ -266,7 +268,10 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
     """Run the checks; return their records, the names that failed and the Slater outcome."""
     records: list[dict] = []
     failed: list[str] = []
-    slater = sample = None  # slater_find's report or error, and one boundary walk, serve all
+    # slater_find's report or refusal message, and one boundary walk, serve all;
+    # the refusal is kept as text, since a kept exception's traceback holds
+    # this frame, a cycle that pins the problem until a full collection
+    slater = sample = None
     for name, value in checks:
         kind, _, judged = CHECKS[name]
         try:
@@ -275,9 +280,9 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
                     try:
                         slater = slater_find(p)
                     except SlaterUnverifiedError as err:
-                        slater = err
-                if isinstance(slater, SlaterUnverifiedError):
-                    raise slater
+                        slater = str(err)
+                if isinstance(slater, str):
+                    raise SlaterUnverifiedError(slater)
             if name in ("nondegeneracy", "curvature") and sample is None:
                 sample = boundary_sample(p, slater.point, seed=seed)
             if name == "slater":

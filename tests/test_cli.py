@@ -3,6 +3,7 @@
 import argparse
 import ast
 import errno
+import gc
 import json
 import os
 import re
@@ -606,18 +607,83 @@ def test_list_command(run_cli):
             assert r["known_optimum"]["provenance"] == known.provenance
 
 
-def test_module_entry_point(run_cli):
+def _run_module(argv):
+    """Exit code, stdout and stderr of `python -m logbarrier.cli argv` in a fresh process."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "logbarrier.cli", "list"],
+        [sys.executable, "-m", "logbarrier.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run_cli(["list"])[1]
-    assert len(_records(proc.stdout)) == 5
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point(run_cli):
+    code, stdout, stderr = _run_module(["list"])
+    assert code == 0, stderr
+    assert stdout == run_cli(["list"])[1]
+    assert len(_records(stdout)) == 5
+
+
+FIVE_CHECKS = "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"
+# usage errors are left out: argparse's parser.error leaves a 6-object
+# HelpFormatter cycle of its own behind when it formats the usage line
+CYCLE_FREE_COMMANDS = [
+    *(
+        pytest.param([*command, "--builtin", name], id=f"{command[0]}{suffix}-{name}")
+        for name in corpus.names()
+        for command, suffix in [
+            (["solve"], ""),
+            (["solve", "--require-assumptions"], "-assumptions"),
+            (["diagnose", "--check", FIVE_CHECKS], ""),
+            (["oracle", "--res", "101"], ""),
+            (["contour", "--res", "21"], ""),
+        ]
+    ),
+    pytest.param(["list"], id="list"),
+    pytest.param(["solve", "--builtin", "nope"], id="exit-2"),
+    pytest.param(
+        ["diagnose", "--problem", "VOID", "--check", "slater,nondegeneracy"], id="exit-3-void"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", CYCLE_FREE_COMMANDS)
+def test_commands_leave_no_reference_cycles(run_cli, void_file, argv):
+    # a cycle waits in the oldest generation for a full collection, which
+    # numpy allocations do not trigger, so a caller of main in a loop
+    # carries every call's cycles in its peak memory
+    argv = [void_file if a == "VOID" else a for a in argv]
+    run_cli(argv)  # the first call builds the parser and fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        run_cli(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            ["diagnose", "--builtin", "disk", "--check", "levelset:0"]
+            + ["--expect", "pass", "--seed", "7"],
+            ["diagnose", "--builtin", "disk", "--check", "levelset:0"],
+        ),
+        (["solve", "--builtin", "disk", "--mu0", "0.5"], ["solve", "--builtin", "disk"]),
+    ],
+    ids=["diagnose", "solve"],
+)
+def test_the_shared_parser_carries_nothing_between_calls(run_cli, first, second):
+    # main parses every call with one parser; a flag of one call must not
+    # become the default of the next
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(first)
+    assert run_cli(second) == _run_module(second)
 
 
 NESTED_COMMANDS = [["solve"], ["diagnose", "--check", "slater"]]
@@ -672,16 +738,8 @@ def test_a_deeply_nested_objective_is_an_input_error(run_cli, tmp_path):
 def test_a_sum_of_900_terms_still_runs(tmp_path, argv):
     # in a process of its own: the test runner's frames would count
     # against the recursion limit the command line runs under
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    nested = _nested_file(tmp_path, "x1", 900)
-    proc = subprocess.run(
-        [sys.executable, "-m", "logbarrier.cli", *argv, "--problem", nested],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    code, _, stderr = _run_module([*argv, "--problem", _nested_file(tmp_path, "x1", 900)])
+    assert (code, stderr) == (0, "")
 
 
 @pytest.fixture()
@@ -949,8 +1007,7 @@ def test_overflow_in_a_scan_is_an_infeasible_point(run_cli, tmp_path):
             }
         )
     )
-    checks = "slater,nondegeneracy,curvature,levelset:0,phiconvexity:1"
-    code, stdout, stderr = run_cli(["diagnose", "--problem", path, "--check", checks])
+    code, stdout, stderr = run_cli(["diagnose", "--problem", path, "--check", FIVE_CHECKS])
     assert (code, stderr) == (0, "")
     slater, nondegeneracy = _records(stdout)[:2]
     assert slater["passed"] and slater["point"][0] < 0.0
