@@ -13,8 +13,9 @@ Exit 2, printed as "input error": a usage error, InputError (a flag value
 or check list the command refuses, among them an --out that cannot be
 written), ProblemError (problem data, or grid and oracle limits) and
 EvalError (an expression undefined where the command evaluates it).  Exit 3:
-NegativeResult, an honest negative (not certified, an assumption or
-probe failed, an expectation did not hold, no feasible grid point).
+an honest negative, NegativeResult (not certified, an assumption or probe
+failed, an expectation did not hold), or "COMMAND failed: ..." for solve's
+InfeasiblePointError and SlaterUnverifiedError and oracle's OracleError.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from .expr import EvalError, scan_values
 from .oracle import OracleError, grid_minimize
 from .problem import Problem, ProblemError
 
-# each --check name: the record kind its report and its error write, whether
-# a value follows the name (levelset:A), and whether --expect judges its verdict
+# each --check name: the record kind its report and its error write, whether a value
+# follows the name (levelset:A), true of the checks that read the problem rather than
+# the Slater outcome, and whether --expect judges its verdict
 CHECKS = {
     "slater": ("slater", False, False),
     "nondegeneracy": ("nondegeneracy", False, False),
@@ -228,11 +230,7 @@ def _run_solve(args) -> None:
             raise NegativeResult(f"assumption checks failed: {', '.join(failed)}")
         start = slater.point if p.interior_point is None else None  # solve would search again
 
-    try:
-        trace = solve(p, schedule, x0=start)
-    except (InfeasiblePointError, SlaterUnverifiedError) as err:
-        raise NegativeResult(f"solve failed: {err}") from None
-
+    trace = solve(p, schedule, x0=start)
     records.extend(record("path_point", pt) for pt in trace.points)
     cert = trace.final_certificate
     records.append(record("certificate", cert))
@@ -268,14 +266,14 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
     """Run the checks; return their records, the names that failed and the Slater outcome."""
     records: list[dict] = []
     failed: list[str] = []
-    # slater_find's report or refusal message, and one boundary walk, serve all;
-    # the refusal is kept as text, since a kept exception's traceback holds
-    # this frame, a cycle that pins the problem until a full collection
+    # one slater_find report or refusal message, and one boundary walk past it, serve the
+    # checks that take no value; the refusal is kept as text, since a kept exception's
+    # traceback holds this frame, a cycle that pins the problem until a full collection
     slater = sample = None
     for name, value in checks:
-        kind, _, judged = CHECKS[name]
+        kind, reads_problem, judged = CHECKS[name]
         try:
-            if name in ("slater", "nondegeneracy", "curvature"):
+            if not reads_problem:  # slater reads the Slater outcome; the other two, the sample
                 if slater is None:
                     try:
                         slater = slater_find(p)
@@ -283,14 +281,10 @@ def _diagnose(p: Problem, checks, seed: int, expect: str | None):
                         slater = str(err)
                 if isinstance(slater, str):
                     raise SlaterUnverifiedError(slater)
-            if name in ("nondegeneracy", "curvature") and sample is None:
-                sample = boundary_sample(p, slater.point, seed=seed)
-            if name == "slater":
-                report = slater
-            elif name == "nondegeneracy":
-                report = nondegeneracy_probe(sample)
-            elif name == "curvature":
-                report = tangential_curvature_probe(sample)
+                if name != "slater" and sample is None:
+                    sample = boundary_sample(p, slater.point, seed=seed)
+                probe = tangential_curvature_probe if name == "curvature" else nondegeneracy_probe
+                report = slater if name == "slater" else probe(sample)
             elif name == "levelset":
                 report = levelset_convexity_probe(p, value, seed=seed)
             else:
@@ -358,10 +352,7 @@ def _run_contour(args) -> None:
 
 def _run_oracle(args) -> None:
     p = _load_problem(args)
-    try:
-        result = grid_minimize(p, res=args.res, polish_steps=args.polish)
-    except OracleError as err:
-        raise NegativeResult(f"oracle failed: {err}") from None
+    result = grid_minimize(p, res=args.res, polish_steps=args.polish)
     _emit([record("oracle", result)], args.out)
 
 
@@ -408,6 +399,9 @@ def main(argv=None) -> int:
         return 2
     except NegativeResult as err:
         _fail(str(err))
+        return 3
+    except (InfeasiblePointError, SlaterUnverifiedError, OracleError) as err:
+        _fail(f"{args.command} failed: {err}")
         return 3
     return 0
 

@@ -11,9 +11,9 @@ directions at the sampled points, levelset_convexity_probe hunts for
 midpoint convexity counterexamples of superlevel sets, and
 phi_convexity_probe samples the barrier Hessian.  Sampling is seeded and
 deterministic for a given seed.  The three convexity probes each state a
-verdict: "counterexample" where the sample shows nonconvexity, else
-"convex_up_to_sampling", or, for a level set no pair was drawn from or a
-boundary where no tangential curvature could be measured, "empty_region".
+verdict: "counterexample" where the sample shows nonconvexity, "empty_region"
+where it holds no evidence (no level-set pair, no strictly feasible point, no
+measured tangential curvature), else "convex_up_to_sampling".
 
 All probes sample within the problem's box window; expressions must be
 evaluable there (corpus problems are).
@@ -86,8 +86,8 @@ LevelsetWitness = namedtuple("LevelsetWitness", "x y midpoint g_x g_y g_mid viol
 # method: "rejection" or "grid"; witness: a LevelsetWitness or None
 LevelsetReport = namedtuple("LevelsetReport", "level verdict pairs_checked method witness")
 
-# witness: point attaining the minimum eigenvalue
-# verdict: "counterexample" below PHI_CONVEX_PASS_TOL, else "convex_up_to_sampling"
+# witness: point attaining min_eigenvalue; verdict: "counterexample" below
+# PHI_CONVEX_PASS_TOL, "empty_region" with no sample (both None), else "convex_up_to_sampling"
 PhiConvexityReport = namedtuple("PhiConvexityReport", "mu samples min_eigenvalue witness verdict")
 
 # constraint: 1-based; unmeasured: active points where the Hessian could not
@@ -274,12 +274,12 @@ def levelset_convexity_probe(p: Problem, level: float, seed: int = 42) -> Levels
 
     method = "rejection"
     # the batch size fixes where the draws stop, and so the directions after them
-    rows, _ = keep_first(uniform_batches(rng, p.box, 8192, cap), members, 2 * LEVELSET_PAIRS)
+    rows = keep_first(uniform_batches(rng, p.box, 8192, cap), members, 2 * LEVELSET_PAIRS)
     if rows.shape[0] < 2:
         # rejection found at most one member: the set is thin in the box
         del rows  # frees its buffer before the scan fills another
         method = "grid"
-        rows, _ = keep_first(grid_blocks(p.box, GRID_FALLBACK_RES), members, 2 * LEVELSET_PAIRS)
+        rows = keep_first(grid_blocks(p.box, GRID_FALLBACK_RES), members, 2 * LEVELSET_PAIRS)
     checked = 0
     for xs, ys in _member_pairs(p, level, rows, rng):
         mids = 0.5 * (xs + ys)
@@ -311,20 +311,20 @@ def phi_convexity_probe(p: Problem, mu: float, seed: int = 42) -> PhiConvexityRe
 
     Reports the smallest eigenvalue seen and where; a value below
     PHI_CONVEX_PASS_TOL exhibits nonconvexity of the barrier at this mu,
-    and the verdict reads "counterexample".  Raises
-    DiagnosticsError when rejection sampling finds no strictly feasible
-    points, or when some sampled Hessian is not finite (its terms overflow
-    at a huge mu).
+    and the verdict reads "counterexample".  Where rejection sampling finds
+    no strictly feasible point, the report has no sample, no eigenvalue and
+    no witness, and reads "empty_region".  Raises DiagnosticsError when some
+    sampled Hessian is not finite (its terms overflow at a huge mu).
     """
     rng = np.random.default_rng(seed)
     cap = max(100_000, 200 * PHI_SAMPLES)
-    pts, drawn = keep_first(
+    pts = keep_first(
         uniform_batches(rng, p.box, 4096, cap),
         lambda draw: np.all(evaluate_constraints(p, draw) > 0.0, axis=1),
         PHI_SAMPLES,
     )
     if pts.shape[0] == 0:
-        raise DiagnosticsError(f"no strictly feasible samples in {drawn} draws over the box")
+        return PhiConvexityReport(float(mu), 0, None, None, "empty_region")
 
     hessians = barrier_hessian(p, pts, mu)
     bad = np.count_nonzero(~np.isfinite(hessians).all(axis=(1, 2)))

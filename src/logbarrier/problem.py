@@ -112,20 +112,18 @@ def keep_first(blocks, keep, need: int):
 
     keep maps a block to a bool mask.  The stream is read no further once
     `need` rows were kept, so a random stream draws no more.  Returns the
-    kept rows in stream order, as a (k, n) array with k <= need, and the
-    number of rows read.
+    kept rows in stream order, as a (k, n) array with k <= need.
     """
-    out, count, read = None, 0, 0
+    out, count = None, 0
     for block in blocks:
         if out is None:  # filled in place: no second copy of the kept rows
             out = np.empty((need, block.shape[1]))
         rows = block[keep(block)][: need - count]
         out[count : count + rows.shape[0]] = rows
         count += rows.shape[0]
-        read += block.shape[0]
         if count == need:
             break
-    return out[:count], read
+    return out[:count]
 
 
 def evaluate_constraints(p: Problem, x) -> np.ndarray:

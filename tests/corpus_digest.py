@@ -27,7 +27,7 @@ the unit disk: the gentler ones end their last stages at the float floor
 of phi, above their gradient-norm target, and past about 1.3e154 the
 norm of the barrier gradient overflows.  The off-default and steep
 solves show a change to the stage or stopping rules that the default
-runs do not.  Then sixteen commands on variants of the unit-disk file:
+runs do not.  Then seventeen commands on variants of the unit-disk file:
 nondegeneracy and curvature on the disk written as
 1e160*(1 - x1^2 - x2^2), whose gradient norms overflow when squared;
 contour --res 3 and diagnose --check slater on a box whose width
@@ -45,11 +45,13 @@ minimizer no sampled boundary point comes near and whose boundary checks
 sample no boundary point, so the gate fails both; and
 solve --require-assumptions on the one point where -x1^2 - x2^2 >= 0,
 which holds on no grid point strictly, so the gate prints the failed
-slater, nondegeneracy and curvature records; diagnose --check
-nondegeneracy on the unit disk beside 1e-7*(2 - x1), a constraint that
-is small on the whole box but active nowhere on its boundary; and solve
---require-assumptions on the annulus 1 <= x1^2 + x2^2 <= 4, whose inner
-circle bends away from the set, so the gate's curvature check fails;
+slater, nondegeneracy and curvature records, and diagnose --check
+phiconvexity:1 there, which draws no strictly feasible sample and so
+reads empty_region; diagnose --check nondegeneracy on the unit disk
+beside 1e-7*(2 - x1), a constraint that is small on the whole box but
+active nowhere on its boundary; and solve --require-assumptions on the
+annulus 1 <= x1^2 + x2^2 <= 4, whose inner circle bends away from the
+set, so the gate's curvature check fails;
 and solve --require-assumptions on the disk plus
 0*exp(exp(10*(x1 - 1) + 6.551)), whose Hessian cannot be taken at one
 sampled boundary point, which the curvature check counts as unmeasured.
@@ -60,10 +62,10 @@ on [-1, 1], whose Hessian cannot be taken at the points x1 = 1.  Then diagnose
 --check levelset:0 on the plane -x3^2 >= 0 in the box [-2, 2]^3, a set
 no random draw hits, whose grid scan finds more members than the probe
 pairs.  Then solve on a file whose interior_point is misspelled, which
-the loader refuses.  That makes 96 commands, which commands() yields.  Each seed
+the loader refuses.  That makes 97 commands, which commands() yields.  Each seed
 adds the commands of the benchmark's solve, probe2d and probe3d pools on
 the problem files benchmarks/instances.py generates for it, written to a
-temporary directory: 472 commands in all with --seeds 1 2.  To see which commands
+temporary directory: 473 commands in all with --seeds 1 2.  To see which commands
 a change moves, run the script against the package sources of each tree
 and compare:
 
@@ -177,7 +179,7 @@ VARIANTS = [
     (
         "point",
         {"objective": "x1", "constraints": ["-x1^2 - x2^2"], "interior_point": None},
-        [["solve", "--require-assumptions"]],
+        [["solve", "--require-assumptions"], ["diagnose", "--check", "phiconvexity:1"]],
     ),
     (
         "tiny-constraint",

@@ -241,7 +241,12 @@ def test_solve_assumption_check_fails(run_cli, tmp_path):
             "assumption checks failed: slater, nondegeneracy, curvature\n",
             id="require-assumptions",
         ),
-        ([], "solve failed: "),
+        pytest.param(
+            [],
+            "solve failed: no strictly feasible point on a 101^(1) grid"
+            " (best margin -1.000e+00)\n",
+            id="plain",
+        ),
     ],
 )
 def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, message):
@@ -251,7 +256,7 @@ def test_solve_without_an_interior_point_exits_3(run_cli, void_file, flags, mess
     diagnosed = run_cli(argv)
     assert (code, stdout) == (3, diagnosed[1] if flags else "")
     assert diagnosed[0] == 3 and '"error": "no strictly feasible point' in diagnosed[1]
-    assert stderr.startswith(f"logbarrier: {message}")
+    assert stderr == f"logbarrier: {message}"
 
 
 def _passed(rec):
@@ -514,18 +519,31 @@ def test_diagnose_probe_failure_record(run_cli, void_file, tmp_path):
 
 
 def test_a_failing_probe_writes_the_record_kind_of_its_report(run_cli, void_file):
-    # on the void problem slater, curvature and phiconvexity fail; each error
-    # record must carry the kind the same check prints when it runs
+    # on the void problem slater and curvature fail, where levelset and
+    # phiconvexity read empty_region; each error record must carry the kind
+    # the same check prints when it runs
     checks = "slater,curvature,levelset:0,phiconvexity:1"
     code, stdout, _ = run_cli(["diagnose", "--problem", void_file, "--check", checks])
     assert code == 3
     failing = _records(stdout)
-    assert [r["passed"] for r in failing if "error" in r] == [False, False, False]
+    errors = [(r["record"], r["passed"]) for r in failing if "error" in r]
+    assert errors == [("slater", False), ("tangential_curvature", False)]
     code, stdout, _ = run_cli(["diagnose", "--builtin", "disk", "--check", checks])
     assert code == 0
     passing = [r["record"] for r in _records(stdout)]
     assert [r["record"] for r in failing] == passing
     assert passing == [cli.CHECKS[c.partition(":")[0]][0] for c in checks.split(",")]
+
+
+@pytest.mark.parametrize("check", ["levelset:0", "phiconvexity:1"])
+def test_a_probe_with_no_evidence_meets_no_expectation(run_cli, void_file, check):
+    # no strictly feasible point: the convexity probes read empty_region, which
+    # passes without --expect and meets neither expectation
+    argv = ["diagnose", "--problem", void_file, "--check", check]
+    (rec,) = _records(run_cli(argv)[1])
+    assert rec["verdict"] == "empty_region" and "error" not in rec
+    expects = [[], ["--expect", "pass"], ["--expect", "nonconvex"]]
+    assert [run_cli([*argv, *expect])[0] for expect in expects] == [0, 3, 3]
 
 
 def test_contour_grid(run_cli, tmp_path):
@@ -583,7 +601,7 @@ def test_oracle_no_feasible_point(run_cli, tmp_path):
     )
     code, _, stderr = run_cli(["oracle", "--problem", path, "--res", "11"])
     assert code == 3
-    assert "no feasible grid point" in stderr
+    assert stderr == "logbarrier: oracle failed: no feasible grid point at resolution 11\n"
 
 
 def test_list_command(run_cli):
@@ -1371,17 +1389,30 @@ def test_an_active_constraint_no_boundary_point_reached_is_judged_at_x(run_cli, 
     assert (code, _records(stdout)) == (3, [nondegeneracy])
 
 
-def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli):
-    calls = []
-    walk_rays = diagnostics.walk_rays
+def test_diagnose_walks_the_boundary_rays_once(monkeypatch, run_cli, void_file):
+    # and searches for a Slater point once, in any check order
+    calls = {"slater_find": 0, "walk_rays": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return walk_rays(*args)
+    def counted(module, name):
+        wrapped = getattr(module, name)
 
-    monkeypatch.setattr(diagnostics, "walk_rays", counting)
-    checks = "nondegeneracy,curvature"
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(cli, "slater_find")
+    counted(diagnostics, "walk_rays")
+    checks = "curvature,slater,nondegeneracy,slater"
     code, stdout, _ = run_cli(["diagnose", "--builtin", "disk", "--check", checks])
-    assert code == 0
-    assert [r["record"] for r in _records(stdout)] == ["nondegeneracy", "tangential_curvature"]
-    assert len(calls) == 1
+    records = _records(stdout)
+    assert code == 0 and calls == {"slater_find": 1, "walk_rays": 1}
+    kinds = ["tangential_curvature", "slater", "nondegeneracy", "slater"]
+    assert [r["record"] for r in records] == kinds and records[1] == records[3]
+    # where the search refuses, every check writes its refusal, and nothing walks
+    calls.update(slater_find=0, walk_rays=0)
+    code, stdout, _ = run_cli(["diagnose", "--problem", void_file, "--check", checks])
+    message = "no strictly feasible point on a 101^(1) grid (best margin -1.000e+00)"
+    want = [{"record": kind, "passed": False, "error": message} for kind in kinds]
+    assert (code, _records(stdout), calls) == (3, want, {"slater_find": 1, "walk_rays": 0})

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from logbarrier import barrier, cli, diagnostics, expr, problem
-from logbarrier.diagnostics import DiagnosticsError, SlaterUnverifiedError
+from logbarrier.diagnostics import SlaterUnverifiedError
 
 VOID = problem.problem_from_dict(
     {
@@ -311,8 +311,9 @@ def test_phi_convexity_positive(problems, name):
 
 
 def test_phi_convexity_needs_samples():
-    with pytest.raises(DiagnosticsError, match="no strictly feasible samples"):
-        diagnostics.phi_convexity_probe(VOID, mu=1.0)
+    # no strictly feasible point in the box: no evidence either way
+    r = diagnostics.phi_convexity_probe(VOID, mu=1.0)
+    assert r == diagnostics.PhiConvexityReport(1.0, 0, None, None, "empty_region")
 
 
 def test_curvature_disk(problems):

@@ -388,18 +388,26 @@ def test_keep_first_keeps_the_accepted_rows_of_one_large_draw():
     def keep(pts):
         return pts[:, 0] + pts[:, 1] > 1.0
 
-    def draws(batch, cap):
-        return problem.uniform_batches(np.random.default_rng(5), box, batch, cap)
+    def first(batch, cap, keep, need):
+        """keep_first's rows over a seeded stream, and the number of rows it read."""
+        read = []
 
-    rows, drawn = problem.keep_first(draws(16, 10_000), keep, 50)
+        def draws():
+            for block in problem.uniform_batches(np.random.default_rng(5), box, batch, cap):
+                read.append(block.shape[0])
+                yield block
+
+        return problem.keep_first(draws(), keep, need), sum(read)
+
+    rows, drawn = first(16, 10_000, keep, 50)
     big = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(drawn, 3))
     assert np.array_equal(rows, big[keep(big)][:50])
     assert drawn % 16 == 0 and keep(big[: drawn - 16]).sum() < 50 <= keep(big).sum()
     # the cap stops the draws first
-    rows, drawn = problem.keep_first(draws(16, 32), keep, 50)
+    rows, drawn = first(16, 32, keep, 50)
     assert drawn == 32 and np.array_equal(rows, big[:32][keep(big[:32])])
     # nothing kept
-    rows, drawn = problem.keep_first(draws(16, 40), lambda pts: pts[:, 0] > 2.0, 5)
+    rows, drawn = first(16, 40, lambda pts: pts[:, 0] > 2.0, 5)
     assert rows.shape == (0, 3) and drawn == 48
 
 
